@@ -62,8 +62,8 @@ def apply() -> None:
 
     orig = GroupedData.map_groups
 
-    def map_groups(self, fn, **kwargs):
-        ds = orig(self, fn, **kwargs)
+    def map_groups(self, fn, *args, **kwargs):
+        ds = orig(self, fn, *args, **kwargs)
         return ds.map_batches(
             _absorb_identity,
             batch_size=_ABSORB_BATCH_ROWS,

@@ -13,6 +13,15 @@ Reference parity:
   - normalization M1 ("correct" stage semantics, pipeline/correct.ts:3-49):
     deterministic Unicode NFC + whitespace collapse instead of the
     reference's LLM call (see SURVEY.md preamble for why).
+
+Exact fast paths (same output as the regex-only forms, pinned by
+tests/test_functions.py and tests/test_properties.py):
+  - ``normalize_text``: every character ``_CTRL_RE`` removes, and each of
+    ``\\t\\n\\r\\f\\v``, is Unicode Cc/Cf, so none is ``isprintable()``; a
+    printable string only needs its space runs folded and its ends trimmed.
+  - ``count_words``: the combining-mark ranges are all non-ASCII, so on
+    ASCII text ``WORD_RE`` matches exactly the runs of ``[A-Za-z0-9]``,
+    which a byte translate plus ``bytes.split`` counts.
 """
 
 from __future__ import annotations
@@ -23,6 +32,12 @@ import unicodedata
 # Combining-mark ranges (Mn) commonly present in Arabic + Latin text.
 _MARKS = "\u0300-\u036F\u0610-\u061A\u064B-\u065F\u0670\u06D6-\u06ED\u08D3-\u08FF"
 WORD_RE = re.compile(rf"(?:[^\W_]|[{_MARKS}])+", re.UNICODE)
+
+# ASCII bytes -> themselves for [A-Za-z0-9], space for everything else:
+# on ASCII text the runs WORD_RE matches are exactly the runs left intact
+_ASCII_WORD_TABLE = bytes(
+    b if chr(b).isascii() and chr(b).isalnum() else 0x20 for b in range(256)
+)
 
 _TAG_RE = re.compile(r"<[^>]*>")
 # matches only whitespace runs that actually need rewriting (a run
@@ -49,7 +64,10 @@ def count_words(text: str | None) -> int:
     """Unicode-aware word count over HTML-stripped text (M6)."""
     if not text:
         return 0
-    return len(WORD_RE.findall(strip_html(text)))
+    text = strip_html(text)
+    if text.isascii():
+        return len(text.encode("ascii").translate(_ASCII_WORD_TABLE).split())
+    return len(WORD_RE.findall(text))
 
 
 def normalize_text(text: str) -> str:
@@ -57,6 +75,8 @@ def normalize_text(text: str) -> str:
     chars and soft hyphens, collapse horizontal whitespace, trim lines."""
     # NFC is the identity on ASCII; skipping it is the single biggest win
     t = text if text.isascii() else unicodedata.normalize("NFC", text).replace("­", "")
+    if t.isprintable():  # no control chars, no newline, no tab/CR/FF/VT
+        return (_WS_RE.sub(" ", t) if "  " in t else t).strip()
     t = _CTRL_RE.sub("", t)
     t = _WS_RE.sub(" ", t)
     if "\n" not in t:  # common case: single-line block text

@@ -41,7 +41,7 @@ from .pdf import pdf_page_boxes
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.S | re.I)
 _BLOCK_TOKEN_RE = re.compile(
-    r"<(/?)(h[1-6]|p|div|nav|aside|section|article|header|footer|ul|ol|li|table|tr|td|blockquote|hr|br)\b([^>]*?)(/?)>",
+    r"<(/?)(h[1-6]|p|div|nav|aside|section|article|header|footer|ul|ol|li|table|tr|td|blockquote|hr|br)\b([^>]*)>",
     re.I,
 )
 _CLASS_RE = re.compile(r'class\s*=\s*["\']([^"\']*)["\']', re.I)
@@ -86,14 +86,10 @@ def _tokenize_blocks(html: str) -> list[_Block]:
     # stack entries: [tag, cls, buffer_parts]
     stack: list[list] = []
     # one C-level split instead of a finditer loop with per-match group()
-    # calls: parts = [lead, closing, tag, attrs, selfclose, between, ...]
+    # calls: parts = [lead, closing, tag, attrs, between, ...]; a
+    # self-closing tag's attrs end in "/"
     parts = _BLOCK_TOKEN_RE.split(html)
-    i = 1
-    n = len(parts)
-    while i < n:
-        closing, tag, attrs, selfclose = parts[i], parts[i + 1], parts[i + 2], parts[i + 3]
-        text_after = parts[i + 4]
-        i += 5
+    for closing, tag, attrs, text_after in zip(parts[1::4], parts[2::4], parts[3::4], parts[4::4]):
         tag = tag.lower()
         if tag == "br":
             if stack:
@@ -108,7 +104,7 @@ def _tokenize_blocks(html: str) -> list[_Block]:
                         t, c, buf = stack.pop()
                         blocks.append(_Block(t, c, "".join(buf)))
                     break
-        elif selfclose:
+        elif attrs[-1:] == "/":
             pass
         else:
             if attrs and "class" in attrs:
@@ -148,11 +144,12 @@ def _inline_to_text(raw: str) -> tuple[str, float, float]:
     return t, min(1.0, link_chars / total), density
 
 
-def _is_boiler(tag: str, cls: str, text: str, link_density: float, text_density: float) -> bool:
-    if tag in _BOILER_TAGS:
-        return True
-    if any(w in cls for w in _BOILER_CLASS_WORDS):
-        return True
+def _is_boiler_markup(tag: str, cls: str) -> bool:
+    """Boilerplate by tag or class alone, whatever the block's text."""
+    return tag in _BOILER_TAGS or (bool(cls) and any(w in cls for w in _BOILER_CLASS_WORDS))
+
+
+def _is_boiler_text(text: str, link_density: float, text_density: float) -> bool:
     if link_density > 0.5 and len(text) < 400:
         return True
     # markup-dominated short block (widgets, buttons, icon rows): almost
@@ -341,7 +338,8 @@ def extract_page(html: bytes, prior_text: str) -> dict:
         except Exception:
             return _failed(STAGE_SEGMENT, prior_text)
     payload = None
-    m = _CHARSET_RE.search(html[:2048])
+    head = html[:2048]
+    m = _CHARSET_RE.search(head) if b"charset" in head.lower() else None
     if m:
         codec = _CHARSET_ALIASES.get(m.group(1).decode("ascii", "replace").lower())
         if codec:
@@ -390,10 +388,14 @@ def extract_page(html: bytes, prior_text: str) -> dict:
                 if blk.tag == "hr":
                     roles.append(("hr", ""))
                     continue
-                text, link_density, text_density = _inline_to_text(blk.raw)
-                if not text:
+                boiler = _is_boiler_markup(blk.tag, blk.cls)
+                # such a block is dropped whatever its text, so its text is
+                # only built when it holds an entity: unescaping an
+                # over-long "&#...;" raises, which fails the page
+                if boiler and "&" not in blk.raw:
                     continue
-                if _is_boiler(blk.tag, blk.cls, text, link_density, text_density):
+                text, link_density, text_density = _inline_to_text(blk.raw)
+                if not text or boiler or _is_boiler_text(text, link_density, text_density):
                     continue
                 if "pageno" in blk.cls or (text.isdigit() and len(text) <= 6 and blk.tag == "div"):
                     roles.append(("pageno", text))

@@ -32,6 +32,7 @@ codepoint) — they just aren't guaranteed exact.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .font import _FONT_ART, _GlyphAtlas
 
@@ -47,8 +48,10 @@ _SIZE_CACHE: dict[tuple[int, int], tuple[dict, np.ndarray]] = {}
 
 
 def _glyph_tables(ch_w: int, ch_h: int) -> tuple[dict, np.ndarray]:
-    """Per cell size: (exact-match dict {bitmap_bytes: char}, (G, ch_h,
-    ch_w) bool stack).  On exact-render input every cell hits the dict
+    """Per cell size: (exact-match dict {packed_bitmap: char}, (G, ch_h,
+    ch_w) bool stack).  A packed bitmap is the cell's row-major pixels
+    through ``np.packbits`` (zero-padded to whole bytes, so equal keys
+    mean equal bitmaps).  On exact-render input every cell hits the dict
     (first candidate in codepoint order wins a collision — several
     glyphs can resize to one bitmap at tiny sizes); the stack only backs
     the off-contract fallback scorer."""
@@ -58,15 +61,15 @@ def _glyph_tables(ch_w: int, ch_h: int) -> tuple[dict, np.ndarray]:
         return hit
     stack = np.stack([_ATLAS.glyph(ord(c), ch_w, ch_h) for c in _CANDIDATES])
     exact: dict = {}
-    for c, g in zip(_CANDIDATES, stack):
+    for c, g in zip(_CANDIDATES, np.packbits(stack.reshape(len(stack), -1), axis=1)):
         exact.setdefault(g.tobytes(), c)
     _SIZE_CACHE[key] = (exact, stack)
     return exact, stack
 
 
-def _bands(ink: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive ink-bearing rows -> [(r0, r1)...]."""
-    rows = ink.any(axis=1)
+def _bands(rows: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive ink-bearing rows (``rows`` = per-row
+    ink flags) -> [(r0, r1)...]."""
     if not rows.any():
         return []
     d = np.diff(rows.astype(np.int8))
@@ -79,15 +82,19 @@ def _bands(ink: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _band_cells(band: np.ndarray, o: int, xr: int, ch_w: int) -> np.ndarray:
-    """Slice the band into (n_cells, ch_h, ch_w) starting at offset o."""
-    ch_h = band.shape[0]
-    n_cells = -(-(xr + 1 - o) // ch_w)
-    width = n_cells * ch_w
-    seg = np.zeros((ch_h, width), dtype=bool)
+def _band_slice(band: np.ndarray, o: int, width: int) -> np.ndarray:
+    """Columns [o, o + width) of the band, zero-padded past its right edge."""
+    seg = np.zeros((band.shape[0], width), dtype=bool)
     avail = min(width, band.shape[1] - o)
     seg[:, :avail] = band[:, o : o + avail]
-    return seg.reshape(ch_h, n_cells, ch_w).transpose(1, 0, 2)
+    return seg
+
+
+def _band_cells(band: np.ndarray, o: int, xr: int, ch_w: int) -> np.ndarray:
+    """Slice the band into (n_cells, ch_h, ch_w) starting at offset o."""
+    n_cells = -(-(xr + 1 - o) // ch_w)
+    seg = _band_slice(band, o, n_cells * ch_w)
+    return seg.reshape(band.shape[0], n_cells, ch_w).transpose(1, 0, 2)
 
 
 def _recognize_band(band: np.ndarray) -> tuple[int, str] | None:
@@ -95,10 +102,11 @@ def _recognize_band(band: np.ndarray) -> tuple[int, str] | None:
 
     Sweeps the ch_w possible grid offsets ending at the first ink
     column.  Fast path: on rasterizer output every cell of the TRUE
-    grid is an exact glyph render, so a bitmap-bytes dict lookup
-    identifies it (first failing cell rejects the offset immediately) —
-    no per-pixel scoring at all.  If no offset matches exactly
-    (off-contract input), falls back to XOR-popcount best-match; ties
+    grid is an exact glyph render, so a packed-bitmap dict lookup
+    identifies it — the first cell alone rejects most wrong offsets, and
+    a surviving offset packs the whole line in one call and looks up
+    fixed-width byte slices — no per-pixel scoring at all.  If no offset
+    matches exactly (off-contract input), falls back to XOR-popcount best-match; ties
     break to the smallest offset, then the lowest codepoint per cell."""
     ch_h = band.shape[0]
     ch_w = int(round(ch_h / 2))
@@ -108,15 +116,20 @@ def _recognize_band(band: np.ndarray) -> tuple[int, str] | None:
     xl, xr = int(cols[0]), int(cols[-1])
     exact, stack = _glyph_tables(ch_w, ch_h)
     lo = max(0, xl - ch_w + 1)
+    n_off = xl + 1 - lo
+    nb = -(-ch_h * ch_w // 8)  # packed bytes per cell
+    # the first cell of every candidate offset, packed in one call: a
+    # wrong offset almost always fails there, before its line is sliced
+    firsts = sliding_window_view(_band_slice(band, lo, n_off - 1 + ch_w), ch_w, axis=1)
+    heads = np.packbits(firsts.transpose(1, 0, 2).reshape(n_off, -1), axis=1).tobytes()
     for o in range(lo, xl + 1):
+        k = (o - lo) * nb
+        if heads[k : k + nb] not in exact:
+            continue
         cells = _band_cells(band, o, xr, ch_w)
-        chars = []
-        for cell in cells:
-            c = exact.get(cell.tobytes())
-            if c is None:
-                break
-            chars.append(c)
-        else:
+        packed = np.packbits(cells.reshape(len(cells), -1), axis=1).tobytes()
+        chars = [exact.get(packed[j : j + nb]) for j in range(0, len(packed), nb)]
+        if None not in chars:
             text = "".join(chars).rstrip(" ")
             return (o, text) if text else None
     # off-contract fallback: best match by fewest mismatched pixels
@@ -141,10 +154,9 @@ def recognize_pixels(
     ``(x_pt, top_y_pt, size_pt, text)`` in page points (top-down y),
     ready to synthesize TextRuns for the standard line-merge / XY-cut /
     segment path."""
-    ink = px < 128
     out = []
-    for r0, r1 in _bands(ink):
-        got = _recognize_band(ink[r0:r1])
+    for r0, r1 in _bands(px.min(axis=1) < 128):
+        got = _recognize_band(px[r0:r1] < 128)
         if got is None:
             continue
         o, text = got

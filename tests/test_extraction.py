@@ -36,6 +36,19 @@ class TestExtractPageUnit:
         assert r["body"] == "real content here"
         assert r["failed_stage"] is None
 
+    def test_self_closing_block_tag_opens_no_block(self):
+        # "<div/>" and "<p />" open nothing: the text after them stays in
+        # the enclosing block; "<BR/>" is a line break whatever its case
+        html = b'<p>a<div class="x"/>b<P CLASS="y" />c<BR/>d</p>'
+        assert extract_page(html, "")["body"] == "abc\nd"
+
+    def test_boilerplate_by_class_and_entities(self):
+        html = (
+            b'<div class="share-bar">&amp; <a href="#">Share</a></div>'
+            b'<aside>&lt;x&gt;</aside><p>keep &amp; this</p>'
+        )
+        assert extract_page(html, "")["body"] == "keep & this"
+
     def test_script_style_removed(self):
         html = b"<html><script>var x=1;</script><style>.a{}</style><p>keep</p></html>"
         assert extract_page(html, "")["body"] == "keep"

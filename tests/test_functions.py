@@ -55,6 +55,37 @@ class TestNormalize:
         assert strip_html("<p>x</p>").strip() == "x"
 
 
+class TestTextFastPaths:
+    """The conditions that make normalize_text's and count_words' fast
+    paths exact, checked over every character they depend on."""
+
+    def test_ctrl_and_line_chars_are_not_printable(self):
+        # a printable string has nothing for _CTRL_RE to remove and no
+        # line to trim, so the fast path only has space runs to fold
+        from ocr_platform_ray.functions.text import _CTRL_RE
+
+        ctrl = [chr(cp) for cp in range(0x110000) if _CTRL_RE.match(chr(cp))]
+        assert len(ctrl) == 78  # C0 minus \t\n\r, DEL + C1, 16 format chars
+        for c in ctrl + list("\t\n\r\f\v"):
+            assert not c.isprintable(), hex(ord(c))
+
+    def test_ascii_table_agrees_with_word_re(self):
+        from ocr_platform_ray.functions.text import _ASCII_WORD_TABLE, WORD_RE
+
+        for b in range(128):
+            c = chr(b)
+            in_word = WORD_RE.fullmatch(c) is not None
+            assert _ASCII_WORD_TABLE[b] == (b if in_word else 0x20), repr(c)
+            assert count_words(f"x{c}y") == (1 if in_word else 2), repr(c)
+
+    def test_fast_paths_keep_edge_cases(self):
+        assert normalize_text("  a  b  ") == "a b"
+        assert normalize_text("a\u00a0 b") == "a\u00a0 b"  # NBSP is not printable
+        assert normalize_text("\u200ba\u00ad\ufeffb ") == "ab"
+        assert count_words("don't stop-me now_2") == 6
+        assert count_words("caf\u00e9 au lait") == 3
+
+
 class TestSlug:
     def test_diacritics(self):
         assert remove_diacritics("café") == "cafe"

@@ -2,6 +2,7 @@
 input, not just fixture cases (SURVEY.md §5 item 3)."""
 
 import datetime
+import unicodedata
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,60 @@ class TestSplitPayloadProps:
         if len(blob) > max_bytes:
             # every chunk respects the bound up to one block-boundary overhang
             assert all(len(c) <= max_bytes for c in chunks)
+
+
+def _normalize_text_regex_only(text: str) -> str:
+    """normalize_text without its printable fast path (the oracle)."""
+    from ocr_platform_ray.functions import text as T
+
+    t = text if text.isascii() else unicodedata.normalize("NFC", text).replace("\u00ad", "")
+    t = T._WS_RE.sub(" ", T._CTRL_RE.sub("", t))
+    if "\n" not in t:
+        return t.strip()
+    t = "\n".join(ln.strip() for ln in t.split("\n")).strip()
+    return T._MULTI_NL_RE.sub("\n\n", t)
+
+
+def _count_words_regex_only(text: str | None) -> int:
+    """count_words without its ASCII fast path (the oracle)."""
+    from ocr_platform_ray.functions.text import WORD_RE, strip_html
+
+    return len(WORD_RE.findall(strip_html(text))) if text else 0
+
+
+# control, format, whitespace, NBSP, soft hyphen, ZWSP, BOM, Arabic mark,
+# tag and entity pieces: every character class the fast paths branch on
+_ADVERSARIAL = st.lists(
+    st.sampled_from(
+        [
+            "a", "Z", "9", "_", "-", ".", " ", "  ", "\t", "\n", "\n\n\n", "\r",
+            "\f", "\v", "\x00", "\x1f", "\x7f", "\x85", "\x9f", "\u00a0",
+            "\u00ad", "\u200b", "\u200d", "\u202a", "\u2060", "\u2064",
+            "\ufeff", "\u2028", "\u3000", "\u064e", "\u0301", "e\u0301",
+            "\u00e9", "\u0643\u0650\u062a\u064e\u0627\u0628", "\u0663",
+            "\u00b2", "<p>", "</b>", "<", ">", "&amp;", "&",
+        ]
+    ),
+    max_size=16,
+).map("".join)
+# printable-only pieces: the strings that take normalize_text's fast path
+_PRINTABLE = st.lists(
+    st.sampled_from(["a", "9", "_", " ", "  ", "   ", "\u00e9", "\u064e", "<b>", "&amp;"]),
+    max_size=12,
+).map("".join)
+_TEXTS = st.one_of(_ADVERSARIAL, _PRINTABLE, st.text(max_size=60))
+
+
+class TestTextFastPathOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(_TEXTS)
+    def test_normalize_text_equals_regex_only(self, t):
+        assert normalize_text(t) == _normalize_text_regex_only(t)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TEXTS)
+    def test_count_words_equals_regex_only(self, t):
+        assert count_words(t) == _count_words_regex_only(t)
 
 
 class TestScalarProps:

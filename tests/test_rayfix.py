@@ -92,6 +92,34 @@ class TestMapGroupsAbsorber:
         assert got["sx"].tolist() == [3, 3]
 
 
+    def test_wrapper_forwards_positional_args(self, monkeypatch):
+        # the wrapper must accept every call the wrapped method accepts
+        from ray.data.grouped_data import GroupedData
+
+        from ocr_platform_ray import _rayfix
+
+        calls = []
+
+        class _Out:
+            def map_batches(self, fn, **kwargs):
+                calls.append(("absorb", kwargs["batch_size"]))
+                return "absorbed"
+
+        def fake_map_groups(self, fn, *args, **kwargs):
+            calls.append((fn, args, kwargs))
+            return _Out()
+
+        monkeypatch.setattr(GroupedData, "map_groups", fake_map_groups)
+        monkeypatch.setattr(_rayfix, "_APPLIED", False)
+        _rayfix.apply()
+        got = GroupedData.map_groups(None, len, "tasks", "pandas", num_cpus=1)
+        assert got == "absorbed"
+        assert calls == [
+            (len, ("tasks", "pandas"), {"num_cpus": 1}),
+            ("absorb", _rayfix._ABSORB_BATCH_ROWS),
+        ]
+
+
 class TestPaddedUnionJoin:
     def test_bucketed_join_typed_blocks_and_dtypes(self, ray_session):
         left = rd.from_pandas(

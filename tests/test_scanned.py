@@ -14,10 +14,18 @@ from ocr_platform_ray.corpus import (
     page_payload,
     url_for,
 )
-from ocr_platform_ray.sources.pdfgen import make_article_pdf
+from ocr_platform_ray.sources.pdfgen import article_items, make_article_pdf
 from ocr_platform_ray.sources.scangen import make_scanned_article
 from ocr_platform_ray.stages.extract import extract_page
-from ocr_platform_ray.stages.ocr import recognize_pixels
+from ocr_platform_ray.stages.ocr import (
+    _ATLAS,
+    _CANDIDATES,
+    _band_cells,
+    _bands,
+    _glyph_tables,
+    _recognize_band,
+    recognize_pixels,
+)
 from ocr_platform_ray.stages.raster import rasterize_boxes
 
 
@@ -48,6 +56,86 @@ class TestRecognizer:
         assert [t for *_, t in recognize_pixels(px, scale=2.0)] == ["A  B   C"]
         blank = np.full((200, 200), 255, dtype=np.uint8)
         assert recognize_pixels(blank, scale=2.0) == []
+
+
+def _per_cell_reference(band):
+    """The exact sweep of ``_recognize_band`` done cell by cell on raw
+    bitmap bytes: (offset, text), None for a blank line, or "no match"
+    when no offset matches exactly (the fallback scorer's case)."""
+    ch_h = band.shape[0]
+    ch_w = int(round(ch_h / 2))
+    exact = {}
+    for c in _CANDIDATES:  # codepoint order: the first glyph wins a collision
+        exact.setdefault(_ATLAS.glyph(ord(c), ch_w, ch_h).tobytes(), c)
+    cols = np.flatnonzero(band.any(axis=0))
+    xl, xr = int(cols[0]), int(cols[-1])
+    for o in range(max(0, xl - ch_w + 1), xl + 1):
+        chars = []
+        for cell in _band_cells(band, o, xr, ch_w):
+            c = exact.get(cell.tobytes())
+            if c is None:
+                break
+            chars.append(c)
+        else:
+            text = "".join(chars).rstrip(" ")
+            return (o, text) if text else None
+    return "no match"
+
+
+class TestPackedLookup:
+    """The packed-bitmap lookup finds the same (offset, text) per band as
+    a plain per-cell lookup, including at cell sizes where several
+    glyphs resize to one bitmap."""
+
+    @staticmethod
+    def _bands_of(px):
+        rows = px.min(axis=1) < 128
+        assert _bands(rows) == _bands((px < 128).any(axis=1))
+        return [px[r0:r1] < 128 for r0, r1 in _bands(rows)]
+
+    def test_scangen_pages_match_per_cell_reference(self):
+        case = TestScannedTwinParity.CASES[0]
+        items = article_items(
+            case["title"],
+            case["paragraphs"],
+            page_number=case["page_number"],
+            footnote=case["footnote"],
+        )
+        boxes = [
+            (it["x"], it["y"], it["x"] + 0.5 * it["size"] * len(it["text"]),
+             it["y"] + it["size"], "", it["text"])
+            for it in items
+        ]
+        for scale in (2.0, 1.0, 0.75):
+            refs = [
+                (band, _per_cell_reference(band))
+                for band in self._bands_of(rasterize_boxes(boxes, scale=scale))
+            ]
+            if scale == 2.0:  # the scangen scale: every line is an exact render
+                assert [ref[1] for _, ref in refs] == [it["text"] for it in items]
+            for band, ref in refs:
+                if ref != "no match":
+                    assert _recognize_band(band) == ref, scale
+
+    def test_tiny_cells_with_colliding_glyphs(self):
+        # every candidate glyph, one short line each, lines far apart
+        lines = [_CANDIDATES[i : i + 9] for i in range(0, len(_CANDIDATES), 9)]
+        collided = exact_bands = 0
+        for size in (2.0, 3.0, 4.0, 5.0, 6.0):
+            boxes = [
+                (10.0, 10.0 + 12 * k, 10.0 + 0.5 * size * len(t), 10.0 + 12 * k + size, "", t)
+                for k, t in enumerate(lines)
+            ]
+            ch_h = int(round(size))
+            ch_w = max(1, int(round(0.5 * size)))
+            exact, _ = _glyph_tables(ch_w, ch_h)
+            collided += len(exact) < len(_CANDIDATES)
+            for band in self._bands_of(rasterize_boxes(boxes, page_h=200.0, scale=1.0)):
+                ref = _per_cell_reference(band)
+                if ref != "no match":
+                    exact_bands += 1
+                    assert _recognize_band(band) == ref, size
+        assert collided >= 3 and exact_bands >= 20
 
 
 class TestScannedTwinParity:
