@@ -3,36 +3,20 @@
 Ray workers inherit neither the driver's ``sys.path`` mutations nor its
 cwd, so a driver that imported this package from a non-installed location
 (the normal case for this repo) would hit ``ModuleNotFoundError`` inside
-``map_batches`` workers.  Registering every package module with
-cloudpickle's pickle-by-value makes closures self-contained — the code
-rides along with the task definition (cached per worker by Ray), no
-worker-side import needed.  The package is small, so the per-closure cost
-is negligible at any scale.
+``map_batches`` workers.  Registering the package with cloudpickle's
+pickle-by-value makes closures self-contained — the code rides along with
+the task definition (cached per worker by Ray), no worker-side import
+needed.  Registering the root package covers every submodule, imported
+now or later: cloudpickle checks a module's parent package names too.
+The package is small, so the per-closure cost is negligible at any scale.
 """
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
-import sys
-
-_done = False
-
 
 def ensure_portable() -> None:
-    global _done
-    if _done:
-        return
     from ray import cloudpickle
 
     import ocr_platform_ray
 
-    for mod_info in pkgutil.walk_packages(ocr_platform_ray.__path__, "ocr_platform_ray."):
-        try:
-            importlib.import_module(mod_info.name)
-        except ImportError:
-            continue  # optional subpackage with missing extras
-    for name, mod in list(sys.modules.items()):
-        if (name == "ocr_platform_ray" or name.startswith("ocr_platform_ray.")) and mod is not None:
-            cloudpickle.register_pickle_by_value(mod)
-    _done = True
+    cloudpickle.register_pickle_by_value(ocr_platform_ray)

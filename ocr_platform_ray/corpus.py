@@ -24,11 +24,9 @@ import random
 
 import pyarrow as pa
 
-# NOTE on import order: stages.extract imports THIS module for
-# FAKEPDF_MAGIC, and sources/__init__ -> ingest -> stages.pdf -> stages
-# __init__ -> extract.  Importing pdfgen here closes that loop; Python
-# resolves it because pdfgen itself imports nothing from the package.
+from .schemas import FAKEPDF_MAGIC
 from .sources.pdfgen import make_article_pdf
+from .sources.scangen import make_scanned_article
 
 SEED = 42
 _BASE_TS = datetime.datetime(2024, 1, 1)
@@ -72,13 +70,6 @@ URL_REALPDF_REM = 8
 # byte-identity invariant needs exact pixel round-trips).
 URL_SCANNED_MOD = 12
 URL_SCANNED_REM = 9
-
-FAKEPDF_MAGIC = b"%FAKEPDF\n"
-
-# placed AFTER the constants above: scangen -> stages.raster -> stages
-# package -> extract -> (back into this half-initialized module) needs
-# FAKEPDF_MAGIC to exist already — see the import-order NOTE at the top
-from .sources.scangen import make_scanned_article  # noqa: E402
 
 
 def is_realpdf_url(url_idx: int) -> bool:

@@ -65,6 +65,10 @@ STAGE_CORRECT = "CORRECT"
 STAGE_CONVERT = "CONVERT_TO_HTML"
 STAGE_SEGMENT = "SEGMENT"
 
+# Leading bytes of the synthetic layout payload (corpus.py writes it,
+# stages/extract.py parses it).
+FAKEPDF_MAGIC = b"%FAKEPDF\n"
+
 # ---------------------------------------------------------------------------
 # Per-document output (post groupby(url) reassembly).  `extracted_text` is
 # the byte-identical artifact of the north rule: pages concatenated in

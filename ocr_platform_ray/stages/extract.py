@@ -28,13 +28,13 @@ import pyarrow as pa
 
 from ..functions.text import count_words, normalize_text
 from ..schemas import (
+    FAKEPDF_MAGIC,
     FLAG_EMPTY,
     FLAG_NEEDS_REVIEW,
     STAGE_CONVERT,
     STAGE_CORRECT,
     STAGE_SEGMENT,
 )
-from ..corpus import FAKEPDF_MAGIC
 from .pdf import pdf_page_boxes
 
 # --- compiled parser state (module level: shared by actor + pure fn) -------

@@ -84,12 +84,21 @@ def _fallback_glyph(cp: int) -> np.ndarray:
     return g
 
 
+class _PerProcessCache(dict):
+    """A dict that pickles as an empty one.  The package travels to Ray
+    workers by value, module globals included, so a cache filled in the
+    submitting process would otherwise ride along in every task closure."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+
 class _GlyphAtlas:
     """Font table + nearest-neighbor resize cache (per-actor state)."""
 
     def __init__(self):
         self.base = {ord(ch): _art_to_bits(a) for ch, a in _FONT_ART.items()}
-        self._resized: dict[tuple[int, int, int], np.ndarray] = {}
+        self._resized: dict[tuple[int, int, int], np.ndarray] = _PerProcessCache()
 
     def glyph(self, cp: int, w: int, h: int) -> np.ndarray:
         key = (cp, w, h)

@@ -31,10 +31,12 @@ codepoint) — they just aren't guaranteed exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .font import _FONT_ART, _GlyphAtlas
+from .font import _FONT_ART, _GlyphAtlas, _PerProcessCache
 
 # candidate characters, deterministic order (codepoint ascending);
 # lowercase is excluded — it renders identically to uppercase
@@ -44,7 +46,7 @@ _CANDIDATES = "".join(sorted(_FONT_ART.keys(), key=ord))
 # per-process caches (recognition is a pure function of the pixels; the
 # atlas and per-size tables are content-independent)
 _ATLAS = _GlyphAtlas()
-_SIZE_CACHE: dict[tuple[int, int], tuple[dict, np.ndarray]] = {}
+_SIZE_CACHE: dict[tuple[int, int], tuple[dict, np.ndarray]] = _PerProcessCache()
 
 
 def _glyph_tables(ch_w: int, ch_h: int) -> tuple[dict, np.ndarray]:
@@ -147,18 +149,53 @@ def _recognize_band(band: np.ndarray) -> tuple[int, str] | None:
     return best[1], best[2]
 
 
-def recognize_pixels(
-    px: np.ndarray, *, scale: float
+def _ink_bands(slabs: Iterable[np.ndarray]):
+    """Yield ``(first_row, rows < 128)`` for each line band of a page that
+    arrives as consecutive slabs of whole rows.  A band is a maximal run
+    of rows holding a pixel < 128, whichever slabs it spans; only the
+    rows of the band still open at a slab's lower edge are kept."""
+    rows: list[np.ndarray] = []  # thresholded rows of the open band
+    r0 = top = 0  # first row of the open band / of the current slab
+    for px in slabs:
+        if not len(px):
+            continue
+        inked = px.min(axis=1) < 128
+        if rows and not inked[0]:
+            yield r0, np.concatenate(rows)
+            rows = []
+        for a, b in _bands(inked):
+            if not rows:
+                r0 = top + a
+            rows.append(px[a:b] < 128)
+            if b < len(px):
+                yield r0, np.concatenate(rows)
+                rows = []
+        top += len(px)
+    if rows:
+        yield r0, np.concatenate(rows)
+
+
+def recognize_rows(
+    slabs: Iterable[np.ndarray], *, scale: float
 ) -> list[tuple[float, float, float, str]]:
-    """Grayscale page pixels (255 = paper) -> recognized lines as
+    """Grayscale page pixels (255 = paper), given as consecutive slabs
+    of whole rows top to bottom -> recognized lines as
     ``(x_pt, top_y_pt, size_pt, text)`` in page points (top-down y),
     ready to synthesize TextRuns for the standard line-merge / XY-cut /
-    segment path."""
+    segment path.  Each slab is thresholded as it arrives, so the page
+    never has to exist in memory at once."""
     out = []
-    for r0, r1 in _bands(px.min(axis=1) < 128):
-        got = _recognize_band(px[r0:r1] < 128)
+    for r0, band in _ink_bands(slabs):
+        got = _recognize_band(band)
         if got is None:
             continue
         o, text = got
-        out.append((o / scale, r0 / scale, (r1 - r0) / scale, text))
+        out.append((o / scale, r0 / scale, len(band) / scale, text))
     return out
+
+
+def recognize_pixels(
+    px: np.ndarray, *, scale: float
+) -> list[tuple[float, float, float, str]]:
+    """``recognize_rows`` over a whole page held as one array."""
+    return recognize_rows([px], scale=scale)

@@ -45,7 +45,7 @@ import zlib
 import numpy as np
 
 from .aes import aes_cbc_decrypt, aes_cbc_encrypt, pkcs7_unpad
-from .ocr import recognize_pixels
+from .ocr import recognize_pixels, recognize_rows
 
 _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
 _WS = b"\x00\t\n\x0c\r "
@@ -377,6 +377,69 @@ def _png_unpredict(data: bytes, parms: dict) -> bytes:
     return bytes(out)
 
 
+class _Encoded:
+    """A stream's bytes as the file stores them: decrypted, filters not
+    yet applied.  ``scan_objects`` leaves the stream of every
+    dict-valued object in this form."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+
+
+def _stream_bytes(objects: dict, num: int) -> bytes | None:
+    """Decoded bytes of stream object ``num``: the one accessor that page
+    contents, ToUnicode CMaps, object streams and Form XObjects read
+    through.  ``_decode_stream`` runs on first use and its result
+    replaces the encoded bytes in ``objects``; None when the object has
+    no stream or its filters fail."""
+    val, sdata = objects.get(num, (None, None))
+    if isinstance(sdata, _Encoded):
+        try:
+            sdata = _decode_stream(val, sdata.raw)
+        except (ValueError, zlib.error):
+            sdata = None
+        objects[num] = (val, sdata)
+    return sdata
+
+
+# inflate output per step of the chunked image decode: below glibc's
+# 128 KiB mmap threshold, so each step reuses heap memory instead of
+# faulting in fresh pages
+_INFLATE_STEP = 120 * 1024
+
+
+def _inflate_rows(raw: bytes, width: int, height: int):
+    """Yield the first ``height`` rows of a FlateDecode 8-bit gray image
+    as (k, width) uint8 slabs, inflating at most ``_INFLATE_STEP`` bytes
+    (rounded down to whole rows) at a time.  The stream is inflated to
+    its end either way, so its adler32 check runs as in
+    ``zlib.decompress``.  Raises zlib.error where ``zlib.decompress``
+    would (corrupt data, bad checksum, truncated stream) and when the
+    stream holds fewer than width x height bytes."""
+    step = max(1, _INFLATE_STEP // width) * width
+    need = width * height
+    d = zlib.decompressobj()
+    tail, carry = raw, b""
+    while not d.eof:
+        out = d.decompress(tail, step)
+        tail = d.unconsumed_tail
+        if not out and not tail:
+            raise zlib.error("truncated stream")
+        if need:
+            # max_length caps a step without promising a full one, so a
+            # partial row carries over to the next
+            buf = carry + out if carry else out
+            n = min(len(buf), need) // width * width
+            if n:
+                yield np.frombuffer(buf, dtype=np.uint8, count=n).reshape(-1, width)
+            need -= n
+            carry = buf[n:] if need else b""
+    if need:
+        raise zlib.error("image shorter than width x height")
+
+
 # ---------------------------------------------------------------------------
 # Standard security handler (ISO 32000-1 §7.6): RC4, empty user password
 # ---------------------------------------------------------------------------
@@ -569,10 +632,13 @@ def _make_stream_decryptor(data: bytes, objects: dict, gens: dict):
     return decrypt, exclude
 
 
-def scan_objects(data: bytes) -> dict[int, tuple[dict | object, bytes | None]]:
+def scan_objects(data: bytes) -> dict[int, tuple]:
     """Walk ``N G obj`` .. ``endobj`` spans in file order (never trusting
     xref offsets — salvages mildly damaged files), returning
-    {num: (value, decoded_stream_or_None)}.  Matches that fall inside a
+    {num: (value, stream_or_None)}.  A stream of a dict-valued object is
+    held decrypted but still encoded (``_Encoded``); read it through
+    ``_stream_bytes``, which decodes it on first use, so a stream nothing
+    reads is never inflated.  Matches that fall inside a
     previously-consumed object (e.g. binary stream bytes that happen to
     contain 'obj') are skipped via the moving cursor."""
     objects: dict[int, tuple] = {}
@@ -616,22 +682,19 @@ def scan_objects(data: bytes) -> dict[int, tuple[dict | object, bytes | None]]:
             i = i + 6 if i >= 0 else end
         objects[num] = (val, stream_data)
         cursor = i
-    # decrypt (Standard-handler RC4, empty user password) then decode
-    # streams (needs the object map for indirect /Length — already
-    # handled above by the endstream search) and expand object streams
+    # decrypt (Standard-handler RC4, empty user password), then expand
+    # object streams — the only streams decoded here
     decryptor, no_decrypt = _make_stream_decryptor(data, objects, gens)
-    decoded: dict[int, tuple] = {}
     for num, (val, sdata) in objects.items():
         if sdata is not None and isinstance(val, dict):
             if decryptor is not None and num not in no_decrypt:
                 sdata = decryptor(num, sdata)
-            try:
-                sdata = _decode_stream(val, sdata)
-            except (ValueError, zlib.error):
-                sdata = None
-        decoded[num] = (val, sdata)
-    for num, (val, sdata) in list(decoded.items()):
-        if isinstance(val, dict) and val.get("Type") == "ObjStm" and sdata:
+            objects[num] = (val, _Encoded(sdata))
+    for num, (val, _s) in list(objects.items()):
+        if not isinstance(val, dict) or val.get("Type") != "ObjStm":
+            continue
+        sdata = _stream_bytes(objects, num)
+        if sdata:
             n_objs = val.get("N", 0)
             first = val.get("First", 0)
             i = 0
@@ -646,10 +709,10 @@ def scan_objects(data: bytes) -> dict[int, tuple[dict | object, bytes | None]]:
             for onum, off in pairs:
                 try:
                     v, _ = parse_value(sdata, first + off)
-                    decoded.setdefault(onum, (v, None))
+                    objects.setdefault(onum, (v, None))
                 except (ValueError, IndexError):
                     continue
-    return decoded
+    return objects
 
 
 def _resolve(v, objects):
@@ -750,7 +813,7 @@ def page_font_decoders(page: dict, objects: dict):
             continue
         tu = font.get("ToUnicode")
         if isinstance(tu, Ref):
-            _, stream = objects.get(tu.num, (None, None))
+            stream = _stream_bytes(objects, tu.num)
             if stream:
                 try:
                     width, table = parse_tounicode(stream)
@@ -789,8 +852,11 @@ def _page_xobjects(node: dict, objects: dict, fallback_decoders: dict) -> dict:
     for name, ref in xo.items():
         if not isinstance(ref, Ref):
             continue
-        val, sdata = objects.get(ref.num, (None, None))
-        if not isinstance(val, dict) or sdata is None or val.get("Subtype") != "Form":
+        val = objects.get(ref.num, (None, None))[0]
+        if not isinstance(val, dict) or val.get("Subtype") != "Form":
+            continue
+        sdata = _stream_bytes(objects, ref.num)
+        if sdata is None:
             continue
         dec = (
             page_font_decoders(val, objects)
@@ -976,7 +1042,7 @@ def _page_content(page: dict, objects: dict) -> bytes:
     parts = []
     for r in refs:
         if isinstance(r, Ref):
-            val, sdata = objects.get(r.num, (None, None))
+            sdata = _stream_bytes(objects, r.num)
             if sdata is not None:
                 parts.append(sdata)
     return b"\n".join(parts)
@@ -1012,7 +1078,14 @@ def _ocr_image_runs(page: dict, objects: dict, h: float, w: float) -> list:
     synthesized TextRuns feeding the SAME line-merge / XY-cut / segment
     path as parsed text, so a scanned page and its text twin extract
     byte-identically.  Non-decodable images (DCT/JPX/CCITT) yield no
-    runs — the page salvages as flagged-empty exactly as before."""
+    runs — the page salvages as flagged-empty exactly as before.
+
+    An image whose only filter is FlateDecode (no DecodeParms) is
+    inflated in slabs of whole rows straight into ``recognize_rows``,
+    so the full image never exists in memory.  If that inflate raises
+    (corrupt, truncated or short stream), the image takes the full
+    ``_decode_stream`` path instead, which salvages what it can — the
+    recognized lines are the same either way."""
     res = _resolve(page.get("Resources"), objects)
     xo = _resolve(res.get("XObject"), objects) if isinstance(res, dict) else None
     if not isinstance(xo, dict):
@@ -1034,15 +1107,30 @@ def _ocr_image_runs(page: dict, objects: dict, h: float, w: float) -> list:
             width, height = int(val["Width"]), int(val["Height"])
         except (KeyError, TypeError, ValueError):
             continue
-        if width <= 0 or height <= 0 or len(sdata) < width * height:
+        if width <= 0 or height <= 0:
             continue
-        px = np.frombuffer(sdata[: width * height], dtype=np.uint8).reshape(
-            height, width
-        )
         # contract: the scanned image paints the full page (cm = page
         # box), so pixel->point scale is the width ratio
         scale = width / max(w, 1.0)
-        for x_pt, ty_pt, size_pt, text in recognize_pixels(px, scale=scale):
+        lines = None
+        if (
+            isinstance(sdata, _Encoded)
+            and val.get("Filter") in ("FlateDecode", ["FlateDecode"])
+            and val.get("DecodeParms") is None
+        ):
+            try:
+                lines = recognize_rows(_inflate_rows(sdata.raw, width, height), scale=scale)
+            except zlib.error:
+                pass
+        if lines is None:
+            sdata = _stream_bytes(objects, ref.num)
+            if sdata is None or len(sdata) < width * height:
+                continue
+            px = np.frombuffer(sdata[: width * height], dtype=np.uint8).reshape(
+                height, width
+            )
+            lines = recognize_pixels(px, scale=scale)
+        for x_pt, ty_pt, size_pt, text in lines:
             runs.append(TextRun(x_pt, h - ty_pt - size_pt, size_pt, text))
     return runs
 
