@@ -29,9 +29,3 @@ __version__ = "0.1.0"
 from ._portable import ensure_portable as _ensure_portable  # noqa: E402
 
 _ensure_portable()
-
-# Absorb Ray's schemaless (0, 0) empty blocks behind every
-# groupby().map_groups exchange — see _rayfix.py for the mechanism.
-from . import _rayfix as _rayfix_mod  # noqa: E402
-
-_rayfix_mod.apply()

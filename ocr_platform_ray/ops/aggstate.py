@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .relational import _hash_labels
+from .exchange import _hash_labels, exchange
 from .upsert import _part_path
 
 _MERGE_HOW = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -117,6 +117,9 @@ def incremental_agg_into(
         out = b.groupby(list(keys), as_index=False, dropna=False).agg(
             **{a: (src, how) for a, (src, how) in aggs.items()}
         )
+        # the partition id rides as a column (the file to write): a null
+        # key can turn the group's int key column into float64, whose
+        # hash differs from the one labelled here
         out["__part"] = _hash_labels(out, list(keys), n_partitions).astype("int64")
         return out
 
@@ -160,12 +163,12 @@ def incremental_agg_into(
              "n_keys": [np.int64(len(merged))]}
         )
 
-    report = (
-        delta.map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(apply_part, batch_format="pandas")
-        .to_pandas()
-    )
+    report = exchange(
+        delta.map_batches(partial, batch_format="pandas"),
+        lambda b, n: b["__part"],
+        apply_part,
+        n_shards=n_partitions,
+    ).to_pandas()
     if report.shape[1] == 0:
         # empty delta: zero partition groups -> columnless empty frame
         # (the probe_head contract) — return the typed empty report

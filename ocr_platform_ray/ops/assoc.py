@@ -29,7 +29,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relational import _hash_labels, auto_group_agg
+from .exchange import exchange
+from .relational import auto_group_agg
 
 _PAIR, _ITEM, _TOTAL = "p", "i", "t"
 
@@ -54,13 +55,9 @@ def pair_cooccurrence(
             f"max_items_per_basket must be >= 2, got {max_items_per_basket}"
         )
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         out = b[[basket_col, item_col]].dropna().drop_duplicates()
-        out = out.reset_index(drop=True)
-        out["__shard"] = (
-            _hash_labels(out, [basket_col], n_shards).astype("int64")
-        )
-        return out
+        return out.reset_index(drop=True)
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -111,10 +108,11 @@ def pair_cooccurrence(
         out["n"] = out["n"].astype("int64")
         return out
 
-    partials = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
+    partials = exchange(
+        ds.map_batches(project, batch_format="pandas"),
+        basket_col,
+        per_shard,
+        n_shards=n_shards,
     )
     red = auto_group_agg(
         partials, ["kind", "item_a", "item_b"], {"n": ("n", "sum")},

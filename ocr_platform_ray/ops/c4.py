@@ -49,7 +49,8 @@ import pyarrow as pa
 import ray.data as rd
 
 from .dedup import _sha64
-from .relational import _hash_labels, probe_head
+from .exchange import exchange
+from .relational import probe_head
 
 # RE2-compatible patterns, mirrored literally in the SQL oracle.
 _TERMINAL_PUNCT_PAT = r'[.!?"]\s*$'
@@ -247,11 +248,6 @@ def c4_span_dedup(
     # vectorized pandas pass per shard (sharded_group_agg shape — the
     # winner rule needs the (id, pos) pair so a plain agg spec can't
     # express it).
-    def add_gh_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (out["gh"].to_numpy() % np.uint64(n_shards)).astype("int64")
-        return out
-
     def per_shard_losers(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["gh", id_col, "pos"], kind="mergesort")
         dup = g["gh"].duplicated(keep=False).to_numpy()
@@ -259,10 +255,11 @@ def c4_span_dedup(
         losers = g[dup & ~first]
         return losers[[id_col, "pos"]]
 
-    losers = (
-        occurrences.map_batches(add_gh_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard_losers, batch_format="pandas")
+    losers = exchange(
+        occurrences,
+        lambda b, n: b["gh"].to_numpy() % np.uint64(n),
+        per_shard_losers,
+        n_shards=n_shards,
     )
 
     def _strip_rows(originals, starts_per_row):
@@ -326,11 +323,6 @@ def c4_span_dedup(
         batch_format="pandas",
     )
 
-    def add_id_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[id_col, "pos", text_col]].copy()
-        out["__shard"] = _hash_labels(out, [id_col], n_shards).astype("int64")
-        return out
-
     def per_shard_strip(g: pd.DataFrame) -> pd.DataFrame:
         is_doc = g["pos"].to_numpy() == -1
         doc_rows = g[is_doc]
@@ -345,12 +337,7 @@ def c4_span_dedup(
             }
         )
 
-    stripped = (
-        marked.union(docs)
-        .map_batches(add_id_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard_strip, batch_format="pandas")
-    )
+    stripped = exchange(marked.union(docs), id_col, per_shard_strip, n_shards=n_shards)
     sch = ds.schema()
     orig_cols = sch.names if sch is not None else [id_col, text_col]
     extra = [c for c in orig_cols if c not in (id_col, text_col)]

@@ -6,9 +6,8 @@ order with a separator) — the concatenate-then-split packing layout of
 GPT-style pretraining (the "write packed examples" step).
 
 Distributed shape: groups are high-cardinality (one per training
-context), so this is the hash-shard exchange (``_hash_labels`` — the
-same ONE labeling kernel every exchange operator uses): all rows of a
-group colocate in one shard, each shard does ONE vectorized stable sort
+context), so this is the hash-shard exchange (``ops/exchange.py`` — the
+same ONE primitive every group-map uses): all rows of a group colocate in one shard, each shard does ONE vectorized stable sort
 by (group, order) and a per-group join whose cost is the output bytes
 (string assembly is O(bytes) however it is expressed).  Payload is
 (group, order, text) — the text moves exactly once.
@@ -20,7 +19,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relational import _hash_labels
+from .exchange import exchange
 
 
 def grouped_ordered_concat(
@@ -41,11 +40,6 @@ def grouped_ordered_concat(
     joined text (int64 list) — the document-boundary record attention /
     loss masking needs downstream of packing."""
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[group_col, order_col, text_col]].copy()
-        out["__shard"] = _hash_labels(b, [group_col], n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([group_col, order_col], kind="stable")
         aggs = dict(n_items=(text_col, "size"), **{out_col: (text_col, sep.join)})
@@ -63,10 +57,11 @@ def grouped_ordered_concat(
             aggs[offsets_col] = (text_col, offs)
         return g.groupby(group_col, as_index=False).agg(**aggs)
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
+    return exchange(
+        ds.select_columns([group_col, order_col, text_col]),
+        group_col,
+        per_shard,
+        n_shards=n_shards,
     )
 
 

@@ -26,6 +26,7 @@ import ray
 import ray.data as rd
 
 from ..state.broadcast import cached_get
+from .exchange import exchange
 from .similarity import _as_matrix
 
 
@@ -300,7 +301,6 @@ def semdedup(
                     "cluster": pd.Series(dtype="int64"),
                     "centroid_sim": pd.Series(dtype="float64"),
                     "__vec": pd.Series(dtype="object"),
-                    "__shard": pd.Series(dtype="int64"),
                 }
             )
         c = cached_get(ref)
@@ -313,7 +313,6 @@ def semdedup(
                 "cluster": a.astype(np.int64),
                 "centroid_sim": sims[np.arange(len(a)), a],
                 "__vec": [row.tolist() for row in m],  # normalized, moves once
-                "__shard": (a % n_shards).astype(np.int64),
             }
         )
 
@@ -345,10 +344,11 @@ def semdedup(
             )
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(project, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
+    return exchange(
+        ds.map_batches(project, batch_format="pandas"),
+        lambda b, n: b["cluster"].to_numpy() % n,
+        per_shard,
+        n_shards=n_shards,
     )
 
 

@@ -23,6 +23,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from .exchange import _hash_labels, exchange
+
 _HASH_SCHEME = "pd.util.hash_array%n_shards"
 
 
@@ -41,25 +43,15 @@ def partition_by_key(
     n_shards) are co-joinable without a shuffle."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (pd.util.hash_array(b[key].to_numpy()) % n_shards).astype("int64")
-        return out
-
     def write_shard(g: pd.DataFrame) -> pd.DataFrame:
-        sid = int(g["__shard"].iloc[0])
-        g = g.drop(columns="__shard").sort_values(key, kind="mergesort")
+        sid = int(_hash_labels(g.iloc[:1], [key], n_shards)[0])
+        g = g.sort_values(key, kind="mergesort")
         path = os.path.join(out_dir, f"{prefix}-{sid:05d}.parquet")
         pq.write_table(pa.Table.from_pandas(g, preserve_index=False), path + ".tmp")
         os.replace(path + ".tmp", path)
         return pd.DataFrame({"path": [path], "rows": [len(g)]})
 
-    manifest = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    manifest = exchange(ds, key, write_shard, n_shards=n_shards).to_pandas()
     lpath = os.path.join(out_dir, "_layout.json")
     with open(lpath + ".tmp", "w") as f:
         json.dump(

@@ -32,6 +32,7 @@ import ray
 import ray.data as rd
 
 from .dedup import _shingle_hashes_batch
+from .exchange import exchange
 from .relational import (
     _pd_dtype,
     _restore_dtypes,
@@ -135,10 +136,8 @@ def contamination_counts(
         dtype=_pd_dtype(dict(zip(tschema.names, tschema.types))[id_col])
     ).dtype
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__bucket"] = (out["gh"].to_numpy(dtype="int64") % n_buckets + n_buckets) % n_buckets
-        return out
+    def gh_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
+        return (b["gh"].to_numpy(dtype="int64") % n + n) % n
 
     def _empty_partial() -> pd.DataFrame:
         return pd.DataFrame(
@@ -160,11 +159,8 @@ def contamination_counts(
             out[id_col] = out[id_col].astype(id_dtype)
         return out
 
-    partials = (
-        t_rows.union(e_rows)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    partials = exchange(
+        t_rows.union(e_rows), gh_bucket, per_bucket, n_shards=n_buckets
     )
     reduced = sharded_group_agg(
         partials, [id_col], {"n_shared_grams": ("c", "sum")}, n_shards=n_shards

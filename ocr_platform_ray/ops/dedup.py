@@ -38,6 +38,7 @@ import ray.data as rd
 # module-top so pickle-by-value captures it (lazy relative imports fail in
 # workers that can't import the package from disk)
 from ..state.broadcast import cached_get
+from .exchange import exchange
 from .similarity import _hyperplanes, bucket_ids
 
 # --------------------------------------------------------------------------
@@ -172,6 +173,12 @@ def _band_hashes(sig_mat: np.ndarray, bands: int, rows_per_band: int) -> np.ndar
     return (h >> np.uint64(1)).astype(np.int64)
 
 
+def _bh_shard(b: pd.DataFrame, n: int) -> np.ndarray:
+    """Exchange label of an LSH (band, bucket) row: ``bh % n``, so a
+    bucket never splits across shards."""
+    return b["bh"].to_numpy(dtype=np.uint64) % n
+
+
 def _shingle_hashes(text: str, k: int, split_mode: str = "ws") -> np.ndarray:
     """Word-k-gram hashes.  ``split_mode="ws"`` collapses whitespace runs
     (Python str.split — the right choice for near-dup robustness);
@@ -304,11 +311,6 @@ def minhash_lsh_duplicates(
     # vectorized pandas join per shard.
     n_shards = 64
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (out["bh"].to_numpy(dtype=np.uint64) % n_shards).astype("int64")
-        return out
-
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # self-join within buckets of this shard: (band, bh) equality,
         # ordered pairs only; buckets are small by LSH design so the
@@ -339,11 +341,7 @@ def minhash_lsh_duplicates(
                 else pd.DataFrame({"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")})
             )
     if cand_pairs is None:
-        cand_ds = (
-            exploded.map_batches(add_shard, batch_format="pandas")
-            .groupby("__shard")
-            .map_groups(shard_pairs, batch_format="pandas")
-        )
+        cand_ds = exchange(exploded, _bh_shard, shard_pairs, n_shards=n_shards)
 
     if verify == "bucketed" and cand_pairs is not None:
         if cand_pairs.empty:
@@ -560,13 +558,11 @@ def simhash_near_dup_pairs(
 
     exploded = sig_ds.map_batches(explode, batch_format="pandas")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        key = out["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + out[
+    def band_shard(b: pd.DataFrame, n: int) -> np.ndarray:
+        key = b["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + b[
             "bi"
         ].to_numpy(dtype=np.uint64)
-        out["__shard"] = (key % n_shards).astype("int64")
-        return out
+        return key % n
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -576,7 +572,6 @@ def simhash_near_dup_pairs(
                 "hamming": pd.Series(dtype="int64"),
             }
         )
-        g = g.drop(columns="__shard", errors="ignore")
         # skew control: a bucket is entirely within this shard, so the
         # in-shard posting count IS the global bucket size
         sizes = g.groupby(["bi", "bv"])[id_col].transform("size")
@@ -618,11 +613,7 @@ def simhash_near_dup_pairs(
         pairs["hamming"] = pairs["hamming"].astype("int64")
         pairs = pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
         return rd.from_pandas(pairs) if as_dataset else pairs
-    cand = (
-        exploded.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(shard_pairs, batch_format="pandas")
-    )
+    cand = exchange(exploded, band_shard, shard_pairs, n_shards=n_shards)
     # cross-band dedupe: a pair found in two bands lives in two shards;
     # hamming is a pure function of the pair, so min == the single value
     deduped = sharded_group_agg(
@@ -674,9 +665,7 @@ def _ngram_pair_counts(
         shs = (
             np.concatenate(shingles) if len(shingles) else np.empty(0, dtype=np.uint64)
         )
-        out = pd.DataFrame({id_col: ids, "sh": shs, "size": sizes})
-        out["__shard"] = (out["sh"].to_numpy() % n_shards).astype("int64")
-        return out
+        return pd.DataFrame({id_col: ids, "sh": shs, "size": sizes})
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         """One vectorized pass per SHARD (not per shingle): drop singleton
@@ -708,8 +697,12 @@ def _ngram_pair_counts(
 
     from .relational import sharded_group_agg
 
-    exploded = ds.map_batches(explode, batch_format="pandas")
-    partials = exploded.groupby("__shard").map_groups(shard_pairs, batch_format="pandas")
+    partials = exchange(
+        ds.map_batches(explode, batch_format="pandas"),
+        lambda b, n: b["sh"].to_numpy() % n,
+        shard_pairs,
+        n_shards=n_shards,
+    )
     # distributed per-pair reduce (a pair's shingles spread over shards):
     # second hash-shard exchange, then the metric + threshold filter run
     # inside map_batches so only qualifying pairs reach the driver
@@ -1153,11 +1146,6 @@ def dup_clusters_distributed(
         out["__cur"] = 1
         return out
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (pd.util.hash_array(b["id"].to_numpy()) % n_shards).astype("int64")
-        return out
-
     def min_reduce(g: pd.DataFrame) -> pd.DataFrame:
         # new label = min over proposals-and-current; changed flag from
         # comparing against the current label (every id has exactly one:
@@ -1190,13 +1178,12 @@ def dup_clusters_distributed(
             n_buckets=n_shards,
         )
         proposals = j.map_batches(to_proposal, batch_format="pandas")
-        flagged = (
-            proposals.union(labels.map_batches(project, batch_format="pandas"))
-            .map_batches(add_shard, batch_format="pandas")
-            .groupby("__shard")
-            .map_groups(min_reduce, batch_format="pandas")
-            .materialize()
-        )
+        flagged = exchange(
+            proposals.union(labels.map_batches(project, batch_format="pandas")),
+            "id",
+            min_reduce,
+            n_shards=n_shards,
+        ).materialize()
         labels = flagged.map_batches(drop_flag, batch_format="pandas")
         if count_changed(flagged) == 0:
             converged = True
@@ -1370,7 +1357,6 @@ def embedding_cosine_pairs(
                 "bh": bhs.ravel(),
             }
         )
-        out["__shard"] = ((out["bh"].to_numpy(dtype=np.uint64)) % n_shards).astype("int64")
         return out
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -1391,8 +1377,7 @@ def embedding_cosine_pairs(
         pairs = shard_pairs(head) if head.shape[1] > 0 else _cos_pairs_empty()[["id_a", "id_b"]]
     if pairs is None:
         pairs = (
-            sig_keys.groupby("__shard")
-            .map_groups(shard_pairs, batch_format="pandas")
+            exchange(sig_keys, _bh_shard, shard_pairs, n_shards=n_shards)
             .to_pandas()
             .drop_duplicates()
         )
@@ -1581,17 +1566,15 @@ def fingerprint_near_dup_pairs(
 
     exploded = ds.map_batches(explode, batch_format="pandas")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        key = out["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + out[
+    def band_shard(b: pd.DataFrame, n: int) -> np.ndarray:
+        key = b["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + b[
             "bi"
         ].to_numpy(dtype=np.uint64)
         if within_col:
             key = key * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                out["wc"].to_numpy()
+                b["wc"].to_numpy()
             )
-        out["__shard"] = (key % n_shards).astype("int64")
-        return out
+        return key % n
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1603,7 +1586,6 @@ def fingerprint_near_dup_pairs(
         )
         if within_col:
             empty["wc"] = g["wc"].iloc[:0]
-        g = g.drop(columns="__shard", errors="ignore")
         sizes = g.groupby(bucket_cols)[id_col].transform("size")
         g = g[sizes <= max_posting]
         if g.empty:
@@ -1652,11 +1634,7 @@ def fingerprint_near_dup_pairs(
         )
         pairs = finalize(pairs.drop_duplicates(pair_keys))
         return rd.from_pandas(pairs) if as_dataset else pairs
-    cand = (
-        exploded.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(shard_pairs, batch_format="pandas")
-    )
+    cand = exchange(exploded, band_shard, shard_pairs, n_shards=n_shards)
     deduped = sharded_group_agg(
         cand, pair_keys, {"hamming": ("hamming", "min")},
         n_shards=n_shards,

@@ -26,7 +26,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .relational import _hash_labels, auto_group_agg, bucketed_hash_join
+from .exchange import exchange
+from .relational import auto_group_agg, bucketed_hash_join
 
 
 def _token_counts(ds: rd.Dataset, text_col: str, n_shards: int):
@@ -296,18 +297,17 @@ def grouped_trend(
     gcols = list(group_cols)
     keep = list(dict.fromkeys([*gcols, order_col, tie_col, value_col]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
         out = b[keep].copy()
         out = out[out[value_col].notna() & out[order_col].notna()]
         if pd.api.types.is_datetime64_any_dtype(out[order_col]):
             out[order_col] = (
                 out[order_col].to_numpy().astype("datetime64[us]").astype("int64")
             )
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
         return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
+        g = g.sort_values(
             [*gcols, order_col, tie_col], kind="mergesort"
         ).reset_index(drop=True)
         grp = g.groupby(gcols, sort=False, dropna=False)
@@ -369,12 +369,9 @@ def grouped_trend(
         out["__tt"] = out["__tt"].fillna(0).astype("int64")
         return out
 
-    reduced = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    reduced = exchange(
+        ds.map_batches(prep, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+    ).to_pandas()
     if len(reduced) == 0 or "n" not in reduced.columns:
         return pd.DataFrame(
             {
@@ -445,22 +442,19 @@ def ks_two_sample(
             out["__v"] = pd.Series(dtype="float64")
             out["da"] = pd.Series(dtype="int64")
             out["db"] = pd.Series(dtype="int64")
-            out["__shard"] = pd.Series(dtype="int64")
             return out
         isa = (sub[side_col] == side_a).to_numpy()
         out = sub[gcols].copy()
         out["__v"] = sub[value_col].to_numpy(dtype="float64")
         out["da"] = isa.astype("int64")
         out["db"] = (~isa).astype("int64")
-        out = out.groupby([*gcols, "__v"], as_index=False, dropna=False).agg(
+        return out.groupby([*gcols, "__v"], as_index=False, dropna=False).agg(
             da=("da", "sum"), db=("db", "sum")
         )
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
-        return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         # merge cross-batch partials for the same (group, value) first
-        g = g.drop(columns="__shard").groupby(
+        g = g.groupby(
             [*gcols, "__v"], as_index=False, dropna=False
         ).agg(da=("da", "sum"), db=("db", "sum"))
         g = g.sort_values([*gcols, "__v"], kind="mergesort").reset_index(drop=True)
@@ -478,12 +472,9 @@ def ks_two_sample(
         )
         return red[(red["n_a"] > 0) & (red["n_b"] > 0)]
 
-    reduced = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    reduced = exchange(
+        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+    ).to_pandas()
     if len(reduced) == 0 or "num" not in reduced.columns:
         return pd.DataFrame(
             {

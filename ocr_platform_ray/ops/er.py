@@ -44,7 +44,7 @@ import ray.data as rd
 from ..functions.phonetic import soundex_batch
 from ..functions.score import jaro_winkler_batch
 from .graph import connected_components
-from .relational import _hash_labels
+from .exchange import exchange
 
 
 def resolve_entities(
@@ -77,12 +77,9 @@ def resolve_entities(
                 "blk": blk.to_numpy(),
             }
         )
-        out = out[~out["blk"].str.startswith(":") & (out["blk"] != "")]
-        out["__shard"] = _hash_labels(out, ["blk"], n_shards).astype("int64")
-        return out
+        return out[~out["blk"].str.startswith(":") & (out["blk"] != "")]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard")
         sizes = g.groupby("blk")["id"].transform("size")
         if len(sizes) and int(sizes.max()) > max_block_size:
             big = g.loc[sizes.idxmax(), "blk"]
@@ -110,7 +107,7 @@ def resolve_entities(
         )
 
     blocked = ds.map_batches(block, batch_format="pandas")
-    edges = blocked.groupby("__shard").map_groups(pairs, batch_format="pandas")
+    edges = exchange(blocked, "blk", pairs, n_shards=n_shards)
     # isolated records must appear: union (id, id) self-edges
     selfe = ds.map_batches(
         lambda b: pd.DataFrame(

@@ -31,7 +31,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .relational import _hash_labels, auto_group_agg
+from .exchange import exchange
+from .relational import auto_group_agg
 
 
 def politeness_order(
@@ -54,15 +55,11 @@ def politeness_order(
         raise ValueError("tie_cols must name at least one column")
     keep = list(dict.fromkeys([host_col, priority_col, *ties]))
 
-    def add_host_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].dropna(subset=[host_col]).reset_index(drop=True)
-        out["__shard"] = _hash_labels(out, [host_col], n_shards).astype(
-            "int64"
-        )
-        return out
+    def routable(b: pd.DataFrame) -> pd.DataFrame:
+        return b[keep].dropna(subset=[host_col]).reset_index(drop=True)
 
     def rank_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
+        g = g.sort_values(
             [host_col, priority_col, *ties],
             ascending=[True, not descending] + [True] * len(ties),
             kind="mergesort",
@@ -72,10 +69,11 @@ def politeness_order(
         ).astype("int64")
         return g
 
-    ranked = (
-        ds.map_batches(add_host_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(rank_shard, batch_format="pandas")
+    ranked = exchange(
+        ds.map_batches(routable, batch_format="pandas"),
+        host_col,
+        rank_shard,
+        n_shards=n_shards,
     ).materialize()  # consumed by the count reduce AND the pos pass
 
     counts = auto_group_agg(
@@ -105,16 +103,9 @@ def politeness_order(
     n_hosts = len(cs)
     table = ray.put((cs, prefix))
 
-    def add_r_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__shard"] = _hash_labels(b, ["r"], n_shards).astype("int64")
-        return b
-
     def pos_shard(g: pd.DataFrame) -> pd.DataFrame:
         cs_, prefix_ = ray.get(table)
-        g = g.drop(columns="__shard").sort_values(
-            ["r", host_col], kind="mergesort"
-        )
+        g = g.sort_values(["r", host_col], kind="mergesort")
         r = g["r"].to_numpy(dtype="int64")
         # Σ_h min(r-1, c_h): hosts with c <= r-1 contribute c, the rest
         # contribute r-1
@@ -124,11 +115,7 @@ def politeness_order(
         g["pos"] = (off + within + 1).astype("int64")
         return g
 
-    res = (
-        ranked.map_batches(add_r_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(pos_shard, batch_format="pandas")
-    )
+    res = exchange(ranked, "r", pos_shard, n_shards=n_shards)
     if as_dataset:
         return res
     return res.to_pandas().sort_values("pos", kind="mergesort").reset_index(

@@ -26,6 +26,7 @@ import ray.data as rd
 
 from ..functions.score import command_score
 from ..state.broadcast import cached_get
+from .exchange import exchange
 
 
 def levenshtein(a: str, b: str, *, cutoff: int | None = None) -> int:
@@ -280,12 +281,10 @@ def fuzzy_join_lev(
     lk = left.map_batches(left_keys, batch_format="pandas")
     rk = right.map_batches(right_keys, batch_format="pandas")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
+    def seg_shard(b: pd.DataFrame, n: int) -> np.ndarray:
         h = pd.util.hash_array(b["seg"].to_numpy(dtype=object))
         h = h * np.uint64(0x9E3779B97F4A7C15) ^ b["L"].to_numpy(dtype=np.uint64)
-        out = b.copy()
-        out["__shard"] = (h % n_shards).astype("int64")
-        return out
+        return h % n
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -311,12 +310,7 @@ def fuzzy_join_lev(
         }
     )
     if pairs is None:  # exchange blocking route
-        cand_ds = (
-            lk.union(rk)
-            .map_batches(add_shard, batch_format="pandas")
-            .groupby("__shard")
-            .map_groups(shard_pairs, batch_format="pandas")
-        )
+        cand_ds = exchange(lk.union(rk), seg_shard, shard_pairs, n_shards=n_shards)
         if verify == "bucketed":
             return _verify_bucketed(
                 cand_ds, left, right, id_col, str_col, d, with_command_score, empty_out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pandas as pd
 import ray.data as rd
 
-from .relational import _hash_labels
+from .exchange import exchange
 
 
 def golden_record(
@@ -42,25 +42,14 @@ def golden_record(
     vcols = list(value_cols)
     keep = list(dict.fromkeys([*gcols, order_col, tie_col, *vcols]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*gcols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*gcols, order_col, tie_col], kind="mergesort")
         gb = g.groupby(gcols, sort=False, dropna=False)
         out = gb[vcols].last()  # last non-null per column — survivorship
         out["n_rows"] = gb.size().astype("int64")
         return out.reset_index()
 
-    res = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    res = exchange(ds.select_columns(keep), gcols, per_shard, n_shards=n_shards)
     if as_dataset:
         return res
     out = res.to_pandas()

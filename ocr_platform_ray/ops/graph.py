@@ -36,8 +36,8 @@ import ray.data as rd
 
 from ..functions.textscan import flat_finditer
 from .dedup import dup_clusters_distributed
+from .exchange import SHARD, _hash_labels, exchange
 from .relational import (
-    _hash_labels,
     anti_join,
     auto_group_agg,
     bucketed_hash_join,
@@ -825,20 +825,16 @@ def _canon_simple_edges(
         s, d = b[src_col].to_numpy(), b[dst_col].to_numpy()
         keep = s != d
         s, d = s[keep], d[keep]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"a": np.minimum(s, d), "b": np.maximum(s, d)}
         ).drop_duplicates()
-        out["__shard"] = _hash_labels(out, ["a", "b"], n_shards).astype("int64")
-        return out
 
-    return (
-        edges.map_batches(canon, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(
-            lambda g: g[["a", "b"]].drop_duplicates(), batch_format="pandas"
-        )
-        .materialize()
-    )
+    return exchange(
+        edges.map_batches(canon, batch_format="pandas"),
+        ["a", "b"],
+        lambda g: g.drop_duplicates(),
+        n_shards=n_shards,
+    ).materialize()
 
 
 def _edge_degrees(e: rd.Dataset, n_shards: int, deg_threshold_rows: int):
@@ -862,25 +858,22 @@ def _edge_degrees(e: rd.Dataset, n_shards: int, deg_threshold_rows: int):
 def _orient_edges(e: rd.Dataset, deg, n_shards: int) -> rd.Dataset:
     """Degree-oriented edges (Schank & Wagner 2005): u -> v from the
     lower-(degree, id) endpoint, bounding out-neighborhoods by
-    O(sqrt(m)); u-sharded for the wedge self-merge.  ``deg`` may be the
+    O(sqrt(m)), for the u-sharded wedge self-merge.  ``deg`` may be the
     driver frame (broadcast lookup) or a Dataset (two bucketed joins)."""
 
     def orient(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
-            out = pd.DataFrame({"u": b["a"], "v": b["b"]})
-        else:
-            a_first = (b["da"].to_numpy() < b["db"].to_numpy()) | (
-                (b["da"].to_numpy() == b["db"].to_numpy())
-                & (b["a"].to_numpy() < b["b"].to_numpy())
-            )
-            out = pd.DataFrame(
-                {
-                    "u": np.where(a_first, b["a"], b["b"]),
-                    "v": np.where(a_first, b["b"], b["a"]),
-                }
-            )
-        out["__shard"] = _hash_labels(out, ["u"], n_shards).astype("int64")
-        return out
+            return pd.DataFrame({"u": b["a"], "v": b["b"]})
+        a_first = (b["da"].to_numpy() < b["db"].to_numpy()) | (
+            (b["da"].to_numpy() == b["db"].to_numpy())
+            & (b["a"].to_numpy() < b["b"].to_numpy())
+        )
+        return pd.DataFrame(
+            {
+                "u": np.where(a_first, b["a"], b["b"]),
+                "v": np.where(a_first, b["b"], b["a"]),
+            }
+        )
 
     if isinstance(deg, pd.DataFrame):
         # dim-sized node table: broadcast once, degree lookup map-side
@@ -968,9 +961,7 @@ def triangle_count(
         out["n"] = out["n"].astype("int64")
         return out
 
-    wedges = oriented.groupby("__shard").map_groups(
-        wedge_counts, batch_format="pandas"
-    )
+    wedges = exchange(oriented, "u", wedge_counts, n_shards=n_shards)
     closed = bucketed_hash_join(wedges, e, on=["a", "b"], n_buckets=n_shards)
     parts = closed.map_batches(
         lambda b: pd.DataFrame({"s": [np.int64(b["n"].sum()) if len(b) else np.int64(0)]}),
@@ -1125,9 +1116,7 @@ def clustering_coefficient(
             {"a": m["v_x"].to_numpy(), "b": m["v_y"].to_numpy(), "u": m["u"].to_numpy()}
         )
 
-    wedges = oriented.groupby("__shard").map_groups(
-        wedge_rows, batch_format="pandas"
-    )
+    wedges = exchange(oriented, "u", wedge_rows, n_shards=n_shards)
     closed = bucketed_hash_join(wedges, e, on=["a", "b"], n_buckets=n_shards)
 
     def tri_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1392,103 +1381,78 @@ def link_prediction_scores(
         return rd.from_pandas(out) if as_dataset else out
     deg = _edge_degrees(e, n_shards, deg_threshold_rows)
 
-    # adjacency (w = center, x = neighbor), both directions, w-sharded
+    # adjacency (w = center, x = neighbor), both directions
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "w": np.concatenate([b["a"].to_numpy(), b["b"].to_numpy()]),
                 "x": np.concatenate([b["b"].to_numpy(), b["a"].to_numpy()]),
             }
         )
-        out["__shard"] = _hash_labels(out, ["w"], n_shards).astype("int64")
-        return out
 
     adj = e.map_batches(explode, batch_format="pandas")
+
+    def uv_labelled(out: pd.DataFrame) -> pd.DataFrame:
+        # the (u, v) exchange label, written where the rows are built
+        out[SHARD] = _hash_labels(out, ["u", "v"], n_shards).astype("int64")
+        return out
+
+    def wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
+        # g: (w, x, dw) of capped-degree centers, w-sharded
+        m = g.merge(g[["w", "x"]], on="w")
+        m = m[m["x_x"].to_numpy() < m["x_y"].to_numpy()]
+        return uv_labelled(
+            pd.DataFrame(
+                {
+                    "u": m["x_x"].to_numpy(),
+                    "v": m["x_y"].to_numpy(),
+                    "w": m["w"].to_numpy(),
+                    "dw": m["dw"].to_numpy(),
+                }
+            )
+        )
 
     if isinstance(deg, pd.DataFrame):
         dref = ray.put(deg.set_index("node")["deg"])
 
         def wedges(g: pd.DataFrame, _dref=dref) -> pd.DataFrame:
             dm = ray.get(_dref)
-            g = g.drop(columns="__shard")
             g = g.assign(dw=g["w"].map(dm).to_numpy())
-            g = g[g["dw"] <= max_center_degree]
-            m = g.merge(g[["w", "x"]], on="w")
-            m = m[m["x_x"].to_numpy() < m["x_y"].to_numpy()]
-            out = pd.DataFrame(
-                {
-                    "u": m["x_x"].to_numpy(),
-                    "v": m["x_y"].to_numpy(),
-                    "w": m["w"].to_numpy(),
-                    "dw": m["dw"].to_numpy(),
-                }
-            )
-            out["__shard"] = _hash_labels(out, ["u", "v"], n_shards).astype(
-                "int64"
-            )
-            return out
+            return wedge_rows(g[g["dw"] <= max_center_degree])
 
-        trip = adj.groupby("__shard").map_groups(wedges, batch_format="pandas")
+        trip = exchange(adj, "w", wedges, n_shards=n_shards)
     else:
         dws = deg.map_batches(
             lambda b: b.rename(columns={"node": "w", "deg": "dw"}),
             batch_format="pandas",
         )
-        adj_deg = bucketed_hash_join(
-            adj.map_batches(
-                lambda b: b.drop(columns="__shard"), batch_format="pandas"
+        adj_deg = bucketed_hash_join(adj, dws, on="w", n_buckets=n_shards)
+        trip = exchange(
+            adj_deg.map_batches(
+                lambda b: b[b["dw"] <= max_center_degree], batch_format="pandas"
             ),
-            dws,
-            on="w",
-            n_buckets=n_shards,
-        )
-
-        def reshard_w(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["dw"] <= max_center_degree].copy()
-            b["__shard"] = _hash_labels(b, ["w"], n_shards).astype("int64")
-            return b
-
-        def wedges_ds(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop(columns="__shard")
-            m = g.merge(g[["w", "x"]], on="w")
-            m = m[m["x_x"].to_numpy() < m["x_y"].to_numpy()]
-            out = pd.DataFrame(
-                {
-                    "u": m["x_x"].to_numpy(),
-                    "v": m["x_y"].to_numpy(),
-                    "w": m["w"].to_numpy(),
-                    "dw": m["dw"].to_numpy(),
-                }
-            )
-            out["__shard"] = _hash_labels(out, ["u", "v"], n_shards).astype(
-                "int64"
-            )
-            return out
-
-        trip = (
-            adj_deg.map_batches(reshard_w, batch_format="pandas")
-            .groupby("__shard")
-            .map_groups(wedges_ds, batch_format="pandas")
+            "w",
+            wedge_rows,
+            n_shards=n_shards,
         )
 
     # tag existing edges into the SAME (u, v) exchange so adjacency
     # filtering needs no separate join
     def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "u": b["a"].to_numpy(),
-                "v": b["b"].to_numpy(),
-                "w": b["a"].to_numpy(),  # placeholder, ignored
-                "dw": np.full(len(b), -1, dtype="int64"),  # edge marker
-            }
+        return uv_labelled(
+            pd.DataFrame(
+                {
+                    "u": b["a"].to_numpy(),
+                    "v": b["b"].to_numpy(),
+                    "w": b["a"].to_numpy(),  # placeholder, ignored
+                    "dw": np.full(len(b), -1, dtype="int64"),  # edge marker
+                }
+            )
         )
-        out["__shard"] = _hash_labels(out, ["u", "v"], n_shards).astype("int64")
-        return out
 
     tagged = trip.union(e.map_batches(tag_edges, batch_format="pandas"))
 
     def reduce_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard")
         is_edge = g["dw"].to_numpy() == -1
         if is_edge.any():
             bad = g.loc[is_edge, ["u", "v"]].drop_duplicates()
@@ -1526,9 +1490,7 @@ def link_prediction_scores(
             }
         )
 
-    scores = tagged.groupby("__shard").map_groups(
-        reduce_pairs, batch_format="pandas"
-    )
+    scores = exchange(tagged, None, reduce_pairs, n_shards=n_shards)
     if as_dataset:
         return scores
     out = scores.to_pandas()

@@ -51,6 +51,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .dedup import _sha64
+from .exchange import exchange
 from .relational import freeze_list_columns, thaw_list_columns
 
 
@@ -193,19 +194,18 @@ def incremental_exact_dedup(
         agg = {c: "first" for c in out.columns if c not in (id_col, "n_dups", "__h")}
         agg[id_col] = "min"
         agg["n_dups"] = "sum"
-        out = out.sort_values(id_col).groupby("__h", as_index=False).agg(agg)
-        out["__b"] = (out["__h"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)).astype(
-            "int64"
-        )
-        return out
+        return out.sort_values(id_col).groupby("__h", as_index=False).agg(agg)
 
     frozen, spec = freeze_list_columns(ds)
     hashed = frozen.map_batches(add_hash, batch_format="pandas")
 
+    def hash_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
+        return b["__h"].to_numpy().astype(np.uint64) % np.uint64(n)
+
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["__b"].iloc[0])
+        b = int(hash_bucket(g.iloc[:1], n_buckets)[0])
         # finish the in-increment combine: all rows of a hash are here
-        agg = {c: "first" for c in g.columns if c not in (id_col, "n_dups", "__h", "__b")}
+        agg = {c: "first" for c in g.columns if c not in (id_col, "n_dups", "__h")}
         agg[id_col] = "min"
         agg["n_dups"] = "sum"
         g = g.sort_values(id_col).groupby("__h", as_index=False).agg(agg)
@@ -230,7 +230,7 @@ def incremental_exact_dedup(
         os.replace(tmp, os.path.join(bdir, f"{ingest_id}.parquet"))
         return g.drop(columns=["__h"])
 
-    survivors = hashed.groupby("__b").map_groups(per_bucket, batch_format="pandas")
+    survivors = exchange(hashed, hash_bucket, per_bucket, n_shards=n_buckets)
     return _commit_ingest(
         survivors, state_dir, ingest_id, spec, layout, len(committed)
     )
@@ -309,12 +309,11 @@ def incremental_minhash_dedup(
                     "band": pd.Series(dtype="int64"),
                     "bh": pd.Series(dtype="int64"),
                     "sig": pd.Series(dtype="object"),
-                    "__b": pd.Series(dtype="int64"),
                 }
             )
         sig_mat = np.stack([np.asarray(s, dtype=np.uint64) for s in sig["sig"]])
-        bhs = _band_hashes(sig_mat, bands, rows_per_band).astype(np.uint64)
-        out = pd.DataFrame(
+        bhs = _band_hashes(sig_mat, bands, rows_per_band)
+        return pd.DataFrame(
             {
                 id_col: np.repeat(sig[id_col].to_numpy(), bands),
                 "band": np.tile(np.arange(bands, dtype=np.int64), n),
@@ -322,12 +321,13 @@ def incremental_minhash_dedup(
                 "sig": [r.tobytes() for r in np.repeat(sig_mat, bands, axis=0)],
             }
         )
+
+    def band_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
         # bucket on (band, bh) jointly so a band's bucket is stable
-        key = bhs * np.uint64(0x9E3779B97F4A7C15) + out["band"].to_numpy().astype(
-            np.uint64
-        )
-        out["__b"] = (key % np.uint64(n_buckets)).astype("int64")
-        return out
+        key = b["bh"].to_numpy().astype(np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15
+        ) + b["band"].to_numpy().astype(np.uint64)
+        return key % np.uint64(n)
 
     exploded = frozen.select_columns([id_col, text_col]).map_batches(
         explode_with_sig, batch_format="pandas"
@@ -343,7 +343,7 @@ def incremental_minhash_dedup(
 
     # ---- phase 1: matched new ids (id-only output per bucket) ----
     def per_bucket_match(g: pd.DataFrame) -> pd.DataFrame:
-        old = _read_bucket_state(int(g["__b"].iloc[0]))
+        old = _read_bucket_state(int(band_bucket(g.iloc[:1], n_buckets)[0]))
         if old is None or len(old) == 0:
             return pd.DataFrame({id_col: g[id_col].iloc[:0]})
         m = g.merge(old, on=["band", "bh"], suffixes=("_new", "_old"))
@@ -359,9 +359,7 @@ def incremental_minhash_dedup(
         hit = m.loc[est >= threshold, f"{id_col}_new"].drop_duplicates()
         return pd.DataFrame({id_col: hit.to_numpy()})
 
-    matched = exploded.groupby("__b").map_groups(
-        per_bucket_match, batch_format="pandas"
-    )
+    matched = exchange(exploded, band_bucket, per_bucket_match, n_shards=n_buckets)
     survivors = anti_join(frozen, matched, id_col, method="auto")
     survivors = survivors.materialize()  # consumed by commit + state append
 
@@ -373,7 +371,7 @@ def incremental_minhash_dedup(
     )
 
     def per_bucket_append(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["__b"].iloc[0])
+        b = int(band_bucket(g.iloc[:1], n_buckets)[0])
         bdir = _bucket_dir(state_dir, b)
         os.makedirs(bdir, exist_ok=True)
         out = g.sort_values([id_col, "band"])[["band", "bh", id_col, "sig"]]
@@ -391,8 +389,8 @@ def incremental_minhash_dedup(
         return pd.DataFrame({"__b": [b]})
 
     # the append pass is side-effecting; drain it fully before committing
-    surviving_bands.groupby("__b").map_groups(
-        per_bucket_append, batch_format="pandas"
+    exchange(
+        surviving_bands, band_bucket, per_bucket_append, n_shards=n_buckets
     ).count()
 
     return _commit_ingest(

@@ -40,6 +40,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from .exchange import SHARD, exchange
 from .relational import _restore_dtypes, _restore_targets
 
 
@@ -149,7 +150,7 @@ def interval_join(
     def tag_points(b: pd.DataFrame) -> pd.DataFrame:
         out = b[pkeep].copy()
         out["__side"] = "p"
-        out["__bucket"] = _bucket_of(_to_num(b[point_col]))
+        out[SHARD] = _bucket_of(_to_num(b[point_col]))
         return out
 
     def tag_intervals(b: pd.DataFrame) -> pd.DataFrame:
@@ -162,7 +163,7 @@ def interval_join(
         sub = b.loc[keep, ikeep].reset_index(drop=True)
         if not len(sub):
             out = sub.copy()
-            out["__bucket"] = np.empty(0, dtype="int64")
+            out[SHARD] = np.empty(0, dtype="int64")
             out["__side"] = pd.Series(dtype="object")
             return out
         b0, b1 = b0[keep], b1[keep]
@@ -170,7 +171,7 @@ def interval_join(
         rep = sub.iloc[np.repeat(np.arange(len(sub)), counts)].copy()
         # bucket id per replica: running arange over each [b0, b1] span
         offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rep["__bucket"] = (
+        rep[SHARD] = (
             np.arange(int(counts.sum())) - np.repeat(offs, counts) + np.repeat(b0, counts)
         )
         rep["__side"] = "i"
@@ -209,7 +210,7 @@ def interval_join(
         out = out[out_cols]
         return bucket_combiner(out) if bucket_combiner is not None else out
 
-    return p.union(i).groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return exchange(p.union(i), None, per_bucket, n_shards=n_buckets)
 
 
 def coalesce_intervals(
@@ -247,7 +248,7 @@ def coalesce_intervals(
     keep = list(dict.fromkeys([*key_cols, start_col, end_col]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
+        g = g.sort_values(
             [*key_cols, start_col, end_col], kind="mergesort"
         ).reset_index(drop=True)
         gb = g.groupby(key_cols, sort=False)

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from .exchange import exchange
 from .sketch import grouped_sketches, sketch_quantile
 
 _ZONEMAP = "zonemap.parquet"
@@ -86,17 +87,15 @@ def cluster_write(
     os.makedirs(out_dir, exist_ok=True)
     cutoffs = _cutoffs_from_sketch(ds, value_col, n_files, sketch_k)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
+    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
         v = b[value_col].to_numpy(dtype="float64")
         if np.isnan(v).any():
             raise ValueError(f"NaN in cluster column {value_col}")
-        out = b.copy()
-        out["__bucket"] = np.searchsorted(cutoffs, v, side="right").astype("int64")
-        return out
+        return np.searchsorted(cutoffs, v, side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__bucket"].iloc[0])
-        body = g.drop(columns="__bucket").sort_values(value_col, kind="mergesort")
+        k = int(bucket_of(g.iloc[:1], n_files)[0])
+        body = g.sort_values(value_col, kind="mergesort")
         fname = f"cluster_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
         pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
@@ -111,12 +110,7 @@ def cluster_write(
             }
         )
 
-    raw = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    raw = exchange(ds, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
     return _finish_zonemap(raw, "vmin", out_dir, "cluster_write")
 
 
@@ -236,7 +230,7 @@ def zorder_write(
 
     grid = np.arange(1, n_files, dtype=np.uint64) * (np.uint64(1) << np.uint64(32)) // np.uint64(n_files)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
+    def add_z(b: pd.DataFrame) -> pd.DataFrame:
         va = b[cols[0]].to_numpy(dtype="float64")
         vb = b[cols[1]].to_numpy(dtype="float64")
         if np.isnan(va).any() or np.isnan(vb).any():
@@ -244,12 +238,14 @@ def zorder_write(
         z = _interleave16(rank16(va, anchors[cols[0]]), rank16(vb, anchors[cols[1]]))
         out = b.copy()
         out["__z"] = z.astype("int64")
-        out["__bucket"] = np.searchsorted(grid, z.astype(np.uint64), side="right").astype("int64")
         return out
 
+    def z_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
+        return np.searchsorted(grid, b["__z"].to_numpy().astype(np.uint64), side="right")
+
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__bucket"].iloc[0])
-        body = g.sort_values("__z", kind="mergesort").drop(columns=["__z", "__bucket"])
+        k = int(z_bucket(g.iloc[:1], n_files)[0])
+        body = g.sort_values("__z", kind="mergesort").drop(columns="__z")
         fname = f"zorder_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
         pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
@@ -260,12 +256,9 @@ def zorder_write(
             row[f"min_{c}"], row[f"max_{c}"] = float(v.min()), float(v.max())
         return pd.DataFrame([row])
 
-    raw = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    raw = exchange(
+        ds.map_batches(add_z, batch_format="pandas"), z_bucket, write_bucket, n_shards=n_files
+    ).to_pandas()
     return _finish_zonemap(raw, "file", out_dir, "zorder_write")
 
 
@@ -370,15 +363,12 @@ def cluster_write_str(
     cutoffs = _string_cutoffs(ds, value_col, n_files)
     cut_arr = np.array(cutoffs, dtype=object)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[value_col].astype(str).to_numpy()
-        out = b.copy()
-        out["__bucket"] = np.searchsorted(cut_arr, v, side="right").astype("int64")
-        return out
+    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
+        return np.searchsorted(cut_arr, b[value_col].astype(str).to_numpy(), side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__bucket"].iloc[0])
-        body = g.drop(columns="__bucket").sort_values(value_col, kind="mergesort")
+        k = int(bucket_of(g.iloc[:1], n_files)[0])
+        body = g.sort_values(value_col, kind="mergesort")
         fname = f"strcluster_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
         pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
@@ -389,12 +379,7 @@ def cluster_write_str(
              "n_rows": [len(body)]}
         )
 
-    raw = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    raw = exchange(ds, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
     return _finish_zonemap(raw, "vmin", out_dir, "cluster_write_str")
 
 
@@ -1009,18 +994,12 @@ def similarity_ordered_write(
     )
     cutoffs = np.unique(qs.astype("int64"))
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__bucket"] = np.searchsorted(
-            cutoffs, b["__fp"].to_numpy(), side="right"
-        ).astype("int64")
-        return out
+    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
+        return np.searchsorted(cutoffs, b["__fp"].to_numpy(), side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__bucket"].iloc[0])
-        body = g.sort_values("__fp", kind="mergesort").drop(
-            columns="__bucket"
-        )
+        k = int(bucket_of(g.iloc[:1], n_files)[0])
+        body = g.sort_values("__fp", kind="mergesort")
         fmin, fmax = int(body["__fp"].iloc[0]), int(body["__fp"].iloc[-1])
         body = body.drop(columns="__fp")
         fname = f"simorder_{k:05d}.parquet"
@@ -1037,10 +1016,5 @@ def similarity_ordered_write(
              "n_rows": [len(body)], "n_bytes": [sz]}
         )
 
-    raw = (
-        tagged.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    raw = exchange(tagged, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
     return _finish_zonemap(raw, "vmin", out_dir, "similarity_ordered_write")

@@ -23,7 +23,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relational import _hash_labels, auto_group_agg
+from .exchange import exchange
+from .relational import auto_group_agg
 
 
 def grouped_transitions(
@@ -41,12 +42,7 @@ def grouped_transitions(
     or adjacency is not deterministic).  ``prob`` is the row-normalized
     transition probability n / Σ_to n."""
     gcols, ocols = list(group_cols), list(order_cols)
-    need = [*gcols, *ocols, state_col]
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[need].copy()
-        out["__shard"] = _hash_labels(b, gcols, n_shards).astype("int64")
-        return out
+    need = list(dict.fromkeys([*gcols, *ocols, state_col]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g[state_col].notna()]
@@ -75,11 +71,7 @@ def grouped_transitions(
         out = t.groupby(["from_state", "to_state"], as_index=False).size()
         return out.rename(columns={"size": "n"}).astype({"n": "int64"})
 
-    partials = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    partials = exchange(ds.select_columns(need), gcols, per_shard, n_shards=n_shards)
     out = auto_group_agg(
         partials, ["from_state", "to_state"], {"n": ("n", "sum")}
     )

@@ -31,6 +31,7 @@ import ray
 import ray.data as rd
 
 from ..state.broadcast import cached_get
+from .exchange import exchange
 from .relational import auto_group_agg
 from .shuffle import shuffle_hash
 
@@ -181,7 +182,7 @@ def token_budget_sample(
         out["cum_tokens"] = cum[keep]
         return out
 
-    return keyed.groupby("__kshard").map_groups(per_shard, batch_format="pandas")
+    return exchange(keyed, lambda b, n: b["__kshard"], per_shard, n_shards=n_shards)
 
 
 def temperature_sample(

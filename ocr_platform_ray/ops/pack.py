@@ -28,6 +28,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from .exchange import exchange
 from .relational import auto_group_agg
 
 
@@ -74,8 +75,11 @@ def range_prefix_sum(
             key_max = 0
     span = max(1, (int(key_max) + n_shards) // n_shards)
 
+    def span_shard(b: pd.DataFrame, n: int) -> np.ndarray:
+        return _shard_of(b[key_col].to_numpy(dtype="int64"), span, n)
+
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        sh = _shard_of(b[key_col].to_numpy(dtype="int64"), span, n_shards)
+        sh = span_shard(b, n_shards)
         return (
             pd.DataFrame({"__shard": sh, "__v": b[value_col].to_numpy(dtype="int64")})
             .groupby("__shard", as_index=False)
@@ -90,22 +94,14 @@ def range_prefix_sum(
     totals[reduced["__shard"].to_numpy(dtype="int64")] = reduced["s"].to_numpy(dtype="int64")
     offsets = np.concatenate(([0], np.cumsum(totals)[:-1]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        out["__shard"] = _shard_of(out[key_col].to_numpy(dtype="int64"), span, n_shards)
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
+        sh = int(span_shard(g.iloc[:1], n_shards)[0])
         g = g.sort_values(key_col, kind="stable").reset_index(drop=True)
         v = g[value_col].to_numpy(dtype="int64")
-        g[out_col] = offsets[int(g["__shard"].iat[0])] + np.cumsum(v) - v
+        g[out_col] = offsets[sh] + np.cumsum(v) - v
         return g[[key_col, value_col, out_col, *carry]]
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(ds, span_shard, per_shard, n_shards=n_shards)
 
 
 def pack_sequences(

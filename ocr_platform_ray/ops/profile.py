@@ -17,7 +17,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .relational import _hash_labels, auto_group_agg, grouped_percentile_exact
+from .exchange import exchange
+from .relational import auto_group_agg, grouped_percentile_exact
 
 
 def _render(v) -> str | None:
@@ -770,16 +771,12 @@ def grouped_autocorr(
     gcols = list(group_cols)
     keep = list(dict.fromkeys([*gcols, order_col, tie_col, value_col]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        out = out[out[value_col].notna()]
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
-        return out
+    def valued(b: pd.DataFrame) -> pd.DataFrame:
+        out = b[keep]
+        return out[out[value_col].notna()]
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*gcols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*gcols, order_col, tie_col], kind="mergesort")
         x = _scaled_int(g[value_col].to_numpy(), value_scale)
         if len(x) and int(np.abs(x).max()) >= (1 << 31):
             raise ValueError(
@@ -806,12 +803,9 @@ def grouped_autocorr(
         )
         return out
 
-    reduced = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    reduced = exchange(
+        ds.map_batches(valued, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+    ).to_pandas()
     if len(reduced) == 0 or "n" not in reduced.columns:
         return pd.DataFrame(
             {
@@ -936,17 +930,14 @@ def grouped_gini(
     gcols = list(group_cols)
     keep = list(dict.fromkeys([*gcols, value_col]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
+    def nonneg(b: pd.DataFrame) -> pd.DataFrame:
         out = b[keep].dropna(subset=[*gcols, value_col])
         v = out[value_col].to_numpy(dtype="float64")
         if len(v) and v.min() < 0:
             raise ValueError("grouped_gini: negative values (Gini undefined)")
-        out = out.copy()
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
         return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard")
         x = _scaled_int(g[value_col].to_numpy(), scale)
         if len(x) and int(x.max()) >= (1 << 31):
             raise ValueError(
@@ -963,12 +954,9 @@ def grouped_gini(
         )
         return out
 
-    red = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    red = exchange(
+        ds.map_batches(nonneg, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+    ).to_pandas()
     if len(red) == 0 or "n" not in red.columns:
         return pd.DataFrame(
             {
@@ -1068,19 +1056,7 @@ def grouped_cat_entropy(
     if isinstance(red, pd.DataFrame):
         return finish(red).sort_values(gcols).reset_index(drop=True)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__shard"] = _hash_labels(b, gcols, n_shards).astype("int64")
-        return b
-
-    out = (
-        red.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(
-            lambda g: finish(g.drop(columns="__shard")), batch_format="pandas"
-        )
-        .to_pandas()
-    )
+    out = exchange(red, gcols, finish, n_shards=n_shards).to_pandas()
     if len(out) == 0 or "entropy" not in out.columns:
         return finish(pd.DataFrame())
     return out.sort_values(gcols).reset_index(drop=True)

@@ -31,6 +31,7 @@ import ray.data as rd
 # import inside a worker-executed body would fail on workers that cannot
 # import the package from disk (foreign-cwd drivers)
 from ..state.broadcast import cached_get
+from .exchange import SHARD, _hash_labels, exchange
 
 
 # --------------------------------------------------------------------------
@@ -211,27 +212,6 @@ def thaw_list_columns(ds: rd.Dataset, spec: dict[str, "np.dtype"]) -> rd.Dataset
     return ds.map_batches(thaw, batch_format="pandas")
 
 
-def _hash_labels(batch: pd.DataFrame, keys: list[str], n: int) -> np.ndarray:
-    """Deterministic shard/bucket label: hash of the key value(s) modulo n
-    (never Python hash(), which is salted per process); composite keys
-    (J3) combine per-column hashes with golden-ratio xor-shift.  The ONE
-    copy of this combine — every exchange operator labels through it."""
-    h = pd.util.hash_array(batch[keys[0]].to_numpy())
-    for col in keys[1:]:
-        h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(batch[col].to_numpy())
-    return h % n
-
-
-def _with_bucket(ds: rd.Dataset, on: list[str], n_buckets: int, side: str) -> rd.Dataset:
-    def add(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["__bucket"] = _hash_labels(batch, on, n_buckets)
-        out["__side"] = side
-        return out
-
-    return ds.map_batches(add, batch_format="pandas")
-
-
 def bucketed_hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -243,7 +223,7 @@ def bucketed_hash_join(
 ) -> rd.Dataset:
     """Explicit partitioned hash join: both sides tagged with
     ``hash(key) % n_buckets``, unioned, co-grouped per bucket, merged with
-    pandas inside ``map_groups``.  One all-to-all shuffle total.
+    pandas per bucket (``exchange``).  One all-to-all shuffle total.
 
     Partitioning assumption: a single bucket's rows fit in a worker's heap;
     for skewed keys raise ``n_buckets`` or salt the hot key upstream."""
@@ -251,7 +231,7 @@ def bucketed_hash_join(
     lsch, rsch = left.schema(), right.schema()
     if lsch is None or rsch is None:
         # a side that executed to ZERO blocks (its upstream exchange
-        # absorbed every empty partition — see _rayfix.py) has no schema
+        # absorbed every empty partition — see ops/exchange.py) has no schema
         # to plan with.  An inner join with a block-less side is empty;
         # the schema-less side's columns can't be reconstructed, so the
         # KNOWN side's limit(0) stands in (downstream map stages skip
@@ -295,7 +275,7 @@ def bucketed_hash_join(
         def add(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch.rename(columns=rn) if rn else batch.copy()
             out = _pad_typed(out, pads)[union_cols].copy()
-            out["__bucket"] = _hash_labels(out, keys, n_buckets)
+            out[SHARD] = _hash_labels(out, keys, n_buckets).astype("int64")
             out["__side"] = side
             return out
 
@@ -310,8 +290,7 @@ def bucketed_hash_join(
         rg = _restore_dtypes(g.loc[~lmask, keys + [c for c in r_cols if c not in keys]].copy(), rtargets)
         return lg.merge(rg, on=keys, how=how)
 
-    u = l.union(r)
-    return u.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return exchange(l.union(r), None, join_bucket, n_shards=n_buckets)
 
 
 _ROUTE_LOG: list | None = None
@@ -597,15 +576,15 @@ def _semi_anti_bucketed(
 
     def tag_data(b: pd.DataFrame) -> pd.DataFrame:
         out = _pad_typed(b.copy(), {"__k": kpad[on]})[union_cols].copy()
-        out["__bucket"] = (pd.util.hash_array(b[on].to_numpy()) % n_buckets).astype("int64")
+        out[SHARD] = _hash_labels(b, [on], n_buckets).astype("int64")
         out["__side"] = "l"
         return out
 
     def tag_keys(b: pd.DataFrame) -> pd.DataFrame:
         # in-batch dedup combiner: the exchange moves distinct keys per batch
         out = b[[on]].drop_duplicates().rename(columns={on: "__k"})
-        out["__bucket"] = (pd.util.hash_array(out["__k"].to_numpy()) % n_buckets).astype("int64")
-        out = _pad_typed(out, dpads)[union_cols + ["__bucket"]].copy()
+        out[SHARD] = _hash_labels(out, ["__k"], n_buckets).astype("int64")
+        out = _pad_typed(out, dpads)[union_cols + [SHARD]].copy()
         out["__side"] = "r"
         return out
 
@@ -619,7 +598,7 @@ def _semi_anti_bucketed(
         mask = lg[on].isin(set(kvals))
         return lg[mask if keep_in else ~mask]
 
-    return l.union(r).groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return exchange(l.union(r), None, per_bucket, n_shards=n_buckets)
 
 
 def _semi_anti_bloom(
@@ -815,19 +794,7 @@ def grouped_top_k(
             return out
         return rank_head(df)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = _hash_labels(b, group_cols, n_shards).astype("int64")
-        return out
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        return rank_head(g.drop(columns="__shard"))
-
-    return (
-        pruned.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(pruned, group_cols, rank_head, n_shards=n_shards)
 
 
 def grouped_rank_buckets(
@@ -920,15 +887,8 @@ def grouped_rank_buckets(
 
         return ds.map_batches(assign, batch_format="pandas")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = _hash_labels(b, group_cols, n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*group_cols, *order_cols], kind="mergesort"
-        )
+        g = g.sort_values([*group_cols, *order_cols], kind="mergesort")
         grp = g.groupby(group_cols, sort=False)
         rank = grp.cumcount().to_numpy(dtype=np.int64)
         size = grp[order_cols[0]].transform("size").to_numpy(dtype=np.int64)
@@ -936,11 +896,7 @@ def grouped_rank_buckets(
         g[out_col] = label_arr[idx] if label_arr is not None else idx
         return g.reset_index(drop=True)
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(ds, group_cols, per_shard, n_shards=n_shards)
 
 
 def grouped_percentile_exact(
@@ -978,15 +934,8 @@ def grouped_percentile_exact(
     keep = list(dict.fromkeys([*group_cols, value_col]))
     qarr = np.asarray(qs, dtype="float64")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        out["__shard"] = _hash_labels(b, group_cols, n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*group_cols, value_col], kind="mergesort"
-        )
+        g = g.sort_values([*group_cols, value_col], kind="mergesort")
         grp = g.groupby(group_cols, sort=False)
         rn = grp.cumcount().to_numpy()  # 0-based
         m = grp[value_col].transform("size").to_numpy(dtype="float64")
@@ -1012,12 +961,9 @@ def grouped_percentile_exact(
             outs.append(sel)
         return pd.concat(outs, ignore_index=True)
 
-    out = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()  # result is |groups| x |qs| rows — dim-sized
-    )
+    out = exchange(
+        ds.select_columns(keep), group_cols, per_shard, n_shards=n_shards
+    ).to_pandas()  # result is |groups| x |qs| rows — dim-sized
     return out.sort_values(
         [*group_cols, q_col], kind="mergesort"
     ).reset_index(drop=True)[[*group_cols, q_col, value_col]]
@@ -1220,7 +1166,7 @@ def asof_join(
         def add(b: pd.DataFrame) -> pd.DataFrame:
             out = b[cols].copy()
             out["__side"] = side
-            out["__shard"] = (pd.util.hash_array(out[key].to_numpy()) % n_shards).astype("int64")
+            out[SHARD] = _hash_labels(out, [key], n_shards).astype("int64")
             return out
 
         return ds.map_batches(add, batch_format="pandas")
@@ -1258,8 +1204,7 @@ def asof_join(
                 merged[oc] = merged[oc].astype(out_dtypes[oc])
         return merged
 
-    u = l.union(r)
-    return u.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    return exchange(l.union(r), None, per_shard, n_shards=n_shards)
 
 
 def stratified_sample(
@@ -1312,21 +1257,12 @@ def sharded_group_agg(
     partials; each shard holds |rows|/n_shards) and every shard reduce is
     one vectorized pandas call."""
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = _hash_labels(b, keys, n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(keys, as_index=False).agg(
             **{alias: (src, how) for alias, (src, how) in aggs.items()}
         )
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(ds, keys, per_shard, n_shards=n_shards)
 
 
 def auto_group_agg(
@@ -1631,12 +1567,7 @@ def grouped_string_agg(
     the natural unit stays the shard, never the driver.  Non-string
     value columns are rendered via pandas ``astype(str)``."""
     gcols, ocols = list(group_cols), list(order_cols)
-    need = [*gcols, *ocols, value_col]
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[need].copy()
-        out["__shard"] = _hash_labels(b, gcols, n_shards).astype("int64")
-        return out
+    need = list(dict.fromkeys([*gcols, *ocols, value_col]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([*gcols, *ocols], kind="mergesort")
@@ -1649,11 +1580,7 @@ def grouped_string_agg(
             **{out_col: ("__v", sep.join)}
         )
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(ds.select_columns(need), gcols, per_shard, n_shards=n_shards)
 
 
 def unpivot_columns(
@@ -1771,11 +1698,6 @@ def pivot_agg(
         values = sorted(dom[pivot_col].tolist())
     cols = [f"{prefix}{v}" for v in values]
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = _hash_labels(b, [index], n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         t = g.groupby([index, pivot_col], as_index=False)["__v"].agg(merge_how)
         t = t[t[pivot_col].isin(values)]
@@ -1786,11 +1708,7 @@ def pivot_agg(
         w.columns = cols
         return w.reset_index()
 
-    return (
-        partials.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    return exchange(partials, index, per_shard, n_shards=n_shards)
 
 
 def dataset_set_op(
@@ -1827,7 +1745,7 @@ def dataset_set_op(
                 out = batch[cols].drop_duplicates().copy()
                 out["__n"] = np.int64(1)
             out["__side"] = np.int64(side)
-            out["__shard"] = _hash_labels(out, cols, n_shards).astype("int64")
+            out[SHARD] = _hash_labels(out, cols, n_shards).astype("int64")
             return out
 
         return f
@@ -1851,7 +1769,7 @@ def dataset_set_op(
     u = a.map_batches(prep(0), batch_format="pandas").union(
         b.map_batches(prep(1), batch_format="pandas")
     )
-    return u.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    return exchange(u, None, per_shard, n_shards=n_shards)
 
 
 def pre_aggregate(

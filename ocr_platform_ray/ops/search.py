@@ -31,7 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .relational import _hash_labels, bucketed_hash_join
+from .exchange import _hash_labels, exchange
+from .relational import bucketed_hash_join
 from .similarity import _index_units
 
 
@@ -347,15 +348,13 @@ def _score_posting_files(
         tf = t["tf"].to_numpy(dtype=np.float64)
         dl = t["dl"].to_numpy(dtype=np.float64)
         denom_tail = k1 * (1.0 - b + b * dl / avgdl)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 id_col: t[id_col],
                 "__j": j,
                 "__c": idf[j] * tf / np.maximum(tf + denom_tail, 1e-300),
             }
         )
-        out["__shard"] = _hash_labels(out, [id_col], n_doc_shards).astype("int64")
-        return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "__j"], kind="stable")
@@ -363,12 +362,12 @@ def _score_posting_files(
         s = s[s["score"] > 0.0]
         return s.sort_values(["score", id_col], ascending=[False, True]).head(k)
 
-    pruned = (
-        post.map_batches(contrib, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    pruned = exchange(
+        post.map_batches(contrib, batch_format="pandas"),
+        id_col,
+        per_shard,
+        n_shards=n_doc_shards,
+    ).to_pandas()
     if pruned.empty:
         return empty
     return (

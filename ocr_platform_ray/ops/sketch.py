@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from .exchange import exchange
+
 
 def _compress(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted weighted value set -> at most k equi-depth anchors."""
@@ -118,18 +120,8 @@ def grouped_sketches(
             )
         return pd.DataFrame(rows)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (pd.util.hash_array(out[key_col].to_numpy()) % n_shards).astype("int64")
-        return out
-
     partials = ds.map_batches(partial, batch_format="pandas")
-    out = (
-        partials.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(partials, key_col, per_shard, n_shards=n_shards).to_pandas()
     return out.sort_values(key_col).reset_index(drop=True)
 
 
@@ -257,13 +249,6 @@ def approx_distinct_by(
             )
         return pd.DataFrame(rows)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (
-            pd.util.hash_array(out[key_col].to_numpy()) % n_shards
-        ).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for key, grp in g.groupby(key_col):
@@ -277,14 +262,12 @@ def approx_distinct_by(
             )
         return pd.DataFrame(rows)
 
-    out = (
-        ds.select_columns([key_col, col])
-        .map_batches(partial, batch_format="pandas")
-        .map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(
+        ds.select_columns([key_col, col]).map_batches(partial, batch_format="pandas"),
+        key_col,
+        per_shard,
+        n_shards=n_shards,
+    ).to_pandas()
     return out.sort_values(key_col).reset_index(drop=True)
 
 
@@ -582,22 +565,7 @@ def hll_cumulative_distinct(
             out.append({"bucket": int(bk), "regs": acc.tobytes()})
         return pd.DataFrame(out, columns=["bucket", "regs"])
 
-    from .relational import _hash_labels
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__shard"] = _hash_labels(b, ["bucket"], n_shards).astype("int64")
-        return b
-
-    merged = (
-        parts.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(
-            lambda g: merge_shard(g.drop(columns="__shard")),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    merged = exchange(parts, "bucket", merge_shard, n_shards=n_shards).to_pandas()
     if len(merged) == 0:
         return pd.DataFrame(
             {"bucket": pd.Series(dtype="int64"),

@@ -30,8 +30,8 @@ import ray
 import ray.data as rd
 
 from ..state.broadcast import cached_get
+from .exchange import exchange
 from .relational import (
-    _hash_labels,
     auto_join,
     probe_head,
     semi_join,
@@ -326,11 +326,6 @@ def dup_span_stats(
         windows, counts.select_columns(["gh"]), "gh", method="bucketed"
     ).select_columns([id_col, "pos"])
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = _hash_labels(b, [id_col], n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "pos"], kind="mergesort")
         codes, uniques = pd.factorize(g[id_col], sort=True)
@@ -347,11 +342,7 @@ def dup_span_stats(
             }
         )
 
-    dup_stats = (
-        marked.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    dup_stats = exchange(marked, id_col, per_shard, n_shards=n_shards)
     joined = auto_join(
         ds.map_batches(base, batch_format="pandas"),
         dup_stats,
@@ -465,11 +456,6 @@ def strip_duplicated_spans(
         batch_format="pandas",
     )
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[id_col, "pos", text_col]].copy()
-        out["__shard"] = _hash_labels(out, [id_col], n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         is_doc = g["pos"].to_numpy() == -1
         doc_rows = g[is_doc]
@@ -491,12 +477,7 @@ def strip_duplicated_spans(
         )
         return pd.DataFrame({id_col: doc_rows[id_col].to_numpy(), text_col: out_texts})
 
-    stripped = (
-        marked.union(docs)
-        .map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    stripped = exchange(marked.union(docs), id_col, per_shard, n_shards=n_shards)
     # route-independent output schema (the auto_join convention): the
     # exchange carried only (id, pos, text), so any other input columns
     # are joined back — one more bucketed exchange at corpus scale,

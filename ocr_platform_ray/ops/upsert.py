@@ -46,6 +46,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from .exchange import exchange
 from .shuffle import shuffle_hash
 
 
@@ -55,6 +56,16 @@ def _part_path(target_dir: str, k: int) -> str:
 
 def _partition_of(keys, n_partitions: int):
     return (shuffle_hash(keys, 0) % n_partitions).astype("int64")
+
+
+def _part_label(key_col: str):
+    """Exchange label of the partition layout: ``_partition_of(key)``."""
+    return lambda b, n: _partition_of(b[key_col].to_numpy(), n)
+
+
+def _group_part(g: pd.DataFrame, key_col: str, n_partitions: int) -> int:
+    """Partition id of one exchange shard (every row shares it)."""
+    return int(_partition_of(g[key_col].to_numpy()[:1], n_partitions)[0])
 
 
 def write_merge_target(
@@ -70,25 +81,15 @@ def write_merge_target(
     missing file as an empty partition)."""
     os.makedirs(target_dir, exist_ok=True)
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__part"] = _partition_of(b[key_col].to_numpy(), n_partitions)
-        return out
-
     def write_part(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__part"].iloc[0])
-        body = g.drop(columns="__part").sort_values(key_col, kind="mergesort")
+        k = _group_part(g, key_col, n_partitions)
+        body = g.sort_values(key_col, kind="mergesort")
         tmp = _part_path(target_dir, k) + ".tmp"
         pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
         os.replace(tmp, _part_path(target_dir, k))
         return pd.DataFrame({"part": [k], "n": [len(g)]})
 
-    (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(write_part, batch_format="pandas")
-        .materialize()
-    )
+    exchange(ds, _part_label(key_col), write_part, n_shards=n_partitions).materialize()
 
 
 def merge_into(
@@ -117,14 +118,8 @@ def merge_into(
             f"{target_dir!r} is a VERSIONED target; use versioned_merge_into"
         )
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__part"] = _partition_of(b[key_col].to_numpy(), n_partitions)
-        return out
-
-    def apply_part(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__part"].iloc[0])
-        up = g.drop(columns="__part")
+    def apply_part(up: pd.DataFrame) -> pd.DataFrame:
+        k = _group_part(up, key_col, n_partitions)
         if up[key_col].duplicated().any():
             raise ValueError(
                 f"duplicate keys in updates for partition {k}; collapse upstream"
@@ -165,12 +160,9 @@ def merge_into(
             }
         )
 
-    report = (
-        updates.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(apply_part, batch_format="pandas")
-        .to_pandas()
-    )
+    report = exchange(
+        updates, _part_label(key_col), apply_part, n_shards=n_partitions
+    ).to_pandas()
     return report.sort_values("part").reset_index(drop=True)
 
 
@@ -269,26 +261,18 @@ def versioned_write_target(
     can never silently drift.  Returns the version tag."""
     os.makedirs(target_dir, exist_ok=True)
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__part"] = _partition_of(b[key_col].to_numpy(), n_partitions)
-        return out
-
     def write_part(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__part"].iloc[0])
+        k = _group_part(g, key_col, n_partitions)
         fname = f"part_{k:05d}-v00001.parquet"
-        body = g.drop(columns="__part").sort_values(key_col, kind="mergesort")
+        body = g.sort_values(key_col, kind="mergesort")
         tmp = os.path.join(target_dir, fname + ".tmp")
         pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
         os.replace(tmp, os.path.join(target_dir, fname))
         return pd.DataFrame({"part": [k], "file": [fname]})
 
-    rep = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(write_part, batch_format="pandas")
-        .to_pandas()
-    )
+    rep = exchange(
+        ds, _part_label(key_col), write_part, n_shards=n_partitions
+    ).to_pandas()
     parts = (
         {str(int(p)): f for p, f in zip(rep["part"], rep["file"])}
         if len(rep)
@@ -338,14 +322,8 @@ def versioned_merge_into(
     seq = int(man["seq"]) + 1
     old_parts: dict = man["parts"]
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__part"] = _partition_of(b[key_col].to_numpy(), n_partitions)
-        return out
-
-    def apply_part(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__part"].iloc[0])
-        up = g.drop(columns="__part")
+    def apply_part(up: pd.DataFrame) -> pd.DataFrame:
+        k = _group_part(up, key_col, n_partitions)
         if up[key_col].duplicated().any():
             raise ValueError(f"duplicate keys in updates for partition {k}")
         old = old_parts.get(str(k))
@@ -376,12 +354,9 @@ def versioned_merge_into(
         os.replace(tmp, os.path.join(target_dir, fname))
         return pd.DataFrame({"part": [k], "file": [fname]})
 
-    rep = (
-        updates.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(apply_part, batch_format="pandas")
-        .to_pandas()
-    )
+    rep = exchange(
+        updates, _part_label(key_col), apply_part, n_shards=n_partitions
+    ).to_pandas()
     parts = dict(old_parts)
     for p, f in zip(rep.get("part", []), rep.get("file", [])):
         parts[str(int(p))] = f
@@ -478,13 +453,8 @@ def delete_keys(
     if isinstance(keys, pd.DataFrame):
         keys = rd.from_pandas(keys[[key_col]])
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[key_col]].drop_duplicates().copy()
-        out["__part"] = _partition_of(out[key_col].to_numpy(), n_partitions)
-        return out
-
     def apply_part(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["__part"].iloc[0])
+        k = _group_part(g, key_col, n_partitions)
         path = _part_path(target_dir, k)
         if not os.path.exists(path):
             return pd.DataFrame({"part": [k], "n_before": [0], "n_deleted": [0]})
@@ -505,12 +475,12 @@ def delete_keys(
             }
         )
 
-    rep = (
-        keys.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(apply_part, batch_format="pandas")
-        .to_pandas()
-    )
+    rep = exchange(
+        keys.map_batches(lambda b: b[[key_col]].drop_duplicates(), batch_format="pandas"),
+        _part_label(key_col),
+        apply_part,
+        n_shards=n_partitions,
+    ).to_pandas()
     if len(rep) == 0 or "part" not in rep.columns:
         return pd.DataFrame(
             {

@@ -24,7 +24,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relational import _hash_labels, _typed_empty, auto_group_agg
+from .exchange import exchange
+from .relational import _typed_empty, auto_group_agg
 
 
 def _normalize_finish(reduced, *, as_dataset: bool, sort_keys: list[str]):
@@ -155,22 +156,14 @@ def grouped_shift(
         dict.fromkeys([key_col, *order_cols, *src_cols])
     )
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        out["__shard"] = (
-            pd.util.hash_array(out[key_col].to_numpy()) % n_shards
-        ).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, *order_cols], kind="mergesort")
         gb = g.groupby(key_col, sort=False)
         for out_col, (src, n) in shifts.items():
             g[out_col] = gb[src].shift(n)
-        return g.drop(columns="__shard")
+        return g
 
-    sharded = ds.map_batches(add_shard, batch_format="pandas")
-    shifted = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    shifted = exchange(ds.select_columns(keep), key_col, per_shard, n_shards=n_shards)
     if as_dataset:
         return shifted
     return (
@@ -215,13 +208,9 @@ def grouped_rolling_agg(
     out_cols = [key_col, ts_col, "n_at_ts", "roll_n", "roll_value"]
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b[[key_col, ts_col, value_col]].groupby(
+        return b[[key_col, ts_col, value_col]].groupby(
             [key_col, ts_col], as_index=False
         ).agg(n_at_ts=(value_col, "size"), v_at_ts=(value_col, "sum"))
-        g["__shard"] = (
-            pd.util.hash_array(g[key_col].to_numpy()) % n_shards
-        ).astype("int64")
-        return g
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.groupby([key_col, ts_col], as_index=False).agg(
@@ -249,8 +238,9 @@ def grouped_rolling_agg(
         out["roll_value"] = cv[hi] - cv[lo]
         return out
 
-    sharded = ds.map_batches(partial, batch_format="pandas")
-    rolled = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    rolled = exchange(
+        ds.map_batches(partial, batch_format="pandas"), key_col, per_shard, n_shards=n_shards
+    )
     if as_dataset:
         return rolled
     pdf = rolled.to_pandas()
@@ -299,18 +289,7 @@ def grouped_rank(
     ever needs more than its own rows in one shard."""
     keep = list(dict.fromkeys([*key_cols, order_col, *(carry_cols or [])]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        h = pd.util.hash_array(out[key_cols[0]].to_numpy())
-        for c in key_cols[1:]:
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                out[c].to_numpy()
-            )
-        out["__shard"] = (h % n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard")
         gb = g.groupby(key_cols, sort=False)[order_col]
         g[rank_col] = gb.rank(method="min", ascending=not descending).astype("int64")
         if dense_col is not None:
@@ -327,13 +306,10 @@ def grouped_rank(
             g["cume"] = mx / m
         return g
 
-    sharded = ds.map_batches(add_shard, batch_format="pandas")
-    ranked = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
-    if as_dataset:
-        return ranked
-    out = ranked.to_pandas()
-    sort_cols = [*key_cols, rank_col, *(carry_cols or [])]
-    return out.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
+    return _keyed_window(
+        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        [*key_cols, rank_col, *(carry_cols or [])],
+    )
 
 
 def grouped_ntile(
@@ -364,20 +340,8 @@ def grouped_ntile(
         raise ValueError(f"n must be >= 1, got {n}")
     keep = list(dict.fromkeys([*key_cols, order_col, tie_col, *(carry_cols or [])]))
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        h = pd.util.hash_array(out[key_cols[0]].to_numpy())
-        for c in key_cols[1:]:
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                out[c].to_numpy()
-            )
-        out["__shard"] = (h % n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*key_cols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*key_cols, order_col, tie_col], kind="mergesort")
         grp = g.groupby(key_cols, sort=False)
         i = grp.cumcount().to_numpy()
         m = grp[order_col].transform("size").to_numpy()
@@ -390,14 +354,10 @@ def grouped_ntile(
         ).astype("int64")
         return g
 
-    sharded = ds.map_batches(add_shard, batch_format="pandas")
-    tiled = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
-    if as_dataset:
-        return tiled
-    out = tiled.to_pandas()
-    return out.sort_values(
-        [*key_cols, order_col, tie_col], kind="mergesort"
-    ).reset_index(drop=True)
+    return _keyed_window(
+        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        [*key_cols, order_col, tie_col],
+    )
 
 
 def _keyed_window(
@@ -412,22 +372,7 @@ def _keyed_window(
     """Shared scaffold for ordered per-key window ops: project, ONE
     bounded ``hash(key) % n_shards`` exchange, one vectorized pass per
     shard (the `grouped_rank`/`grouped_shift` shape)."""
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[keep].copy()
-        h = pd.util.hash_array(out[key_cols[0]].to_numpy())
-        for c in key_cols[1:]:
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                out[c].to_numpy()
-            )
-        out["__shard"] = (h % n_shards).astype("int64")
-        return out
-
-    res = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-    )
+    res = exchange(ds.select_columns(keep), key_cols, per_shard, n_shards=n_shards)
     if as_dataset:
         return res
     return res.to_pandas().sort_values(
@@ -466,9 +411,7 @@ def grouped_cumsum(
                                *(carry_cols or [])]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*key_cols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*key_cols, order_col, tie_col], kind="mergesort")
         g[out_col] = getattr(
             g.groupby(key_cols, sort=False)[value_col], cum_fns[how]
         )()
@@ -511,9 +454,7 @@ def grouped_rolling_rows(
                                *(carry_cols or [])]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*key_cols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*key_cols, order_col, tie_col], kind="mergesort")
         grp = g.groupby(key_cols, sort=False)
         cs = grp[value_col].cumsum()
         gcs = cs.groupby([g[c] for c in key_cols], sort=False)
@@ -551,11 +492,6 @@ def sessionize(
     calls.  Emits (key, session_id, session_start, session_end, n_events)."""
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[key_col, ts_col]].copy()
-        out["__shard"] = (pd.util.hash_array(out[key_col].to_numpy()) % n_shards).astype("int64")
-        return out
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col], kind="mergesort")
         boundary = g[key_col].ne(g[key_col].shift()) | (g[ts_col].diff() > gap)
@@ -572,8 +508,9 @@ def sessionize(
         out["session_id"] = out.groupby(key_col).cumcount()
         return out[[key_col, "session_id", "session_start", "session_end", "n_events"]]
 
-    sharded = events.map_batches(add_shard, batch_format="pandas")
-    sessions = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    sessions = exchange(
+        events.select_columns([key_col, ts_col]), key_col, per_shard, n_shards=n_shards
+    )
     if as_dataset:
         # at corpus scale the SESSION TABLE itself is corpus-sized —
         # keep it distributed for write_parquet / downstream stages
@@ -677,12 +614,8 @@ def funnel_match(
     if len(step_set) != len(steps):
         raise ValueError("steps must be distinct event types")
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[b[type_col].isin(step_set)][[key_col, ts_col, type_col]].copy()
-        out["__shard"] = (
-            pd.util.hash_array(out[key_col].to_numpy()) % n_shards
-        ).astype("int64")
-        return out
+    def step_rows(b: pd.DataFrame) -> pd.DataFrame:
+        return b[b[type_col].isin(step_set)][[key_col, ts_col, type_col]]
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         # stage 1: earliest s1 per key
@@ -735,8 +668,9 @@ def funnel_match(
         out["stage"] = out["stage"].astype("int64")
         return out
 
-    sharded = ds.map_batches(add_shard, batch_format="pandas")
-    matched = sharded.groupby("__shard").map_groups(per_shard, batch_format="pandas")
+    matched = exchange(
+        ds.map_batches(step_rows, batch_format="pandas"), key_col, per_shard, n_shards=n_shards
+    )
     if as_dataset:
         return matched
     out = matched.to_pandas()
@@ -787,9 +721,7 @@ def grouped_fill(
     keep = list(dict.fromkeys([*key_cols, order_col, tie_col, *value_cols]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
-            [*key_cols, order_col, tie_col], kind="mergesort"
-        )
+        g = g.sort_values([*key_cols, order_col, tie_col], kind="mergesort")
         gb = g.groupby(key_cols, sort=False)[value_cols]
         g[value_cols] = gb.ffill() if direction == "ffill" else gb.bfill()
         return g
@@ -834,7 +766,7 @@ def grouped_decay_window(
     w = [float(x) for x in weights]
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").sort_values(
+        g = g.sort_values(
             [*key_cols, order_col, tie_col], kind="mergesort"
         ).reset_index(drop=True)
         x = g[value_col].to_numpy(dtype="float64")
@@ -914,17 +846,15 @@ def global_row_number(
         sketch_k,
     )
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
+    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
         v = b[lead].to_numpy(dtype="float64")
         bk = np.searchsorted(cutoffs, v, side="right").astype("int64")
         bk[np.isnan(v)] = len(cutoffs)  # NULLS LAST
-        b["__bucket"] = bk
-        return b
+        return bk
 
     counts = auto_group_agg(
         proj.map_batches(
-            lambda b: add_bucket(b)
+            lambda b: b.assign(__bucket=bucket_of(b, n_buckets))
             .groupby("__bucket", as_index=False)
             .size()
             .rename(columns={"size": "c"}),
@@ -944,18 +874,14 @@ def global_row_number(
         offsets[1:] = np.cumsum(per)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        bk = int(g["__bucket"].iloc[0])
-        g = g.drop(columns="__bucket").sort_values(
+        bk = int(bucket_of(g.iloc[:1], n_buckets)[0])
+        g = g.sort_values(
             ocols, kind="mergesort", na_position="last"
         ).reset_index(drop=True)
         g[out_col] = offsets[bk] + np.arange(1, len(g) + 1, dtype="int64")
         return g
 
-    res = (
-        proj.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    res = exchange(proj, bucket_of, per_bucket, n_shards=len(cutoffs) + 1)
     if as_dataset:
         return res
     out = res.to_pandas()
@@ -1003,11 +929,9 @@ def densify_buckets(
             columns={"size": "n"}
         )
         out["n"] = out["n"].astype("int64")
-        out["__shard"] = _hash_labels(out, gcols, n_shards).astype("int64")
         return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard")
         c = g.groupby([*gcols, "bucket"], as_index=False)["n"].sum()
         r = c.groupby(gcols)["bucket"].agg(mn="min", mx="max").reset_index()
         spans = (r["mx"] - r["mn"] + 1).to_numpy(dtype="int64")
@@ -1022,10 +946,8 @@ def densify_buckets(
         out["n"] = out["n"].fillna(0).astype("int64")
         return out
 
-    res = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
+    res = exchange(
+        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
     )
     if as_dataset:
         return res
@@ -1070,13 +992,8 @@ def grouped_max_streak(
         out["__b"] = us // bucket_us
         return out.drop_duplicates()
 
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.drop_duplicates()
-        b["__shard"] = _hash_labels(b, gcols, n_shards).astype("int64")
-        return b
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__shard").drop_duplicates().sort_values(
+        g = g.drop_duplicates().sort_values(
             [*gcols, "__b"], kind="mergesort"
         )
         key_change = (
@@ -1093,13 +1010,9 @@ def grouped_max_streak(
         out["max_streak"] = out["max_streak"].astype("int64")
         return out
 
-    res = (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    res = exchange(
+        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+    ).to_pandas()
     if len(res) == 0 or "max_streak" not in res.columns:
         return pd.DataFrame(
             {

@@ -1,7 +1,7 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
     read_parquet(pages) -> map_batches(ExtractPages actor pool)
-    -> groupby(url).map_groups(reassemble in warc_ts order)
+    -> hash(url) % 64 shard exchange (reassemble in warc_ts order)
     -> write_parquet(partitioned) + manifest
 
 Mirrors the reference's book OCR path (POST /book/ocr -> book worker

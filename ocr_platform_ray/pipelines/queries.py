@@ -1337,16 +1337,19 @@ def q_knn_ivf_top10(sf_dir: str) -> pd.DataFrame:
 
 
 def q_median_value_by_type(sf_dir: str) -> pd.DataFrame:
-    """Exact grouped median (few groups -> per-group pandas median; the
-    approx-at-scale path would be a mergeable quantile sketch)."""
+    """Exact grouped median: one event_type shard exchange, then one
+    vectorized groupby median per shard (the approx-at-scale path is the
+    mergeable quantile sketch below)."""
+    from ..ops.exchange import exchange
+
     ev = _t(sf_dir, "events", ["event_type", "value"])
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"event_type": [g["event_type"].iloc[0]], "median_value": [g["value"].median()]}
+        return g.groupby("event_type", as_index=False, dropna=False).agg(
+            median_value=("value", "median")
         )
 
-    out = ev.groupby("event_type").map_groups(med, batch_format="pandas").to_pandas()
+    out = exchange(ev, "event_type", med, n_shards=8).to_pandas()
     out["median_value"] = _round_half_away(out["median_value"], 4)
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -1430,13 +1433,10 @@ def q_running_totals(sf_dir: str) -> pd.DataFrame:
     ONE hash-shard exchange on the user key, then a vectorized pandas
     pass per shard (sort by (user, ts, id), per-user cents cumsum) — no
     per-user Python calls."""
+    from ..ops.exchange import exchange
+
     ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     n_shards = 64
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = (pd.util.hash_array(b["user_id"].to_numpy()) % n_shards).astype("int64")
-        return out
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort").copy()
@@ -1444,12 +1444,7 @@ def q_running_totals(sf_dir: str) -> pd.DataFrame:
         g["running_value"] = g.groupby("user_id")["__c"].cumsum() / 100.0
         return g[["event_id", "user_id", "running_value"]]
 
-    out = (
-        ev.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(ev, "user_id", per_shard, n_shards=n_shards).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -4072,29 +4067,21 @@ def q_approx_distinct_users_by_type(sf_dir: str) -> pd.DataFrame:
     round-3 sketch tests); the <= 5 % relative error vs the EXACT
     per-group distinct (computed distributed, in-query) is asserted
     here at p=12."""
+    from ..ops.exchange import exchange
     from ..ops.relational import auto_group_agg
     from ..ops.sketch import approx_distinct_by
-
-    from ..ops.relational import _hash_labels
 
     ev = _t(sf_dir, "events", ["event_type", "user_id"])
     got = approx_distinct_by(ev, "event_type", "user_id")
 
     # exact reference: distinct (type, user) pairs via one tuple-hash
     # exchange (in-batch dedup combiner first), then a small count
-    def dedup_shard(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.drop_duplicates().copy()
-        out["__shard"] = _hash_labels(out, ["event_type", "user_id"], 32).astype(
-            "int64"
-        )
-        return out
-
     pairs = (
-        ev.map_batches(dedup_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(
-            lambda g: g[["event_type", "user_id"]].drop_duplicates(),
-            batch_format="pandas",
+        exchange(
+            ev.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
+            ["event_type", "user_id"],
+            lambda g: g.drop_duplicates(),
+            n_shards=32,
         )
         .map_batches(
             lambda b: b.groupby("event_type", as_index=False).agg(
@@ -6077,7 +6064,8 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     (n_suppliers, n_late_suppliers, blamed) — supplier counts are then
     dimension-sized and finish on the driver.  Full SQL oracle in
     TestTailQueryOracles."""
-    from ..ops.relational import _hash_labels, auto_join
+    from ..ops.exchange import exchange
+    from ..ops.relational import auto_join
     from ..sources.ingest import read_dim_pandas
 
     orders = _t(
@@ -6100,7 +6088,6 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
                     "l_orderkey": pd.Series([], dtype="int64"),
                     "l_suppkey": pd.Series([], dtype="int64"),
                     "late": pd.Series([], dtype="int64"),
-                    "__shard": pd.Series([], dtype="int64"),
                 }
             )
         t = pd.DataFrame(
@@ -6110,11 +6097,9 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
                 "late": (b["l_shipdate"] > b["o_orderdate"] + late_by).astype("int64"),
             }
         )
-        t = t.groupby(["l_orderkey", "l_suppkey"], as_index=False).agg(
+        return t.groupby(["l_orderkey", "l_suppkey"], as_index=False).agg(
             late=("late", "max")
         )
-        t["__shard"] = _hash_labels(t, ["l_orderkey"], n_shards).astype("int64")
-        return t
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         # re-dedupe pairs across batches (all of an order's partials are
@@ -6136,12 +6121,12 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
             .size()
         )
 
-    partials = (
-        joined.map_batches(pair_partial, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = exchange(
+        joined.map_batches(pair_partial, batch_format="pandas"),
+        "l_orderkey",
+        per_shard,
+        n_shards=n_shards,
+    ).to_pandas()
     counts = partials.groupby("l_suppkey", as_index=False).agg(size=("size", "sum"))
     supp = read_dim_pandas(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"])
     out = counts.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
@@ -6266,7 +6251,8 @@ def q_tpch_q4_order_priority(sf_dir: str) -> pd.DataFrame:
     bounded hash-shard exchange re-dedupes and counts per priority
     in-shard, and the driver sums <= n_shards x 5 partial rows.  Full SQL
     oracle in TestTailQueryOracles."""
-    from ..ops.relational import _hash_labels, auto_join
+    from ..ops.exchange import exchange
+    from ..ops.relational import auto_join
 
     lo, hi = pd.Timestamp("1996-01-01"), pd.Timestamp("1996-04-01")
     orders = _t(
@@ -6288,25 +6274,21 @@ def q_tpch_q4_order_priority(sf_dir: str) -> pd.DataFrame:
                 {
                     "l_orderkey": pd.Series([], dtype="int64"),
                     "o_orderpriority": pd.Series([], dtype="object"),
-                    "__shard": pd.Series([], dtype="int64"),
                 }
             )
         b = b[b["l_shipdate"] > b["o_orderdate"] + late_by]
-        t = b[["l_orderkey", "o_orderpriority"]].drop_duplicates()
-        t = t.copy()
-        t["__shard"] = _hash_labels(t, ["l_orderkey"], n_shards).astype("int64")
-        return t
+        return b[["l_orderkey", "o_orderpriority"]].drop_duplicates()
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         pairs = g[["l_orderkey", "o_orderpriority"]].drop_duplicates()
         return pairs.groupby("o_orderpriority", as_index=False).size()
 
-    partials = (
-        joined.map_batches(pair_partial, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(per_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = exchange(
+        joined.map_batches(pair_partial, batch_format="pandas"),
+        "l_orderkey",
+        per_shard,
+        n_shards=n_shards,
+    ).to_pandas()
     out = partials.groupby("o_orderpriority", as_index=False).agg(
         order_count=("size", "sum")
     )

@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray.data as rd
 
 # module-top so pickle-by-value captures it for worker closures
+from ..ops.exchange import _hash_labels, exchange
 from ..stages.pdf import pdf_page_count
 
 
@@ -150,24 +151,15 @@ def partition_pages_by_url(
 
     os.makedirs(out_dir, exist_ok=True)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["__shard"] = pd.util.hash_array(b["url"].to_numpy()) % n_shards
-        return out
-
-    bucketed = pages.map_batches(add_bucket, batch_format="pandas")
-
     def write_shard(g: pd.DataFrame) -> pd.DataFrame:
-        sid = int(g["__shard"].iloc[0])
-        g = g.drop(columns="__shard").sort_values(["url", "warc_ts"])
+        sid = int(_hash_labels(g.iloc[:1], ["url"], n_shards)[0])
+        g = g.sort_values(["url", "warc_ts"])
         path = os.path.join(out_dir, f"pages-{sid:05d}.parquet")
         pq.write_table(pa.Table.from_pandas(g, preserve_index=False), path + ".tmp")
         os.replace(path + ".tmp", path)
         return pd.DataFrame({"path": [path], "rows": [len(g)]})
 
-    manifest = (
-        bucketed.groupby("__shard").map_groups(write_shard, batch_format="pandas").to_pandas()
-    )
+    manifest = exchange(pages, "url", write_shard, n_shards=n_shards).to_pandas()
     return sorted(manifest["path"])
 
 

@@ -1,9 +1,10 @@
 """Document reassembly — the one required shuffle (SURVEY.md §4).
 
-``groupby("url").map_groups`` collects every page of a document (the
-analogue of the reference's unique ``(bookId, pdfPageNumber)`` ordering,
-packages/db/prisma/schema.prisma:100), sorts in-group by ``warc_ts``
-(strictly increasing per url = page order, FIXTURES.md §1), and emits:
+A ``hash(url) % n_shards`` exchange (``ops/exchange.py``) collects every
+page of a document into one shard (the analogue of the reference's unique
+``(bookId, pdfPageNumber)`` ordering, packages/db/prisma/schema.prisma:100),
+sorts each url's pages by ``warc_ts`` (strictly increasing per url = page
+order, FIXTURES.md §1), and emits:
 
   * per-doc rows: ``extracted_text`` = pages concatenated in page order with
     a form-feed separator — the byte-identical artifact of the north rule —
@@ -20,6 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..ops.exchange import exchange
 from ..schemas import DOC_OUT_SCHEMA
 
 PAGE_SEP = "\n\x0c\n"  # form feed between pages
@@ -34,35 +36,6 @@ def page_text(header: str | None, body: str, footnotes: str | None) -> str:
     if footnotes:
         parts.append(footnotes)
     return "\n".join(parts)
-
-
-def _doc_from_group(group: pa.Table) -> pa.Table:
-    order = pc.sort_indices(group, sort_keys=[("warc_ts", "ascending")])
-    g = group.take(order)
-    headers = g.column("header").to_pylist()
-    bodies = g.column("body").to_pylist()
-    foots = g.column("footnotes").to_pylist()
-    pagenos = g.column("page_number").to_pylist()
-    failed = g.column("failed_stage").to_pylist()
-    words = g.column("total_words").to_pylist()
-    page_texts = [page_text(h, b, f) for h, b, f in zip(headers, bodies, foots)]
-    text = PAGE_SEP.join(page_texts)
-    sep_bytes = len(PAGE_SEP.encode("utf-8"))
-    offs, pos = [], 0
-    for pt in page_texts:
-        offs.append(pos)
-        pos += len(pt.encode("utf-8")) + sep_bytes
-    return pa.table(
-        {
-            "url": pa.array([g.column("url")[0].as_py()], pa.string()),
-            "extracted_text": pa.array([text], pa.string()),
-            "n_pages": pa.array([len(bodies)], pa.int64()),
-            "total_words": pa.array([sum(words)], pa.int64()),
-            "page_numbers": pa.array([[p for p in pagenos if p is not None]], pa.list_(pa.int32())),
-            "n_failed_pages": pa.array([sum(1 for f in failed if f is not None)], pa.int64()),
-            "page_offsets": pa.array([offs], pa.list_(pa.int64())),
-        }
-    )
 
 
 def reassemble_docs(pages_ds, *, n_shards: int = 64):
@@ -84,21 +57,9 @@ def reassemble_docs(pages_ds, *, n_shards: int = 64):
     urls at reduce-block boundaries — rejected for correctness.  For
     url-partitioned layouts use ``reassemble_docs_partitioned``: exact and
     shuffle-free.)"""
-    import numpy as np
-    import pandas as pd
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        # stay in Arrow: a pandas roundtrip would mangle the nested
-        # spans/flags columns (object-dtype ndarrays)
-        urls = np.asarray(batch.column("url").to_pylist(), dtype=object)
-        shard = (pd.util.hash_array(urls) % n_shards).astype("int64")
-        return batch.append_column("__shard", pa.array(shard, pa.int64()))
-
-    def shard_docs(group: pa.Table) -> pa.Table:
-        return _docs_from_block(group.drop_columns(["__shard"]))
-
-    sharded = pages_ds.map_batches(add_shard, batch_format="pyarrow")
-    return sharded.groupby("__shard").map_groups(shard_docs, batch_format="pyarrow")
+    return exchange(
+        pages_ds, "url", _docs_from_block, n_shards=n_shards, batch_format="pyarrow"
+    )
 
 
 def _rank_block(group: pa.Table) -> pa.Table:
@@ -126,19 +87,7 @@ def assign_page_idx(pages_ds, *, n_shards: int = 64):
     """Add the 0-based per-url ``page_idx`` rank column (FIXTURES.md §3).
     Hash-shard exchange on the url (same pattern as ``reassemble_docs``)
     — one vectorized rank pass per shard, never per-url Python."""
-    import numpy as np
-    import pandas as pd
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        urls = np.asarray(batch.column("url").to_pylist(), dtype=object)
-        shard = (pd.util.hash_array(urls) % n_shards).astype("int64")
-        return batch.append_column("__shard", pa.array(shard, pa.int64()))
-
-    def shard_rank(group: pa.Table) -> pa.Table:
-        return _rank_block(group.drop_columns(["__shard"]))
-
-    sharded = pages_ds.map_batches(add_shard, batch_format="pyarrow")
-    return sharded.groupby("__shard").map_groups(shard_rank, batch_format="pyarrow")
+    return exchange(pages_ds, "url", _rank_block, n_shards=n_shards, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

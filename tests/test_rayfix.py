@@ -1,19 +1,21 @@
-"""Typed-block hygiene on the sort-based exchanges (_rayfix + padded
-unions).
+"""Typed-block hygiene on the sort-based exchanges (ops/exchange.py +
+padded unions), and canaries for the Ray internals it relies on.
 
 Ray's sort shuffle emits column-less ``(0, 0)`` pandas blocks for empty
 partitions, and ``map_batches`` passes them through without calling the
-UDF — so before round 5 every map_groups exchange leaked
-``PandasBlockSchema(names=[])`` bundles into downstream operators (the
-round-4 verdict's item #2, seen from the ``__cur``/``__shard``
-label-propagation pipeline).  These tests pin the two fixes:
+UDF — so every group-map would leak ``PandasBlockSchema(names=[])``
+bundles into downstream operators.  These tests pin the two fixes:
 
-* ``_rayfix.apply()`` (package import) appends a fused batcher identity to
-  every ``groupby().map_groups`` — the batcher drops empty blocks, and a
-  task whose input was all-empty emits no block at all.
+* ``exchange`` fuses a numeric-batch-size identity behind its group map:
+  the batcher drops empty blocks inside any task that also holds rows,
+  and the sort's last range always holds the maximum key, so no reduce
+  task is all-empty.
 * ``bucketed_hash_join`` / ``_semi_anti_bucketed`` pad both union sides to
   ONE block schema with typed sentinels (``_pad_typed``), so the exchange
   never sees two different schemas and int columns never upcast.
+
+The ``TestRayInternals`` canaries fail loudly if a Ray upgrade changes
+any of those behaviours.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from ocr_platform_ray.ops.relational import (
     sharded_group_agg,
 )
 from ocr_platform_ray.ops.dedup import dup_clusters, dup_clusters_distributed
+from ocr_platform_ray.ops.exchange import exchange
 
 
 def _block_shapes(ds: rd.Dataset) -> list[tuple]:
@@ -60,8 +63,10 @@ class TestMapGroupsAbsorber:
             pd.DataFrame({"k": [1, 1, 2, 2], "v": [1.0, 2.0, 3.0, 4.0]}),
             override_num_blocks=8,
         )
-        out = ds.groupby("k").map_groups(
-            lambda g: g.assign(s=g["v"].sum()), batch_format="pandas"
+        # label == key, so each shard is one group
+        out = exchange(
+            ds, lambda b, n: b["k"].to_numpy(), lambda g: g.assign(s=g["v"].sum()),
+            n_shards=8,
         )
         _assert_typed_blocks(out)
         got = out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
@@ -73,8 +78,9 @@ class TestMapGroupsAbsorber:
         ds = rd.from_pandas(
             pd.DataFrame({"k": [5, 6, 6], "v": [1, 2, 3]}), override_num_blocks=4
         )
-        out = ds.groupby("k").map_groups(
-            lambda t: t.select(["k", "v"]), batch_format="pyarrow"
+        out = exchange(
+            ds, lambda b, n: b["k"].to_numpy(), lambda t: t.select(["k", "v"]),
+            n_shards=8, batch_format="pyarrow",
         )
         m = out.materialize()
         blocks = [ray.get(r) for r in m.get_internal_block_refs()]
@@ -92,32 +98,48 @@ class TestMapGroupsAbsorber:
         assert got["sx"].tolist() == [3, 3]
 
 
-    def test_wrapper_forwards_positional_args(self, monkeypatch):
-        # the wrapper must accept every call the wrapped method accepts
-        from ray.data.grouped_data import GroupedData
+class TestRayInternals:
+    """Canaries: the Ray behaviours ``exchange``'s absorber rests on."""
 
-        from ocr_platform_ray import _rayfix
+    @staticmethod
+    def _sorted():
+        # 2 keys over 8 blocks -> 8 sort ranges, most of them empty
+        ds = rd.from_pandas(
+            pd.DataFrame({"k": [5] * 10 + [9] * 10, "v": range(20)}),
+            override_num_blocks=8,
+        )
+        return ds.sort("k").materialize()
 
-        calls = []
+    def test_sort_emits_columnless_empty_blocks(self, ray_session):
+        shapes = _block_shapes(self._sorted())
+        assert (0, []) in shapes, shapes
+        # the last range holds the max key: no trailing empty reduce task
+        assert shapes[-1][0] > 0, shapes
 
-        class _Out:
-            def map_batches(self, fn, **kwargs):
-                calls.append(("absorb", kwargs["batch_size"]))
-                return "absorbed"
+    def test_map_batches_passes_empty_block_without_udf(self, ray_session):
+        def strict(b):
+            assert len(b) > 0, "UDF called on an empty block"
+            return b
 
-        def fake_map_groups(self, fn, *args, **kwargs):
-            calls.append((fn, args, kwargs))
-            return _Out()
+        out = self._sorted().map_batches(
+            strict, batch_size=None, batch_format=None
+        )
+        assert (0, []) in _block_shapes(out)
 
-        monkeypatch.setattr(GroupedData, "map_groups", fake_map_groups)
-        monkeypatch.setattr(_rayfix, "_APPLIED", False)
-        _rayfix.apply()
-        got = GroupedData.map_groups(None, len, "tasks", "pandas", num_cpus=1)
-        assert got == "absorbed"
-        assert calls == [
-            (len, ("tasks", "pandas"), {"num_cpus": 1}),
-            ("absorb", _rayfix._ABSORB_BATCH_ROWS),
-        ]
+    def test_numeric_batch_size_drops_empty_blocks(self, ray_session):
+        out = self._sorted().map_batches(
+            lambda b: b, batch_size=4096, batch_format=None
+        )
+        shapes = _block_shapes(out)
+        assert all(cols for _, cols in shapes), shapes
+        assert sum(n for n, _ in shapes) == 20
+
+    def test_all_empty_task_still_emits_columnless_block(self, ray_session):
+        # why the absorber needs the sort's non-empty last range: a task
+        # fed ONLY empty blocks emits one column-less block of its own
+        two = rd.from_pandas([pd.DataFrame({"v": [1]}), pd.DataFrame()])
+        out = two.map_batches(lambda b: b, batch_size=1, batch_format=None)
+        assert sorted(_block_shapes(out)) == [(0, []), (1, ["v"])]
 
 
 class TestPaddedUnionJoin:
