@@ -2,14 +2,16 @@
 
 Headline: the flagship extraction pipeline over a deterministic synthetic
 pages corpus (built once under /tmp, reused across runs and parallelism
-levels).  Also times a representative slice of the query suite over
-$GRAFT_SF_DIR (default /root/testdata/sf0.1).
+levels).  Also times the tracked slice of the query suite
+(``pipelines/queries.py::TRACKED``) over the star-schema directory
+$GRAFT_SF_DIR (default: SF_DIR below).
 
   python bench.py             # one run at $RAY_GRAFT_CPUS (default 32):
                               # headline extraction + tracked-12 slice ONLY
                               # (fits the per-round driver time budget)
-  python bench.py --extras    # ALSO time the full informational extras
-                              # list (or BENCH_EXTRAS=1); each extra is
+  python bench.py --extras    # ALSO time every other query-registry
+                              # entry, in registry order (or
+                              # BENCH_EXTRAS=1); each extra is
                               # best-of-2 and the loop stops emitting new
                               # timings once $BENCH_EXTRAS_BUDGET_S
                               # (default 900) of extras wall has elapsed —
@@ -41,22 +43,6 @@ BENCH_URLS = int(os.environ.get("BENCH_URLS", "24000"))
 # v5: scanned (image-only) url class added — extraction goes through the
 # deterministic template-match recognizer for url_idx % 12 == 9.
 CORPUS_DIR = f"/tmp/ocr_bench_corpus_v5_{BENCH_URLS}"
-
-# queries worth timing (mix of shuffle-heavy, join, dedup, vector)
-BENCH_QUERIES = [
-    "tpch_q1",
-    "lineitem_join_revenue",
-    "orders_by_segment",
-    "top_orders_revenue",
-    "events_hourly",
-    "event_sessions",
-    "exact_dedup_docs",
-    "minhash_dup_pairs",
-    "knn_cosine_top10",
-    "word_count_per_doc",
-    "near_dedup_docs",
-    "stratified_sample",
-]
 
 
 def _consume(res) -> int:
@@ -95,7 +81,7 @@ def run_once() -> dict:
 
     from ocr_platform_ray.corpus import write_pages_parquet
     from ocr_platform_ray.pipelines.extraction import read_pages, extraction_pipeline
-    from ocr_platform_ray.pipelines.queries import QUERIES
+    from ocr_platform_ray.pipelines.queries import QUERIES, TRACKED
 
     # ---- build (or reuse) the bench corpus, then warm the page cache -----
     if not os.path.isdir(CORPUS_DIR) or not os.listdir(CORPUS_DIR):
@@ -129,22 +115,9 @@ def run_once() -> dict:
     # Scaling children skip it: the scaling criterion is about the
     # headline pipeline --------------------------------------------------
     q_times: dict[str, float] = {}
-    if os.environ.get("BENCH_SKIP_QUERIES"):
-        ray.shutdown()
-        sf = float(SF_DIR.rstrip("/").rsplit("sf", 1)[-1]) if "sf" in SF_DIR else None
-        return {
-            "metric": "extraction_wall_s",
-            "value": round(extract_s, 3),
-            "unit": "sec",
-            "docs_per_s": round(n_docs / extract_s, 1),
-            "pages_per_s": round(n_pages / extract_s, 1),
-            "n_docs": n_docs,
-            "n_pages": n_pages,
-            "queries": q_times,
-            "queries_total_s": 0.0,
-            "sf": sf,
-            "num_cpus": NUM_CPUS,
-        }
+    extra_times: dict[str, float] = {}
+    extras_truncated = False
+
     def _best_of(n: int, name: str) -> float:
         best = None
         for _ in range(n):
@@ -154,160 +127,24 @@ def run_once() -> dict:
             best = dt if best is None else min(best, dt)
         return round(best, 3)
 
-    for name in BENCH_QUERIES:
-        q_times[name] = _best_of(3, name)
-
-    # Informational extras (124 queries, best-of-2) are OFF by default:
-    # round 4's driver bench timed out (rc 124) because the default run
-    # grew to ~284 query executions.  The builder records extras in
-    # BASELINE.md via `--extras`; the driver's default run stays on the
-    # headline + tracked-12 contract and finishes in minutes.
-    extra_times: dict[str, float] = {}
-    run_extras = "--extras" in sys.argv or os.environ.get("BENCH_EXTRAS")
-    extras_budget = float(os.environ.get("BENCH_EXTRAS_BUDGET_S", "900"))
-    extras_t0 = time.monotonic()
-    extras_truncated = False
-    for name in (
-        "revenue_by_nation",
-        "fuzzy_join_typos",
-        "repeated_paragraphs",
-        "embedding_near_dup_pairs",
-        "extract_pdf_docs",
-        "approx_median_value_by_type",
-        "pack_sequences",
-        "decontaminate_docs",
-        "error_blast_radius",
-        "pii_redact",
-        "top3_docs_per_lang",
-        "token_df",
-        "epoch_shuffle",
-        "source_mixture",
-        "lm_perplexity",
-        "training_chunks",
-        "dup_span_stats",
-        "strip_dup_spans",
-        "ccnet_ppl_buckets",
-        "approx_distinct_users",
-        "top_tokens_sketch",
-        # round-4 operator additions
-        "gopher_quality",
-        "bm25_top10",
-        "c4_clean",
-        "token_budget_mix",
-        "event_gaps",
-        "running_value_by_user",
-        # round-4 session-4 additions
-        "value_stddev_by_type",
-        "merge_upsert_orders",
-        "clustered_range_scan",
-        "weighted_doc_sample",
-        "tpch_q18_large_orders",
-        "clustered_merge_join_revenue",
-        # round-4 session-5 additions
-        "crawl_snapshot_diff",
-        "host_links",
-        "script_ratio_docs",
-        "tpch_q7_volume",
-        "robots_filtered_urls",
-        "card_pii_stats",
-        # round-4 session-6/7 additions
-        "bm25_indexed_top10",
-        "event_funnel",
-        "link_triangles",
-        "main_content_docs",
-        "incremental_event_stats",
-        "jsonl_docs",
-        # round-4 session-8 additions
-        "ipc_docs",
-        "orc_events",
-        "anchor_texts",
-        "char_entropy_docs",
-        "doc_top_tfidf",
-        "bloom_strip_paragraphs",
-        "text_embed_knn",
-        # round-4 session-9 additions
-        "tfrecord_docs",
-        "avro_docs",
-        "langid_trained",
-        "leakage_free_split",
-        "link_kcore",
-        "readability_docs",
-        "rag_passage_search",
-        "bm25_incremental_top10",
-        "link_clustering",
-        "token_drift_en_rest",
-        # round-4 session-10/11 additions
-        "pareto_orders",
-        "event_transition_probs",
-        "user_activity_windows",
-        "event_value_fill",
-        "link_bfs_reach",
-        "user_retention_cohorts",
-        "event_pair_lift",
-        "doc_pmi_bigrams",
-        "crawl_frontier_order",
-        "event_value_decay",
-        "orders_global_rownum",
-        "value_ab_welch",
-        "value_outliers_by_type",
-        # round-4 session-12 additions
-        "token_chi2_en",
-        "value_autocorr_by_user",
-        "nb_lang_predict",
-        "sqlite_events",
-        "events_hive_scan",
-        "event_rate_changepoint",
-        "value_winsor_by_type",
-        "orders_benford",
-        "html_meta_docs",
-        "customer_linkage_fs",
-        "user_overlap_hll",
-        "value_gini_by_type",
-        "event_props_stats",
-        "user_daily_streak",
-        "user_type_entropy",
-        "containment_pairs",
-        "value_trimmed_mean_by_type",
-        "orders_delete_keys",
-        "event_type_kappa",
-        "t5_corrupted_docs",
-        "training_mix_chunks",
-        # round-4 session-13 additions
-        "value_trend_by_user",
-        "value_ks_by_dow",
-        "value_skewkurt_by_type",
-        "docs_bleu",
-        "docs_rouge2",
-        "link_adamic_adar",
-        "hybrid_rrf_top10",
-        "xml_docs",
-        "wiki_dump_docs",
-        "token_zipf_fit",
-        "customer_jw_pairs",
-        "heaps_vocab_fit",
-        "link_communities",
-        "balanced_mix_docs",
-        "part_soundex_blocks",
-        "lang_source_assoc",
-        "order_score_isotonic",
-        "hard_negatives_top3",
-        "part_entity_resolution",
-        "doc_topic_segments",
-        "stemmed_token_counts",
-        "ql_top10",
-        "user_survival_curve",
-        "folded_docs",
-        "doc_cdc_chunks",
-        "rm3_expanded_top10",
-        "value_mean_ci_by_type",
-        "cumulative_users_by_day",
-    ):
-        if not run_extras:
-            break
-        if time.monotonic() - extras_t0 > extras_budget:
-            extras_truncated = True
-            break
-        extra_times[name] = _best_of(2, name)
+    if not os.environ.get("BENCH_SKIP_QUERIES"):
+        for name in TRACKED:
+            q_times[name] = _best_of(3, name)
+        # Informational extras (every other registry entry, best-of-2) are
+        # OFF by default: round 4's bench timed out (rc 124) once the
+        # default run grew to ~284 query executions.  The default run
+        # stays on the headline + tracked-12 contract and finishes in
+        # minutes.
+        if "--extras" in sys.argv or os.environ.get("BENCH_EXTRAS"):
+            extras_budget = float(os.environ.get("BENCH_EXTRAS_BUDGET_S", "900"))
+            extras_t0 = time.monotonic()
+            for name in QUERIES:
+                if name in TRACKED:
+                    continue
+                if time.monotonic() - extras_t0 > extras_budget:
+                    extras_truncated = True
+                    break
+                extra_times[name] = _best_of(2, name)
 
     ray.shutdown()
     sf = float(SF_DIR.rstrip("/").rsplit("sf", 1)[-1]) if "sf" in SF_DIR else None

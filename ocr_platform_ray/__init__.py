@@ -10,7 +10,7 @@ Layout:
     schemas       -- fixed pyarrow schemas (the reference's Prisma schema analogue)
     corpus        -- deterministic synthetic Common-Crawl-style pages generator
     stages/       -- the per-page extraction pipeline (normalize -> structure ->
-                     segment), actor-pool stages
+                     segment), map_batches stages
     functions/    -- scalar library (word count, slug, hijri, parsers, ...)
     ops/          -- relational + training-data operators (joins, dedup,
                      similarity search, text stats, windows)

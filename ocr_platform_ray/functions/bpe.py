@@ -1,10 +1,10 @@
 """Real byte-pair-encoding tokenizer with a COMMITTED merges table.
 
 The task brief's token-budget accounting wants an actual BPE vocabulary
-applied per batch, not just a pretokenizer regex (`ops/textstats._BPE_RE`
-remains the SQL-oracle-able approximation).  This module implements the
-standard public BPE algorithm (Sennrich et al. 2016, "Neural Machine
-Translation of Rare Words with Subword Units"):
+applied per batch, not just a pretokenizer regex (``q_bpe_token_count``'s
+regex count remains the SQL-oracle-able approximation).  This module
+implements the standard public BPE algorithm (Sennrich et al. 2016,
+"Neural Machine Translation of Rare Words with Subword Units"):
 
   * training: iteratively merge the most frequent adjacent symbol pair
     (ties broken lexicographically -> fully deterministic);

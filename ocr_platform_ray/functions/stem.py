@@ -60,15 +60,6 @@ def _cvc(w: str) -> bool:
     return w[-1] not in "wxy"
 
 
-def _replace(w: str, suf: str, rep: str, min_m: int) -> str | None:
-    if not w.endswith(suf):
-        return None
-    stem = w[: len(w) - len(suf)]
-    if _measure(stem) > min_m - 1:
-        return stem + rep
-    return w  # suffix matched but condition failed: step consumed
-
-
 def porter_stem(word: str) -> str:
     w = (word or "").lower()
     if len(w) <= 2 or not w.isalpha():

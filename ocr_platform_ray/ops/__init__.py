@@ -19,7 +19,6 @@ from .relational import (  # noqa: F401
     bucketed_hash_join,
     native_join,
     sharded_group_agg,
-    salted_groupby_sum,
     stratified_sample,
     asof_join,
     semi_join,
@@ -66,7 +65,6 @@ from .shuffle import (  # noqa: F401
 from .decontam import contamination_counts  # noqa: F401
 from .interval import coalesce_intervals, interval_join  # noqa: F401
 from .similarity import (  # noqa: F401
-    build_ivf_index,
     build_ivf_pq_index,
     knn_ivf_pq,
     knn_pq,
@@ -74,7 +72,6 @@ from .similarity import (  # noqa: F401
     train_pq,
     knn_brute_force,
     knn_ivf,
-    knn_ivf_persisted,
     knn_join,
     knn_lsh,
     train_ivf_centroids,
@@ -148,7 +145,6 @@ from .layout import (  # noqa: F401
     hive_plan,
     hive_pruned_read,
     hive_write,
-    similarity_ordered_write,
     prefix_pruned_read,
     pruned_read,
     zorder_pruned_read,
@@ -202,7 +198,7 @@ from .golden import golden_record  # noqa: F401
 from .selection import token_chi2  # noqa: F401
 from .nb import nb_fit, nb_predict  # noqa: F401
 from .linkage import fs_fit, fs_score  # noqa: F401
-from .augment import mlm_mask, t5_span_corrupt  # noqa: F401
+from .augment import t5_span_corrupt  # noqa: F401
 from .card import dataset_card  # noqa: F401
 from .boilerplate import (  # noqa: F401
     extract_html_meta,

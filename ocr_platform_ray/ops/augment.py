@@ -1,25 +1,18 @@
-"""Training-data augmentation — deterministic masked-language-model
-corruption (Devlin et al. 2018 §3.1, the published BERT recipe): select
-15 % of tokens; of those, 80 % become ``[MASK]``, 10 % a random
-vocabulary token, 10 % stay unchanged.  The pretraining-data transform
-that turns a curated corpus into MLM examples.
+"""Training-data augmentation — deterministic T5 span corruption
+(Raffel et al. 2020 §3.1.4), the seq2seq pretraining-data transform that
+turns a curated corpus into (input, target) examples.
 
 Determinism contract (the epoch-shuffle rule): every draw derives from
 ``pd.util.hash_array`` over salted ``(id, token position)`` integers — a
-pure function of (corpus, seed), so the same example masks identically
+pure function of (corpus, seed), so the same example corrupts identically
 under any parallelism, block structure, or rerun, and a different
-``seed`` yields an independent epoch of masks.  (NOT `shuffle_hash`:
-that mix is AFFINE in the key, so two "lanes" differ by a constant
-shift and conditioning on one biases the other — measured: every
-selected token landed in the mask branch.)
+``seed`` yields an independent epoch.  (NOT `shuffle_hash`: that mix is
+AFFINE in the key, so two "lanes" differ by a constant shift and
+conditioning on one biases the other.)
 
 Scale shape: MAP-ONLY.  One Arrow whitespace tokenize per batch, ONE
 flat hashed-uniform array over every token of the batch (no per-row
-Python, no per-row RNG objects), masked text rebuilt with
-``pc.binary_join``.  The random-replacement tokens draw from the
-DOCUMENT's own token multiset (self-vocabulary — no external vocab
-file), indexed by a third hash lane; a batch-level draw would depend on
-block structure (measured) and break the determinism contract.
+Python, no per-row RNG objects).
 """
 
 from __future__ import annotations
@@ -40,85 +33,6 @@ def _lane(key: np.ndarray, seed: int, salt: int) -> np.ndarray:
     return pd.util.hash_array(salted).astype("float64") / _MOD64F
 
 
-def mlm_mask(
-    ds: rd.Dataset,
-    *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    mask_rate: float = 0.15,
-    mask_token: str = "[MASK]",
-    seed: int = 0,
-    out_col: str = "masked_text",
-    labels_col: str = "mask_positions",
-) -> rd.Dataset:
-    """Add ``out_col`` (the corrupted text) and ``labels_col`` (int64
-    list of masked token positions — the prediction targets).  Ids must
-    be non-negative ints below 2^29 (the position-packing domain);
-    documents longer than 8 tokens per position slot pack as
-    ``id * 2^34 + pos`` which stays within the int64 hash domain."""
-    if not (0.0 < mask_rate < 1.0):
-        raise ValueError("mask_rate must be in (0, 1)")
-
-    def corrupt(b: pd.DataFrame) -> pd.DataFrame:
-        ids = b[id_col].to_numpy(dtype="int64")
-        if len(ids) and (ids.min() < 0 or ids.max() >= (1 << 29)):
-            raise ValueError(f"{id_col} must be in [0, 2^29)")
-        arr = pa.array(b[text_col].fillna(""), pa.string())
-        toks = pc.split_pattern(pc.utf8_lower(arr), pattern=" ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.flatten()
-        offs = toks.offsets.to_numpy().astype(np.int64)
-        offs = offs - offs[0]
-        counts = offs[1:] - offs[:-1]
-        n_tok = int(counts.sum())
-        row_idx = np.repeat(np.arange(len(b), dtype=np.int64), counts)
-        pos = np.arange(n_tok, dtype=np.int64) - np.repeat(offs[:-1], counts)
-        # one hashed-uniform lane per decision: select, branch, pick
-        key = ids[row_idx] * (1 << 34) + pos
-        u_sel = _lane(key, seed, 0)
-        u_branch = _lane(key, seed, 1)
-        u_pick = pd.util.hash_array(key + np.int64(seed) * np.int64(1 << 40) + np.int64(2))
-        nonempty = (
-            pc.greater(pc.binary_length(flat), 0)
-            .to_numpy(zero_copy_only=False)
-        )
-        selected = (u_sel < mask_rate) & nonempty
-        # 80/10/10 within the selected set (the published split)
-        to_mask = selected & (u_branch < 0.8)
-        to_rand = selected & (u_branch >= 0.8) & (u_branch < 0.9)
-        flat_np = np.asarray(flat.to_pylist(), dtype=object)
-        out_flat = flat_np.copy()
-        out_flat[to_mask] = mask_token
-        if to_rand.any() and n_tok:
-            # random replacement from the DOCUMENT's own token multiset —
-            # a pure function of (doc, seed), never of the batch
-            doc_len = counts[row_idx].astype(np.uint64)
-            pick_pos = (
-                (u_pick % np.maximum(doc_len, np.uint64(1))).astype(np.int64)
-                + np.repeat(offs[:-1], counts)
-            )
-            out_flat[to_rand] = flat_np[pick_pos[to_rand]]
-        rebuilt = pc.binary_join(
-            pa.ListArray.from_arrays(
-                pa.array(offs.astype("int32")), pa.array(out_flat, pa.string())
-            ),
-            " ",
-        )
-        sel_rows = row_idx[selected]  # nondecreasing (row-major flat order)
-        sel_pos = pos[selected]
-        bounds = np.searchsorted(sel_rows, np.arange(len(b) + 1))
-        sel_per_row = [
-            sel_pos[bounds[i]:bounds[i + 1]] for i in range(len(b))
-        ]
-        out = b.copy()
-        out[out_col] = rebuilt.to_pandas()
-        out[labels_col] = pd.Series(sel_per_row, index=b.index, dtype=object)
-        return out
-
-    return ds.map_batches(corrupt, batch_format="pandas")
-
-
 def t5_span_corrupt(
     ds: rd.Dataset,
     *,
@@ -131,18 +45,16 @@ def t5_span_corrupt(
     input_col: str = "corrupted_text",
     target_col: str = "target_text",
 ) -> rd.Dataset:
-    """T5 span corruption (Raffel et al. 2020 §3.1.4 — the seq2seq
-    pretraining objective next to `mlm_mask`): contiguous token spans
+    """T5 span corruption: contiguous token spans
     (~``corrupt_rate`` of tokens, geometric lengths around
     ``mean_span_len``, clipped to ``max_span_len``) collapse to
     ``<extra_id_k>`` sentinels in the input; the target is the sentinel
     sequence with the dropped spans spelled out — interleaving the two
     recovers the original exactly (tested).
 
-    Same determinism contract and map-only shape as `mlm_mask`: hashed
-    uniform lanes over (id, pos), span COVERAGE resolved with
-    ``max_span_len`` shifted vector compares (no per-row Python), both
-    texts rebuilt from one ordered flat array."""
+    Hashed uniform lanes over (id, pos) (module doc), span COVERAGE
+    resolved with ``max_span_len`` shifted vector compares (no per-row
+    Python), both texts rebuilt from one ordered flat array."""
     if not (0.0 < corrupt_rate < 1.0):
         raise ValueError("corrupt_rate must be in (0, 1)")
     if not (1 <= mean_span_len <= max_span_len):

@@ -120,6 +120,15 @@ def logreg_fit(
             sample = labeled.map_batches(gate, batch_format="pandas").to_pandas()
         else:
             sample = labeled.to_pandas()
+        missing = list({0.0, 1.0} - set(sample["__y"]))
+        if len(missing) == 1 and labeled.map_batches(
+            lambda b: b[b["__y"].isin(missing)], batch_format="pandas"
+        ).count():
+            raise ValueError(
+                f"logreg_fit: the fit_rows={fit_rows} sample of {n_total} "
+                "labeled rows holds only one class; raise fit_rows or "
+                "balance the seed corpora"
+            )
         if len(sample) == 0:
             return w
         # canonical row order (Ray block order is not deterministic)

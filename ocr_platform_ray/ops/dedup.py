@@ -29,7 +29,6 @@ Scale notes (each operator documents its shuffle; see COVERAGE.md
 from __future__ import annotations
 
 
-
 import numpy as np
 import pandas as pd
 import ray
@@ -179,19 +178,14 @@ def _bh_shard(b: pd.DataFrame, n: int) -> np.ndarray:
     return b["bh"].to_numpy(dtype=np.uint64) % n
 
 
-def _shingle_hashes(text: str, k: int, split_mode: str = "ws") -> np.ndarray:
-    """Word-k-gram hashes.  ``split_mode="ws"`` collapses whitespace runs
-    (Python str.split — the right choice for near-dup robustness);
-    ``"space"`` splits on single spaces keeping empty tokens, mirroring
-    DuckDB ``string_split(text, ' ')`` exactly (the oracled ngram query)."""
-    return _shingle_hashes_batch([text], k, split_mode)[0]
-
-
 def _shingle_hashes_batch(texts, k: int, split_mode: str = "ws") -> list[np.ndarray]:
-    """Batch variant: ONE vectorized hash call over every gram of the
-    batch (pd.util.hash_array per row cost ~30us of dispatch each), then
-    per-row unique over the flat result.  Row-for-row identical to
-    ``_shingle_hashes``."""
+    """Word-k-gram hashes per text: ONE vectorized hash call over every
+    gram of the batch (pd.util.hash_array per row cost ~30us of dispatch
+    each), then per-row unique over the flat result.  ``split_mode="ws"``
+    collapses whitespace runs (Python str.split — the right choice for
+    near-dup robustness); ``"space"`` splits on single spaces keeping
+    empty tokens, mirroring DuckDB ``string_split(text, ' ')`` exactly
+    (the oracled ngram query)."""
     all_grams: list[str] = []
     counts: list[int] = []
     for text in texts:

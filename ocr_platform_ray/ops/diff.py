@@ -7,7 +7,7 @@ is its version-merge screen (``apps/web/src/components/book-version-merge``,
 merge-with-previous semantics in ``pipelines/catalog.py::merge_with_previous``);
 this is the corpus-scale batch form, and the input side of the incremental
 dedup / index-maintenance machinery (``ops/incremental.py``,
-``ops/similarity.py::index_new_partitions``): feed `added`+`changed` rows
+``ops/search.py::bm25_index_new_partitions``): feed `added`+`changed` rows
 to an incremental ingest and `removed` keys to a delete merge.
 
 Scale shape

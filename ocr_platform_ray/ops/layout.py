@@ -943,78 +943,3 @@ def hive_pruned_read(
     for other in dss[1:]:
         ds = ds.union(other)
     return ds, len(files), total
-
-
-def similarity_ordered_write(
-    ds: rd.Dataset,
-    text_col: str,
-    out_dir: str,
-    *,
-    n_files: int = 32,
-    compression: str = "zstd",
-) -> pd.DataFrame:
-    """Similarity-ordered storage — the compression-locality layout: sort
-    the corpus by its 64-bit SimHash so near-duplicate documents land
-    ADJACENT inside each parquet file, where the column codec's match
-    window actually sees them (a shuffled crawl scatters its duplicate
-    families across files; ordering by content fingerprint is the
-    published trick behind "sorting improves compression" corpus
-    packing).  Measured in the tests: a 30-family near-dup corpus
-    compresses to a fraction of its shuffled size under zstd.
-
-    Scale shape: one map pass adds the fingerprint (`_simhash64_batch`),
-    cutoffs from a bounded deterministic sample (the `cluster_write_str`
-    convention — correctness never depends on them, only balance), ONE
-    range exchange, each bucket task sorts its slice and writes its own
-    zstd file.  The zone map records per-file fingerprint ranges, so the
-    layout doubles as a simhash-range index for band probes.  Returns
-    the zone map with per-file byte sizes."""
-    from .dedup import _simhash64_batch
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def add_fp(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        # int64 view keeps the total order (offset flip of the sign bit)
-        fp = _simhash64_batch(list(b[text_col].fillna("")))
-        out["__fp"] = (fp ^ np.uint64(1 << 63)).view(np.int64)
-        return out
-
-    tagged = ds.map_batches(add_fp, batch_format="pandas").materialize()
-
-    def sample(b: pd.DataFrame) -> pd.DataFrame:
-        return b[["__fp"]].head(512)
-
-    samp = tagged.map_batches(sample, batch_format="pandas").to_pandas()
-    if len(samp) == 0:
-        raise ValueError("similarity_ordered_write: input dataset is empty")
-    qs = np.quantile(
-        samp["__fp"].to_numpy(dtype="float64"),
-        [i / n_files for i in range(1, n_files)],
-    )
-    cutoffs = np.unique(qs.astype("int64"))
-
-    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
-        return np.searchsorted(cutoffs, b["__fp"].to_numpy(), side="right")
-
-    def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(bucket_of(g.iloc[:1], n_files)[0])
-        body = g.sort_values("__fp", kind="mergesort")
-        fmin, fmax = int(body["__fp"].iloc[0]), int(body["__fp"].iloc[-1])
-        body = body.drop(columns="__fp")
-        fname = f"simorder_{k:05d}.parquet"
-        tmp = os.path.join(out_dir, fname + ".tmp")
-        pq.write_table(
-            pa.Table.from_pandas(body, preserve_index=False),
-            tmp,
-            compression=compression,
-        )
-        os.replace(tmp, os.path.join(out_dir, fname))
-        sz = os.path.getsize(os.path.join(out_dir, fname))
-        return pd.DataFrame(
-            {"file": [fname], "vmin": [fmin], "vmax": [fmax],
-             "n_rows": [len(body)], "n_bytes": [sz]}
-        )
-
-    raw = exchange(tagged, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
-    return _finish_zonemap(raw, "vmin", out_dir, "similarity_ordered_write")

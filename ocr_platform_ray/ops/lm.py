@@ -120,10 +120,9 @@ class NgramLM:
     """Handle to a trained bigram LM: the two count Datasets + vocab
     size.  Train once (`train_ngram_lm`), persist (`save_ngram_lm`) and
     score many corpora from the load (`load_ngram_lm`) without paying
-    the train pass again — the same persisted-artifact shape as
-    `ops.similarity.build_ivf_index`, and the actual CCNet deployment
-    pattern (the trusted-corpus LM is trained once per language, then
-    every crawl snapshot is scored against it)."""
+    the train pass again — the actual CCNet deployment pattern (the
+    trusted-corpus LM is trained once per language, then every crawl
+    snapshot is scored against it)."""
 
     uni_counts: rd.Dataset  # (w, cu)
     bg_counts: rd.Dataset  # (bg, cb)

@@ -439,7 +439,7 @@ def key_skew_profile(
     not reported (None).
 
     ``recommendation``: "broadcast-hot-keys" when the hottest key holds
-    > ``hot_fraction`` of all rows (the ``skew_join``/salting regime),
+    > ``hot_fraction`` of all rows (the hot-key broadcast/salting regime),
     else "hash-partition" (uniform enough for the standard exchange)."""
     from .relational import auto_group_agg, grouped_percentile_exact
     from .sketch import heavy_hitters

@@ -403,78 +403,6 @@ def auto_join(
     )
 
 
-def skew_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on: str,
-    *,
-    how: str = "inner",
-    hot_keys: list | None = None,
-    k: int = 256,
-    max_hot: int = 16,
-    n_buckets: int = 64,
-    right_prefix: str = "r_",
-) -> rd.Dataset:
-    """Skew-aware hybrid equi-join: the documented failure mode of
-    ``bucketed_hash_join`` is a HOT KEY — one join key carrying a large
-    fraction of the fact side lands its entire volume in a single bucket
-    task.  This planner routes hot-key rows down the broadcast path
-    (their matching right rows replicate to every left block, so the hot
-    bucket never forms) and the cold remainder down the normal bucketed
-    exchange; the two outputs union.  Exact for ``how="inner"/"left"``:
-    each left row takes exactly one path, and right rows may serve both.
-
-    Hot keys are auto-detected with the zero-shuffle Misra-Gries sketch
-    (`ops/sketch.heavy_hitters`, top ``max_hot`` of ``k`` tracked — over-
-    selection is harmless, it only widens the broadcast slice) or passed
-    explicitly.  Partitioning assumptions: the hot-key SLICE of the
-    right side is dimension-sized (true for fact-side skew — few hot
-    keys x bounded right rows per key), and the two left filters re-scan
-    the left lineage (cheap over a parquet read; checkpoint expensive
-    lineage first)."""
-    from .sketch import heavy_hitters  # driver-side planning only
-
-    if how not in ("inner", "left"):
-        raise ValueError(f"skew_join supports how='inner'/'left' only, got {how!r}")
-    if hot_keys is None:
-        hh = heavy_hitters(left.select_columns([on]), on, k=k)
-        hot_keys = list(hh["v"].head(max_hot))
-    hot = set(hot_keys)
-    if not hot:
-        return bucketed_hash_join(
-            left, right, on, how=how, n_buckets=n_buckets, right_prefix=right_prefix
-        )
-
-    def split(want_hot: bool):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            m = b[on].isin(hot)
-            return b[m] if want_hot else b[~m]
-
-        return f
-
-    left_hot = left.map_batches(split(True), batch_format="pandas")
-    left_cold = left.map_batches(split(False), batch_format="pandas")
-    right_hot = right.map_batches(split(True), batch_format="pandas").to_pandas()
-    if right_hot.shape[1] == 0:  # all-empty blocks lose their columns
-        right_hot = _typed_empty(right.schema(), right.schema().names)
-    # collision naming identical to auto_join's routes so the union's
-    # schema is path-independent
-    lnames = set(left.schema().names)
-    overlap = (lnames & set(right_hot.columns)) - {on}
-    if overlap:
-        right_hot = right_hot.rename(columns={c: right_prefix + c for c in overlap})
-    hot_out = broadcast_hash_join(left_hot, right_hot, on, how=how)
-    cold_out = bucketed_hash_join(
-        left_cold,
-        right.map_batches(split(False), batch_format="pandas"),
-        on,
-        how=how,
-        n_buckets=n_buckets,
-        right_prefix=right_prefix,
-    )
-    return hot_out.union(cold_out)
-
-
 def native_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -494,39 +422,6 @@ def native_join(
         num_partitions=num_partitions,
         on=(on,),
     )
-
-
-def salted_groupby_sum(
-    ds: rd.Dataset,
-    key: str,
-    value_col: str,
-    *,
-    n_salts: int = 16,
-) -> pd.DataFrame:
-    """Skew-safe grouped sum: every row's key is salted with
-    ``hash(row) % n_salts`` so a hot key's rows spread over ``n_salts``
-    reduce partitions; the per-(key, salt) partials then collapse in a
-    second, tiny aggregation.  Use when one key holds a large fraction of
-    all rows (the 10k-page-book / hot-domain case, SURVEY.md §4 skew).
-    Result: (key, sum_<value_col>, n_rows) exact, order-insensitive."""
-    import numpy as np
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[key, value_col]].copy()
-        out["__salt"] = np.arange(len(b)) % n_salts
-        return out.groupby([key, "__salt"], as_index=False).agg(
-            s=(value_col, "sum"), n=(value_col, "size")
-        )
-
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    agg = partials.groupby([key, "__salt"]).aggregate(
-        Sum("s", alias_name="s"), Sum("n", alias_name="n")
-    )
-    final = agg.to_pandas().groupby(key, as_index=False).agg(n_rows=("n", "sum"), s=("s", "sum"))
-    final = final.rename(columns={"s": f"sum_{value_col}"})
-    return final.sort_values(key).reset_index(drop=True)
 
 
 # --------------------------------------------------------------------------

@@ -458,8 +458,7 @@ def top_tfidf_terms(
 
 
 # --------------------------------------------------------------------------
-# incremental index maintenance (the lexical sibling of
-# ops/similarity.index_new_partitions)
+# incremental index maintenance
 # --------------------------------------------------------------------------
 def bm25_index_new_partitions(
     src_dir: str,
@@ -526,7 +525,7 @@ def bm25_index_new_partitions(
             return False
         # a manifest whose generation subtree is gone (partial restore,
         # manual cleanup) must re-index, not be skipped forever while its
-        # stats keep inflating N/avgdl (the index_new_partitions guard)
+        # stats keep inflating N/avgdl
         return os.path.isdir(
             os.path.join(index_dir, "parts", f"{name}@{m['generation']}")
         )

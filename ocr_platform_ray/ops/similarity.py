@@ -271,63 +271,6 @@ def train_ivf_centroids(
     return cent
 
 
-def build_ivf_index(
-    ds: rd.Dataset,
-    out_dir: str,
-    *,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
-    n_cells: int = 16,
-    centroids: np.ndarray | None = None,
-) -> np.ndarray:
-    """Persist the IVF layout: assign every row to its nearest centroid
-    cell and write CELL-PARTITIONED parquet (``cell=N/`` directories) plus
-    ``centroids.npy``.  This is the 10^12-row ANN shape — probing then
-    READS only the matching partitions instead of scanning the corpus
-    (the persisted analogue of knn_ivf's on-the-fly filter).  Returns the
-    centroid matrix."""
-    import os
-
-    if centroids is None:
-        centroids = train_ivf_centroids(ds, emb_col=emb_col, n_cells=n_cells)
-    cent_ref = ray.put(centroids)
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        cent = cached_get(cent_ref)
-        m = _as_matrix(batch[emb_col])
-        out = batch.copy()
-        # plain list<double> in the parquet layout — ndarray cells would
-        # round-trip as Ray's tensor extension type, which reads back
-        # unreliably across blocks
-        out[emb_col] = [np.asarray(v, dtype=np.float64).tolist() for v in batch[emb_col]]
-        out["cell"] = np.argmax(m @ cent.T, axis=1).astype(np.int64)
-        return out
-
-    assigned = ds.map_batches(assign, batch_format="pandas")
-    os.makedirs(out_dir, exist_ok=True)
-    assigned.write_parquet(out_dir, partition_cols=["cell"])
-    np.save(os.path.join(out_dir, "centroids.npy"), centroids)
-    return centroids
-
-
-def _assign_cells(ds: rd.Dataset, centroids: np.ndarray, emb_col: str) -> rd.Dataset:
-    """Map-only cell assignment against broadcast centroids (shared by the
-    one-shot build and the incremental indexer).  Embeddings are stored as
-    plain list<double> — ndarray cells would round-trip as Ray's tensor
-    extension type, which reads back unreliably across blocks."""
-    cent_ref = ray.put(centroids)
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        cent = cached_get(cent_ref)
-        m = _as_matrix(batch[emb_col])
-        out = batch.copy()
-        out[emb_col] = [np.asarray(v, dtype=np.float64).tolist() for v in batch[emb_col]]
-        out["cell"] = np.argmax(m @ cent.T, axis=1).astype(np.int64)
-        return out
-
-    return ds.map_batches(assign, batch_format="pandas")
-
-
 def _index_units(src_dir: str) -> list[tuple[str, list[str], str]]:
     """Source units for incremental indexing: a ``run_with_manifest``
     output contributes one unit per committed ``part-*`` directory
@@ -359,300 +302,6 @@ def _index_units(src_dir: str) -> list[tuple[str, list[str], str]]:
             (os.path.splitext(os.path.basename(f))[0], [f], f"size:{os.path.getsize(f)}")
         )
     return units
-
-
-def index_new_partitions(
-    src_dir: str,
-    index_dir: str,
-    *,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
-    n_cells: int = 16,
-) -> dict:
-    """Incremental IVF index maintenance — the batch rendering of the
-    reference's per-ingest search reindex (apps/web/src/lib/
-    usul-pipeline.ts:187-204): instead of notifying an indexer per
-    document, each call indexes exactly the source partitions that are
-    NEW or CHANGED since the last call (redo'd partitions re-index; the
-    fingerprint comes from the source's own manifest when present) and
-    atomically publishes one cell-partitioned subtree per source
-    partition under ``<index_dir>/parts/<unit>/cell=N/``.
-
-    Centroids train ONCE on the first call and FREEZE (standard IVF
-    discipline — incremental adds assign against the existing centroids,
-    so committed cells are never invalidated; retrain = build a fresh
-    index directory).  ``knn_ivf_persisted`` probes the incremental
-    layout with the same cell pruning.  Composes with
-    ``state.manifest.run_with_manifest`` outputs directly."""
-    import os
-
-    units = _index_units(src_dir)
-    man_dir = os.path.join(index_dir, "_manifest")
-    os.makedirs(man_dir, exist_ok=True)
-    done = _read_index_manifest(man_dir)
-    new = [
-        (name, files, fp)
-        for name, files, fp in units
-        if done.get(name) != fp
-        or not os.path.isdir(os.path.join(index_dir, "parts", name))
-    ]
-
-    cpath = os.path.join(index_dir, "centroids.npy")
-    if os.path.exists(cpath):
-        centroids = np.load(cpath)
-    else:
-        if not units:
-            raise ValueError(f"index_new_partitions: no source units in {src_dir}")
-        all_files = [f for _, files, _ in units for f in files]
-        centroids = train_ivf_centroids(
-            rd.read_parquet(all_files, columns=[id_col, emb_col]),
-            emb_col=emb_col,
-            n_cells=n_cells,
-        )
-        np.save(cpath, centroids)
-
-    rows = 0
-    for name, files, fp in new:
-        ds = rd.read_parquet(files, columns=[id_col, emb_col])
-        rows += _publish_unit(
-            index_dir, name, fp, _assign_cells(ds, centroids, emb_col)
-        )
-    return {
-        "units": len(units),
-        "indexed": len(new),
-        "skipped": len(units) - len(new),
-        "rows_indexed": rows,
-    }
-
-
-def _read_index_manifest(man_dir: str) -> dict[str, str]:
-    """unit -> fingerprint map from an index manifest directory."""
-    import glob as _glob
-    import json as _json
-    import os
-
-    done: dict[str, str] = {}
-    for p in _glob.glob(os.path.join(man_dir, "*.json")):
-        try:
-            with open(p) as f:
-                m = _json.load(f)
-            done[m["unit"]] = m["fingerprint"]
-        except (_json.JSONDecodeError, KeyError):
-            continue
-    return done
-
-
-def _publish_unit(
-    index_dir: str, name: str, fp: str, assigned: rd.Dataset
-) -> int:
-    """Atomically (re)publish one source unit's cell-partitioned subtree
-    under ``<index_dir>/parts/<name>/`` and commit its manifest entry.
-    Returns the unit's indexed row count (from fragment metadata)."""
-    import glob as _glob
-    import json as _json
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    dest = os.path.join(index_dir, "parts", name)
-    tmp = dest + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-    assigned.write_parquet(tmp, partition_cols=["cell"])
-    if os.path.exists(dest):  # redo: replace the old subtree
-        old = dest + ".old"
-        if os.path.exists(old):
-            shutil.rmtree(old)
-        os.rename(dest, old)
-        os.rename(tmp, dest)
-        shutil.rmtree(old)
-    else:
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        os.rename(tmp, dest)
-    unit_rows = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in _glob.glob(os.path.join(dest, "**", "*.parquet"), recursive=True)
-    )
-    man_dir = os.path.join(index_dir, "_manifest")
-    mpath = os.path.join(man_dir, name + ".json")
-    with open(mpath + ".tmp", "w") as f:
-        _json.dump({"unit": name, "fingerprint": fp, "rows": unit_rows}, f)
-    os.replace(mpath + ".tmp", mpath)
-    return unit_rows
-
-
-def index_new_partitions_pq(
-    src_dir: str,
-    index_dir: str,
-    *,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
-    n_cells: int = 16,
-    m: int = 16,
-    n_codes: int = 256,
-) -> dict:
-    """Incremental maintenance for the flagship IVF-PQ layout (round-4
-    verdict item #5) — `index_new_partitions`'s fingerprint-skip
-    machinery composed with `build_ivf_pq_index`'s cell-partitioned
-    PQ-code subtrees: each call assigns-and-encodes exactly the source
-    partitions that are NEW or CHANGED since the last call (redo'd
-    partitions re-encode; the fingerprint comes from the source's own
-    manifest when present) and atomically publishes one
-    ``<index_dir>/parts/<unit>/cell=N/`` subtree of (id, pq_code,
-    cell_id) rows per unit.  Raw vectors are still never stored.
-
-    Coarse centroids AND PQ codebooks train once on the first call and
-    FREEZE (the IVF discipline extended to the quantizer: recoding old
-    cells under new codebooks would invalidate every committed ADC
-    score; retrain = fresh index directory).  ``knn_ivf_pq`` probes the
-    incremental layout with the same cell pruning as the single-build
-    one (both glob patterns)."""
-    import os
-
-    units = _index_units(src_dir)
-    man_dir = os.path.join(index_dir, "_manifest")
-    os.makedirs(man_dir, exist_ok=True)
-    done = _read_index_manifest(man_dir)
-    new = [
-        (name, files, fp)
-        for name, files, fp in units
-        if done.get(name) != fp
-        or not os.path.isdir(os.path.join(index_dir, "parts", name))
-    ]
-
-    cpath = os.path.join(index_dir, "centroids.npy")
-    bpath = os.path.join(index_dir, "codebooks.npy")
-    if os.path.exists(cpath) and os.path.exists(bpath):
-        centroids = np.load(cpath)
-        codebooks = np.load(bpath)
-    else:
-        if not units:
-            raise ValueError(
-                f"index_new_partitions_pq: no source units in {src_dir}"
-            )
-        all_files = [f for _, files, _ in units for f in files]
-        base = rd.read_parquet(all_files, columns=[id_col, emb_col])
-        centroids = train_ivf_centroids(base, emb_col=emb_col, n_cells=n_cells)
-        codebooks = train_pq(base, emb_col=emb_col, m=m, n_codes=n_codes)
-        np.save(cpath, centroids)
-        np.save(bpath, codebooks)
-
-    ref = ray.put((centroids, np.ascontiguousarray(codebooks)))
-
-    def assign_encode(batch: pd.DataFrame) -> pd.DataFrame:
-        cent, books = cached_get(ref)
-        if len(batch) == 0:
-            return pd.DataFrame(
-                {
-                    id_col: batch[id_col].iloc[:0],
-                    "pq_code": pd.Series(dtype="object"),
-                    "cell_id": pd.Series(dtype="int64"),
-                    "cell": pd.Series(dtype="int64"),
-                }
-            )
-        mat = _as_matrix(batch[emb_col])
-        cells = np.argmax(np.round(mat @ cent.T, 12), axis=1).astype(np.int64)
-        codes = _pq_codes(mat, books)
-        return pd.DataFrame(
-            {
-                id_col: batch[id_col].to_numpy(),
-                "pq_code": [r.tobytes() for r in codes],
-                "cell_id": cells,
-                "cell": cells,
-            }
-        )
-
-    rows = 0
-    for name, files, fp in new:
-        ds = rd.read_parquet(files, columns=[id_col, emb_col])
-        rows += _publish_unit(
-            index_dir, name, fp, ds.map_batches(assign_encode, batch_format="pandas")
-        )
-    return {
-        "units": len(units),
-        "indexed": len(new),
-        "skipped": len(units) - len(new),
-        "rows_indexed": rows,
-    }
-
-
-def knn_ivf_persisted(
-    index_dir: str,
-    queries: np.ndarray,
-    *,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
-    k: int = 10,
-    n_probe: int = 4,
-) -> pd.DataFrame:
-    """ANN over a persisted IVF index: load centroids, pick each query's
-    ``n_probe`` nearest cells, ``read_parquet`` ONLY those cell
-    partitions (partition pruning — the corpus outside the probed cells
-    is never read), exact cosine within.  Same output schema as
-    knn_brute_force; identical results to ``knn_ivf`` under the same
-    centroids (equivalence-tested)."""
-    import glob as _glob
-    import os
-
-    centroids = np.load(os.path.join(index_dir, "centroids.npy"))
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
-    q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
-    n_probe = min(n_probe, len(centroids))
-    q_cells = np.argsort(-(q @ centroids.T), axis=1)[:, :n_probe]
-    probe_cells = sorted(set(q_cells.ravel().tolist()))
-    files = [
-        f
-        for c in probe_cells
-        for pat in (
-            os.path.join(index_dir, f"cell={c}", "*.parquet"),
-            # incremental layout (index_new_partitions): one subtree per
-            # source partition, same cell pruning
-            os.path.join(index_dir, "parts", "*", f"cell={c}", "*.parquet"),
-        )
-        for f in sorted(_glob.glob(pat))
-    ]
-    if not files:
-        return pd.DataFrame({"query_idx": [], id_col: [], "cosine": []})
-    ds = rd.read_parquet(files, columns=[id_col, emb_col])
-    qc_ref = ray.put((q, q_cells, centroids))
-
-    class Probe:
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            qm, qc, cent = cached_get(qc_ref)
-            m = _as_matrix(batch[emb_col])
-            # rows in a probed partition may still belong to a cell some
-            # query did NOT probe — re-derive assignment for the per-query
-            # mask (identical argmax to index build: same centroids)
-            assign = np.argmax(m @ cent.T, axis=1)
-            ids = batch[id_col].to_numpy()
-            sims = qm @ m.T
-            out_q, out_id, out_cos = [], [], []
-            for qi in range(sims.shape[0]):
-                allowed = np.isin(assign, qc[qi])
-                if not allowed.any():
-                    continue
-                s = sims[qi][allowed]
-                rid = ids[allowed]
-                kk = min(k, len(s))
-                idx = np.argpartition(-s, kk - 1)[:kk]
-                out_q.extend([qi] * kk)
-                out_id.extend(rid[idx])
-                out_cos.extend(s[idx])
-            return pd.DataFrame({"query_idx": out_q, id_col: out_id, "cosine": out_cos})
-
-    cand = ds.map_batches(Probe(), batch_format="pandas").to_pandas()
-    if cand.empty:
-        return cand
-    return (
-        cand.sort_values(["query_idx", "cosine", id_col], ascending=[True, False, True])
-        .groupby("query_idx", as_index=False)
-        .head(k)
-        .reset_index(drop=True)
-    )
 
 
 def knn_ivf(
@@ -964,13 +613,7 @@ def knn_ivf_pq(
     files = [
         f
         for c in probe_cells
-        for pat in (
-            os.path.join(index_dir, f"cell={c}", "*.parquet"),
-            # incremental layout (index_new_partitions_pq): one subtree
-            # per source partition, same cell pruning
-            os.path.join(index_dir, "parts", "*", f"cell={c}", "*.parquet"),
-        )
-        for f in sorted(_glob.glob(pat))
+        for f in sorted(_glob.glob(os.path.join(index_dir, f"cell={c}", "*.parquet")))
     ]
     if not files:
         return pd.DataFrame({"query_idx": [], id_col: [], "adc_ip": []})

@@ -18,13 +18,6 @@ from ..functions.textscan import flat_tokens_nonempty
 _STOPWORDS = frozenset(
     "the a an and or of to in is are was were be with for on at by from as that this it".split()
 )
-# BPE-ish pretokenizer: letter runs, digit runs, single non-space symbols
-_BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
-# punctuation = not alnum and not whitespace; as a regex that is
-# "non-word non-space, plus underscore" (\w = alnum + '_').  Counted with
-# pandas .str.count (C-level) — the per-character Python loop this
-# replaces cost ~1 ms/doc in the curation hot path.
-_PUNCT_RE = re.compile(r"[^\w\s]")
 
 
 def add_text_stats(ds: rd.Dataset, text_col: str) -> rd.Dataset:

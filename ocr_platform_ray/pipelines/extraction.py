@@ -1,6 +1,6 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
-    read_parquet(pages) -> map_batches(ExtractPages actor pool)
+    read_parquet(pages) -> map_batches(ExtractPages(), stateless tasks)
     -> hash(url) % 64 shard exchange (reassemble in warc_ts order)
     -> write_parquet(partitioned) + manifest
 
@@ -52,30 +52,20 @@ def read_pages_file_aligned(path: str) -> rd.Dataset:
     )
 
 
-def extract_pages_ds(
-    pages: rd.Dataset,
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 256,
-) -> rd.Dataset:
+def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
     """Per-page extraction stage.  ``batch_size`` is deliberately modest:
     rows carry whole-page html blobs, so batch bytes = batch_size x page
     size; oversized blobs are handled by Ray's dynamic block splitting plus
-    the small batch size (SURVEY.md §7 hard-parts #3/#4).
-
-    ``concurrency=None`` -> stateless tasks (fully elastic, the default for
-    a pure function); an int/tuple -> actor pool (the T1/T3 warm-state
-    pattern; state here is compiled regexes, cheap either way)."""
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size)
-    if concurrency is not None:
-        return pages.map_batches(ExtractPages, concurrency=concurrency, **kwargs)
-    return pages.map_batches(ExtractPages(), **kwargs)
+    the small batch size (SURVEY.md §7 hard-parts #3/#4).  Runs as
+    stateless tasks: the extractor's only state is compiled regexes."""
+    return pages.map_batches(
+        ExtractPages(), batch_format="pyarrow", batch_size=batch_size
+    )
 
 
 def extraction_pipeline(
     pages: rd.Dataset,
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
     partitioned_input: bool = False,
 ) -> rd.Dataset:
@@ -86,7 +76,7 @@ def extraction_pipeline(
     (reassemble_docs_partitioned) — valid only when every input block holds
     all pages of its urls (url-ranged shard layout, unsplit file reads).
     Both paths produce byte-identical output (asserted in tests)."""
-    extracted = extract_pages_ds(pages, concurrency=concurrency, batch_size=batch_size)
+    extracted = extract_pages_ds(pages, batch_size=batch_size)
     if partitioned_input:
         return reassemble_docs_partitioned(extracted)
     return reassemble_docs(extracted)
@@ -96,7 +86,6 @@ def run_extraction(
     input_path: str,
     output_dir: str,
     *,
-    concurrency: int | tuple[int, int] | None = None,
     resume: bool = True,
     fragments_per_part: int = 64,
     max_blob_bytes: int | None = None,
@@ -119,9 +108,7 @@ def run_extraction(
             from ..stages.skew import explode_oversized
 
             ds = explode_oversized(ds, max_bytes=max_blob_bytes)
-        return extraction_pipeline(
-            ds, concurrency=concurrency, partitioned_input=partitioned_input
-        )
+        return extraction_pipeline(ds, partitioned_input=partitioned_input)
 
     return run_with_manifest(
         input_path,

@@ -86,9 +86,6 @@ def q_doc_stats_by_source(sf_dir: str) -> pd.DataFrame:
     return pre_aggregate(ds, ["source"], partial, final)
 
 
-_WORD_SQL_RE = re.compile(r"[a-z0-9]+")
-
-
 def q_word_count_per_doc(sf_dir: str) -> rd.Dataset:
     """M6 word count, vectorized per batch (the SQL mirror uses the same
     regex so counts agree exactly)."""
@@ -106,9 +103,6 @@ def q_word_count_per_doc(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({"doc_id": b["doc_id"], "total_words": n.astype("int64")})
 
     return ds.map_batches(wc, batch_format="pandas")
-
-
-_BPE_SQL_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^ A-Za-z0-9]")
 
 
 def q_bpe_token_count(sf_dir: str) -> rd.Dataset:
@@ -7494,7 +7488,7 @@ def q_t5_corrupted_docs(sf_dir: str) -> pd.DataFrame:
     Rows-only; the defining invariant — interleaving the sentinel input
     with the target spans recovers the ORIGINAL text exactly — is
     asserted in-query for every document (pinned in depth by
-    TestT5SpanCorrupt; mlm_mask by TestMlmMask)."""
+    TestT5SpanCorrupt)."""
     import re
 
     from ..ops.augment import t5_span_corrupt
@@ -8676,38 +8670,16 @@ def q_cumulative_users_by_day(sf_dir: str) -> pd.DataFrame:
 # ===========================================================================
 # Registry + SQL oracles
 # ===========================================================================
-# Ordering contract: the driver runs only the FIRST 50 entries
-# (CORRECTNESS_r02 dropped the tail).  The flagship pipeline queries run
-# first so the north-rule artifact always has a driver-side correctness
-# row; entries past position 50 are deliberately either (a) no-oracle
-# variants whose operators are pinned by pytest equivalence/recall tests
-# (plus lineitem_join_revenue_exchange, equivalence-tested against the
-# oracled default plan in tests/test_ops.py), or (b) SQL-oracled entries
-# that carry their own pytest oracle evidence — DuckDB-compared directly
-# in tests/test_ops.py::TestTailQueryOracles, or, for the float-aggregate
-# lm_perplexity, at rtol 1e-9 in tests/test_round3_ops.py::TestNgramLM
-# (exact value-hash comparison does not apply to order-sensitive float
-# averages).  Nothing oracled may move past position 50 without adding
-# its pytest oracle test.  Round-4 tail additions follow the same rule:
-# gopher_quality / bm25_top10 / c4_clean / dedup_doc_lines are SQL-oracled in
-# TestTailQueryOracles; merge_volumes / compression_ratio /
-# semdedup_embeddings / c4_span_dedup / dsir_select /
-# quality_classifier / incremental_dedup / incremental_near_dedup are
-# no-oracle and pinned by
-# TestMergeDocuments / TestCompressionRatio / TestKmeansSemdedup /
-# TestC4SpanDedup / TestDsir / TestLogregClassifier /
-# TestIncrementalDedup / TestIncrementalMinhash (plus in-query
-# invariant asserts); knn_pq_top10 / knn_ivf_pq_top10 follow
-# knn_lsh_top10's rule (approximate by design, recall-floored in-query,
-# pinned by TestProductQuant / TestIvfPq); bpe_train_token_count is
-# no-oracle (learned merges aren't SQL-expressible; bounds asserted
-# in-query, serial==distributed pinned by TestBpeTrainDistributed);
-# token_budget_mix is SQL-oracled in TestTailQueryOracles (window-
-# function mirror of the grouped prefix-sum fill); event_gaps /
-# custdist_left_join / orders_rollup are SQL-oracled in
-# TestTailQueryOracles (LAG+LEAD window, TPC-H Q13 left-outer-join
-# distribution, GROUP BY ROLLUP, FULL OUTER JOIN, pivot/conditional
-# aggregation, INTERSECT/EXCEPT, exact-k-per-group sampling).
+# The registry is the one list of queries; tests, bench.py and the docs
+# derive theirs from it (tests/test_registry.py holds them to it):
+# - Order matters: the correctness gate runs only the FIRST 50 entries,
+#   so the flagship pipelines and the SQL-oracled gate queries come first.
+# - Every entry has an oracle: an ORACLE_SQL query, or, when its result is
+#   not SQL-expressible (floats, learned models, sketches), invariants
+#   asserted in-query plus the pytest class PINNED_BY names.
+# - An ORACLE_SQL entry past position 50 is DuckDB-compared by
+#   tests/test_ops.py::TestTailQueryOracles.
+# - TRACKED is the slice bench.py times by default; `--extras` times the rest.
 QUERIES = {
     # -- flagship extraction / curation / catalog / multimodal pipelines --
     "extract_docs": q_extract_docs,
@@ -8761,12 +8733,7 @@ QUERIES = {
     "pack_sequences": q_pack_sequences,
     "decontaminate_docs": q_decontaminate_docs,
     "stratified_sample": q_stratified_sample,
-    # ---- position > 50: may fall past the driver's query cap.  Only
-    # no-oracle variants pinned by pytest live here, plus oracled entries
-    # that carry their own pytest oracle evidence instead (directly
-    # DuckDB-compared in tests/test_ops.py::TestTailQueryOracles, or —
-    # for lineitem_join_revenue_exchange — equivalence-tested against
-    # the oracled default plan). ----
+    # ---- position > 50: past the correctness gate's query cap ----
     "minhash_dup_pairs": q_minhash_dup_pairs,
     "simhash_signatures": q_simhash_signatures,
     "doc_fingerprints": q_doc_fingerprints,
@@ -8809,8 +8776,6 @@ QUERIES = {
     "knn_ivf_pq_top10": q_knn_ivf_pq_top10,
     "bpe_train_token_count": q_bpe_train_token_count,
     "token_budget_mix": q_token_budget_mix,
-    # round-4 session-2 tail additions (same contract: each SQL-oracled
-    # entry is DuckDB-compared directly in TestTailQueryOracles)
     "event_gaps": q_event_gaps,
     "rolling_1h_value": q_rolling_1h_value,
     "custdist_left_join": q_custdist_left_join,
@@ -8824,7 +8789,6 @@ QUERIES = {
     # no-oracle (EM-learned vocab; bounds + compression asserted in-query,
     # serial==distributed + Viterbi optimality pinned by TestUnigram)
     "unigram_token_count": q_unigram_token_count,
-    # round-4 session-3 tail additions (same TestTailQueryOracles contract)
     "knn_join_top5": q_knn_join_top5,
     "value_rank_in_type": q_value_rank_in_type,
     "temperature_mix": q_temperature_mix,
@@ -8844,7 +8808,6 @@ QUERIES = {
     # no-oracle (sha-based fingerprints; planted-copy recall + radius bound
     # asserted in-query, brute-force equality in TestSimhashNearDup)
     "simhash_near_dup_docs": q_simhash_near_dup_docs,
-    # round-4 session-4 tail additions (same TestTailQueryOracles contract)
     "value_stddev_by_type": q_value_stddev_by_type,
     "qty_discount_corr": q_qty_discount_corr,
     "user_event_seq": q_user_event_seq,
@@ -8871,8 +8834,6 @@ QUERIES = {
     "versioned_upsert_orders": q_versioned_upsert_orders,
     "clustered_merge_join_revenue": q_clustered_merge_join_revenue,
     "value_share_in_type": q_value_share_in_type,
-    # round-4 session-5 tail additions (SQL-oracled entries are
-    # DuckDB-compared in TestTailQueryOracles per the contract above)
     # no-oracle (container-format parse; parquet-route byte-identity
     # asserted in-query, roundtrips pinned by TestWarcSource)
     "warc_extract_docs": q_warc_extract_docs,
@@ -8897,8 +8858,6 @@ QUERIES = {
     "embedding_pca_top2": q_embedding_pca_top2,
     "orders_expectations": q_orders_expectations,
     "bloom_point_lookup": q_bloom_point_lookup,
-    # round-4 session-6 tail additions (all SQL-oracled in
-    # TestTailQueryOracles)
     "tpch_q5_local_supplier": q_tpch_q5_local_supplier,
     "tpch_q8_market_share": q_tpch_q8_market_share,
     "tpch_q12_late_shipments": q_tpch_q12_late_shipments,
@@ -8910,7 +8869,6 @@ QUERIES = {
     # no-oracle (float power iteration; numpy-reference rtol in TestHits,
     # L2 norms + top authority asserted in-query)
     "link_hits": q_link_hits,
-    # round-4 session-7 tail additions (SQL-oracled in TestTailQueryOracles)
     "link_triangles": q_link_triangles,
     "jsonl_docs": q_jsonl_docs,
     "main_content_docs": q_main_content_docs,
@@ -8918,52 +8876,33 @@ QUERIES = {
     "csv_events": q_csv_events,
     "running_max_value_by_user": q_running_max_value_by_user,
     "custkey_multiset_ops": q_custkey_multiset_ops,
-    # round-4 session-8 tail additions (SQL-oracled in TestTailQueryOracles)
     "ipc_docs": q_ipc_docs,
     "orc_events": q_orc_events,
     "anchor_texts": q_anchor_texts,
     "char_entropy_docs": q_char_entropy_docs,
     "doc_top_tfidf": q_doc_top_tfidf,
     "bloom_strip_paragraphs": q_bloom_strip_paragraphs,
-    # round-4 session-9 tail additions (SQL-oracled in TestTailQueryOracles)
     "tfrecord_docs": q_tfrecord_docs,
     "avro_docs": q_avro_docs,
     "readability_docs": q_readability_docs,
     "link_clustering": q_link_clustering,
     "token_drift_en_rest": q_token_drift_en_rest,
-    # round-4 session-10 tail additions (the remaining TPC-H queries, all
-    # SQL-oracled in TestTailQueryOracles; partsupp derived identically
-    # on both engines — see _derived_partsupp)
     "tpch_q2_min_cost_supplier": q_tpch_q2_min_cost_supplier,
     "tpch_q4_order_priority": q_tpch_q4_order_priority,
     "tpch_q9_product_profit": q_tpch_q9_product_profit,
     "tpch_q11_important_stock": q_tpch_q11_important_stock,
     "tpch_q16_supplier_relationship": q_tpch_q16_supplier_relationship,
     "tpch_q20_promotion_parts": q_tpch_q20_promotion_parts,
-    # round-4 session-10 tail additions (distributed model-eval family,
-    # all SQL-oracled in TestTailQueryOracles)
     "order_status_confusion": q_order_status_confusion,
     "order_score_pr": q_order_score_pr,
     "order_score_auc": q_order_score_auc,
     "order_score_calibration": q_order_score_calibration,
-    # round-4 session-10 tail addition (multi-objective selection,
-    # SQL-oracled in TestTailQueryOracles)
     "pareto_orders": q_pareto_orders,
-    # round-4 session-10 tail addition (grouped OLS, SQL-oracled in
-    # TestTailQueryOracles)
     "price_qty_linreg_by_flag": q_price_qty_linreg_by_flag,
-    # round-4 session-10 tail addition (Markov transitions, SQL-oracled
-    # in TestTailQueryOracles)
     "event_transition_probs": q_event_transition_probs,
-    # round-4 session-11 tail additions (gaps-and-islands coalescing,
-    # window gap-filling, recursive-CTE BFS — all SQL-oracled in
-    # TestTailQueryOracles)
     "user_activity_windows": q_user_activity_windows,
     "event_value_fill": q_event_value_fill,
     "link_bfs_reach": q_link_bfs_reach,
-    # round-4 session-11 tail additions, batch 2 (cohort retention,
-    # association lift, PMI collocations, crawl-frontier interleave —
-    # all SQL-oracled in TestTailQueryOracles)
     "user_retention_cohorts": q_user_retention_cohorts,
     "event_pair_lift": q_event_pair_lift,
     "doc_pmi_bigrams": q_doc_pmi_bigrams,
@@ -8998,7 +8937,7 @@ QUERIES = {
     "training_mix_chunks": q_training_mix_chunks,
     # rows-only (seeded corruption isn't SQL; exact interleaving
     # reconstruction asserted in-query per document, pinned by
-    # TestT5SpanCorrupt / TestMlmMask)
+    # TestT5SpanCorrupt)
     "t5_corrupted_docs": q_t5_corrupted_docs,
     "event_type_kappa": q_event_type_kappa,
     "doc_sections": q_doc_sections,
@@ -9096,6 +9035,85 @@ QUERIES = {
     # rows-only (frame hashing; copy recall + slot alignment asserted
     # in-query, pinned by TestVideoNearDup)
     "video_near_dups": q_video_near_dups,
+}
+
+TRACKED = (
+    "tpch_q1",
+    "lineitem_join_revenue",
+    "orders_by_segment",
+    "top_orders_revenue",
+    "events_hourly",
+    "event_sessions",
+    "exact_dedup_docs",
+    "minhash_dup_pairs",
+    "knn_cosine_top10",
+    "word_count_per_doc",
+    "near_dedup_docs",
+    "stratified_sample",
+)
+
+PINNED_BY = {
+    "extract_docs": "TestPipelineGolden",
+    "extract_pdf_docs": "TestPdfPipeline",
+    "extract_pages": "TestPageIdx",
+    "catalog_ingest": "TestCatalog",
+    "image_features": "TestMultimodal",
+    "video_frame_features": "TestMultimodal",
+    "audio_features": "TestAudio",
+    "minhash_dup_pairs": "TestDedup",
+    "simhash_signatures": "TestDedup",
+    "doc_fingerprints": "TestTextStats",
+    "bpe_vocab_token_count": "TestBpeProps",
+    "knn_ivf_top10": "TestIVF",
+    "knn_lsh_top10": "TestSimilarity",
+    "approx_median_value_by_type": "TestQuantileSketch",
+    "rasterize_pdf_pages": "TestPdfPipeline",
+    "langid_pred": "TestTextStats",
+    "approx_distinct_users": "TestSketchQueries",
+    "top_tokens_sketch": "TestSketchQueries",
+    "merge_volumes": "TestMergeDocuments",
+    "compression_ratio": "TestCompressionRatio",
+    "semdedup_embeddings": "TestKmeansSemdedup",
+    "c4_span_dedup": "TestC4SpanDedup",
+    "dsir_select": "TestDsir",
+    "quality_classifier": "TestLogregClassifier",
+    "incremental_dedup": "TestIncrementalDedup",
+    "incremental_near_dedup": "TestIncrementalMinhash",
+    "knn_pq_top10": "TestProductQuant",
+    "knn_ivf_pq_top10": "TestIvfPq",
+    "bpe_train_token_count": "TestBpeTrainDistributed",
+    "unigram_token_count": "TestUnigram",
+    "simhash_near_dup_docs": "TestSimhashNearDup",
+    "link_pagerank": "TestGraph",
+    "cm_user_freq": "TestCountMin",
+    "warc_extract_docs": "TestWarcSource",
+    "crawl_increments": "TestCrawlIngestPipeline",
+    "embedding_pca_top2": "TestPca",
+    "link_hits": "TestHits",
+    "training_mix_chunks": "TestPrepareTrainingMix",
+    "t5_corrupted_docs": "TestT5SpanCorrupt",
+    "link_communities": "TestLabelPropagation",
+    "balanced_mix_docs": "TestIpfBalance",
+    "order_score_isotonic": "TestIsotonicCalibration",
+    "part_entity_resolution": "TestEntityResolution",
+    "doc_topic_segments": "TestTextTiling",
+    "stemmed_token_counts": "TestPorterStemmer",
+    "doc_cdc_chunks": "TestContentDefinedChunks",
+    "rm3_expanded_top10": "TestRm3",
+    "value_mean_ci_by_type": "TestBootstrapCi",
+    "cumulative_users_by_day": "TestHllCumulativeDistinct",
+    "pdf_chapter_outline": "TestPdfOutline",
+    "customer_linkage_fs": "TestFsLinkage",
+    "user_overlap_hll": "TestHllSetEstimates",
+    "langid_trained": "TestSoftmaxLangid",
+    "leakage_free_split": "TestLeakageFreeSplit",
+    "link_kcore": "TestKcore",
+    "rag_passage_search": "TestRagPipeline",
+    "text_embed_knn": "TestHashedEmbed",
+    "approx_distinct_users_by_type": "TestHLL",
+    "image_near_dups": "TestImageNearDup",
+    "audio_near_dups": "TestAudioNearDup",
+    "video_near_dups": "TestVideoNearDup",
 }
 
 # Julian-day + hijri-year arithmetic as SQL (positive operands only, so

@@ -26,35 +26,6 @@ PAGES_SCHEMA = pa.schema(
     ]
 )
 
-# ---------------------------------------------------------------------------
-# Per-page extraction output (pre-reassembly).  Mirrors the reference's
-# segmented page {header, body, footnotes, pageNumber}
-# (apps/queue/src/pipeline/segment.ts:26-37) plus the page-worker derived
-# columns (totalWords, flags, ocrStatus -> failed_stage;
-# apps/queue/src/queues/page/worker.ts:37-66).
-# ---------------------------------------------------------------------------
-SPAN_TYPE = pa.struct(
-    [
-        pa.field("kind", pa.string()),  # heading | para | footnote
-        pa.field("start", pa.int64()),  # byte offset into `body` (utf-8)
-        pa.field("end", pa.int64()),
-    ]
-)
-
-PAGE_OUT_SCHEMA = pa.schema(
-    [
-        pa.field("url", pa.string()),
-        pa.field("page_idx", pa.int32()),
-        pa.field("header", pa.string()),        # nullable
-        pa.field("body", pa.string()),          # never null ("" for empty pages)
-        pa.field("footnotes", pa.string()),     # nullable
-        pa.field("page_number", pa.int32()),    # nullable printed number
-        pa.field("spans", pa.list_(SPAN_TYPE)),
-        pa.field("total_words", pa.int64()),
-        pa.field("flags", pa.list_(pa.string())),
-        pa.field("failed_stage", pa.string()),  # nullable: CORRECT/CONVERT_TO_HTML/SEGMENT
-    ]
-)
 
 # Flag vocabulary (schema.prisma:151-155 PageFlag enum).
 FLAG_NEEDS_REVIEW = "NEEDS_ADDITIONAL_REVIEW"

@@ -66,11 +66,6 @@ def page_count_probe(pages: rd.Dataset) -> pd.DataFrame:
     return out.sort_values("url").reset_index(drop=True)
 
 
-# raw-file ingestion is payload-agnostic: extract_page sniffs %PDF- bytes
-# vs HTML per row, so the same reader ingests mixed .html/.pdf trees
-ingest_raw_files = ingest_raw_html
-
-
 def read_dim_pandas(
     path: str, columns: list[str] | None = None, *, max_rows: int = 2_000_000
 ) -> pd.DataFrame | None:
@@ -163,8 +158,6 @@ def partition_pages_by_url(
     return sorted(manifest["path"])
 
 
-
-
 def _footer_stats_record(meta, columns: list[str]) -> dict:
     """One file's footer scan (pure function of the metadata object —
     unit-testable without parquet fixtures): {"n_rows", "ok", per-column
@@ -250,65 +243,3 @@ def parquet_stats_agg(
         out[f"{c}_max"] = parts[f"{c}_max"].max()
         out[f"{c}_nulls"] = int(parts[f"{c}_nulls"].sum())
     return pd.DataFrame([out])
-
-
-def read_parquet_salvage(
-    paths: list[str] | str,
-    *,
-    columns: list[str] | None = None,
-    quarantine_dir: str | None = None,
-    **read_kwargs,
-):
-    """Resilient parquet read for 100k-file object-store inputs: probe
-    every file's FOOTER driver-side (cheap — bytes at the tail, no data
-    pages), read only the healthy ones, and REPORT the corrupt rest
-    instead of letting one truncated upload kill an 80-hour job.  The
-    reference's per-queue-item try/catch + flag pattern
-    (apps/queue/src/pipeline/index.ts error handling) applied at the
-    storage boundary.
-
-    Returns ``(dataset, report)`` where report is a DataFrame
-    ``(path, status, error)`` with status in {ok, corrupt}.  With
-    ``quarantine_dir`` set, corrupt files are MOVED there (rename) so a
-    rerun's directory listing is clean — the manifest/redo machinery can
-    then reprocess the quarantine after a re-upload.  Raises only when
-    NO file survives."""
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-    import ray.data as _rd
-
-    if isinstance(paths, str):
-        if os.path.isdir(paths):
-            files = sorted(
-                _glob.glob(os.path.join(paths, "**", "*.parquet"),
-                           recursive=True)
-            )
-        else:
-            files = [paths]
-    else:
-        files = sorted(paths)
-    if not files:
-        raise ValueError("read_parquet_salvage: no input files")
-    rows = []
-    good = []
-    for f in files:
-        try:
-            _pq.read_metadata(f)
-            good.append(f)
-            rows.append({"path": f, "status": "ok", "error": None})
-        except Exception as e:  # corrupt footer / truncation / not parquet
-            err = f"{type(e).__name__}: {e}"
-            if quarantine_dir is not None:
-                os.makedirs(quarantine_dir, exist_ok=True)
-                dest = os.path.join(quarantine_dir, os.path.basename(f))
-                os.replace(f, dest)
-                err += f" (quarantined -> {dest})"
-            rows.append({"path": f, "status": "corrupt", "error": err})
-    report = pd.DataFrame(rows)
-    if not good:
-        raise ValueError(
-            f"read_parquet_salvage: all {len(files)} files corrupt; "
-            "see the report"
-        )
-    return _rd.read_parquet(good, columns=columns, **read_kwargs), report

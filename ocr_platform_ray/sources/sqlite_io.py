@@ -34,7 +34,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-_KINDS = ("int", "float", "str", "bytes", "bool", "ts_us")
 _AFFINITY = {"int": "INTEGER", "float": "REAL", "str": "TEXT",
              "bytes": "BLOB", "bool": "INTEGER", "ts_us": "INTEGER"}
 

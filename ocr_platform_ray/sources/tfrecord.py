@@ -49,12 +49,10 @@ import ray.data as rd
 
 from ._infer import infer_column_plan
 
+
 # --------------------------------------------------------------------------
 # CRC-32C (Castagnoli) — reflected table, lane-vectorized batch form
 # --------------------------------------------------------------------------
-_CRC32C_POLY = np.uint32(0x82F63B78)
-
-
 def _make_table() -> np.ndarray:
     tab = np.empty(256, dtype=np.uint32)
     for i in range(256):

@@ -39,8 +39,6 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-_KINDS = ("int", "float", "bool", "ts", "str")
-
 
 _ILLEGAL_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 

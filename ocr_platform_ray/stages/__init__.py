@@ -5,7 +5,7 @@ segment (apps/queue/src/pipeline/index.ts:19-104), each stage an LLM call.
 Here the same dataflow is deterministic code: ``extract.extract_page`` is
 the fused M1+M2+M3 operator (the reference's own "final" fused stage,
 pipeline/final.ts:78-137, fuses them identically), and ``ExtractPages`` is
-the actor-pool ``map_batches`` wrapper holding compiled parser state.
+its stateless ``map_batches`` callable.
 """
 
 from .extract import ExtractPages, extract_page  # noqa: F401

@@ -37,7 +37,7 @@ from ..schemas import (
 )
 from .pdf import pdf_page_boxes
 
-# --- compiled parser state (module level: shared by actor + pure fn) -------
+# --- compiled parser state (module level, shared by every task) -----------
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.S | re.I)
 _BLOCK_TOKEN_RE = re.compile(
@@ -208,18 +208,6 @@ def _parse_fakepdf(payload: str) -> list[tuple[str, str]]:
             continue
         boxes.append((x0, y0, x1, y1, parts[4], parts[5]))
     return _xycut_order(boxes)
-
-
-_EMPTY_RESULT_KEYS = (
-    "header",
-    "body",
-    "footnotes",
-    "page_number",
-    "spans",
-    "total_words",
-    "flags",
-    "failed_stage",
-)
 
 
 def _failed(stage: str, salvage_text: str) -> dict:
@@ -418,7 +406,7 @@ def extract_page(html: bytes, prior_text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Actor-pool stage (T1/T3 pattern: warm state once per actor, work per batch)
+# map_batches stage
 # ---------------------------------------------------------------------------
 _SPAN_T = pa.list_(
     pa.struct([pa.field("kind", pa.string()), pa.field("start", pa.int64()), pa.field("end", pa.int64())])
@@ -426,9 +414,9 @@ _SPAN_T = pa.list_(
 
 
 class ExtractPages:
-    """``ds.map_batches(ExtractPages, batch_format="pyarrow",
-    concurrency=N)`` — input (url, warc_ts, html, text[, lang]) rows, output
-    per-page extraction columns.  The html column is consumed (dropped) here
+    """``ds.map_batches(ExtractPages(), batch_format="pyarrow")`` — input
+    (url, warc_ts, html, text[, lang]) rows, output per-page extraction
+    columns.  The html column is consumed (dropped) here
     so downstream shuffles move extracted text, not raw bytes (SURVEY.md §4
     "heavy per-row stages run before the shuffle")."""
 

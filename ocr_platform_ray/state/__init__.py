@@ -1,4 +1,4 @@
-"""Durable-state layer: checkpoint manifests (resume) and broadcast dims."""
+"""Durable-state layer: checkpoint manifests (resume) and broadcast dims
+(``broadcast.cached_get``)."""
 
 from .manifest import run_with_manifest, completed_parts  # noqa: F401
-from .broadcast import broadcast, BroadcastLookup  # noqa: F401

@@ -3,21 +3,15 @@
 The reference caches small dimension data per process (bookId->url LRU,
 apps/queue/src/services/book.ts:4-26; Airtable dims fetched once,
 lib/airtable/index.ts:19-152).  The Ray-native equivalent: ``ray.put`` the
-table ONCE on the driver, pass the ObjectRef into stages, and ``ray.get``
-it in actor ``__init__`` (or at first use) — read from the local object
+table ONCE in the submitting process, pass the ObjectRef into stages, and
+resolve it at first use with ``cached_get`` — read from the local object
 store by every task on the node, never re-shipped per batch."""
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import ray
-
-
-def broadcast(obj: Any) -> "ray.ObjectRef":
-    """Put a small object (dict / pandas / Arrow table) in the object store
-    once.  Workers read it zero-copy (Arrow) or once per actor."""
-    return ray.put(obj)
 
 
 _GET_CACHE: dict = {}
@@ -35,16 +29,3 @@ def cached_get(ref: "ray.ObjectRef") -> Any:
     if key not in _GET_CACHE:
         _GET_CACHE[key] = ray.get(ref)
     return _GET_CACHE[key]
-
-
-class BroadcastLookup:
-    """Callable-class template for broadcast-probe stages: resolve the
-    ObjectRef once per actor in ``__init__``, probe per batch in
-    ``__call__`` via a user function ``fn(batch, small)``."""
-
-    def __init__(self, small_ref: "ray.ObjectRef", fn: Callable):
-        self.small = ray.get(small_ref)
-        self.fn = fn
-
-    def __call__(self, batch):
-        return self.fn(batch, self.small)

@@ -242,9 +242,9 @@ class TestPipelineGolden:
 
         t = make_pages_table(30)
         a = extraction_pipeline(rd.from_arrow(t), batch_size=7).to_pandas()
-        # reversed input row order + different batch size + actor pool
+        # reversed input row order + different batch size
         rev = t.take(list(reversed(range(t.num_rows))))
-        b = extraction_pipeline(rd.from_arrow(rev), batch_size=64, concurrency=2).to_pandas()
+        b = extraction_pipeline(rd.from_arrow(rev), batch_size=64).to_pandas()
         ha, hb = globals()["_doc_hashes"](a), globals()["_doc_hashes"](b)
         assert ha == hb
 

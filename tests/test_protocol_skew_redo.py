@@ -1,44 +1,11 @@
-"""Tests for the Stage protocol (E1/E3/E4), oversized-blob splitting
-(skew), and redo-partition recompute (D5/§3.2)."""
+"""Tests for oversized-blob splitting (skew) and redo-partition
+recompute (D5/§3.2)."""
 
 import os
 
 import pyarrow as pa
 import pytest
 import ray.data as rd
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestStageProtocol:
-    def test_compile_and_schema_enforcement(self):
-        from ocr_platform_ray.stages.protocol import Stage, compile_pipeline
-
-        schema = pa.schema([pa.field("x", pa.int64()), pa.field("y", pa.int64())])
-        double = Stage.from_fn(
-            "double", lambda t: t.append_column("y", pa.compute.multiply(t["x"], 2)), schema
-        )
-        ds = rd.from_arrow(pa.table({"x": pa.array(range(10), pa.int64())}))
-        out = compile_pipeline(ds, [double]).to_pandas()
-        assert list(out.y) == [2 * i for i in range(10)]
-
-    def test_schema_violation_raises(self):
-        from ocr_platform_ray.stages.protocol import Stage
-
-        wrong = pa.schema([pa.field("z", pa.string())])
-        st = Stage.from_fn("bad", lambda t: t, wrong)
-        with pytest.raises(TypeError, match="emitted schema"):
-            st(pa.table({"x": pa.array([1], pa.int64())}))
-
-    def test_keep_intermediate_exposes_stages(self):
-        from ocr_platform_ray.stages.protocol import Stage, run_staged
-
-        s1 = Stage.from_fn("add_y", lambda t: t.append_column("y", pa.compute.add(t["x"], 1)))
-        s2 = Stage.from_fn("add_z", lambda t: t.append_column("z", pa.compute.add(t["y"], 1)))
-        ds = rd.from_arrow(pa.table({"x": pa.array(range(5), pa.int64())}))
-        stages = run_staged(ds, [s1, s2], keep_intermediate=True)
-        assert set(stages) == {"add_y", "add_z"}
-        assert "z" not in stages["add_y"].schema().names
-        assert "z" in stages["add_z"].schema().names
 
 
 class TestSplitPayload:

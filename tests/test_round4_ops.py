@@ -168,76 +168,6 @@ class TestFreezeThaw:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestIncrementalIvfIndex:
-    """index_new_partitions — the reference's per-ingest search reindex
-    (usul-pipeline.ts:187-204) as incremental batch index maintenance."""
-
-    @staticmethod
-    def _shard(tmp_path, name, ids, rng, dim=16):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        vecs = rng.randn(len(ids), dim)
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        t = pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array([v.tolist() for v in vecs], pa.list_(pa.float64())),
-            }
-        )
-        pq.write_table(t, str(tmp_path / "src" / f"{name}.parquet"))
-        return vecs
-
-    def test_incremental_skip_append_redo_and_search(self, tmp_path):
-        from ocr_platform_ray.ops.similarity import (
-            index_new_partitions,
-            knn_brute_force,
-            knn_ivf_persisted,
-        )
-
-        rng = np.random.RandomState(9)
-        (tmp_path / "src").mkdir()
-        src, idx = str(tmp_path / "src"), str(tmp_path / "idx")
-        self._shard(tmp_path, "a", range(0, 100), rng)
-        self._shard(tmp_path, "b", range(100, 200), rng)
-
-        r1 = index_new_partitions(src, idx, n_cells=4)
-        assert r1["indexed"] == 2 and r1["rows_indexed"] == 200
-        # second call: nothing new -> all skipped
-        r2 = index_new_partitions(src, idx)
-        assert r2["indexed"] == 0 and r2["skipped"] == 2
-        # append a shard -> only it indexes
-        self._shard(tmp_path, "c", range(200, 260), rng)
-        r3 = index_new_partitions(src, idx)
-        assert r3["indexed"] == 1 and r3["rows_indexed"] == 60
-        # redo shard a (different content/size) -> exactly it re-indexes
-        self._shard(tmp_path, "a", range(0, 90), rng)
-        r4 = index_new_partitions(src, idx)
-        assert r4["indexed"] == 1 and r4["rows_indexed"] == 90
-        # the redone rows replaced (not merged): ids 90..99 gone
-        import glob
-
-        import pyarrow.parquet as pq
-
-        total = sum(
-            pq.ParquetFile(f).metadata.num_rows
-            for f in glob.glob(str(tmp_path / "idx" / "parts" / "**" / "*.parquet"), recursive=True)
-        )
-        assert total == 90 + 100 + 60
-        # search over the incremental layout: probing every cell == exact
-        # brute force over the same corpus
-        q = rng.randn(3, 16)
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        got = knn_ivf_persisted(idx, q, k=5, n_probe=4)
-        corpus = rd.read_parquet(src)
-        want = knn_brute_force(corpus, q, k=5)
-        for qi in range(3):
-            g = got[got.query_idx == qi].sort_values("cosine", ascending=False)
-            w = want[want.query_idx == qi].sort_values("cosine", ascending=False)
-            assert list(g["vec_id"]) == list(w["vec_id"])
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestMergeDocuments:
     """PDF merge + splitsData builder (reference useMergePdf.ts:5-28)."""
 

@@ -6948,49 +6948,6 @@ class TestGroupedTrimmedMean:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestParquetSalvage:
-    """Corrupt-file salvage reader (`sources/ingest.read_parquet_salvage`)."""
-
-    def test_skips_corrupt_reports_and_quarantines(self, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from ocr_platform_ray.sources.ingest import read_parquet_salvage
-
-        d = tmp_path / "in"
-        d.mkdir()
-        for i in range(3):
-            pq.write_table(
-                pa.table({"a": list(range(i * 10, i * 10 + 10))}),
-                str(d / f"f{i}.parquet"),
-            )
-        # truncate one file mid-footer; plant one non-parquet file
-        raw = (d / "f1.parquet").read_bytes()
-        (d / "f1.parquet").write_bytes(raw[: len(raw) // 2])
-        (d / "f3.parquet").write_bytes(b"not parquet at all")
-        q = str(tmp_path / "quarantine")
-        ds, report = read_parquet_salvage(str(d), quarantine_dir=q)
-        assert ds.count() == 20  # the two healthy files
-        assert sorted(report["status"]) == ["corrupt", "corrupt", "ok", "ok"]
-        import os
-        assert sorted(os.listdir(q)) == ["f1.parquet", "f3.parquet"]
-        # the input dir is clean now -> a plain read succeeds
-        import ray.data as rdd
-        assert rdd.read_parquet(str(d)).count() == 20
-
-    def test_all_corrupt_raises_and_no_files_raises(self, tmp_path):
-        from ocr_platform_ray.sources.ingest import read_parquet_salvage
-
-        d = tmp_path / "bad"
-        d.mkdir()
-        (d / "x.parquet").write_bytes(b"junk")
-        with pytest.raises(ValueError, match="all 1 files corrupt"):
-            read_parquet_salvage(str(d))
-        with pytest.raises(ValueError, match="no input files"):
-            read_parquet_salvage([])
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestHivePartitionGuard:
     def test_partition_explosion_raises(self, tmp_path):
         from ocr_platform_ray.ops.layout import hive_write
@@ -7066,74 +7023,6 @@ class TestDeleteKeys:
         os.makedirs(os.path.join(d, "_versions"))
         with pytest.raises(ValueError, match="VERSIONED"):
             delete_keys(d, pd.DataFrame({"k": [1]}), "k")
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSimilarityOrderedWrite:
-    """Compression-locality layout (`ops/layout.similarity_ordered_write`)."""
-
-    def _corpus(self, n_families=150, per=10, seed=3):
-        # the corpus must EXCEED the zstd match window (~512 KB at the
-        # parquet default level) — below it the codec sees every
-        # duplicate regardless of position and ordering cannot matter
-        # (measured: 240 KB corpus -> 4 % gain; 3.6 MB -> 2.5x)
-        rng = np.random.RandomState(seed)
-        vocab = [f"tok{i:04d}" for i in range(4000)]
-        rows = []
-        i = 0
-        for f in range(n_families):
-            base = " ".join(rng.choice(vocab, 150))
-            for j in range(per):
-                words = base.split(" ")
-                # small mutation per member: near-dup family
-                for _ in range(3):
-                    words[rng.randint(len(words))] = str(rng.choice(vocab))
-                rows.append({"doc_id": i, "text": " ".join(words)})
-                i += 1
-        df = pd.DataFrame(rows)
-        return df.sample(frac=1.0, random_state=7).reset_index(drop=True)
-
-    def test_orders_families_adjacent_and_shrinks_storage(self, tmp_path):
-        import os
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from ocr_platform_ray.ops.layout import similarity_ordered_write
-
-        df = self._corpus()
-        d = str(tmp_path / "sim")
-        zm = similarity_ordered_write(
-            rd.from_pandas(df).repartition(6), "text", d, n_files=4
-        )
-        ordered_bytes = int(zm["n_bytes"].sum())
-        # baseline: the SAME rows in shuffled order, same codec
-        base = str(tmp_path / "shuf.parquet")
-        pq.write_table(
-            pa.Table.from_pandas(df, preserve_index=False), base,
-            compression="zstd",
-        )
-        shuffled_bytes = os.path.getsize(base)
-        assert ordered_bytes < 0.8 * shuffled_bytes, (
-            ordered_bytes, shuffled_bytes
-        )
-        # lossless: every row survives exactly once
-        files = [os.path.join(d, f) for f in zm["file"]]
-        back = (
-            rd.read_parquet(files, columns=["doc_id", "text"]).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True)
-        )
-        want = df.sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(back[["doc_id", "text"]], want)
-
-    def test_empty_raises(self, tmp_path):
-        from ocr_platform_ray.ops.layout import similarity_ordered_write
-
-        with pytest.raises(ValueError, match="empty"):
-            similarity_ordered_write(
-                rd.from_pandas(pd.DataFrame({"doc_id": [], "text": []})),
-                "text", str(tmp_path / "e"),
-            )
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -7282,69 +7171,6 @@ class TestChunkOffsets:
             text_col="text",
         ).to_pandas()
         assert "doc_offsets" not in plain.columns
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestMlmMask:
-    """Deterministic BERT-style MLM corruption (`ops/augment.mlm_mask`)."""
-
-    def _docs(self, n=200, seed=1):
-        rng = np.random.RandomState(seed)
-        vocab = [f"w{i}" for i in range(500)]
-        return pd.DataFrame(
-            {
-                "doc_id": np.arange(n, dtype="int64"),
-                "text": [
-                    " ".join(rng.choice(vocab, rng.randint(20, 120)))
-                    for _ in range(n)
-                ],
-            }
-        )
-
-    def test_published_ratios_and_labels(self):
-        from ocr_platform_ray.ops.augment import mlm_mask
-
-        df = self._docs()
-        got = mlm_mask(rd.from_pandas(df), seed=4).to_pandas()
-        got = got.sort_values("doc_id").reset_index(drop=True)
-        n_tok = n_sel = n_masked = n_changed_unmasked = 0
-        for _, r in got.iterrows():
-            orig = r["text"].lower().split(" ")
-            out = r["masked_text"].split(" ")
-            assert len(orig) == len(out)  # token-aligned corruption
-            sel = set(int(p) for p in r["mask_positions"])
-            n_tok += len(orig)
-            n_sel += len(sel)
-            for i, (a, b) in enumerate(zip(orig, out)):
-                if b == "[MASK]":
-                    assert i in sel  # masks only at labeled positions
-                    n_masked += 1
-                elif a != b:
-                    assert i in sel  # random replacement also labeled
-                    n_changed_unmasked += 1
-        assert 0.13 < n_sel / n_tok < 0.17          # ~15% selection
-        assert 0.75 < n_masked / n_sel < 0.85       # ~80% [MASK]
-        assert 0.05 < n_changed_unmasked / n_sel < 0.16  # <= ~10% random
-        # (the 10% keep-unchanged branch is the remainder: labeled,
-        # yet neither masked nor replaced)
-
-    def test_deterministic_and_seed_sensitive(self):
-        from ocr_platform_ray.ops.augment import mlm_mask
-
-        df = self._docs(seed=7)
-        outs = [
-            mlm_mask(rd.from_pandas(df).repartition(nb), seed=2)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-            for nb in (1, 9)
-        ]
-        assert outs[0]["masked_text"].tolist() == outs[1]["masked_text"].tolist()
-        other = (
-            mlm_mask(rd.from_pandas(df), seed=3)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        assert other["masked_text"].tolist() != outs[0]["masked_text"].tolist()
-        with pytest.raises(ValueError, match="mask_rate"):
-            mlm_mask(rd.from_pandas(df), mask_rate=1.5)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -161,6 +161,14 @@ class TestSampledLogreg:
         )
         assert np.array_equal(w1, w2)
 
+    def test_one_class_sample_raises(self):
+        # 400:2 seed corpora; the hash gate keeps ~5 % of rows and both
+        # negatives hash above the cut, so the sample is all positive
+        pos = pd.DataFrame({"text": [f"careful measured study {i}" for i in range(400)]})
+        neg = pd.DataFrame({"text": ["free casino prize 0", "free casino prize 1"]})
+        with pytest.raises(ValueError, match="only one class"):
+            logreg_fit(rd.from_pandas(pos), rd.from_pandas(neg), fit_rows=20, n_iters=2)
+
     def test_fit_rows_larger_than_corpus_trains_on_all(self):
         pos, neg = self._corpora(n=60, seed=9)
         w = logreg_fit(
