@@ -1,6 +1,6 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
-    read_parquet(pages) -> map_batches(ExtractPages(), stateless tasks)
+    read_parquet(pages) -> map_batches(ExtractPages(), fused into the read)
     -> hash(url) % 64 shard exchange (reassemble in warc_ts order)
     -> write_parquet(partitioned) + manifest
 
@@ -55,11 +55,15 @@ def read_pages_file_aligned(path: str) -> rd.Dataset:
 def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
     """Per-page extraction stage.  ``batch_size`` is deliberately modest:
     rows carry whole-page html blobs, so batch bytes = batch_size x page
-    size; oversized blobs are handled by Ray's dynamic block splitting plus
-    the small batch size (SURVEY.md §7 hard-parts #3/#4).  Runs as
-    stateless tasks: the extractor's only state is compiled regexes."""
+    size; oversized blobs are handled by slices inside the UDF
+    (``ExtractPages``, SURVEY.md §7 hard-parts #3/#4).  The map itself
+    takes whole blocks (``batch_size=None``): a numeric batch size on the
+    first map after a read keeps Ray from fusing the two, and every raw
+    page then crosses the object store between a read task and an
+    extract task.  Runs as stateless tasks: the extractor's only state is
+    compiled regexes."""
     return pages.map_batches(
-        ExtractPages(), batch_format="pyarrow", batch_size=batch_size
+        ExtractPages(batch_size), batch_format="pyarrow", batch_size=None
     )
 
 

@@ -414,13 +414,28 @@ _SPAN_T = pa.list_(
 
 
 class ExtractPages:
-    """``ds.map_batches(ExtractPages(), batch_format="pyarrow")`` — input
-    (url, warc_ts, html, text[, lang]) rows, output per-page extraction
-    columns.  The html column is consumed (dropped) here
-    so downstream shuffles move extracted text, not raw bytes (SURVEY.md §4
-    "heavy per-row stages run before the shuffle")."""
+    """``ds.map_batches(ExtractPages(batch_size), batch_format="pyarrow",
+    batch_size=None)`` — input (url, warc_ts, html, text[, lang]) rows,
+    output per-page extraction columns.  The html column is consumed
+    (dropped) here so downstream shuffles move extracted text, not raw
+    bytes (SURVEY.md §4 "heavy per-row stages run before the shuffle").
+
+    One call extracts a whole block in ``batch_size``-row zero-copy slices
+    and returns ONE table: the Python objects built per slice stay bounded
+    by ``batch_size`` pages, and the map needs no ``batch_size`` of its own
+    (a numeric one keeps Ray from fusing the map with the read)."""
+
+    def __init__(self, batch_size: int = 256):
+        self.batch_size = batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        n, k = batch.num_rows, self.batch_size
+        if n <= k:
+            return self._extract(batch)
+        return pa.concat_tables([self._extract(batch.slice(i, k)) for i in range(0, n, k)])
+
+    @staticmethod
+    def _extract(batch: pa.Table) -> pa.Table:
         htmls = batch.column("html").to_pylist()
         priors = batch.column("text").to_pylist()
         results = [extract_page(h, t) for h, t in zip(htmls, priors)]

@@ -25,6 +25,13 @@ from ..ops.exchange import exchange
 from ..schemas import DOC_OUT_SCHEMA
 
 PAGE_SEP = "\n\x0c\n"  # form feed between pages
+# the page columns ``_docs_from_block`` reads; ``reassemble_docs`` ships
+# only these through its exchange (``spans``/``flags`` would ride along
+# for nothing)
+_DOC_INPUT_COLUMNS = [
+    "url", "warc_ts", "header", "body", "footnotes", "page_number", "total_words",
+    "failed_stage",
+]
 
 
 def page_text(header: str | None, body: str, footnotes: str | None) -> str:
@@ -58,7 +65,11 @@ def reassemble_docs(pages_ds, *, n_shards: int = 64):
     url-partitioned layouts use ``reassemble_docs_partitioned``: exact and
     shuffle-free.)"""
     return exchange(
-        pages_ds, "url", _docs_from_block, n_shards=n_shards, batch_format="pyarrow"
+        pages_ds.select_columns(_DOC_INPUT_COLUMNS),
+        "url",
+        _docs_from_block,
+        n_shards=n_shards,
+        batch_format="pyarrow",
     )
 
 

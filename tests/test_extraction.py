@@ -262,6 +262,43 @@ class TestPipelineGolden:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestFusedRead:
+    def test_extract_slices_give_one_equal_table(self):
+        from ocr_platform_ray.stages.extract import ExtractPages
+
+        t = make_pages_table(60)  # 316 rows
+        want = ExtractPages(t.num_rows)(t)
+        assert want.num_rows == t.num_rows
+        for k in (1, 7, 256, t.num_rows + 1):
+            got = ExtractPages(k)(t)
+            assert isinstance(got, pa.Table) and got.equals(want), k
+
+    def test_read_fuses_with_extraction(self, tmp_path, plan_ops):
+        """One map operator per input file on both paths: no raw page
+        crosses the object store between a read and an extract task, and
+        only the columns reassembly reads reach the url exchange."""
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import (
+            extraction_pipeline,
+            read_pages,
+            read_pages_file_aligned,
+        )
+
+        src = str(tmp_path / "pages")
+        n_files = len(write_pages_parquet(src, 40, urls_per_shard=10))
+        aligned = extraction_pipeline(read_pages_file_aligned(src), partitioned_input=True)
+        assert plan_ops(aligned) == [
+            "ReadParquet->MapBatches(ExtractPages)->MapBatches(_docs_from_block)"
+        ]
+        shuffle = extraction_pipeline(read_pages(src, parallelism=n_files))
+        assert plan_ops(shuffle) == [
+            "ReadParquet->MapBatches(ExtractPages)->Project->MapBatches(add_label)",
+            "Sort",
+            "MapBatches(_docs_from_block)->MapBatches(_absorb)",
+        ]
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestResume:
     def test_manifest_skip_and_recompute(self, tmp_path):
         from ocr_platform_ray.corpus import write_pages_parquet

@@ -1518,10 +1518,8 @@ def _tail_oracled() -> list[str]:
     from ocr_platform_ray.pipelines.queries import ORACLE_SQL, QUERIES
 
     # checked elsewhere: url_canonical_dedup below, lm_perplexity at rtol
-    # in TestNgramLM (float average); lineitem_join_revenue_exchange is
-    # lineitem_join_revenue forced onto the bucketed join that TestJoins
-    # checks against pandas
-    own = {"url_canonical_dedup", "lm_perplexity", "lineitem_join_revenue_exchange"}
+    # in TestNgramLM (float average)
+    own = {"url_canonical_dedup", "lm_perplexity"}
     return [n for n in list(QUERIES)[50:] if n in ORACLE_SQL and n not in own]
 
 

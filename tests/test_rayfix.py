@@ -15,7 +15,8 @@ bundles into downstream operators.  These tests pin the two fixes:
   never sees two different schemas and int columns never upcast.
 
 The ``TestRayInternals`` canaries fail loudly if a Ray upgrade changes
-any of those behaviours.
+any of those behaviours, or the read fusion ``extract_pages_ds`` relies
+on.
 """
 
 import numpy as np
@@ -140,6 +141,24 @@ class TestRayInternals:
         two = rd.from_pandas([pd.DataFrame({"v": [1]}), pd.DataFrame()])
         out = two.map_batches(lambda b: b, batch_size=1, batch_format=None)
         assert sorted(_block_shapes(out)) == [(0, []), (1, ["v"])]
+
+    def test_read_fuses_only_with_whole_block_map(self, ray_session, tmp_path, plan_ops):
+        # extract_pages_ds rests on this: a numeric batch_size on the first
+        # map after a read keeps the read a separate operator, so every
+        # read block crosses the object store
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        pq.write_table(pa.table({"v": [1, 2, 3]}), str(tmp_path / "a.parquet"))
+        # one block per file: a read that splits its files (SplitBlocks)
+        # fuses with nothing either
+        read = rd.read_parquet(str(tmp_path), override_num_blocks=1)
+
+        def f(b):
+            return b
+
+        assert plan_ops(read.map_batches(f, batch_size=None)) == ["ReadParquet->MapBatches(f)"]
+        assert plan_ops(read.map_batches(f, batch_size=256)) == ["ReadParquet", "MapBatches(f)"]
 
 
 class TestPaddedUnionJoin:

@@ -1299,16 +1299,20 @@ class TestReviewFixesS13:
             write_xml_dataset(rd.from_pandas(bad), str(tmp_path / "bad"))
 
     def test_new_ops_exported(self):
-        from ocr_platform_ray import ops
+        import importlib
 
-        for name in (
-            "grouped_trend", "ks_two_sample", "grouped_skewkurt",
-            "cat_association", "bleu_corpus", "rouge_n",
-            "isotonic_calibration", "label_propagation_communities",
-            "link_prediction_scores", "rrf_fuse", "heaps_fit", "zipf_fit",
-            "ipf_balance",
+        for mod, names in (
+            ("drift", ("grouped_trend", "ks_two_sample")),
+            ("profile", ("grouped_skewkurt", "cat_association")),
+            ("eval", ("bleu_corpus", "rouge_n", "isotonic_calibration")),
+            ("graph", ("label_propagation_communities", "link_prediction_scores")),
+            ("search", ("rrf_fuse",)),
+            ("textstats", ("heaps_fit", "zipf_fit")),
+            ("mix", ("ipf_balance",)),
         ):
-            assert hasattr(ops, name), name
+            m = importlib.import_module(f"ocr_platform_ray.ops.{mod}")
+            for name in names:
+                assert callable(getattr(m, name)), name
 
     def test_shared_tokenizer_engine_unchanged(self):
         # the flat_tokens_nonempty refactor must not move any oracle:
