@@ -51,7 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument(
         "--partitioned",
         action="store_true",
-        help="input layout is url-ranged/hash-sharded: shuffle-free reassembly",
+        help="assert a url-ranged/hash-sharded input layout: every part reassembles "
+        "shuffle-free (without it, only parts whose parquet footers prove "
+        "that layout do)",
     )
 
     rp = sub.add_parser("repartition", help="url-hash repartition a pages table")

@@ -3,16 +3,3 @@
 Pure, deterministic functions usable standalone or vectorized inside
 ``map_batches`` stages.
 """
-
-from .text import count_words, strip_html, normalize_text  # noqa: F401
-from .slug import slugify, remove_diacritics, canonicalize_translit_chars  # noqa: F401
-from .hijri import gregorian_to_hijri_year, hijri_to_gregorian_year  # noqa: F401
-from .publishing import parse_publishing_details  # noqa: F401
-from .localization import fold_localized_entries  # noqa: F401
-from .score import command_score  # noqa: F401
-from .validation import empty_to_none  # noqa: F401
-from .url import canonicalize_url, add_canonical_url  # noqa: F401
-from .translit import transliterate_arabic, add_transliteration  # noqa: F401
-from .pii import redact_pii_batch, redact_pii_column, PII_RULES  # noqa: F401
-from .unicode import fix_mojibake, unicode_normalize  # noqa: F401
-from .robots import parse_robots_rules, robots_filter  # noqa: F401

@@ -1,4 +1,1 @@
 """End-to-end pipelines composed from stages/ and ops/."""
-
-from .extraction import extract_pages_ds, extraction_pipeline  # noqa: F401
-from .crawl import ingest_crawl_increment, read_corpus  # noqa: F401

@@ -1,7 +1,8 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
     read_parquet(pages) -> map_batches(ExtractPages(), fused into the read)
-    -> hash(url) % 64 shard exchange (reassemble in warc_ts order)
+    -> hash(url) % 64 shard exchange (reassemble in warc_ts order), or
+       per-file reassembly when a part's files are url-disjoint
     -> write_parquet(partitioned) + manifest
 
 Mirrors the reference's book OCR path (POST /book/ocr -> book worker
@@ -35,12 +36,15 @@ def read_pages(path: str, *, parallelism: int | None = None) -> rd.Dataset:
 
 
 def read_pages_file_aligned(path: str) -> rd.Dataset:
-    """Read a url-partitioned pages layout with EXACTLY one block per
-    file — the read shape ``reassemble_docs_partitioned``'s precondition
+    """Read a url-partitioned pages layout with one read task per file —
+    the read shape ``reassemble_docs_partitioned``'s precondition
     requires.  An unaligned read (Ray's default splits big files across
-    blocks) silently assembles a block-straddling url into TWO doc rows;
-    every consumer of ``partitioned_input=True`` must read through here
-    (or run_with_manifest's file_aligned_blocks, which does the same)."""
+    blocks) silently assembles a block-straddling url into TWO doc rows,
+    and so can a file larger than ``DataContext.target_max_block_size``,
+    which its read task emits as several blocks.  This function does not
+    check for either; ``run_with_manifest`` (the job's path) reads the
+    same way and checks every aligned part's output for a repeated url
+    before publishing it."""
     import os
 
     if os.path.isdir(path):
@@ -98,16 +102,22 @@ def run_extraction(
     """Materializing entry point with resumable partitioned output
     (checkpoint manifest, SURVEY.md §4): skips input fragments whose
     partition is already committed.  ``max_blob_bytes`` enables the
-    oversized-payload splitter pre-pass (stages.skew).
+    oversized-payload splitter pre-pass (stages.skew); split chunks keep
+    their url, so it composes with either reassembly.
 
-    ``partitioned_input=True``: the input layout is url-ranged/hash-sharded
-    (corpus writer / ``partition_pages_by_url`` output) — reads stay
-    file-aligned and reassembly is shuffle-free (~3x end-to-end, measured).
-    Incompatible with ``max_blob_bytes`` splitting only in the sense that
-    split chunks keep their url, so it composes fine."""
+    Each manifest part picks its reassembly (``run_with_manifest``):
+    ``partitioned_input=True`` asserts a url-ranged/hash-sharded layout
+    (corpus writer / ``partition_pages_by_url`` output), so every part is
+    read file-aligned and reassembled shuffle-free (~3x end-to-end,
+    measured).  With ``partitioned_input=False`` a part still skips the
+    url exchange when its files' parquet footers prove their url ranges
+    disjoint, each file fits one read block and the part has a file per
+    cluster CPU; any other part runs the exchange.  Either way the aligned
+    precondition is checked at commit: a part that would publish a url
+    twice is recomputed through the exchange."""
     from ..state.manifest import run_with_manifest
 
-    def pipe(ds: rd.Dataset) -> rd.Dataset:
+    def pipe(ds: rd.Dataset, *, partitioned_input: bool) -> rd.Dataset:
         if max_blob_bytes is not None:
             from ..stages.skew import explode_oversized
 

@@ -8786,8 +8786,6 @@ QUERIES = {
     "stratified_k_sample": q_stratified_k_sample,
     "late_orders_by_priority": q_late_orders_by_priority,
     "documents_profile": q_documents_profile,
-    # no-oracle (EM-learned vocab; bounds + compression asserted in-query,
-    # serial==distributed + Viterbi optimality pinned by TestUnigram)
     "unigram_token_count": q_unigram_token_count,
     "knn_join_top5": q_knn_join_top5,
     "value_rank_in_type": q_value_rank_in_type,
@@ -8805,8 +8803,6 @@ QUERIES = {
     "pctcont_value_by_type": q_pctcont_value_by_type,
     "tpch_q3_shipping": q_tpch_q3_shipping,
     "tpch_q10_returned": q_tpch_q10_returned,
-    # no-oracle (sha-based fingerprints; planted-copy recall + radius bound
-    # asserted in-query, brute-force equality in TestSimhashNearDup)
     "simhash_near_dup_docs": q_simhash_near_dup_docs,
     "value_stddev_by_type": q_value_stddev_by_type,
     "qty_discount_corr": q_qty_discount_corr,
@@ -8819,11 +8815,7 @@ QUERIES = {
     "centered_roll_value_by_user": q_centered_roll_value_by_user,
     "embedding_unnest": q_embedding_unnest,
     "tpch_q6_forecast": q_tpch_q6_forecast,
-    # no-oracle (float power iteration; numpy-reference rtol equality +
-    # hub/mass invariants in TestGraph and in-query)
     "link_pagerank": q_link_pagerank,
-    # no-oracle (sketch estimates; CM bounds asserted in-query vs the
-    # exact distributed counts, error-bound pytest in TestCountMin)
     "cm_user_freq": q_cm_user_freq,
     "zorder_box_scan": q_zorder_box_scan,
     "weighted_lang_sample": q_weighted_lang_sample,
@@ -8834,8 +8826,6 @@ QUERIES = {
     "versioned_upsert_orders": q_versioned_upsert_orders,
     "clustered_merge_join_revenue": q_clustered_merge_join_revenue,
     "value_share_in_type": q_value_share_in_type,
-    # no-oracle (container-format parse; parquet-route byte-identity
-    # asserted in-query, roundtrips pinned by TestWarcSource)
     "warc_extract_docs": q_warc_extract_docs,
     "crawl_snapshot_diff": q_crawl_snapshot_diff,
     "host_links": q_host_links,
@@ -8849,12 +8839,7 @@ QUERIES = {
     "orders_footer_stats": q_orders_footer_stats,
     "script_ratio_docs": q_script_ratio_docs,
     "doc_sliding_windows": q_doc_sliding_windows,
-    # no-oracle (container parse + stateful incremental dedup; recrawl
-    # suppression, uniqueness and replay identity asserted in-query,
-    # pinned by TestCrawlIngestPipeline)
     "crawl_increments": q_crawl_increments,
-    # no-oracle (float eigen; orthonormality + variance invariants
-    # asserted in-query, numpy equivalence pinned by TestPca)
     "embedding_pca_top2": q_embedding_pca_top2,
     "orders_expectations": q_orders_expectations,
     "bloom_point_lookup": q_bloom_point_lookup,
@@ -8866,8 +8851,6 @@ QUERIES = {
     "bm25_indexed_top10": q_bm25_indexed_top10,
     "bm25_incremental_top10": q_bm25_incremental_top10,
     "event_funnel": q_event_funnel,
-    # no-oracle (float power iteration; numpy-reference rtol in TestHits,
-    # L2 norms + top authority asserted in-query)
     "link_hits": q_link_hits,
     "link_triangles": q_link_triangles,
     "jsonl_docs": q_jsonl_docs,
@@ -8931,13 +8914,7 @@ QUERIES = {
     "containment_pairs": q_containment_pairs,
     "value_trimmed_mean_by_type": q_value_trimmed_mean_by_type,
     "orders_delete_keys": q_orders_delete_keys,
-    # rows-only (the mixture chain isn't one SQL expression; packing
-    # density asserted in-query, stage semantics pinned by
-    # TestPrepareTrainingMix's naive-reference equality)
     "training_mix_chunks": q_training_mix_chunks,
-    # rows-only (seeded corruption isn't SQL; exact interleaving
-    # reconstruction asserted in-query per document, pinned by
-    # TestT5SpanCorrupt)
     "t5_corrupted_docs": q_t5_corrupted_docs,
     "event_type_kappa": q_event_type_kappa,
     "doc_sections": q_doc_sections,
@@ -8953,87 +8930,33 @@ QUERIES = {
     "token_zipf_fit": q_token_zipf_fit,
     "customer_jw_pairs": q_customer_jw_pairs,
     "heaps_vocab_fit": q_heaps_vocab_fit,
-    # rows-only (iterative label propagation isn't monotone SQL; exact
-    # planted-clique recovery asserted in-query, pinned by
-    # TestLabelPropagation)
     "link_communities": q_link_communities,
-    # rows-only (IPF iterations aren't SQL; EXACT expected-marginal
-    # equality + realized-sample tolerance asserted in-query, pinned by
-    # TestIpfBalance)
     "balanced_mix_docs": q_balanced_mix_docs,
     "part_soundex_blocks": q_part_soundex_blocks,
     "lang_source_assoc": q_lang_source_assoc,
-    # rows-only (PAV pooling isn't monotone SQL; monotonicity, exact
-    # total preservation and projection-optimality asserted in-query,
-    # pinned by TestIsotonicCalibration)
     "order_score_isotonic": q_order_score_isotonic,
     "hard_negatives_top3": q_hard_negatives_top3,
-    # rows-only (iterative clustering isn't SQL; twin-joins-original and
-    # exact-dup-merge asserted in-query, pinned by TestEntityResolution)
     "part_entity_resolution": q_part_entity_resolution,
-    # rows-only (valley detection is iterative; >=90% planted-boundary
-    # recovery asserted in-query, pinned by TestTextTiling)
     "doc_topic_segments": q_doc_topic_segments,
-    # rows-only (Porter isn't SQL; token-count conservation asserted
-    # in-query, rules pinned by TestPorterStemmer)
     "stemmed_token_counts": q_stemmed_token_counts,
     "ql_top10": q_ql_top10,
     "user_survival_curve": q_user_survival_curve,
     "folded_docs": q_folded_docs,
-    # rows-only (rolling-hash boundaries aren't SQL; coverage/contiguity
-    # + mutant chunk-hash overlap asserted in-query, pinned by
-    # TestContentDefinedChunks)
     "doc_cdc_chunks": q_doc_cdc_chunks,
-    # rows-only (two-stage exp-weighted expansion; ordering/normalization
-    # invariants asserted in-query, naive equality pinned by TestRm3)
     "rm3_expanded_top10": q_rm3_expanded_top10,
-    # rows-only (hashed resampling isn't SQL; exact-mean containment +
-    # grouped-mean equality asserted in-query, pinned by TestBootstrapCi)
     "value_mean_ci_by_type": q_value_mean_ci_by_type,
-    # rows-only (probabilistic; <=5% error vs the exact distributed
-    # curve + monotonicity asserted in-query, pinned by
-    # TestHllCumulativeDistinct)
     "cumulative_users_by_day": q_cumulative_users_by_day,
-    # rows-only (the PDF fixture IS the oracle — exact outline
-    # roundtrip asserted in-query; pinned by TestPdfOutline)
     "pdf_chapter_outline": q_pdf_chapter_outline,
-    # rows-only (EM-learned m/u weights aren't SQL; full separation of
-    # planted true/false pairs asserted in-query, parameter recovery +
-    # bit-reproducibility pinned by TestFsLinkage)
     "customer_linkage_fs": q_customer_linkage_fs,
-    # rows-only (sketch estimates; <=5% error vs the exact distributed
-    # distinct counts asserted in-query, register-merge exactness and
-    # error bounds pinned by TestHllSetEstimates)
     "user_overlap_hll": q_user_overlap_hll,
-    # rows-only (model weights aren't SQL; held-out accuracy >= 0.99 on
-    # planted script variants asserted in-query, pinned by
-    # TestSoftmaxLangid)
     "langid_trained": q_langid_trained,
-    # rows-only (MinHash isn't SQL; zero planted-pair leaks + fraction
-    # tracking asserted in-query, pinned by TestLeakageFreeSplit)
     "leakage_free_split": q_leakage_free_split,
-    # rows-only (iterative peel isn't monotone SQL; reference-peel SET
-    # EQUALITY asserted in-query, machinery pinned by TestKcore)
     "link_kcore": q_link_kcore,
-    # rows-only (ANN + hashing aren't SQL; >= 90% top-1 source retrieval
-    # asserted in-query, pinned by TestRagPipeline)
     "rag_passage_search": q_rag_passage_search,
-    # rows-only (deterministic hashed embeddings; top-1 source retrieval
-    # asserted in-query, operator pinned by TestHashedEmbed)
     "text_embed_knn": q_text_embed_knn,
-    # rows-only (probabilistic HLL estimate; <=5% error vs the exact
-    # distributed distinct asserted in-query; bounds pinned by the
-    # round-3 sketch tests)
     "approx_distinct_users_by_type": q_approx_distinct_users_by_type,
-    # rows-only (pixel hashing; planted copy recall + cross-base
-    # isolation asserted in-query, brute-force equality pinned by
-    # TestImageNearDup)
     "image_near_dups": q_image_near_dups,
-    # rows-only (FFT hashing; planted gain/noise copy recall asserted
-    # in-query, pinned by TestAudioNearDup)
     "audio_near_dups": q_audio_near_dups,
-    # rows-only (frame hashing; copy recall + slot alignment asserted
-    # in-query, pinned by TestVideoNearDup)
     "video_near_dups": q_video_near_dups,
 }
 

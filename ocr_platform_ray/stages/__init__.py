@@ -7,7 +7,3 @@ the fused M1+M2+M3 operator (the reference's own "final" fused stage,
 pipeline/final.ts:78-137, fuses them identically), and ``ExtractPages`` is
 its stateless ``map_batches`` callable.
 """
-
-from .extract import ExtractPages, extract_page  # noqa: F401
-from .raster import RasterizePdfPages, rasterize_pdf, rasterize_pdf_pages  # noqa: F401
-from .reassemble import reassemble_docs  # noqa: F401

@@ -163,13 +163,17 @@ def _docs_from_block(batch: pa.Table) -> pa.Table:
 def reassemble_docs_partitioned(pages_ds):
     """Shuffle-free reassembly for url-partitioned input.
 
-    PRECONDITION (documented partitioning assumption): every input block
-    holds ALL pages of each url it contains — true when the pages table is
-    laid out url-ranged / url-hash-partitioned (corpus.write_pages_parquet
-    and the manifest writer both guarantee it) AND the read does not split
-    files (``read_pages(path, parallelism=<n_files>)`` or default).  For
-    arbitrary inputs use ``reassemble_docs`` (the groupby shuffle); this
-    path is the map-side-complete optimization that makes the 100 TB job
-    scale linearly — one task per partition, no all-to-all exchange.
-    ``batch_size=None`` = one batch per block, preserving file alignment."""
+    PRECONDITION: every input block holds ALL pages of each url it
+    contains — true when the pages table is laid out url-ranged /
+    url-hash-partitioned (corpus.write_pages_parquet and
+    ``partition_pages_by_url`` both guarantee it) AND the read does not
+    split files (``read_pages_file_aligned``).  This function does not
+    check it: a violation yields two doc rows for one url.  The job
+    (``run_with_manifest``) checks it per part — it picks this path only
+    when the caller asserts the layout or the files' footer url ranges are
+    disjoint, and recomputes through ``reassemble_docs`` any part whose
+    output holds a url twice.  For arbitrary inputs use ``reassemble_docs``
+    (the url exchange); this path is the map-side-complete optimization —
+    one task per file, no all-to-all exchange.  ``batch_size=None`` = one
+    batch per block, preserving file alignment."""
     return pages_ds.map_batches(_docs_from_block, batch_format="pyarrow", batch_size=None)

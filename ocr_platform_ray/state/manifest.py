@@ -17,6 +17,13 @@ one partition = a contiguous group of input fragments, and a url's pages
 never span fragment groups.  The corpus writer (corpus.write_pages_parquet)
 lays shards out url-ranged, which guarantees this; for arbitrary inputs,
 an ingest repartition-by-url-hash pass establishes the invariant first.
+
+Within a partition, a url's pages may or may not span files.  A part whose
+files' footers show disjoint url ranges and one read block per file (or
+whose caller asserts the layout) is read one block per file and
+reassembled without the url exchange; every other part runs the exchange.  The commit checks the choice: an aligned
+part that holds a url twice is recomputed through the exchange before it
+is published.
 """
 
 from __future__ import annotations
@@ -51,16 +58,71 @@ def completed_parts(output_dir: str) -> dict[int, dict]:
     return out
 
 
-def _url_checksum(part_dir: str) -> tuple[int, int]:
-    """(rows, crc-of-sorted-urls) over a written partition — cheap lineage
-    fingerprint for the manifest."""
-    rows, crc = 0, 0
+def _url_checksum(part_dir: str) -> tuple[int, int, bool]:
+    """(rows, crc-of-sorted-urls, whether any url repeats) over a written
+    partition — cheap lineage fingerprint for the manifest, and the
+    commit's check that a doc-per-url part holds each url once."""
+    rows, crc, seen = 0, 0, set()
     for f in sorted(glob.glob(os.path.join(part_dir, "*.parquet"))):
         t = pq.read_table(f, columns=["url"])
         rows += t.num_rows
         for u in sorted(t.column("url").to_pylist()):
             crc = zlib.crc32(u.encode(), crc)
-    return rows, crc
+            seen.add(u)
+    return rows, crc, len(seen) < rows
+
+
+def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
+    """Per-row-group ``(min, max)`` of a fragment's ``url`` column from its
+    parquet footer (no data read); None when some non-empty row group has
+    no url statistics."""
+    names = [md.schema.column(i).path for i in range(md.num_columns)]
+    if "url" not in names:
+        return None
+    col = names.index("url")
+    ranges = []
+    for rg in range(md.num_row_groups):
+        if md.row_group(rg).num_rows == 0:
+            continue
+        stats = md.row_group(rg).column(col).statistics
+        if stats is None or not stats.has_min_max:
+            return None
+        ranges.append((stats.min, stats.max))
+    return ranges
+
+
+def _part_layout(group: list[str], cpus: int, max_block_bytes: int | None) -> str:
+    """Why a fragment group may, or may not, skip the url exchange, from
+    footers alone: ``"footers"`` when every file has url statistics and
+    fits one read block (a bigger file is emitted as several), the files'
+    ``[min, max]`` ranges, sorted by min, are strictly disjoint (a shared
+    boundary url counts as overlap), and the group has a file per CPU (an
+    aligned part runs one task per file, the exchange's read at least one
+    per CPU); else ``"no stats"``, ``"large file"``, ``"overlap"`` or
+    ``"few files"``."""
+    spans = []
+    for f in group:
+        md = pq.read_metadata(f)
+        ranges = _url_ranges(md)
+        if ranges is None:
+            return "no stats"
+        size = sum(md.row_group(rg).total_byte_size for rg in range(md.num_row_groups))
+        if max_block_bytes is not None and size > max_block_bytes:
+            return "large file"
+        if ranges:
+            spans.append((min(lo for lo, _ in ranges), max(hi for _, hi in ranges)))
+    spans.sort()
+    if any(hi >= lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
+        return "overlap"
+    return "footers" if len(group) >= cpus else "few files"
+
+
+def _cluster_cpus() -> int:
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()  # the part's read would start it anyway
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def run_with_manifest(
@@ -76,17 +138,38 @@ def run_with_manifest(
     """Run ``pipeline_fn(read_parquet(fragment_group))`` per partition with
     atomic publish (write to ``part-NNNNN.tmp`` dir, rename) + manifest.
 
-    ``file_aligned_blocks=True`` forces one read block per fragment file
-    (``override_num_blocks=len(group)``) — required when ``pipeline_fn``
-    uses the shuffle-free url-partitioned reassembly, whose precondition is
-    that no file is split across blocks.  Size ``fragments_per_part``
-    accordingly (>= cluster cores for full within-part parallelism).
+    ``pipeline_fn(ds, partitioned_input=...)`` (like
+    ``extraction_pipeline``) emits one row per url and is told per part
+    which reassembly to build.  The part is *aligned* — read one block
+    per fragment file, ``partitioned_input=True`` — when
+    ``file_aligned_blocks=True`` asserts the layout (url-ranged or
+    url-hash-sharded files; no footer is read) or when ``_part_layout``
+    finds a file per cluster CPU, each small enough for one read block,
+    with disjoint footer url ranges; otherwise it is read with Ray's
+    default blocks and gets ``partitioned_input=False`` (the url
+    exchange).  The aligned precondition is checked, not trusted: an
+    aligned part whose written output holds a url twice (a file split
+    across blocks, wrong statistics) is recomputed through the exchange
+    before it is published.  The manifest records ``"reassembly"``
+    (``"aligned"`` | ``"exchange"``) and ``"reassembly_reason"``
+    (``"asserted"``, ``"footers"``, ``"few files"``, ``"no stats"``,
+    ``"large file"``, ``"overlap"`` or ``"duplicate-recomputed"``).
+    Size ``fragments_per_part`` >= cluster cores for full within-part
+    parallelism on the aligned path.
 
     Returns {"parts", "skipped", "rows", "wall_s"}."""
     frags = _list_fragments(input_path)
     groups = [frags[i : i + fragments_per_part] for i in range(0, len(frags), fragments_per_part)]
     os.makedirs(os.path.join(output_dir, "_manifest"), exist_ok=True)
     done = completed_parts(output_dir) if resume else {}
+
+    def build(group: list[str], aligned: bool, tmp_dir: str) -> tuple[int, int, bool]:
+        read_kwargs: dict = {"columns": columns}
+        if aligned:
+            read_kwargs["override_num_blocks"] = len(group)
+        ds = rd.read_parquet(group, **read_kwargs)
+        pipeline_fn(ds, partitioned_input=aligned).write_parquet(tmp_dir)
+        return _url_checksum(tmp_dir)
 
     total_rows, skipped = 0, 0
     t0 = time.monotonic()
@@ -108,13 +191,19 @@ def run_with_manifest(
             if os.path.exists(d):
                 shutil.rmtree(d)  # incomplete earlier attempt -> recompute
         tp = time.monotonic()
-        read_kwargs: dict = {"columns": columns}
         if file_aligned_blocks:
-            read_kwargs["override_num_blocks"] = len(group)
-        ds = rd.read_parquet(group, **read_kwargs)
-        pipeline_fn(ds).write_parquet(tmp_dir)
+            reason = "asserted"
+        else:
+            max_block = rd.DataContext.get_current().target_max_block_size
+            reason = _part_layout(group, _cluster_cpus(), max_block)
+        aligned = reason in ("asserted", "footers")
+        rows, crc, repeats = build(group, aligned, tmp_dir)
+        if aligned and repeats:
+            # a url's pages reached two blocks: never publish two doc rows
+            shutil.rmtree(tmp_dir)
+            reason, aligned = "duplicate-recomputed", False
+            rows, crc, _ = build(group, aligned, tmp_dir)
         os.replace(tmp_dir, part_dir)  # atomic publish
-        rows, crc = _url_checksum(part_dir)
         out_bytes = sum(
             os.path.getsize(os.path.join(part_dir, f)) for f in os.listdir(part_dir)
         )
@@ -127,6 +216,8 @@ def run_with_manifest(
             "out_bytes": out_bytes,
             "wall_s": round(wall, 3),
             "rows_per_s": round(rows / wall, 1) if wall > 0 else None,
+            "reassembly": "aligned" if aligned else "exchange",
+            "reassembly_reason": reason,
         }
         mpath = os.path.join(output_dir, "_manifest", f"part-{pid:05d}.json")
         with open(mpath + ".tmp", "w") as f:
@@ -225,20 +316,10 @@ def checkpoint_dataset(
 def _fragment_contains(path: str, urls: set[str]) -> bool:
     """Check via parquet row-group statistics (no data read) whether a
     fragment could contain any of the urls."""
-    md = pq.ParquetFile(path).metadata
-    col_idx = next(
-        (i for i in range(md.num_columns) if md.row_group(0).column(i).path_in_schema == "url"),
-        None,
-    )
-    if col_idx is None:
+    ranges = _url_ranges(pq.read_metadata(path))
+    if ranges is None:
         return True  # no stats -> assume yes
-    for rg in range(md.num_row_groups):
-        stats = md.row_group(rg).column(col_idx).statistics
-        if stats is None or stats.min is None:
-            return True
-        if any(stats.min <= u <= stats.max for u in urls):
-            return True
-    return False
+    return any(lo <= u <= hi for lo, hi in ranges for u in urls)
 
 
 def redo_urls(

@@ -3,9 +3,14 @@ levels in FRESH processes produces byte-identical output."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
+
+# the checkout under test, put on the child driver's sys.path (its Ray
+# workers must not need it)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run(ncpu: int, corpus: str) -> str:
@@ -15,7 +20,7 @@ def _run(ncpu: int, corpus: str) -> str:
                  logging_level="ERROR")
         from ray.data import DataContext
         DataContext.get_current().enable_progress_bars = False
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, {ROOT!r})
         import ray.data as rd
         from ocr_platform_ray.pipelines.extraction import extraction_pipeline
         ds = rd.read_parquet("{corpus}")
@@ -55,7 +60,7 @@ def test_foreign_cwd_worker_imports(ray_session):
                  logging_level="ERROR")
         from ray.data import DataContext
         DataContext.get_current().enable_progress_bars = False
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, REPO_ROOT)
         from ocr_platform_ray.pipelines.queries import (
             q_extract_pdf_docs, q_rasterize_pdf_pages,
         )
@@ -65,7 +70,7 @@ def test_foreign_cwd_worker_imports(ray_session):
                           "pdf_failed": int(a["n_failed_pages"].sum()),
                           "raster_rows": len(b)}))
         ray.shutdown()
-    """)
+    """).replace("REPO_ROOT", repr(ROOT))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd="/tmp"
     ).stdout

@@ -339,6 +339,150 @@ class TestResume:
         assert os.path.isdir(lost)
 
 
+def _write_files(d, tables, **write_kwargs):
+    import pyarrow.parquet as pq
+
+    os.makedirs(d)
+    for i, t in enumerate(tables):
+        pq.write_table(t, os.path.join(d, f"pages-{i:05d}.parquet"), **write_kwargs)
+    return str(d)
+
+
+def _job_docs(out):
+    import glob as g
+
+    import pyarrow.parquet as pq
+
+    files = sorted(g.glob(os.path.join(out, "part-*", "*.parquet")))
+    return pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
+
+
+def _exchange_texts(pages):
+    """url -> extracted_text of a pages Dataset through the url exchange."""
+    from ocr_platform_ray.pipelines.extraction import extraction_pipeline
+
+    df = extraction_pipeline(pages).to_pandas()
+    return dict(zip(df.url, df.extracted_text))
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestReassemblyChoice:
+    """``run_extraction(partitioned_input=False)`` skips the url exchange
+    for a part only when its files' footers prove their url ranges
+    disjoint; the manifest says which reassembly ran and why."""
+
+    def _run(self, src, tmp_path, **kwargs):
+        from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        out = str(tmp_path / "out")
+        run_extraction(src, out, **kwargs)
+        (m,) = completed_parts(out).values()
+        docs = _job_docs(out)
+        assert docs.url.is_unique
+        assert dict(zip(docs.url, docs.extracted_text)) == _exchange_texts(
+            read_pages(src, parallelism=4)
+        )
+        return m["reassembly"], m["reassembly_reason"]
+
+    def _urls(self, t, urls):
+        import pyarrow.compute as pc
+
+        return t.filter(pc.is_in(t.column("url"), pa.array(urls)))
+
+    def test_url_range_files_skip_the_exchange(self, tmp_path):
+        import random
+
+        t = make_pages_table(40)
+        shards = []
+        for lo in range(0, 40, 10):
+            part = self._urls(t, [corpus.url_for(u) for u in range(lo, lo + 10)])
+            order = list(range(part.num_rows))
+            random.Random(lo).shuffle(order)  # pages out of warc_ts order
+            shards.append(part.take(order))
+        src = _write_files(tmp_path / "pages", shards)
+        assert self._run(src, tmp_path) == ("aligned", "footers")
+
+    def test_interleaved_url_ranges_exchange(self, tmp_path):
+        t = make_pages_table(20)
+        even = self._urls(t, [corpus.url_for(u) for u in range(0, 20, 2)])
+        odd = self._urls(t, [corpus.url_for(u) for u in range(1, 20, 2)])
+        src = _write_files(tmp_path / "pages", [even, odd])
+        assert self._run(src, tmp_path) == ("exchange", "overlap")
+
+    def test_file_without_statistics_exchanges(self, tmp_path):
+        t = make_pages_table(20)
+        src = _write_files(tmp_path / "pages", [t], write_statistics=False)
+        assert self._run(src, tmp_path) == ("exchange", "no stats")
+
+    def test_shared_boundary_url_exchanges(self, tmp_path):
+        """``max_A == min_B``: the url that both files hold comes out once,
+        pages in warc_ts order, although file A holds its later pages."""
+        import pyarrow.compute as pc
+
+        import ray.data as rd
+
+        t = make_pages_table(10)
+        k = next(u for u in range(1, 9) if corpus.n_pages_for(u) >= 2)
+        shared = corpus.url_for(k)
+        pages = t.filter(pc.equal(t.column("url"), shared)).sort_by("warc_ts")
+        a = pa.concat_tables(
+            [self._urls(t, [corpus.url_for(u) for u in range(k)]), pages.slice(1)]
+        )
+        b = pa.concat_tables(
+            [pages.slice(0, 1), self._urls(t, [corpus.url_for(u) for u in range(k + 1, 10)])]
+        )
+        src = _write_files(tmp_path / "pages", [a, b])
+        assert self._run(src, tmp_path) == ("exchange", "overlap")
+        want = _exchange_texts(rd.from_arrow(t))[shared]
+        docs = _job_docs(str(tmp_path / "out"))
+        assert docs[docs.url == shared].extracted_text.tolist() == [want]
+
+    def _split_files(self, tmp_path, urls_per_shard, **kwargs):
+        """Run the job with a target block size (64 KiB) smaller than the
+        input files, so a file read in one task comes out as several blocks."""
+        from ray.data import DataContext
+
+        from ocr_platform_ray.corpus import write_pages_parquet
+
+        src = str(tmp_path / "pages")
+        write_pages_parquet(src, 40, urls_per_shard=urls_per_shard)
+        ctx = DataContext.get_current()
+        old = ctx.target_max_block_size
+        ctx.target_max_block_size = 64 * 1024
+        try:
+            return self._run(src, tmp_path, **kwargs)
+        finally:
+            ctx.target_max_block_size = old
+
+    def test_split_file_is_recomputed_through_the_exchange(self, tmp_path):
+        """An asserted layout whose files exceed the target block size
+        reaches the aligned reassembly as several blocks; the commit sees
+        the repeated url and publishes the exchange's output instead."""
+        got = self._split_files(tmp_path, 20, partitioned_input=True)
+        assert got == ("exchange", "duplicate-recomputed")
+
+    def test_large_file_goes_straight_to_the_exchange(self, tmp_path):
+        got = self._split_files(tmp_path, 10, partitioned_input=False)
+        assert got == ("exchange", "large file")
+
+
+@pytest.mark.usefixtures("ray_session")  # the corpus writer runs on Ray
+class TestPartLayout:
+    @pytest.mark.parametrize(
+        "cpus,max_block,want",
+        [(2, 1 << 27, "footers"), (3, 1 << 27, "few files"), (2, 1024, "large file")],
+    )
+    def test_footer_decision(self, tmp_path, cpus, max_block, want):
+        """``_part_layout`` over two url-range files, from footers alone."""
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.state.manifest import _part_layout
+
+        write_pages_parquet(str(tmp_path), 20, urls_per_shard=10)
+        group = sorted(str(p) for p in tmp_path.glob("*.parquet"))
+        assert _part_layout(group, cpus, max_block) == want
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestPageIdx:
     def test_rank_matches_warc_ts_order(self):

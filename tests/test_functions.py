@@ -1,20 +1,21 @@
 """Unit tests for the scalar library (SURVEY.md §5 item 2)."""
 
-from ocr_platform_ray.functions import (
-    canonicalize_translit_chars,
-    command_score,
-    count_words,
-    empty_to_none,
-    fold_localized_entries,
+from ocr_platform_ray.functions.hijri import (
+    gregorian_to_hijri,
     gregorian_to_hijri_year,
+    hijri_to_gregorian,
     hijri_to_gregorian_year,
-    normalize_text,
-    parse_publishing_details,
+)
+from ocr_platform_ray.functions.localization import fold_localized_entries
+from ocr_platform_ray.functions.publishing import parse_publishing_details
+from ocr_platform_ray.functions.score import command_score
+from ocr_platform_ray.functions.slug import (
+    canonicalize_translit_chars,
     remove_diacritics,
     slugify,
-    strip_html,
 )
-from ocr_platform_ray.functions.hijri import gregorian_to_hijri, hijri_to_gregorian
+from ocr_platform_ray.functions.text import count_words, normalize_text, strip_html
+from ocr_platform_ray.functions.validation import empty_to_none
 
 
 class TestWordCount:

@@ -2,6 +2,8 @@
 ground truth, near-dup estimators against exact Jaccard, ANN recall
 against brute force (SURVEY.md §5)."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -1535,9 +1537,8 @@ class TestTailQueryOracles:
         import duckdb
         import importlib.util
 
-        spec = importlib.util.spec_from_file_location(
-            "__ray_entry__", "/root/repo/__ray_entry__.py"
-        )
+        entry = os.path.join(os.path.dirname(os.path.dirname(__file__)), "__ray_entry__.py")
+        spec = importlib.util.spec_from_file_location("__ray_entry__", entry)
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         sf = "/root/testdata/sf0.001"
