@@ -1,9 +1,11 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
     read_parquet(pages) -> map_batches(ExtractPages(), fused into the read)
-    -> hash(url) % 64 shard exchange (reassemble in warc_ts order), or
-       per-file reassembly when a part's files are url-disjoint
-    -> write_parquet(partitioned) + manifest
+    -> per-file reassembly when a part's files are url-disjoint, fused
+       with the read and a per-file parquet write (one task per file of
+       the whole job), or hash(url) % 64 shard exchange (reassemble in
+       warc_ts order) + write_parquet, part by part
+    -> manifest per part
 
 Mirrors the reference's book OCR path (POST /book/ocr -> book worker
 fan-out -> per-page pipeline -> persist, apps/queue/src/routes/ocr.ts:18-46,
@@ -13,10 +15,11 @@ shuffle payload is extracted text, not raw html bytes (SURVEY.md §4)."""
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray.data as rd
 
 from ..stages.extract import ExtractPages
-from ..stages.reassemble import reassemble_docs, reassemble_docs_partitioned
+from ..stages.reassemble import _docs_from_block, reassemble_docs
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text"]
 
@@ -42,9 +45,9 @@ def read_pages_file_aligned(path: str) -> rd.Dataset:
     blocks) silently assembles a block-straddling url into TWO doc rows,
     and so can a file larger than ``DataContext.target_max_block_size``,
     which its read task emits as several blocks.  This function does not
-    check for either; ``run_with_manifest`` (the job's path) reads the
-    same way and checks every aligned part's output for a repeated url
-    before publishing it."""
+    check for either.  The job (``run_with_manifest``) reads every aligned
+    file of its pending parts the same way, in one Dataset, and checks
+    every aligned part's output for a repeated url before publishing it."""
     import os
 
     if os.path.isdir(path):
@@ -72,22 +75,30 @@ def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
 
 
 def extraction_pipeline(
-    pages: rd.Dataset,
+    pages: rd.Dataset | pa.Table,
     *,
     batch_size: int = 256,
     partitioned_input: bool = False,
-) -> rd.Dataset:
+) -> rd.Dataset | pa.Table:
     """pages Dataset -> per-document Dataset with the byte-identical
     ``extracted_text`` per url (DOC_OUT_SCHEMA).
 
     ``partitioned_input=True`` selects the shuffle-free reassembly
-    (reassemble_docs_partitioned) — valid only when every input block holds
-    all pages of its urls (url-ranged shard layout, unsplit file reads).
-    Both paths produce byte-identical output (asserted in tests)."""
-    extracted = extract_pages_ds(pages, batch_size=batch_size)
-    if partitioned_input:
-        return reassemble_docs_partitioned(extracted)
-    return reassemble_docs(extracted)
+    (``_docs_from_block`` per block, as ``reassemble_docs_partitioned``)
+    — valid only when every input block holds all pages of its urls
+    (url-ranged shard layout, unsplit file reads).  Its stages also run
+    in-process on a ``pa.Table`` holding whole urls (one input file),
+    returning the docs as a table: the job's per-file task
+    (``run_with_manifest``) calls it that way.  Both reassemblies produce
+    byte-identical output (asserted in tests)."""
+    if not partitioned_input:
+        return reassemble_docs(extract_pages_ds(pages, batch_size=batch_size))
+    for stage in (ExtractPages(batch_size), _docs_from_block):
+        if isinstance(pages, pa.Table):
+            pages = stage(pages)
+        else:
+            pages = pages.map_batches(stage, batch_format="pyarrow", batch_size=None)
+    return pages
 
 
 def run_extraction(
@@ -108,21 +119,24 @@ def run_extraction(
     Each manifest part picks its reassembly (``run_with_manifest``):
     ``partitioned_input=True`` asserts a url-ranged/hash-sharded layout
     (corpus writer / ``partition_pages_by_url`` output), so every part is
-    read file-aligned and reassembled shuffle-free (~3x end-to-end,
-    measured).  With ``partitioned_input=False`` a part still skips the
-    url exchange when its files' parquet footers prove their url ranges
-    disjoint, each file fits one read block and the part has a file per
-    cluster CPU; any other part runs the exchange.  Either way the aligned
-    precondition is checked at commit: a part that would publish a url
-    twice is recomputed through the exchange."""
+    aligned.  With ``partitioned_input=False`` a part is still aligned
+    when its files' parquet footers prove their url ranges disjoint and
+    each file fits one read block; any other part runs the url exchange.
+    The whole job's aligned files run in one Ray execution, one fused
+    read→extract→reassemble→write task per file, and each part commits
+    when its last file lands; exchange parts run afterwards, part by
+    part.  Either way the aligned precondition is checked at commit: a
+    part that would publish a url twice is recomputed through the
+    exchange."""
+    # bound in the driver: pipe also runs inside tasks, which may not
+    # be able to import the package
+    from ..stages.skew import explode_oversized
     from ..state.manifest import run_with_manifest
 
-    def pipe(ds: rd.Dataset, *, partitioned_input: bool) -> rd.Dataset:
+    def pipe(pages: rd.Dataset | pa.Table, *, partitioned_input: bool) -> rd.Dataset | pa.Table:
         if max_blob_bytes is not None:
-            from ..stages.skew import explode_oversized
-
-            ds = explode_oversized(ds, max_bytes=max_blob_bytes)
-        return extraction_pipeline(ds, partitioned_input=partitioned_input)
+            pages = explode_oversized(pages, max_bytes=max_blob_bytes)
+        return extraction_pipeline(pages, partitioned_input=partitioned_input)
 
     return run_with_manifest(
         input_path,

@@ -50,11 +50,13 @@ def split_payload(html: bytes, max_bytes: int) -> list[bytes]:
 
 
 def explode_oversized(
-    pages: rd.Dataset, *, max_bytes: int = 4 * 1024 * 1024, batch_size: int = 64
-) -> rd.Dataset:
+    pages: rd.Dataset | pa.Table, *, max_bytes: int = 4 * 1024 * 1024, batch_size: int = 64
+) -> rd.Dataset | pa.Table:
     """Pre-pass before extraction: rows whose ``html`` exceeds max_bytes
     become multiple rows with warc_ts+k-microsecond continuation stamps.
-    Normal rows pass through untouched (no copy of their payload)."""
+    Normal rows pass through untouched (no copy of their payload).  On a
+    ``pa.Table`` (one file's pages inside the job's per-file task) the
+    same ``batch_size``-row batches are split in-process."""
 
     def split_batch(batch: pa.Table) -> pa.Table:
         sizes = [len(v) if v is not None else 0 for v in batch.column("html").to_pylist()]
@@ -80,4 +82,10 @@ def explode_oversized(
         arrays = [pa.array(out[f.name], f.type) for f in batch.schema]
         return pa.Table.from_arrays(arrays, schema=batch.schema)
 
+    if isinstance(pages, pa.Table):
+        n = pages.num_rows
+        return pa.concat_tables(
+            [split_batch(pages.slice(i, batch_size)) for i in range(0, n, batch_size)]
+            or [pages]
+        )
     return pages.map_batches(split_batch, batch_format="pyarrow", batch_size=batch_size)

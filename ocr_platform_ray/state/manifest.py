@@ -20,10 +20,13 @@ an ingest repartition-by-url-hash pass establishes the invariant first.
 
 Within a partition, a url's pages may or may not span files.  A part whose
 files' footers show disjoint url ranges and one read block per file (or
-whose caller asserts the layout) is read one block per file and
-reassembled without the url exchange; every other part runs the exchange.  The commit checks the choice: an aligned
-part that holds a url twice is recomputed through the exchange before it
-is published.
+whose caller asserts the layout) is *aligned*: its files are reassembled
+without the url exchange, and the aligned files of every pending part run
+in one Ray execution, one fused read→extract→reassemble→write task per
+file, each part committed as its last file lands.  Every other part runs
+the exchange afterwards, part by part.  The commit checks the choice: an
+aligned part that holds a url twice is recomputed through the exchange
+before it is published.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import shutil
 import time
 import zlib
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -58,18 +63,27 @@ def completed_parts(output_dir: str) -> dict[int, dict]:
     return out
 
 
+_NULL_URL = b"\x00"  # the checksum's fixed marker for a null url
+
+
 def _url_checksum(part_dir: str) -> tuple[int, int, bool]:
     """(rows, crc-of-sorted-urls, whether any url repeats) over a written
     partition — cheap lineage fingerprint for the manifest, and the
-    commit's check that a doc-per-url part holds each url once."""
-    rows, crc, seen = 0, 0, set()
-    for f in sorted(glob.glob(os.path.join(part_dir, "*.parquet"))):
-        t = pq.read_table(f, columns=["url"])
-        rows += t.num_rows
-        for u in sorted(t.column("url").to_pylist()):
-            crc = zlib.crc32(u.encode(), crc)
-            seen.add(u)
-    return rows, crc, len(seen) < rows
+    commit's check that a doc-per-url part holds each url once.  The
+    urls are sorted across the whole part, so the crc does not depend on
+    how the part's docs are split into files.  A null url (its pages come
+    out as one doc row per input file) sorts first, hashes as a fixed
+    marker and never counts as a repeat."""
+    urls = []
+    for f in glob.glob(os.path.join(part_dir, "*.parquet")):
+        urls += pq.read_table(f, columns=["url"]).column("url").to_pylist()
+    named = sorted(u for u in urls if u is not None)
+    crc = 0
+    for _ in range(len(urls) - len(named)):
+        crc = zlib.crc32(_NULL_URL, crc)
+    for u in named:
+        crc = zlib.crc32(u.encode(), crc)
+    return len(urls), crc, len(set(named)) < len(named)
 
 
 def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
@@ -91,15 +105,13 @@ def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
     return ranges
 
 
-def _part_layout(group: list[str], cpus: int, max_block_bytes: int | None) -> str:
+def _part_layout(group: list[str], max_block_bytes: int | None) -> str:
     """Why a fragment group may, or may not, skip the url exchange, from
     footers alone: ``"footers"`` when every file has url statistics and
-    fits one read block (a bigger file is emitted as several), the files'
-    ``[min, max]`` ranges, sorted by min, are strictly disjoint (a shared
-    boundary url counts as overlap), and the group has a file per CPU (an
-    aligned part runs one task per file, the exchange's read at least one
-    per CPU); else ``"no stats"``, ``"large file"``, ``"overlap"`` or
-    ``"few files"``."""
+    fits one read block (a bigger file is emitted as several) and the
+    files' ``[min, max]`` ranges, sorted by min, are strictly disjoint (a
+    shared boundary url counts as overlap); else ``"no stats"``,
+    ``"large file"`` or ``"overlap"``."""
     spans = []
     for f in group:
         md = pq.read_metadata(f)
@@ -114,15 +126,49 @@ def _part_layout(group: list[str], cpus: int, max_block_bytes: int | None) -> st
     spans.sort()
     if any(hi >= lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
         return "overlap"
-    return "footers" if len(group) >= cpus else "few files"
+    return "footers"
 
 
-def _cluster_cpus() -> int:
-    import ray
+_LANDED = pa.schema(
+    [
+        ("path", pa.string()),
+        ("pages", pa.int64()),
+        ("file_pages", pa.int64()),
+        ("task_s", pa.float64()),
+    ]
+)
 
-    if not ray.is_initialized():
-        ray.init()  # the part's read would start it anyway
-    return int(ray.cluster_resources().get("CPU", 1))
+
+def _land_files(pipeline_fn, tmp_dirs: dict[str, str]):
+    """The aligned files' fused task, after a read with ``include_paths``
+    and one read task per file: take the block's ``path`` column off, run
+    ``pipeline_fn(pages, partitioned_input=True)`` on its pages as a
+    table, write the docs into the file's ``part-NNNNN.tmp`` directory
+    with ``pq.write_table`` and return one row: the file, its pages in
+    this block and in the whole file (Ray splits a file bigger than the
+    target block size into several blocks), and the task's seconds.  A
+    block's output file is named after its source file, page count and
+    urls, so the blocks of a split file never overwrite each other (the
+    commit's repeat guard recomputes such a part) and a retried task
+    overwrites what its failed attempt wrote."""
+
+    def land(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return _LANDED.empty_table()
+        t0 = time.perf_counter()
+        (path,) = pc.unique(block.column("path")).to_pylist()  # raises on a mixed block
+        pages = block.drop_columns(["path"])
+        docs = pipeline_fn(pages, partitioned_input=True)
+        if docs.num_rows:
+            urls = "\n".join(u or "" for u in pages.column("url").to_pylist())
+            stem = os.path.splitext(os.path.basename(path))[0]
+            name = f"{stem}-{pages.num_rows}-{zlib.crc32(urls.encode()):08x}.parquet"
+            pq.write_table(docs, os.path.join(tmp_dirs[path], name))
+        file_pages = pq.read_metadata(path).num_rows
+        row = [path, pages.num_rows, file_pages, time.perf_counter() - t0]
+        return pa.table([[v] for v in row], schema=_LANDED)
+
+    return land
 
 
 def run_with_manifest(
@@ -135,95 +181,133 @@ def run_with_manifest(
     columns: list[str] | None = None,
     file_aligned_blocks: bool = False,
 ) -> dict:
-    """Run ``pipeline_fn(read_parquet(fragment_group))`` per partition with
-    atomic publish (write to ``part-NNNNN.tmp`` dir, rename) + manifest.
+    """Run ``pipeline_fn`` over every pending partition (a group of
+    ``fragments_per_part`` input files) with atomic publish (write to a
+    ``part-NNNNN.tmp`` dir, rename) + a manifest per part.
 
-    ``pipeline_fn(ds, partitioned_input=...)`` (like
-    ``extraction_pipeline``) emits one row per url and is told per part
-    which reassembly to build.  The part is *aligned* — read one block
-    per fragment file, ``partitioned_input=True`` — when
-    ``file_aligned_blocks=True`` asserts the layout (url-ranged or
-    url-hash-sharded files; no footer is read) or when ``_part_layout``
-    finds a file per cluster CPU, each small enough for one read block,
-    with disjoint footer url ranges; otherwise it is read with Ray's
-    default blocks and gets ``partitioned_input=False`` (the url
-    exchange).  The aligned precondition is checked, not trusted: an
-    aligned part whose written output holds a url twice (a file split
-    across blocks, wrong statistics) is recomputed through the exchange
-    before it is published.  The manifest records ``"reassembly"``
-    (``"aligned"`` | ``"exchange"``) and ``"reassembly_reason"``
-    (``"asserted"``, ``"footers"``, ``"few files"``, ``"no stats"``,
-    ``"large file"``, ``"overlap"`` or ``"duplicate-recomputed"``).
-    Size ``fragments_per_part`` >= cluster cores for full within-part
-    parallelism on the aligned path.
+    ``pipeline_fn(pages, partitioned_input=...)`` (like
+    ``extraction_pipeline``) emits one row per url.  Before any work runs,
+    each pending part is sorted into *aligned* or *exchange*.  A part is
+    aligned when ``file_aligned_blocks=True`` asserts the layout
+    (url-ranged or url-hash-sharded files; no footer is read) or when
+    ``_part_layout`` finds every file small enough for one read block,
+    with disjoint footer url ranges.  Every pending aligned file of the
+    whole job is then read in ONE Dataset, one block per file, and each
+    block runs one fused task (``_land_files``): ``pipeline_fn`` on that
+    file's pages as a ``pa.Table`` with ``partitioned_input=True``, then a
+    ``pq.write_table`` of its docs into its part's tmp dir.  The driver
+    consumes the tasks' rows as they stream and commits a part as soon as
+    the last of its files has landed, so parallelism is one task per
+    file of the job, not of a part.  Exchange parts run afterwards, one
+    Ray execution per part: ``pipeline_fn(ds, partitioned_input=False)``
+    on the part's files read with Ray's default blocks (the url
+    exchange), written with ``write_parquet``.  The aligned precondition
+    is checked, not trusted: an aligned part whose written output holds a
+    url twice (a file split across blocks, wrong statistics) is
+    recomputed through the exchange before it is published.
+
+    The manifest records ``"reassembly"`` (``"aligned"`` |
+    ``"exchange"``), ``"reassembly_reason"`` (``"asserted"``,
+    ``"footers"``, ``"no stats"``, ``"large file"``, ``"overlap"`` or
+    ``"duplicate-recomputed"``) and ``"wall_s"``: for an aligned part the
+    sum of its file tasks' seconds as the tasks report them (aligned parts
+    overlap in time, so elapsed time would not describe the part), for an
+    exchange part the elapsed time of its run (plus its discarded
+    aligned tasks' seconds when it was recomputed).  ``rows_per_s`` is
+    rows over ``wall_s``.  A failure mid-stream leaves every part
+    committed whose files had all landed; the rest leave only their
+    ``.tmp`` dirs, which a rerun deletes and recomputes.
 
     Returns {"parts", "skipped", "rows", "wall_s"}."""
     frags = _list_fragments(input_path)
     groups = [frags[i : i + fragments_per_part] for i in range(0, len(frags), fragments_per_part)]
     os.makedirs(os.path.join(output_dir, "_manifest"), exist_ok=True)
     done = completed_parts(output_dir) if resume else {}
+    max_block = rd.DataContext.get_current().target_max_block_size
 
-    def build(group: list[str], aligned: bool, tmp_dir: str) -> tuple[int, int, bool]:
-        read_kwargs: dict = {"columns": columns}
-        if aligned:
-            read_kwargs["override_num_blocks"] = len(group)
-        ds = rd.read_parquet(group, **read_kwargs)
-        pipeline_fn(ds, partitioned_input=aligned).write_parquet(tmp_dir)
-        return _url_checksum(tmp_dir)
+    def part_dir(pid: int) -> str:
+        return os.path.join(output_dir, f"part-{pid:05d}")
 
     total_rows, skipped = 0, 0
     t0 = time.monotonic()
+    reasons: dict[int, str] = {}  # pending pid -> reassembly_reason
     for pid, group in enumerate(groups):
         # committed = manifest matches AND the published output directory
         # still exists — a deleted/lost shard must recompute, not silently
         # count its manifest rows
-        if (
-            pid in done
-            and done[pid].get("inputs") == group
-            and os.path.isdir(os.path.join(output_dir, f"part-{pid:05d}"))
-        ):
+        if pid in done and done[pid].get("inputs") == group and os.path.isdir(part_dir(pid)):
             total_rows += done[pid]["rows"]
             skipped += 1
             continue
-        part_dir = os.path.join(output_dir, f"part-{pid:05d}")
-        tmp_dir = part_dir + ".tmp"
-        for d in (part_dir, tmp_dir):
+        for d in (part_dir(pid), part_dir(pid) + ".tmp"):
             if os.path.exists(d):
                 shutil.rmtree(d)  # incomplete earlier attempt -> recompute
-        tp = time.monotonic()
-        if file_aligned_blocks:
-            reason = "asserted"
-        else:
-            max_block = rd.DataContext.get_current().target_max_block_size
-            reason = _part_layout(group, _cluster_cpus(), max_block)
-        aligned = reason in ("asserted", "footers")
-        rows, crc, repeats = build(group, aligned, tmp_dir)
-        if aligned and repeats:
+        reasons[pid] = "asserted" if file_aligned_blocks else _part_layout(group, max_block)
+    aligned = [pid for pid, r in reasons.items() if r in ("asserted", "footers")]
+    exchange = [pid for pid in reasons if pid not in aligned]
+
+    def commit(pid: int, reassembly: str, wall: float) -> None:
+        nonlocal total_rows
+        tmp_dir = part_dir(pid) + ".tmp"
+        rows, crc, repeats = _url_checksum(tmp_dir)
+        if reassembly == "aligned" and repeats:
             # a url's pages reached two blocks: never publish two doc rows
             shutil.rmtree(tmp_dir)
-            reason, aligned = "duplicate-recomputed", False
-            rows, crc, _ = build(group, aligned, tmp_dir)
-        os.replace(tmp_dir, part_dir)  # atomic publish
+            reasons[pid] = "duplicate-recomputed"
+            exchange.append(pid)
+            return
+        os.replace(tmp_dir, part_dir(pid))  # atomic publish
         out_bytes = sum(
-            os.path.getsize(os.path.join(part_dir, f)) for f in os.listdir(part_dir)
+            os.path.getsize(os.path.join(part_dir(pid), f)) for f in os.listdir(part_dir(pid))
         )
-        wall = time.monotonic() - tp
         manifest = {
             "part_id": pid,
-            "inputs": group,
+            "inputs": groups[pid],
             "rows": rows,
             "url_crc32": crc,
             "out_bytes": out_bytes,
             "wall_s": round(wall, 3),
             "rows_per_s": round(rows / wall, 1) if wall > 0 else None,
-            "reassembly": "aligned" if aligned else "exchange",
-            "reassembly_reason": reason,
+            "reassembly": reassembly,
+            "reassembly_reason": reasons[pid],
         }
         mpath = os.path.join(output_dir, "_manifest", f"part-{pid:05d}.json")
         with open(mpath + ".tmp", "w") as f:
             json.dump(manifest, f)
         os.replace(mpath + ".tmp", mpath)
         total_rows += rows
+
+    task_s = dict.fromkeys(aligned, 0.0)
+    if aligned:
+        part_of = {f: pid for pid in aligned for f in groups[pid]}
+        for pid in aligned:
+            os.makedirs(part_dir(pid) + ".tmp")
+        waiting = {pid: set(groups[pid]) for pid in aligned}
+        landed = dict.fromkeys(part_of, 0)
+        ds = rd.read_parquet(
+            list(part_of), columns=columns, include_paths=True, override_num_blocks=len(part_of)
+        )
+        tmp_dirs = {f: part_dir(pid) + ".tmp" for f, pid in part_of.items()}
+        lands = ds.map_batches(
+            _land_files(pipeline_fn, tmp_dirs), batch_format="pyarrow", batch_size=None
+        )
+        for row in lands.iter_rows():
+            f, pid = row["path"], part_of[row["path"]]
+            landed[f] += row["pages"]
+            task_s[pid] += row["task_s"]
+            if landed[f] >= row["file_pages"]:
+                waiting[pid].discard(f)
+                if not waiting[pid]:
+                    del waiting[pid]
+                    commit(pid, "aligned", task_s[pid])
+        for pid in sorted(waiting):  # a file with no rows yields no block
+            commit(pid, "aligned", task_s[pid])
+
+    for pid in sorted(exchange):
+        tp = time.monotonic()
+        ds = rd.read_parquet(groups[pid], columns=columns)
+        pipeline_fn(ds, partitioned_input=False).write_parquet(part_dir(pid) + ".tmp")
+        commit(pid, "exchange", time.monotonic() - tp + task_s.get(pid, 0.0))
     return {
         "parts": len(groups),
         "skipped": skipped,

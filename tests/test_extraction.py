@@ -467,20 +467,130 @@ class TestReassemblyChoice:
         assert got == ("exchange", "large file")
 
 
+@pytest.mark.usefixtures("ray_session")
+class TestOneExecution:
+    """Every pending aligned file of the job runs in one Ray execution; a
+    part commits once its last file has landed."""
+
+    def test_aligned_parts_share_one_read(self, tmp_path, monkeypatch):
+        import ray.data as rd
+
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import (
+            extraction_pipeline,
+            read_pages,
+            run_extraction,
+        )
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        assert len(write_pages_parquet(src, 40, urls_per_shard=10)) == 4
+        want = _doc_hashes(extraction_pipeline(read_pages(src, parallelism=4)).to_pandas())
+        reads = []
+        read_parquet = rd.read_parquet
+        monkeypatch.setattr(
+            rd, "read_parquet", lambda paths, **kw: reads.append(paths) or read_parquet(paths, **kw)
+        )
+        r = run_extraction(src, out, fragments_per_part=2)
+        assert r["parts"] == 2 and r["rows"] == 40
+        assert [len(p) for p in reads] == [4]
+        parts = completed_parts(out)
+        assert [m["reassembly"] for m in parts.values()] == ["aligned", "aligned"]
+        assert _doc_hashes(_job_docs(out)) == want
+
+    @pytest.mark.parametrize("partitioned_input", [True, False])
+    def test_null_url_commits(self, tmp_path, partitioned_input):
+        """A null url's pages come out as one doc row with a null url; the
+        commit's checksum orders it before every string."""
+        import ray.data as rd
+
+        from ocr_platform_ray.pipelines.extraction import run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        t = make_pages_table(3)
+        null = corpus.url_for(0)
+        urls = [None if u == null else u for u in t.column("url").to_pylist()]
+        t = t.set_column(t.schema.get_field_index("url"), "url", pa.array(urls, pa.string()))
+        src = _write_files(tmp_path / "pages", [t])
+        out = str(tmp_path / "out")
+        run_extraction(src, out, partitioned_input=partitioned_input)
+        (m,) = completed_parts(out).values()
+        assert m["rows"] == 3
+        docs = _job_docs(out)
+        assert docs.url.isna().sum() == 1
+        want = {u: x for u, x in _exchange_texts(rd.from_arrow(t)).items() if u is not None}
+        got = {u: x for u, x in zip(docs.url, docs.extracted_text) if u is not None}
+        assert got == want and len(want) == 2
+
+    def test_resume_after_a_failure_mid_stream(self, tmp_path):
+        """A file whose data pages are corrupt (its footer intact, so the
+        read is planned) fails its task mid-stream: the parts whose files
+        all landed before it stay committed, the failed part publishes
+        nothing, and the rerun redoes only what is not committed.  One
+        task at a time, in input order, with the corrupt file last, keeps
+        part 0 ahead of the failure."""
+        import glob as g
+
+        import pyarrow.parquet as pq
+        from ray.data import DataContext, ExecutionResources
+
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        files = sorted(write_pages_parquet(src, 60, urls_per_shard=10))
+        want = _exchange_texts(read_pages(src, parallelism=6))
+        bad = files[-1]
+        pq.write_table(pq.read_table(bad), bad, row_group_size=8)
+        good = open(bad, "rb").read()
+        md = pq.read_metadata(bad)
+        col = md.row_group(md.num_row_groups - 1).column(0)
+        raw = bytearray(good)
+        raw[col.data_page_offset : col.data_page_offset + col.total_compressed_size] = (
+            b"\xff" * col.total_compressed_size
+        )
+        with open(bad, "wb") as f:
+            f.write(bytes(raw))
+
+        opts = DataContext.get_current().execution_options
+        limits = opts.resource_limits
+        opts.resource_limits = ExecutionResources(cpu=1)
+        try:
+            with pytest.raises(Exception):
+                run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
+        finally:
+            opts.resource_limits = limits
+        committed = completed_parts(out)
+        assert 0 in committed and 2 not in committed
+        for pid in range(3):
+            published = os.path.isdir(os.path.join(out, f"part-{pid:05d}"))
+            assert published == (pid in committed)
+        assert not g.glob(os.path.join(out, "_manifest", "*.tmp"))
+
+        with open(bad, "wb") as f:
+            f.write(good)
+        r = run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
+        assert r["skipped"] == len(committed) and r["rows"] == 60
+        assert not g.glob(os.path.join(out, "*.tmp"))
+        docs = _job_docs(out)
+        assert docs.url.is_unique
+        assert dict(zip(docs.url, docs.extracted_text)) == want
+
+
 @pytest.mark.usefixtures("ray_session")  # the corpus writer runs on Ray
 class TestPartLayout:
-    @pytest.mark.parametrize(
-        "cpus,max_block,want",
-        [(2, 1 << 27, "footers"), (3, 1 << 27, "few files"), (2, 1024, "large file")],
-    )
-    def test_footer_decision(self, tmp_path, cpus, max_block, want):
+    @pytest.mark.parametrize("max_block,want", [(1 << 27, "footers"), (1024, "large file")])
+    def test_footer_decision(self, tmp_path, max_block, want):
         """``_part_layout`` over two url-range files, from footers alone."""
         from ocr_platform_ray.corpus import write_pages_parquet
         from ocr_platform_ray.state.manifest import _part_layout
 
         write_pages_parquet(str(tmp_path), 20, urls_per_shard=10)
         group = sorted(str(p) for p in tmp_path.glob("*.parquet"))
-        assert _part_layout(group, cpus, max_block) == want
+        assert _part_layout(group, max_block) == want
 
 
 @pytest.mark.usefixtures("ray_session")
