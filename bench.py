@@ -86,16 +86,13 @@ def run_once() -> dict:
     # ---- build (or reuse) the bench corpus, then warm the page cache -----
     if not os.path.isdir(CORPUS_DIR) or not os.listdir(CORPUS_DIR):
         write_pages_parquet(CORPUS_DIR, BENCH_URLS, urls_per_shard=750)
-    n_files = len(os.listdir(CORPUS_DIR))
     n_pages = read_pages(CORPUS_DIR).count()  # warm page cache, untimed
 
     # headline uses the shuffle-free partition-aligned path (the corpus is
     # url-range-sharded, the 100 TB layout the manifest writer produces);
-    # parallelism=n_files keeps blocks file-aligned (no splitting).
+    # read_pages keeps blocks file-aligned (no splitting).
     def _pipeline():
-        return extraction_pipeline(
-            read_pages(CORPUS_DIR, parallelism=n_files), partitioned_input=True
-        )
+        return extraction_pipeline(read_pages(CORPUS_DIR), partitioned_input=True)
 
     _consume(_pipeline())  # warm Ray workers, untimed (steady-state measure)
 

@@ -57,8 +57,3 @@ def gregorian_to_hijri_year(gy: int) -> int:
     """Year-level helper (hijri.ts year helpers): hijri year at Jan 1 of gy.
     Expressible in SQL as floor arithmetic over the julian day of Jan 1."""
     return gregorian_to_hijri(gy, 1, 1)[0]
-
-
-def hijri_to_gregorian_year(hy: int) -> int:
-    """Gregorian year containing 1 Muharram of hy."""
-    return hijri_to_gregorian(hy, 1, 1)[0]

@@ -91,18 +91,6 @@ def parse_robots_rules(
     return named if saw_named else star
 
 
-def _decide(path: str, rules: list[tuple[bool, str]]) -> bool:
-    """Longest-prefix match; Allow wins ties; no match = allow."""
-    best_len = -1
-    best_allow = True
-    for allow, prefix in rules:
-        if path.startswith(prefix):
-            lp = len(prefix)
-            if lp > best_len or (lp == best_len and allow and not best_allow):
-                best_len, best_allow = lp, allow
-    return best_allow
-
-
 def robots_filter(
     ds: rd.Dataset,
     robots: pd.DataFrame | rd.Dataset,

@@ -26,9 +26,6 @@ reference's post-pass)."""
 
 from __future__ import annotations
 
-import pandas as pd
-import ray.data as rd
-
 # IJMES consonants + vowel signs (public convention)
 _MAP = {
     "ء": "ʾ", "ب": "b", "ت": "t", "ث": "th", "ج": "j", "ح": "ḥ",
@@ -172,18 +169,3 @@ def transliterate_arabic(text: str) -> str:
     if word:
         out.append(_romanize_word("".join(word)))
     return "".join(out)
-
-
-def add_transliteration(
-    ds: rd.Dataset, text_col: str, *, out_col: str = "translit"
-) -> rd.Dataset:
-    """Append the IJMES romanization of ``text_col`` (per-row scalar —
-    romanization is an inherently per-string state machine; it runs
-    worker-parallel inside map_batches like the extractor itself)."""
-
-    def tr(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out[out_col] = [transliterate_arabic(t) for t in b[text_col]]
-        return out
-
-    return ds.map_batches(tr, batch_format="pandas")

@@ -1434,52 +1434,6 @@ def _cosine_pairs_exact(
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-def lsh_plan(
-    threshold: float,
-    num_perm: int = 64,
-    *,
-    fn_weight: float = 0.5,
-) -> dict:
-    """MinHash-LSH banding planner (the MMDS ch.3 construction): choose
-    (bands b, rows r) with b·r = num_perm minimizing the weighted false
-    positive + false negative area of the S-curve
-    P(candidate | jaccard s) = 1 - (1 - s^r)^b around ``threshold``.
-
-    FP area = ∫_0^t P(s) ds, FN area = ∫_t^1 (1 - P(s)) ds (trapezoid on
-    a fixed grid — deterministic).  ``fn_weight`` > 0.5 biases toward
-    recall (dedup pipelines usually prefer catching near-dups and letting
-    the signature verify step discard false candidates).
-
-    Returns {"bands", "rows", "threshold_est", "fp_area", "fn_area"} where
-    threshold_est = (1/b)^(1/r), the curve's inflection estimate.  Feed
-    ``bands`` straight into ``minhash_lsh_duplicates``."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if num_perm < 2:
-        raise ValueError(f"num_perm must be >= 2, got {num_perm}")
-    s = np.linspace(0.0, 1.0, 501)
-    best = None
-    for b in range(1, num_perm + 1):
-        if num_perm % b:
-            continue
-        r = num_perm // b
-        p = 1.0 - (1.0 - s**r) ** b
-        below = s <= threshold
-        fp = float(np.trapz(p[below], s[below]))
-        fn = float(np.trapz(1.0 - p[~below], s[~below]))
-        err = (1.0 - fn_weight) * fp + fn_weight * fn
-        cand = {
-            "bands": b,
-            "rows": r,
-            "threshold_est": (1.0 / b) ** (1.0 / r),
-            "fp_area": fp,
-            "fn_area": fn,
-        }
-        if best is None or err < best[0]:
-            best = (err, cand)
-    return best[1]
-
-
 def fingerprint_near_dup_pairs(
     ds: rd.Dataset,
     fp_col: str,
@@ -1653,93 +1607,3 @@ def fingerprint_near_dup_pairs(
             }
         )
     return finalize(out)
-
-
-def minhash_recall_probe(
-    ds: rd.Dataset,
-    text_col: str,
-    id_col: str,
-    *,
-    threshold: float = 0.8,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 3,
-    sample_n: int = 512,
-    seed: int = 7,
-) -> dict:
-    """MEASURED MinHash-LSH quality on a deterministic corpus sample —
-    the empirical complement of `lsh_plan`'s theoretical S-curve, and
-    the operational answer to "is threshold/bands right for THIS
-    corpus" before an 80-hour full-corpus dedup run.
-
-    Takes the ``sample_n`` docs with the smallest seeded id hash (a
-    deterministic simple random sample — same sample every run),
-    computes EXACT shingle-Jaccard over all sample pairs on the driver
-    (sample-sized by construction: ~sample_n²/2 set intersections),
-    runs the real `minhash_lsh_duplicates` operator with the same
-    parameters on the same sample, and reports::
-
-        {sample_n, n_truth_pairs, n_found_pairs, recall, precision,
-         threshold, bands, rows_per_band, threshold_est}
-
-    recall = found truth pairs / truth pairs (exact J >= threshold);
-    precision = found truth pairs / all found pairs.  The probe is a
-    DIAGNOSTIC: its cost is one projection pass over the corpus (the
-    sample prune) plus sample-sized work."""
-    if num_perm % bands:
-        raise ValueError(f"bands must divide num_perm, got {bands}/{num_perm}")
-    if sample_n < 2:
-        raise ValueError(f"sample_n must be >= 2, got {sample_n}")
-
-    def add_rank(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[id_col, text_col]].copy()
-        out["__rk"] = pd.util.hash_array(
-            out[id_col].to_numpy()
-        ) ^ np.uint64((seed * 0x9E3779B97F4A7C15) % (1 << 64))
-        return out
-
-    from .relational import top_k
-
-    sample = (
-        top_k(
-            ds.map_batches(add_rank, batch_format="pandas"),
-            "__rk", sample_n, descending=False,
-        )
-        .to_pandas()
-        .sort_values(id_col)
-        .reset_index(drop=True)
-    )
-    texts = sample[text_col].fillna("").tolist()
-    ids = sample[id_col].tolist()
-    shingles = [set(a.tolist()) for a in _shingle_hashes_batch(texts, shingle_k)]
-    truth = set()
-    for i in range(len(ids)):
-        a = shingles[i]
-        for j in range(i + 1, len(ids)):
-            b = shingles[j]
-            u = len(a | b)
-            jac = (len(a & b) / u) if u else 0.0
-            if jac >= threshold:
-                truth.add(
-                    (min(ids[i], ids[j]), max(ids[i], ids[j]))
-                )
-    found_df = minhash_lsh_duplicates(
-        rd.from_pandas(sample[[id_col, text_col]]),
-        text_col, id_col,
-        num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-        threshold=threshold,
-    )
-    found = {(a, b) for a, b in zip(found_df["id_a"], found_df["id_b"])}
-    hit = len(found & truth)
-    plan_est = (1.0 / bands) ** (bands / num_perm)
-    return {
-        "sample_n": int(len(sample)),
-        "n_truth_pairs": len(truth),
-        "n_found_pairs": len(found),
-        "recall": (hit / len(truth)) if truth else None,
-        "precision": (hit / len(found)) if found else None,
-        "threshold": threshold,
-        "bands": bands,
-        "rows_per_band": num_perm // bands,
-        "threshold_est": round(float(plan_est), 4),
-    }

@@ -109,18 +109,3 @@ def snapshot_diff(
         return out
 
     return joined.map_batches(classify, batch_format="pandas")
-
-
-def diff_summary(diff: rd.Dataset) -> pd.DataFrame:
-    """Dim-sized rollup of a snapshot_diff result: (change, n) — in-batch
-    combiner partials, driver finish (<= 4 classes)."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("change", as_index=False).size().rename(columns={"size": "n"})
-
-    parts = diff.map_batches(partial, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
-        return pd.DataFrame({"change": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")})
-    return (
-        parts.groupby("change", as_index=False)["n"].sum().sort_values("change").reset_index(drop=True)
-    )

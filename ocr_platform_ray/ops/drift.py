@@ -130,23 +130,6 @@ def token_divergence(
     return joined.map_batches(finish, batch_format="pandas")
 
 
-def js_divergence(
-    a: rd.Dataset, b: rd.Dataset, text_col: str = "text", *, n_shards: int = 32
-) -> float:
-    """Scalar Jensen-Shannon divergence (bits, in [0, 1]) between two
-    corpora's unigram distributions — the drift dashboard number.  The
-    per-token table's sum, reduced in token-sorted order on the driver
-    route for run-to-run stability."""
-    t = token_divergence(a, b, text_col, n_shards=n_shards)
-    if isinstance(t, pd.DataFrame):
-        return float(t["js_term"].sum())
-    parts = t.map_batches(
-        lambda x: pd.DataFrame({"s": [float(x["js_term"].sum()) if len(x) else 0.0]}),
-        batch_format="pandas",
-    ).to_pandas()
-    return float(parts["s"].sum()) if len(parts) else 0.0
-
-
 def cusum_changepoint(
     ds: rd.Dataset,
     *,

@@ -25,11 +25,6 @@ Scale shape:
   a committed ingest returns the identical result without recomputing
   or re-appending (idempotent replay, the ``run_with_manifest`` rule).
 
-Compaction of the per-ingest bucket files (many small ingests -> merge
-a bucket's files into one) is ``compact_bucket_state`` below: run it
-quiesced between ingests; correctness never depends on it (buckets are
-a monotone union), only read fan-in does.
-
 Multi-node note: bucket tasks read and write state with plain
 filesystem calls, so ``state_dir`` must be storage every worker sees —
 a shared filesystem or (swapping the os/glob/pq calls for fsspec) an
@@ -396,92 +391,3 @@ def incremental_minhash_dedup(
     return _commit_ingest(
         survivors, state_dir, ingest_id, spec, layout, len(committed)
     )
-
-
-def compact_bucket_state(state_dir: str, *, n_tasks: int = 16) -> pd.DataFrame:
-    """Compact the per-(bucket, ingest) state files: each bucket's
-    committed files merge into ONE file (named after the EARLIEST
-    covered ingest — a name the readers' committed-set check already
-    accepts), the other covered files are deleted.  Read fan-in per
-    bucket drops from |ingests| to ~1 without changing any result.
-
-    Crash-safe at every instant WITHOUT a new marker, because the
-    readers take a UNION of whatever committed-named files exist and
-    dedup state is monotone — duplicate hash/band rows never change an
-    `isin`/match verdict.  The windows: (a) kill before the anchor
-    replace = nothing changed; (b) kill after the replace, before some
-    deletes = those buckets briefly hold duplicated rows (harmless,
-    cleaned by re-running); (c) deletes done = compact.  Idempotent:
-    re-running converges to one file per bucket.
-
-    Operational rule: run while no ingest is in flight — a reader's
-    glob-then-read can race a concurrent delete (the same quiesce rule
-    the reference applies to its queue maintenance).  Returns a
-    per-bucket report (bucket, files_before, files_after, n_rows).
-
-    Scale shape: buckets compact in PARALLEL (one Ray task per bucket
-    batch); each task touches only its own directory — no exchange, no
-    driver data."""
-    committed = set(committed_ingests(state_dir))
-    order = {name: i for i, name in enumerate(committed_ingests(state_dir))}
-    bdirs = sorted(glob.glob(os.path.join(state_dir, "buckets", "b*")))
-    if not bdirs or not committed:
-        return pd.DataFrame(
-            {
-                "bucket": pd.Series(dtype="int64"),
-                "files_before": pd.Series(dtype="int64"),
-                "files_after": pd.Series(dtype="int64"),
-                "n_rows": pd.Series(dtype="int64"),
-            }
-        )
-
-    def compact_one(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for d in b["dir"]:
-            files = [
-                p
-                for p in sorted(glob.glob(os.path.join(d, "*.parquet")))
-                if os.path.basename(p)[: -len(".parquet")] in committed
-            ]
-            bucket = int(os.path.basename(d)[1:])
-            if len(files) <= 1:
-                n = int(pq.read_metadata(files[0]).num_rows) if files else 0
-                rows.append(
-                    {"bucket": bucket, "files_before": len(files),
-                     "files_after": len(files), "n_rows": n}
-                )
-                continue
-            tables = [pq.read_table(p) for p in files]
-            merged = pa.concat_tables(tables)
-            # deterministic content: sort by every column (hash-state is
-            # (h); band-state is (band, bh, id, sig) — all sortable but
-            # binary sig; sort by the non-binary prefix)
-            sort_cols = [
-                c for c in merged.column_names
-                if not pa.types.is_binary(merged.schema.field(c).type)
-            ]
-            merged = merged.sort_by([(c, "ascending") for c in sort_cols])
-            anchor = min(
-                (os.path.basename(p)[: -len(".parquet")] for p in files),
-                key=lambda name: order[name],
-            )
-            apath = os.path.join(d, anchor + ".parquet")
-            tmp = os.path.join(d, f".compact.{anchor}.tmp")
-            pq.write_table(merged, tmp)
-            os.replace(tmp, apath)
-            for p in files:
-                if p != apath:
-                    os.remove(p)
-            rows.append(
-                {"bucket": bucket, "files_before": len(files),
-                 "files_after": 1, "n_rows": int(merged.num_rows)}
-            )
-        return pd.DataFrame(rows)
-
-    report = (
-        rd.from_pandas(pd.DataFrame({"dir": bdirs}))
-        .repartition(min(n_tasks, len(bdirs)))
-        .map_batches(compact_one, batch_format="pandas")
-        .to_pandas()
-    )
-    return report.sort_values("bucket").reset_index(drop=True)

@@ -561,86 +561,6 @@ def clustered_merge_join(
 # Small-file compaction
 # ---------------------------------------------------------------------------
 
-def plan_compaction(in_dir: str, *, target_bytes: int = 256 << 20) -> list[list[str]]:
-    """Bin-pack a directory's parquet fragments into groups whose summed
-    on-disk size stays under ``target_bytes`` (an oversized single file
-    forms its own group).  Greedy first-fit over NAME ORDER, never
-    reordering — group k holds a contiguous name-sorted run, so the
-    concatenation of compacted files in name order replays the input's
-    name-order rows exactly."""
-    files = sorted(
-        os.path.join(in_dir, f)
-        for f in os.listdir(in_dir)
-        if f.endswith(".parquet") and not f.startswith("zonemap")
-    )
-    groups: list[list[str]] = []
-    cur: list[str] = []
-    cur_sz = 0
-    for f in files:
-        sz = os.path.getsize(f)
-        if cur and cur_sz + sz > target_bytes:
-            groups.append(cur)
-            cur, cur_sz = [], 0
-        cur.append(f)
-        cur_sz += sz
-    if cur:
-        groups.append(cur)
-    return groups
-
-
-def compact_parquet_dir(
-    in_dir: str,
-    out_dir: str,
-    *,
-    target_bytes: int = 256 << 20,
-    delete_inputs: bool = False,
-) -> list[str]:
-    """Merge many small parquet fragments into few ~``target_bytes``
-    files — the maintenance pass every long-running manifest/incremental
-    writer eventually needs (10^5 tiny fragments make both the Ray read
-    planner and the object store metadata-bound).
-
-    One Ray task per output group reads its name-contiguous inputs and
-    writes ONE file via tmp+rename (atomic per file; deterministic
-    group->name mapping makes reruns byte-identical, so a killed
-    compaction is simply rerun).  Row order = input name order, file
-    ordering preserved in output names.  ``delete_inputs`` removes the
-    fragments only after EVERY output committed; readers listing the
-    directory mid-delete see a superset (documented non-atomic window —
-    manifest-pinned readers are unaffected).  ``out_dir`` must differ
-    from ``in_dir``."""
-    if os.path.abspath(in_dir) == os.path.abspath(out_dir):
-        raise ValueError("compact_parquet_dir: out_dir must differ from in_dir")
-    groups = plan_compaction(in_dir, target_bytes=target_bytes)
-    if not groups:
-        raise ValueError(f"compact_parquet_dir: no parquet fragments in {in_dir}")
-    os.makedirs(out_dir, exist_ok=True)
-
-    def compact_group(b: pd.DataFrame) -> pd.DataFrame:
-        paths = []
-        for gi, members in zip(b["gi"], b["members"]):
-            tables = [pq.read_table(m) for m in members]
-            merged = pa.concat_tables(tables, promote_options="default")
-            fname = f"compacted-{int(gi):05d}.parquet"
-            tmp = os.path.join(out_dir, fname + ".tmp")
-            pq.write_table(merged, tmp)
-            os.replace(tmp, os.path.join(out_dir, fname))
-            paths.append(os.path.join(out_dir, fname))
-        return pd.DataFrame({"path": paths})
-
-    meta = rd.from_items(
-        [{"gi": i, "members": g} for i, g in enumerate(groups)]
-    )
-    out = meta.map_batches(compact_group, batch_size=1, batch_format="pandas")
-    written = sorted(
-        p for b in out.iter_batches(batch_format="pandas") for p in b["path"]
-    )
-    if delete_inputs:
-        for g in groups:
-            for f in g:
-                os.unlink(f)
-    return written
-
 
 # ---------------------------------------------------------------------------
 # File-level Bloom indexes (equality-predicate pruning)

@@ -40,15 +40,12 @@ integer-exact hash gate (see tests).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data as rd
 
 from .relational import auto_group_agg, auto_join
@@ -118,79 +115,15 @@ def _count_partials(b: pd.DataFrame, text_col: str) -> pd.DataFrame:
 @dataclass
 class NgramLM:
     """Handle to a trained bigram LM: the two count Datasets + vocab
-    size.  Train once (`train_ngram_lm`), persist (`save_ngram_lm`) and
-    score many corpora from the load (`load_ngram_lm`) without paying
-    the train pass again — the actual CCNet deployment pattern (the
-    trusted-corpus LM is trained once per language, then every crawl
-    snapshot is scored against it)."""
+    size.  Train once (`train_ngram_lm`) and score many corpora from the
+    handle without paying the train pass again — the actual CCNet
+    deployment pattern (the trusted-corpus LM is trained once per
+    language, then every crawl snapshot is scored against it)."""
 
     uni_counts: rd.Dataset  # (w, cu)
     bg_counts: rd.Dataset  # (bg, cb)
     vocab: int
     alpha: float = 0.5
-
-
-_UNI_SCHEMA = pa.schema([("w", pa.string()), ("cu", pa.int64())])
-_BG_SCHEMA = pa.schema([("bg", pa.string()), ("cb", pa.int64())])
-
-
-def save_ngram_lm(lm: NgramLM, out_dir: str) -> dict:
-    """Persist the count tables as parquet + a meta sidecar.  Tables are
-    written distributed (`write_parquet`); an empty table still gets one
-    typed empty fragment so `load_ngram_lm` round-trips any LM.
-
-    Re-saves are ATOMIC per table: each generation is written to a temp
-    sibling directory and renamed over the old one only after the write
-    completed — a failure mid-save never destroys (or half-merges with)
-    the previous persisted generation (train-once/score-many durability;
-    write_parquet into a live dir would append uniquely-named fragments
-    and silently double-count)."""
-    import shutil
-
-    meta = {"vocab": lm.vocab, "alpha": lm.alpha}
-    for name, ds_, schema in (
-        ("uni", lm.uni_counts, _UNI_SCHEMA),
-        ("bg", lm.bg_counts, _BG_SCHEMA),
-    ):
-        d = os.path.join(out_dir, name)
-        tmp = d + ".tmp"
-        if os.path.exists(tmp):  # stale from an interrupted save
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        ds_.write_parquet(tmp)
-        if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
-            pq.write_table(schema.empty_table(), os.path.join(tmp, "empty.parquet"))
-        # swap: the previous generation stays readable until the new one
-        # is complete; the only non-crash-safe window is between the two
-        # renames, which leaves <d>.old to recover from
-        if os.path.exists(d):
-            old = d + ".old"
-            if os.path.exists(old):
-                shutil.rmtree(old)
-            os.rename(d, old)
-            os.rename(tmp, d)
-            shutil.rmtree(old)
-        else:
-            os.rename(tmp, d)
-    tmp_meta = os.path.join(out_dir, "lm_meta.json.tmp")
-    with open(tmp_meta, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp_meta, os.path.join(out_dir, "lm_meta.json"))
-    return meta
-
-
-def load_ngram_lm(out_dir: str) -> NgramLM:
-    """Lazy handle over a persisted LM — the count tables are
-    `read_parquet` Datasets, so scoring streams them straight into the
-    size-aware joins (broadcast when small, bucketed exchange above)."""
-    with open(os.path.join(out_dir, "lm_meta.json")) as f:
-        meta = json.load(f)
-    return NgramLM(
-        uni_counts=rd.read_parquet(os.path.join(out_dir, "uni")),
-        bg_counts=rd.read_parquet(os.path.join(out_dir, "bg")),
-        vocab=int(meta["vocab"]),
-        alpha=float(meta["alpha"]),
-    )
 
 
 def train_ngram_lm(
@@ -319,8 +252,8 @@ def ngram_lm_scores(
     more surprising under the trusted corpus (the CCNet filter key).
     ``alpha`` should be an exact binary fraction (0.5, 0.25) so the SQL
     mirror's doubles match bit-for-bit before the log.  Composition of
-    `train_ngram_lm` + `score_with_ngram_lm` (persist the handle with
-    `save_ngram_lm` to amortize the train pass across corpora)."""
+    `train_ngram_lm` + `score_with_ngram_lm` (keep the handle to
+    amortize the train pass across corpora)."""
     lm = train_ngram_lm(
         train,
         text_col=text_col,

@@ -496,26 +496,6 @@ def hll_set_estimates(
     }
 
 
-def count_min_join_size(cm_a: dict, cm_b: dict) -> int:
-    """Equi-join CARDINALITY estimate from two Count-Min sketches built
-    on the join keys (Cormode & Muthukrishnan 2005 §4.2, the classic
-    planner-side join-size estimator): |A ⋈ B| = Σ_k a_k·b_k is
-    estimated by the minimum over depth rows of the row inner products
-    Σ_w A[d,w]·B[d,w].  NEVER an underestimate (hash collisions only add
-    mass), and over by at most ``(e/width)·N_a·N_b`` per the paper's
-    bound — the knob `auto_join`-style planners need to pick
-    broadcast-vs-exchange without scanning either side.
-
-    The two sketches must share (width, depth) — they hash identically
-    by construction (`_cm_rows` is seed-fixed)."""
-    if cm_a["width"] != cm_b["width"] or cm_a["depth"] != cm_b["depth"]:
-        raise ValueError("count_min_join_size: sketch shapes differ")
-    prods = (cm_a["m"].astype(np.float64) * cm_b["m"].astype(np.float64)).sum(
-        axis=1
-    )
-    return int(prods.min())
-
-
 def hll_cumulative_distinct(
     ds: rd.Dataset,
     ts_col: str,

@@ -204,7 +204,7 @@ def read_merge_target(target_dir: str, *, columns: list[str] | None = None) -> r
 # in-place layout above documents exactly that partial-merge window —
 # this is the isolation upgrade), old snapshots stay readable
 # (time travel), and a crash before the swap leaves only orphan files
-# that `vacuum_versions` removes.
+# that no manifest names.
 
 
 def _versions_dir(target_dir: str) -> str:
@@ -296,7 +296,7 @@ def versioned_merge_into(
     forward, and the CURRENT pointer swaps last — concurrent readers on
     any pinned version are never affected, every prior snapshot stays
     readable, a pre-swap crash leaves only orphans (manifests newer
-    than CURRENT and .tmp part files — `vacuum_versions` removes both).
+    than CURRENT and .tmp part files).
     Returns the new version tag.  Update semantics (replace matched
     keys, insert new, unique keys per batch, schemas must match — no
     evolution on the versioned layout yet) match `merge_into`.
@@ -382,47 +382,6 @@ def versioned_read(
     if not files:
         raise ValueError(f"snapshot {tag} of {target_dir!r} is empty")
     return rd.read_parquet(files, columns=columns)
-
-
-def list_versions(target_dir: str) -> list[str]:
-    return sorted(
-        os.path.basename(p)[: -len(".json")]
-        for p in glob.glob(os.path.join(_versions_dir(target_dir), "v*.json"))
-    )
-
-
-def vacuum_versions(target_dir: str, *, keep_last: int = 2) -> dict:
-    """Drop all but the newest ``keep_last`` COMMITTED snapshots.
-    Committed = at or before CURRENT; a manifest NEWER than CURRENT is
-    pre-swap crash debris and is dropped regardless (it was never
-    visible), so the live snapshot can never be vacuumed away.  Part
-    files no retained manifest references — including ``.tmp``
-    leftovers from crashed writes — are deleted.  Returns
-    {"dropped_versions", "deleted_files"}."""
-    if keep_last < 1:
-        raise ValueError(f"keep_last must be >= 1, got {keep_last}")
-    cur = _current_version(target_dir)
-    if cur is None:
-        raise ValueError(f"{target_dir!r} is not a versioned target")
-    vs = list_versions(target_dir)
-    committed = [v for v in vs if v <= cur]  # zero-padded tags sort correctly
-    orphan_manifests = [v for v in vs if v > cur]
-    keep = committed[-keep_last:]
-    drop = committed[: -keep_last] + orphan_manifests
-    assert cur in keep
-    referenced = set()
-    for tag in keep:
-        referenced.update(_read_manifest(target_dir, tag)["parts"].values())
-    deleted = []
-    for p in glob.glob(os.path.join(target_dir, "part_*.parquet")) + glob.glob(
-        os.path.join(target_dir, "part_*.parquet.tmp")
-    ):
-        if os.path.basename(p) not in referenced:
-            os.remove(p)
-            deleted.append(os.path.basename(p))
-    for tag in drop:
-        os.remove(_manifest_path(target_dir, tag))
-    return {"dropped_versions": sorted(drop), "deleted_files": sorted(deleted)}
 
 
 def delete_keys(

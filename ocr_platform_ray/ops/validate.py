@@ -132,18 +132,6 @@ def check_expectations(
     return pd.DataFrame(rows)
 
 
-def enforce_expectations(ds: rd.Dataset, rules: list[dict]) -> pd.DataFrame:
-    """check_expectations that RAISES (with the report in the message)
-    when any rule is violated — the refuse-the-drop gate."""
-    report = check_expectations(ds, rules)
-    bad = report[report["n_violations"] > 0]
-    if len(bad):
-        raise ValueError(
-            "expectations violated:\n" + bad.to_string(index=False)
-        )
-    return report
-
-
 def benford_audit(
     ds: "rd.Dataset",
     value_col: str,

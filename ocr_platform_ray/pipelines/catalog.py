@@ -74,20 +74,6 @@ def assign_unique_slugs(meta: rd.Dataset) -> rd.Dataset:
     return exchange(meta, "slug", rank, n_shards=64)
 
 
-def genre_counters(meta: rd.Dataset) -> pd.DataFrame:
-    """A4 denormalized counters, recomputed per run instead of mutable
-    increments (create.ts:161-241): explode the genres list, count docs
-    per genre."""
-
-    def explode(b: pd.DataFrame) -> pd.DataFrame:
-        rows = b[["url", "genres"]].explode("genres").dropna(subset=["genres"])
-        return rows.rename(columns={"genres": "genre"})
-
-    exploded = meta.map_batches(explode, batch_format="pandas").to_pandas()
-    out = exploded.groupby("genre", as_index=False).agg(n_books=("url", "nunique"))
-    return out.sort_values("genre").reset_index(drop=True)
-
-
 def validate_splits(meta: rd.Dataset, pages_per_url: pd.DataFrame) -> pd.DataFrame:
     """M18 page-count invariant: every url's splits ranges must cover
     exactly [0, n_pages) (apps/web/test.ts:105-131 cross-check).  Returns

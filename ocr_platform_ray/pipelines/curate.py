@@ -103,48 +103,6 @@ def assign_split(docs: rd.Dataset, *, key_col: str = "url") -> rd.Dataset:
     return docs.map_batches(add, batch_format="pandas")
 
 
-# Published curation recipes as flag bundles over the one chain.  Each maps
-# a paper's pipeline onto curate_corpus stages IN THE PAPER'S ORDER (the
-# chain already encodes the orderings: url-filter before extraction,
-# rules before dedup, span cuts after doc dedup):
-#   c4          Raffel 2020 §2.2 — the line/page heuristics only.
-#   gopher      Rae 2021 A1.1 — the quality-rule bundle only.
-#   fineweb     Penedo 2024 (arXiv:2406.17557) — URL filter, text fix,
-#               Gopher quality + repetition rules, C4 rules, fuzzy dedup
-#               (the chain's minhash stage).
-#   refinedweb  Penedo 2023 (arXiv:2306.01116) — URL filter, text fix,
-#               Gopher rules, cross-doc boilerplate line removal, exact +
-#               fuzzy dedup, ExactSubstr span cuts.
-CURATION_RECIPES: dict[str, dict] = {
-    "c4": {"c4": True},
-    "gopher": {"gopher": True},
-    "fineweb": {"url_filter": True, "fix_text": True, "gopher": True, "c4": True},
-    "refinedweb": {
-        "url_filter": True,
-        "fix_text": True,
-        "line_dedup": True,
-        "gopher": True,
-        "strip_boilerplate": True,
-        "cut_dup_spans": True,
-    },
-}
-
-
-def curate_recipe(pages: rd.Dataset, recipe: str, **overrides) -> rd.Dataset:
-    """Run `curate_corpus` under a PUBLISHED recipe's flag bundle
-    (see CURATION_RECIPES).  ``overrides`` merge on top (e.g.
-    ``scale_routes=True``, thresholds, ``checkpoint_dir``), so a recipe
-    is a starting point, not a cage.  Equivalence to the explicit-flag
-    call is tested byte-identically."""
-    if recipe not in CURATION_RECIPES:
-        raise ValueError(
-            f"unknown curation recipe {recipe!r}; have {sorted(CURATION_RECIPES)}"
-        )
-    kwargs = dict(CURATION_RECIPES[recipe])
-    kwargs.update(overrides)
-    return curate_corpus(pages, **kwargs)
-
-
 def curate_corpus(
     pages: rd.Dataset,
     *,

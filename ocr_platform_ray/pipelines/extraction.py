@@ -15,6 +15,9 @@ shuffle payload is extracted text, not raw html bytes (SURVEY.md §4)."""
 
 from __future__ import annotations
 
+import glob
+import os
+
 import pyarrow as pa
 import ray.data as rd
 
@@ -24,39 +27,17 @@ from ..stages.reassemble import _docs_from_block, reassemble_docs
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text"]
 
 
-def read_pages(path: str, *, parallelism: int | None = None) -> rd.Dataset:
-    """Column-pruned read of a pages-table parquet directory/file.
-
-    ``parallelism`` overrides the block count: with fewer input files than
-    CPUs, the default one-block-per-file read caps every downstream
-    ``map_batches`` stage at n_files concurrent tasks — request at least
-    2x the CPU count so the extract stage saturates the node."""
-    if parallelism is None:
-        import ray
-
-        parallelism = max(2 * int(ray.cluster_resources().get("CPU", 8)), 16)
-    return rd.read_parquet(path, columns=PAGE_COLUMNS, override_num_blocks=parallelism)
-
-
-def read_pages_file_aligned(path: str) -> rd.Dataset:
-    """Read a url-partitioned pages layout with one read task per file —
-    the read shape ``reassemble_docs_partitioned``'s precondition
-    requires.  An unaligned read (Ray's default splits big files across
-    blocks) silently assembles a block-straddling url into TWO doc rows,
-    and so can a file larger than ``DataContext.target_max_block_size``,
-    which its read task emits as several blocks.  This function does not
-    check for either.  The job (``run_with_manifest``) reads every aligned
-    file of its pending parts the same way, in one Dataset, and checks
-    every aligned part's output for a repeated url before publishing it."""
-    import os
-
-    if os.path.isdir(path):
-        n_files = sum(1 for f in os.listdir(path) if f.endswith(".parquet"))
-    else:
-        n_files = 1
-    return rd.read_parquet(
-        path, columns=PAGE_COLUMNS, override_num_blocks=max(n_files, 1)
-    )
+def read_pages(path: str) -> rd.Dataset:
+    """Column-pruned read of a pages-table parquet directory/file, one
+    block per file: the shape the job runs.  The read fuses with the
+    extraction map (a read that splits its files, planned as
+    ``ReadParquet->SplitBlocks``, fuses with nothing), and on a
+    url-ranged or url-hash-sharded layout every block holds all pages of
+    its urls, as ``extraction_pipeline(partitioned_input=True)`` needs.
+    A file bigger than ``DataContext.target_max_block_size`` still comes
+    out as several blocks; this function does not check for it."""
+    n_files = len(glob.glob(os.path.join(path, "*.parquet"))) if os.path.isdir(path) else 1
+    return rd.read_parquet(path, columns=PAGE_COLUMNS, override_num_blocks=max(n_files, 1))
 
 
 def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:

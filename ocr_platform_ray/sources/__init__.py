@@ -1,17 +1,1 @@
 """Sources / ingest (SURVEY.md §2.1 S1-S6)."""
-
-from .ingest import (  # noqa: F401
-    ingest_raw_html,
-    page_count_probe,
-    parquet_column_bounds,
-    parquet_stats_agg,
-    read_dim_pandas,
-    partition_pages_by_url,
-)
-from .warc import (  # noqa: F401
-    read_warc,
-    read_wet,
-    write_pages_warc,
-    write_warc,
-    write_wet_dataset,
-)

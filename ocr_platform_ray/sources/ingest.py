@@ -1,9 +1,7 @@
-"""Ingest jobs: raw files -> pages table, page-count probes, and the
-url-hash repartition that establishes the partitioned layout invariant.
+"""Ingest jobs: page-count probes and the url-hash repartition that
+establishes the partitioned layout invariant.
 
 Reference parity (SURVEY.md §2.1):
-  S1  PDF fetch+parse (ocr.ts:20-33)    -> ``ingest_raw_html``: bytes are a
-      binary column from ``read_binary_files`` — no per-row fetch.
   S2  page-count probe (ocr.ts:35-38)   -> ``page_count_probe``: metadata
       aggregate (groupby(url).count with in-batch combiner).
   S7  row sink (page/worker.ts:68-97)   -> ``partition_pages_by_url``:
@@ -27,31 +25,6 @@ import ray.data as rd
 
 # module-top so pickle-by-value captures it for worker closures
 from ..ops.exchange import _hash_labels, exchange
-from ..stages.pdf import pdf_page_count
-
-
-def ingest_raw_html(paths: list[str] | str, *, default_lang: str = "") -> rd.Dataset:
-    """Raw .html files on disk/object store -> pages-table rows.  The file
-    mtime stands in for ``warc_ts`` (capture time); path is the url key."""
-    import datetime
-
-    ds = rd.read_binary_files(paths, include_paths=True)
-
-    def to_pages(batch: pd.DataFrame) -> pd.DataFrame:
-        mtimes = [
-            datetime.datetime.utcfromtimestamp(int(os.stat(p).st_mtime)) for p in batch["path"]
-        ]
-        return pd.DataFrame(
-            {
-                "url": ["file://" + p for p in batch["path"]],
-                "warc_ts": mtimes,
-                "html": batch["bytes"],
-                "text": ["" for _ in mtimes],
-                "lang": [default_lang for _ in mtimes],
-            }
-        )
-
-    return ds.map_batches(to_pages, batch_format="pandas")
 
 
 def page_count_probe(pages: rd.Dataset) -> pd.DataFrame:
@@ -104,26 +77,6 @@ def parquet_column_bounds(path: str, column: str):
         lo = st.min if lo is None else min(lo, st.min)
         hi = st.max if hi is None else max(hi, st.max)
     return None if lo is None else (lo, hi)
-
-
-def pdf_blob_page_counts(pages: rd.Dataset, *, payload_col: str = "html") -> rd.Dataset:
-    """S2 for real PDF blobs (reference ocr.ts:35-38 ``getPageCount``):
-    per-row internal page count probed from the byte stream (0 for non-PDF
-    payloads).  Map-only; feeds the S3 oversized-blob explode decision."""
-
-    def probe(b: pd.DataFrame) -> pd.DataFrame:
-        counts = []
-        for payload in b[payload_col]:
-            if isinstance(payload, (bytes, bytearray)) and payload[:5] == b"%PDF-":
-                try:
-                    counts.append(pdf_page_count(bytes(payload)))
-                except Exception:
-                    counts.append(0)
-            else:
-                counts.append(0)
-        return pd.DataFrame({"url": b["url"], "n_pdf_pages": pd.array(counts, dtype="int64")})
-
-    return pages.map_batches(probe, batch_format="pandas")
 
 
 def partition_pages_by_url(

@@ -139,23 +139,6 @@ def revisit_record(url: str, ts: datetime.datetime, *, lang: str = "") -> bytes:
     return build_record("revisit", headers, b"")
 
 
-def conversion_record(
-    url: str, ts: datetime.datetime, text: str, *, lang: str = ""
-) -> bytes:
-    """WET-style derived-text record."""
-    body = text.encode("utf-8")
-    headers = [
-        ("WARC-Record-ID", _record_id("conversion", url, _warc_date(ts))),
-        ("WARC-Date", _warc_date(ts)),
-        ("WARC-Target-URI", url),
-        ("WARC-Refers-To-Target-URI", url),
-        ("Content-Type", "text/plain"),
-    ]
-    if lang:
-        headers.append(("WARC-Identified-Content-Language", lang))
-    return build_record("conversion", headers, body)
-
-
 def warcinfo_record(filename: str) -> bytes:
     body = b"software: ocr-platform-ray\r\nformat: WARC File Format 1.0\r\n"
     headers = [
@@ -313,11 +296,6 @@ def read_warc(
     return files.map_batches(parse, batch_size=1, batch_format="pandas")
 
 
-def read_wet(paths: list[str] | str, *, batch_rows: int = 256) -> rd.Dataset:
-    """WET derived-text files -> Dataset with ``text`` filled, html NULL."""
-    return read_warc(paths, record_types=("conversion",), batch_rows=batch_rows)
-
-
 def write_warc(
     path: str,
     rows,
@@ -378,34 +356,3 @@ def write_pages_warc(
         write_warc(os.path.join(out_dir, f"crawl-{s:05d}{ext}"), shards[s], compress=compress)
         for s in sorted(shards)
     ]
-
-
-def write_wet_dataset(docs: rd.Dataset, out_dir: str, *, text_col: str = "extracted_text",
-                      ts_col: str | None = None, compress: bool = True) -> list[str]:
-    """Extracted-docs Dataset -> WET conversion-record files, one file per
-    input block (each task writes its own ``.wet.gz`` — the partitioned,
-    resumable sink shape; no driver funnel).  Returns the file list."""
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return pd.DataFrame({"path": pd.Series([], dtype=object)})
-        # name by content so reruns overwrite identically (idempotent sink)
-        key = hashlib.sha1(
-            ("\x1f".join(sorted(map(str, b["url"])))).encode("utf-8")
-        ).hexdigest()[:16]
-        path = os.path.join(out_dir, f"part-{key}.warc.wet" + (".gz" if compress else ""))
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as out:
-            for i in range(len(b)):
-                ts = b[ts_col].iloc[i].to_pydatetime() if ts_col else datetime.datetime(2024, 1, 1)
-                rec = conversion_record(
-                    str(b["url"].iloc[i]), ts, str(b[text_col].iloc[i]),
-                    lang=str(b["lang"].iloc[i]) if "lang" in b.columns else "",
-                )
-                out.write(gzip.compress(rec, mtime=0) if compress else rec)
-        os.replace(tmp, path)
-        return pd.DataFrame({"path": [path]})
-
-    out = docs.map_batches(write_block, batch_format="pandas")
-    return sorted(p for b in out.iter_batches(batch_format="pandas") for p in b["path"])

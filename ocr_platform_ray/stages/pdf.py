@@ -1031,11 +1031,6 @@ def _pages_in_order(objects: dict) -> list[dict]:
     return ordered
 
 
-def pdf_page_count(data: bytes) -> int:
-    """S2 page-count probe over a real PDF byte stream."""
-    return len(_pages_in_order(scan_objects(data)))
-
-
 def _page_content(page: dict, objects: dict) -> bytes:
     contents = page.get("Contents")
     refs = contents if isinstance(contents, list) else [contents]
@@ -1298,33 +1293,3 @@ def pdf_outline(data: bytes) -> list[dict]:
     except (ValueError, TypeError, KeyError, RecursionError):
         return []
     return out
-
-
-_INFO_RE = re.compile(rb"/Info\s+(\d+)\s+\d+\s+R")
-
-
-def pdf_info(data: bytes) -> dict:
-    """Document Info dictionary (ISO 32000-1 §14.3.3 — Title / Author /
-    Subject / Keywords / Producer / CreationDate, the catalog metadata
-    the reference's record normalizer ingests): resolved via the LAST
-    trailer's ``/Info`` reference (incremental updates supersede), text
-    strings decoded per §7.9.2.2.  Absent or broken → ``{}`` (the M5
-    salvage rule)."""
-    m = None
-    for m in _INFO_RE.finditer(data):
-        pass
-    if m is None:
-        return {}
-    try:
-        objects = scan_objects(data)
-        v, _ = objects.get(int(m.group(1)), (None, None))
-        if not isinstance(v, dict):
-            return {}
-        out = {}
-        for k, raw in v.items():
-            s = _pdf_text_string(raw)
-            if s is not None:
-                out[k] = s
-        return out
-    except (ValueError, TypeError, KeyError):
-        return {}

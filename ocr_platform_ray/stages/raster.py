@@ -27,15 +27,9 @@ import pandas as pd
 import ray.data as rd
 
 from ..multimodal.codecs import encode_png
-from .font import (  # noqa: F401 -- re-exported for existing importers
-    _FONT_ART,
-    _GLYPH_H,
-    _GLYPH_W,
-    _GlyphAtlas,
-    _art_to_bits,
-    _fallback_glyph,
-)
+from .font import _GlyphAtlas
 from .pdf import pdf_page_boxes
+
 
 def rasterize_boxes(
     boxes: list[tuple],
@@ -73,19 +67,6 @@ def rasterize_boxes(
             region = page[y0 : y0 + gh, x : x + gw]
             region[g[:gh, :gw]] = 0
     return page
-
-
-def rasterize_pdf(data: bytes, *, scale: float = 2.0) -> list[np.ndarray]:
-    """PDF bytes -> one grayscale pixel array per page (2x default, the
-    reference's render factor).  Box coordinates come from the parser's
-    MediaBox-aware top-down geometry; the canvas itself is the US-Letter
-    default the fixture corpus uses (pass page_w/page_h through
-    ``rasterize_boxes`` for other sizes)."""
-    atlas = _GlyphAtlas()
-    return [
-        rasterize_boxes(boxes, scale=scale, atlas=atlas)
-        for boxes in pdf_page_boxes(data)
-    ]
 
 
 class RasterizePdfPages:

@@ -57,8 +57,11 @@ def reassemble_docs(pages_ds, *, n_shards: int = 64):
     instead of one per url (~1.6 ms of table construction each — dominant
     at millions of urls).
 
-    ``n_shards`` bounds reduce-task granularity: size it ≳ cluster cores;
-    shard payload ≈ corpus_extracted_bytes / n_shards must fit a worker.
+    ``n_shards`` sets only the number of ``_docs_from_block`` calls; the
+    reduce-task count comes from the exchange's output batch
+    (``ops/exchange.py::_ABSORB_BATCH_ROWS``, about total_rows / 65536
+    tasks).  Shard payload ≈ corpus_extracted_bytes / n_shards must fit a
+    worker.
 
     (A sort-then-block-scan variant was measured faster still but split
     urls at reduce-block boundaries — rejected for correctness.  For
@@ -167,7 +170,7 @@ def reassemble_docs_partitioned(pages_ds):
     contains — true when the pages table is laid out url-ranged /
     url-hash-partitioned (corpus.write_pages_parquet and
     ``partition_pages_by_url`` both guarantee it) AND the read does not
-    split files (``read_pages_file_aligned``).  This function does not
+    split files (``read_pages``: one block per file).  This function does not
     check it: a violation yields two doc rows for one url.  The job
     (``run_with_manifest``) checks it per part — it picks this path only
     when the caller asserts the layout or the files' footer url ranges are

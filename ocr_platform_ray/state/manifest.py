@@ -105,16 +105,15 @@ def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
     return ranges
 
 
-def _part_layout(group: list[str], max_block_bytes: int | None) -> str:
+def _part_layout(footers: list[pq.FileMetaData], max_block_bytes: int | None) -> str:
     """Why a fragment group may, or may not, skip the url exchange, from
-    footers alone: ``"footers"`` when every file has url statistics and
-    fits one read block (a bigger file is emitted as several) and the
-    files' ``[min, max]`` ranges, sorted by min, are strictly disjoint (a
-    shared boundary url counts as overlap); else ``"no stats"``,
-    ``"large file"`` or ``"overlap"``."""
+    its files' footers alone: ``"footers"`` when every file has url
+    statistics and fits one read block (a bigger file is emitted as
+    several) and the files' ``[min, max]`` ranges, sorted by min, are
+    strictly disjoint (a shared boundary url counts as overlap); else
+    ``"no stats"``, ``"large file"`` or ``"overlap"``."""
     spans = []
-    for f in group:
-        md = pq.read_metadata(f)
+    for md in footers:
         ranges = _url_ranges(md)
         if ranges is None:
             return "no stats"
@@ -129,14 +128,7 @@ def _part_layout(group: list[str], max_block_bytes: int | None) -> str:
     return "footers"
 
 
-_LANDED = pa.schema(
-    [
-        ("path", pa.string()),
-        ("pages", pa.int64()),
-        ("file_pages", pa.int64()),
-        ("task_s", pa.float64()),
-    ]
-)
+_LANDED = pa.schema([("path", pa.string()), ("pages", pa.int64()), ("task_s", pa.float64())])
 
 
 def _land_files(pipeline_fn, tmp_dirs: dict[str, str]):
@@ -145,12 +137,12 @@ def _land_files(pipeline_fn, tmp_dirs: dict[str, str]):
     ``pipeline_fn(pages, partitioned_input=True)`` on its pages as a
     table, write the docs into the file's ``part-NNNNN.tmp`` directory
     with ``pq.write_table`` and return one row: the file, its pages in
-    this block and in the whole file (Ray splits a file bigger than the
-    target block size into several blocks), and the task's seconds.  A
-    block's output file is named after its source file, page count and
-    urls, so the blocks of a split file never overwrite each other (the
-    commit's repeat guard recomputes such a part) and a retried task
-    overwrites what its failed attempt wrote."""
+    this block (Ray splits a file bigger than the target block size into
+    several blocks) and the task's seconds.  A block's output file is
+    named after its source file, page count and urls, so the blocks of a
+    split file never overwrite each other (the commit's repeat guard
+    recomputes such a part) and a retried task overwrites what its failed
+    attempt wrote."""
 
     def land(block: pa.Table) -> pa.Table:
         if block.num_rows == 0:
@@ -164,8 +156,7 @@ def _land_files(pipeline_fn, tmp_dirs: dict[str, str]):
             stem = os.path.splitext(os.path.basename(path))[0]
             name = f"{stem}-{pages.num_rows}-{zlib.crc32(urls.encode()):08x}.parquet"
             pq.write_table(docs, os.path.join(tmp_dirs[path], name))
-        file_pages = pq.read_metadata(path).num_rows
-        row = [path, pages.num_rows, file_pages, time.perf_counter() - t0]
+        row = [path, pages.num_rows, time.perf_counter() - t0]
         return pa.table([[v] for v in row], schema=_LANDED)
 
     return land
@@ -189,7 +180,7 @@ def run_with_manifest(
     ``extraction_pipeline``) emits one row per url.  Before any work runs,
     each pending part is sorted into *aligned* or *exchange*.  A part is
     aligned when ``file_aligned_blocks=True`` asserts the layout
-    (url-ranged or url-hash-sharded files; no footer is read) or when
+    (url-ranged or url-hash-sharded files; no url range is checked) or when
     ``_part_layout`` finds every file small enough for one read block,
     with disjoint footer url ranges.  Every pending aligned file of the
     whole job is then read in ONE Dataset, one block per file, and each
@@ -218,19 +209,42 @@ def run_with_manifest(
     committed whose files had all landed; the rest leave only their
     ``.tmp`` dirs, which a rerun deletes and recomputes.
 
+    Every pending file's footer is read once, before any work runs.  A
+    part with an unreadable footer is not run; every other part runs and
+    commits, and the job then raises one ``ValueError`` naming the
+    unreadable files.  A part is unpublished (manifest first, then its
+    directory) before it is recomputed, and so is every part beyond the
+    current grouping: output grouped more finely by an earlier run would
+    otherwise publish its urls twice.
+
     Returns {"parts", "skipped", "rows", "wall_s"}."""
     frags = _list_fragments(input_path)
     groups = [frags[i : i + fragments_per_part] for i in range(0, len(frags), fragments_per_part)]
-    os.makedirs(os.path.join(output_dir, "_manifest"), exist_ok=True)
+    manifest_dir = os.path.join(output_dir, "_manifest")
+    os.makedirs(manifest_dir, exist_ok=True)
     done = completed_parts(output_dir) if resume else {}
     max_block = rd.DataContext.get_current().target_max_block_size
 
     def part_dir(pid: int) -> str:
         return os.path.join(output_dir, f"part-{pid:05d}")
 
+    def unpublish(pid: int) -> None:
+        mpath = os.path.join(manifest_dir, f"part-{pid:05d}.json")
+        for path in (mpath, part_dir(pid), part_dir(pid) + ".tmp"):
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.exists(path):
+                os.remove(path)
+
+    names = os.listdir(manifest_dir) + os.listdir(output_dir)
+    ids = {n[5:].split(".")[0] for n in names if n.startswith("part-")}
+    for pid in sorted(int(i) for i in ids if i.isdigit()):
+        if pid >= len(groups):
+            unpublish(pid)
+
     total_rows, skipped = 0, 0
     t0 = time.monotonic()
-    reasons: dict[int, str] = {}  # pending pid -> reassembly_reason
+    pending = []
     for pid, group in enumerate(groups):
         # committed = manifest matches AND the published output directory
         # still exists — a deleted/lost shard must recompute, not silently
@@ -238,11 +252,26 @@ def run_with_manifest(
         if pid in done and done[pid].get("inputs") == group and os.path.isdir(part_dir(pid)):
             total_rows += done[pid]["rows"]
             skipped += 1
+        else:
+            unpublish(pid)  # incomplete or stale earlier attempt -> recompute
+            pending.append(pid)
+    footers: dict[str, pq.FileMetaData] = {}
+    unreadable: dict[str, str] = {}
+    for pid in pending:
+        for f in groups[pid]:
+            try:
+                footers[f] = pq.read_metadata(f)
+            except (OSError, pa.ArrowException) as e:
+                unreadable[f] = f"{type(e).__name__}: {e}"
+    reasons: dict[int, str] = {}  # runnable pending pid -> reassembly_reason
+    for pid in pending:
+        if any(f in unreadable for f in groups[pid]):
             continue
-        for d in (part_dir(pid), part_dir(pid) + ".tmp"):
-            if os.path.exists(d):
-                shutil.rmtree(d)  # incomplete earlier attempt -> recompute
-        reasons[pid] = "asserted" if file_aligned_blocks else _part_layout(group, max_block)
+        reasons[pid] = (
+            "asserted"
+            if file_aligned_blocks
+            else _part_layout([footers[f] for f in groups[pid]], max_block)
+        )
     aligned = [pid for pid, r in reasons.items() if r in ("asserted", "footers")]
     exchange = [pid for pid in reasons if pid not in aligned]
 
@@ -271,7 +300,7 @@ def run_with_manifest(
             "reassembly": reassembly,
             "reassembly_reason": reasons[pid],
         }
-        mpath = os.path.join(output_dir, "_manifest", f"part-{pid:05d}.json")
+        mpath = os.path.join(manifest_dir, f"part-{pid:05d}.json")
         with open(mpath + ".tmp", "w") as f:
             json.dump(manifest, f)
         os.replace(mpath + ".tmp", mpath)
@@ -295,7 +324,7 @@ def run_with_manifest(
             f, pid = row["path"], part_of[row["path"]]
             landed[f] += row["pages"]
             task_s[pid] += row["task_s"]
-            if landed[f] >= row["file_pages"]:
+            if landed[f] >= footers[f].num_rows:
                 waiting[pid].discard(f)
                 if not waiting[pid]:
                     del waiting[pid]
@@ -308,6 +337,12 @@ def run_with_manifest(
         ds = rd.read_parquet(groups[pid], columns=columns)
         pipeline_fn(ds, partitioned_input=False).write_parquet(part_dir(pid) + ".tmp")
         commit(pid, "exchange", time.monotonic() - tp + task_s.get(pid, 0.0))
+    if unreadable:
+        raise ValueError(
+            f"{len(unreadable)} input file(s) have an unreadable parquet footer; "
+            "their parts were not run, every other part is committed: "
+            + "; ".join(f"{f} ({e})" for f, e in sorted(unreadable.items()))
+        )
     return {
         "parts": len(groups),
         "skipped": skipped,
@@ -406,22 +441,35 @@ def _fragment_contains(path: str, urls: set[str]) -> bool:
     return any(lo <= u <= hi for lo, hi in ranges for u in urls)
 
 
+def _committed_part_size(frags: list[str], done: dict[int, dict]) -> int:
+    """The ``fragments_per_part`` a committed job ran with, from its
+    manifests' ``inputs``: part ``pid`` starts at file ``pid × size``, and
+    part 0 is full unless it is the only part."""
+    pid, m = min(done.items())
+    return len(m["inputs"]) if pid == 0 else frags.index(m["inputs"][0]) // pid
+
+
 def redo_urls(
     input_path: str,
     output_dir: str,
     urls: list[str],
     pipeline_fn,
     *,
-    fragments_per_part: int = 8,
     columns: list[str] | None = None,
 ) -> dict:
     """D5 / §3.2 redo semantics: recompute exactly the partitions whose
     input fragments may contain the given urls (located via parquet
     row-group stats, no data read), atomically replacing their output
-    shards + manifest lines.  The reference's LIFO-priority redo job
-    becomes 'run the small recompute job first' (O4)."""
+    shards + manifest lines.  The partitions are the committed job's own:
+    their size comes from its manifests, so a redo never regroups the
+    output.  The reference's LIFO-priority redo job becomes 'run the
+    small recompute job first' (O4)."""
     target = set(urls)
     frags = _list_fragments(input_path)
+    done = completed_parts(output_dir)
+    if not done:
+        raise ValueError(f"no committed part in {output_dir}: run the job before a redo")
+    fragments_per_part = _committed_part_size(frags, done)
     groups = [frags[i : i + fragments_per_part] for i in range(0, len(frags), fragments_per_part)]
     invalidated = 0
     for pid, group in enumerate(groups):

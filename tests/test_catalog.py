@@ -51,20 +51,6 @@ class TestCatalog:
         assert by_url["u3"] == "other"
         assert out["slug"].is_unique
 
-    def test_genre_counters(self, meta_ds):
-        from ocr_platform_ray.pipelines.catalog import genre_counters
-
-        out = genre_counters(meta_ds)
-        meta = meta_ds.to_pandas()
-        want = (
-            meta[["url", "genres"]]
-            .explode("genres")
-            .dropna(subset=["genres"])
-            .groupby("genres")["url"]
-            .nunique()
-        )
-        got = out.set_index("genre")["n_books"]
-        assert got.to_dict() == want.to_dict()
 
     def test_validate_splits_against_real_page_counts(self, meta_ds):
         from ocr_platform_ray.pipelines.catalog import validate_splits

@@ -348,98 +348,6 @@ class TestCurateUrlFilter:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCurateRecipes:
-    """Round-4 session-8: published curation recipes
-    (pipelines/curate.py::curate_recipe / CURATION_RECIPES)."""
-
-    def _recipe_pages(self, n=40):
-        # sentences carry Gopher's required function words ("the"/"and"/
-        # "with") and C4-terminal punctuation, so every recipe keeps a
-        # real survivor set
-        import random
-
-        vocab = (
-            "archive ledger harbor meadow copper signal lantern orchard "
-            "timber quarry compass saddle anvil barley cedar falcon granite"
-        ).split()
-        rows = []
-        for i in range(n):
-            rng = random.Random(7000 + i)
-            sents = [
-                (
-                    "The "
-                    + " ".join(rng.choice(vocab) for _ in range(5))
-                    + " and the "
-                    + " ".join(rng.choice(vocab) for _ in range(5))
-                    + " with "
-                    + rng.choice(vocab)
-                    + "."
-                )
-                for _ in range(6)
-            ]
-            html = "<html><body>" + "".join(
-                f"<p>{x}</p>" for x in sents
-            ) + "</body></html>"
-            rows.append(
-                {
-                    "url": f"https://recipes.example/{i:04d}",
-                    "warc_ts": pd.Timestamp("2024-02-01") + pd.Timedelta(seconds=i),
-                    "html": html.encode("utf-8"),
-                    "text": "",
-                    "lang": "en",
-                }
-            )
-        return rd.from_items(rows)
-
-    def test_recipe_equals_explicit_flags_byte_identical(self):
-        from ocr_platform_ray.pipelines.curate import curate_corpus, curate_recipe
-
-        pages = self._recipe_pages(40)
-        for recipe, flags in (
-            ("c4", dict(c4=True)),
-            ("fineweb", dict(url_filter=True, fix_text=True, gopher=True, c4=True)),
-            (
-                "refinedweb",
-                dict(
-                    url_filter=True,
-                    fix_text=True,
-                    line_dedup=True,
-                    gopher=True,
-                    strip_boilerplate=True,
-                    cut_dup_spans=True,
-                ),
-            ),
-        ):
-            a = (
-                curate_recipe(pages, recipe)
-                .to_pandas()
-                .sort_values("url")
-                .reset_index(drop=True)
-            )
-            b = (
-                curate_corpus(pages, **flags)
-                .to_pandas()
-                .sort_values("url")
-                .reset_index(drop=True)
-            )
-            pd.testing.assert_frame_equal(a, b)
-            assert len(a) > 0
-
-    def test_overrides_merge_and_unknown_raises(self):
-        from ocr_platform_ray.pipelines.curate import curate_recipe
-
-        pages = self._recipe_pages(12)
-        with pytest.raises(ValueError, match="unknown curation recipe"):
-            curate_recipe(pages, "dolma")
-        # overrides reach curate_corpus: blocklisting the corpus host
-        # under the fineweb recipe drops everything before extraction
-        none = curate_recipe(
-            pages, "fineweb", url_blocklist={"recipes.example"}
-        ).to_pandas()
-        assert len(none) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestCurateLineDedup:
     """RefinedWeb line-wise correction in the flagship chain
     (`curate_corpus(line_dedup=True)`)."""
@@ -511,8 +419,3 @@ class TestCurateLineDedup:
             assert t.count(u) == 1  # untouched content intact
         # order preserved: dup's first occurrence stays between lines 1/2
         assert t.index(uniq[0]) < t.index(dup) < t.index(uniq[1])
-
-    def test_recipe_includes_line_dedup(self):
-        from ocr_platform_ray.pipelines.curate import CURATION_RECIPES
-
-        assert CURATION_RECIPES["refinedweb"]["line_dedup"] is True

@@ -229,9 +229,9 @@ class TestPipelineGolden:
         from ocr_platform_ray.pipelines.extraction import extraction_pipeline, read_pages
 
         src = str(tmp_path / "pages")
-        n_files = len(write_pages_parquet(src, 40, urls_per_shard=10))
-        a = extraction_pipeline(read_pages(src, parallelism=n_files), partitioned_input=True).to_pandas()
-        b = extraction_pipeline(read_pages(src, parallelism=n_files)).to_pandas()
+        write_pages_parquet(src, 40, urls_per_shard=10)
+        a = extraction_pipeline(read_pages(src), partitioned_input=True).to_pandas()
+        b = extraction_pipeline(read_pages(src)).to_pandas()
         ha, hb = globals()["_doc_hashes"](a), globals()["_doc_hashes"](b)
         assert ha == hb
 
@@ -274,23 +274,23 @@ class TestFusedRead:
             assert isinstance(got, pa.Table) and got.equals(want), k
 
     def test_read_fuses_with_extraction(self, tmp_path, plan_ops):
-        """One map operator per input file on both paths: no raw page
-        crosses the object store between a read and an extract task, and
-        only the columns reassembly reads reach the url exchange."""
+        """One map operator per input file on both paths, with fewer files
+        than CPUs too: no raw page crosses the object store between a read
+        and an extract task, and only the columns reassembly reads reach
+        the url exchange."""
+        import ray
+
         from ocr_platform_ray.corpus import write_pages_parquet
-        from ocr_platform_ray.pipelines.extraction import (
-            extraction_pipeline,
-            read_pages,
-            read_pages_file_aligned,
-        )
+        from ocr_platform_ray.pipelines.extraction import extraction_pipeline, read_pages
 
         src = str(tmp_path / "pages")
-        n_files = len(write_pages_parquet(src, 40, urls_per_shard=10))
-        aligned = extraction_pipeline(read_pages_file_aligned(src), partitioned_input=True)
+        n_files = len(write_pages_parquet(src, 20, urls_per_shard=10))
+        assert n_files < ray.cluster_resources()["CPU"]
+        aligned = extraction_pipeline(read_pages(src), partitioned_input=True)
         assert plan_ops(aligned) == [
             "ReadParquet->MapBatches(ExtractPages)->MapBatches(_docs_from_block)"
         ]
-        shuffle = extraction_pipeline(read_pages(src, parallelism=n_files))
+        shuffle = extraction_pipeline(read_pages(src))
         assert plan_ops(shuffle) == [
             "ReadParquet->MapBatches(ExtractPages)->Project->MapBatches(add_label)",
             "Sort",
@@ -381,7 +381,7 @@ class TestReassemblyChoice:
         docs = _job_docs(out)
         assert docs.url.is_unique
         assert dict(zip(docs.url, docs.extracted_text)) == _exchange_texts(
-            read_pages(src, parallelism=4)
+            read_pages(src)
         )
         return m["reassembly"], m["reassembly_reason"]
 
@@ -486,7 +486,7 @@ class TestOneExecution:
         src = str(tmp_path / "pages")
         out = str(tmp_path / "out")
         assert len(write_pages_parquet(src, 40, urls_per_shard=10)) == 4
-        want = _doc_hashes(extraction_pipeline(read_pages(src, parallelism=4)).to_pandas())
+        want = _doc_hashes(extraction_pipeline(read_pages(src)).to_pandas())
         reads = []
         read_parquet = rd.read_parquet
         monkeypatch.setattr(
@@ -542,7 +542,7 @@ class TestOneExecution:
         src = str(tmp_path / "pages")
         out = str(tmp_path / "out")
         files = sorted(write_pages_parquet(src, 60, urls_per_shard=10))
-        want = _exchange_texts(read_pages(src, parallelism=6))
+        want = _exchange_texts(read_pages(src))
         bad = files[-1]
         pq.write_table(pq.read_table(bad), bad, row_group_size=8)
         good = open(bad, "rb").read()
@@ -580,17 +580,83 @@ class TestOneExecution:
         assert dict(zip(docs.url, docs.extracted_text)) == want
 
 
+@pytest.mark.usefixtures("ray_session")
+class TestRegrouping:
+    """A rerun or a redo over output grouped differently publishes each
+    url once: a redo keeps the committed grouping, and a rerun with
+    coarser parts unpublishes the parts beyond its own."""
+
+    def test_redo_and_coarser_rerun_publish_each_url_once(self, tmp_path):
+        from ocr_platform_ray.corpus import url_for, write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import (
+            PAGE_COLUMNS,
+            extraction_pipeline,
+            read_pages,
+            run_extraction,
+        )
+        from ocr_platform_ray.state.manifest import completed_parts, redo_urls
+
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        assert len(write_pages_parquet(src, 40, urls_per_shard=10)) == 4
+        want = _exchange_texts(read_pages(src))
+
+        def published():
+            docs = _job_docs(out)
+            assert docs.url.is_unique and len(docs) == 40
+            assert dict(zip(docs.url, docs.extracted_text)) == want
+            return sorted(completed_parts(out))
+
+        run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
+        assert published() == [0, 1]
+        r = redo_urls(src, out, [url_for(25)], extraction_pipeline, columns=PAGE_COLUMNS)
+        assert r["redone_parts"] == 1 and r["parts"] == 2
+        assert published() == [0, 1]
+        r = run_extraction(src, out, fragments_per_part=8)
+        assert r["parts"] == 1 and r["rows"] == 40
+        assert published() == [0]
+        assert sorted(os.listdir(out)) == ["_manifest", "part-00000"]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestUnreadableFooter:
+    @pytest.mark.parametrize("partitioned_input", [True, False])
+    def test_good_parts_commit_and_the_error_names_the_file(self, tmp_path, partitioned_input):
+        """4 url-range files in 2 parts, the last file cut in half: part 0
+        commits, part 1 does not run, and one error names the file."""
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        files = sorted(write_pages_parquet(src, 40, urls_per_shard=10))
+        bad = files[-1]
+        raw = open(bad, "rb").read()
+        with open(bad, "wb") as f:
+            f.write(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match=os.path.basename(bad)):
+            run_extraction(
+                src, out, fragments_per_part=2, partitioned_input=partitioned_input
+            )
+        assert sorted(completed_parts(out)) == [0]
+        assert sorted(os.listdir(out)) == ["_manifest", "part-00000"]
+        assert len(_job_docs(out)) == 20
+
+
 @pytest.mark.usefixtures("ray_session")  # the corpus writer runs on Ray
 class TestPartLayout:
     @pytest.mark.parametrize("max_block,want", [(1 << 27, "footers"), (1024, "large file")])
     def test_footer_decision(self, tmp_path, max_block, want):
         """``_part_layout`` over two url-range files, from footers alone."""
+        import pyarrow.parquet as pq
+
         from ocr_platform_ray.corpus import write_pages_parquet
         from ocr_platform_ray.state.manifest import _part_layout
 
         write_pages_parquet(str(tmp_path), 20, urls_per_shard=10)
-        group = sorted(str(p) for p in tmp_path.glob("*.parquet"))
-        assert _part_layout(group, max_block) == want
+        footers = [pq.read_metadata(p) for p in sorted(tmp_path.glob("*.parquet"))]
+        assert _part_layout(footers, max_block) == want
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -626,7 +692,7 @@ class TestFileAlignedRead:
     """reassemble_docs_partitioned's precondition: an UNALIGNED read can
     split one file's pages across blocks, silently assembling a
     straddling url into two doc rows (caught at 192k-url scale — 94 dup
-    docs).  read_pages_file_aligned is the required read shape."""
+    docs).  read_pages, one block per file, is the required read shape."""
 
     def test_unaligned_read_duplicates_and_aligned_read_does_not(self, tmp_path):
         import ray.data as rdata
@@ -635,7 +701,7 @@ class TestFileAlignedRead:
         from ocr_platform_ray.pipelines.extraction import (
             PAGE_COLUMNS,
             extraction_pipeline,
-            read_pages_file_aligned,
+            read_pages,
         )
 
         d = str(tmp_path / "pages")
@@ -649,7 +715,7 @@ class TestFileAlignedRead:
         # the fix: file-aligned read -> unique urls, byte-identical to the
         # shuffle path
         docs_ok = (
-            extraction_pipeline(read_pages_file_aligned(d), partitioned_input=True)
+            extraction_pipeline(read_pages(d), partitioned_input=True)
             .to_pandas().sort_values("url").reset_index(drop=True)
         )
         assert docs_ok["url"].is_unique

@@ -3314,7 +3314,6 @@ class TestVersionedMerge:
 
     def test_time_travel_and_snapshot_isolation(self, tmp_path):
         from ocr_platform_ray.ops.upsert import (
-            list_versions,
             versioned_merge_into,
             versioned_read,
             versioned_write_target,
@@ -3326,7 +3325,7 @@ class TestVersionedMerge:
         assert v1 == "v00001"
         upd = pd.DataFrame({"k": [5, 999], "v": [500.0, 9.0]})
         v2 = versioned_merge_into(td, rd.from_pandas(upd), "k", n_partitions=8)
-        assert list_versions(td) == ["v00001", "v00002"]
+        assert v2 == "v00002"
         # v2 sees the merge
         cur = versioned_read(td).to_pandas().set_index("k")
         assert cur.loc[5, "v"] == 500.0 and cur.loc[999, "v"] == 9.0
@@ -3334,40 +3333,6 @@ class TestVersionedMerge:
         old = versioned_read(td, version=v1).to_pandas().sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(old, df, check_dtype=False)
 
-    def test_vacuum_drops_old_and_orphans(self, tmp_path):
-        import glob as g
-
-        from ocr_platform_ray.ops.upsert import (
-            list_versions,
-            vacuum_versions,
-            versioned_merge_into,
-            versioned_read,
-            versioned_write_target,
-        )
-
-        td = str(tmp_path / "vt")
-        versioned_write_target(rd.from_pandas(self._base()), td, "k", n_partitions=4)
-        for i in range(3):
-            versioned_merge_into(
-                td, rd.from_pandas(pd.DataFrame({"k": [i], "v": [-1.0 * i]})),
-                "k", n_partitions=4,
-            )
-        # plant an orphan (a pre-swap crash leftover)
-        open(td + "/part_00000-v99999.parquet", "wb").write(b"junk")
-        rep = vacuum_versions(td, keep_last=2)
-        assert rep["dropped_versions"] == ["v00001", "v00002"]
-        assert "part_00000-v99999.parquet" in rep["deleted_files"]
-        assert list_versions(td) == ["v00003", "v00004"]
-        # both retained versions still read
-        for tag in ("v00003", "v00004"):
-            assert versioned_read(td, version=tag).count() == 200
-        # every remaining file is referenced
-        manifests = set()
-        from ocr_platform_ray.ops.upsert import _read_manifest
-        for tag in ("v00003", "v00004"):
-            manifests.update(_read_manifest(td, tag)["parts"].values())
-        on_disk = {p.split("/")[-1] for p in g.glob(td + "/part_*.parquet")}
-        assert on_disk == manifests
 
     def test_mixing_apis_guarded(self, tmp_path):
         from ocr_platform_ray.ops.upsert import (
@@ -3483,34 +3448,6 @@ class TestGroupedShare:
 
 @pytest.mark.usefixtures("ray_session")
 class TestReviewFixesS4b:
-    def test_vacuum_never_drops_current_and_cleans_orphan_manifests(self, tmp_path):
-        import json
-
-        from ocr_platform_ray.ops.upsert import (
-            list_versions,
-            vacuum_versions,
-            versioned_merge_into,
-            versioned_read,
-            versioned_write_target,
-        )
-
-        td = str(tmp_path / "vt")
-        base = pd.DataFrame({"k": np.arange(50, dtype="int64"), "v": np.zeros(50)})
-        versioned_write_target(rd.from_pandas(base), td, "k", n_partitions=4)
-        versioned_merge_into(td, rd.from_pandas(pd.DataFrame({"k": [1], "v": [9.0]})), "k")
-        # simulate a pre-swap crash: a manifest NEWER than CURRENT
-        with open(td + "/_versions/v00003.json", "w") as f:
-            json.dump({"seq": 3, "parts": {}, "layout": {}}, f)
-        # and a torn part write
-        open(td + "/part_00001-v00003.parquet.tmp", "wb").write(b"x")
-        rep = vacuum_versions(td, keep_last=1)
-        assert "v00003" in rep["dropped_versions"]  # orphan manifest gone
-        assert "part_00001-v00003.parquet.tmp" in rep["deleted_files"]
-        assert list_versions(td) == ["v00002"]  # CURRENT survived
-        cur = versioned_read(td).to_pandas().set_index("k")
-        assert len(cur) == 50 and cur.loc[1, "v"] == 9.0
-        with pytest.raises(ValueError, match="keep_last"):
-            vacuum_versions(td, keep_last=0)
 
     def test_versioned_merge_schema_and_partition_guards(self, tmp_path):
         from ocr_platform_ray.ops.upsert import (

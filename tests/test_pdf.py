@@ -14,7 +14,6 @@ from ocr_platform_ray.stages.pdf import (
     interpret_content,
     parse_value,
     pdf_page_boxes,
-    pdf_page_count,
     scan_objects,
 )
 
@@ -172,7 +171,7 @@ class TestLayout:
                 [{"text": "Second page paragraph body", "x": 72, "y": 100, "size": 12}],
             ]
         )
-        assert pdf_page_count(pdf) == 2
+        assert len(pdf_page_boxes(pdf)) == 2
         body = extract_page(pdf, "")["body"]
         assert body == "First page paragraph body\n\nSecond page paragraph body"
 
@@ -305,7 +304,7 @@ class TestEncryption:
         enc = fn(plain)
         assert enc != plain and b"/Encrypt" in enc
         assert pdf_page_boxes(enc) == pdf_page_boxes(plain)
-        assert pdf_page_count(enc) == 1
+        assert len(pdf_page_boxes(enc)) == 1
         # whole extractor path: byte-identical body vs the plain file
         r_enc, r_plain = extract_page(enc, ""), extract_page(plain, "")
         assert r_enc["failed_stage"] is None
@@ -404,59 +403,6 @@ class TestFormXObject:
         assert 1 <= len(runs) <= 16  # bounded, not infinite
 
 
-class TestRasterize:
-    """S4 first half: page pixels at 2x (reference ocr.ts:56-71).  Geometry
-    is exact (ink lands inside each parsed box's scaled rectangle); glyphs
-    come from the built-in 5x7 font (small caps) or the documented
-    deterministic fallback atlas."""
-
-    def _pdf(self):
-        return make_article_pdf("Raster Title", PARAS, footnote="fn", page_number=4)
-
-    def test_ink_lands_inside_parsed_boxes(self):
-        import numpy as np
-
-        from ocr_platform_ray.stages.raster import rasterize_pdf
-
-        pdf = self._pdf()
-        img = rasterize_pdf(pdf)[0]
-        assert img.shape == (792 * 2, 612 * 2)
-        boxes = pdf_page_boxes(pdf)[0]
-        covered = np.zeros_like(img, dtype=bool)
-        for x0, ty, x1, by, _role, text in boxes:
-            size = by - ty
-            y0, y1 = int(ty * 2), int(by * 2) + 2
-            xs = int(x0 * 2)
-            xe = int((x0 + 0.5 * size * len(text)) * 2) + 2
-            sub = img[y0:y1, xs:xe]
-            assert (sub < 128).mean() > 0.05  # real ink inside the box
-            covered[y0:y1, xs:xe] = True
-        # no stray ink outside any box
-        assert not (img[~covered] < 128).any()
-
-    def test_scale_factor_scales_canvas_and_ink(self):
-        from ocr_platform_ray.stages.raster import rasterize_pdf
-
-        pdf = self._pdf()
-        at1 = rasterize_pdf(pdf, scale=1.0)[0]
-        at2 = rasterize_pdf(pdf, scale=2.0)[0]
-        assert at2.shape == (at1.shape[0] * 2, at1.shape[1] * 2)
-        n1, n2 = (at1 < 128).sum(), (at2 < 128).sum()
-        assert 2.0 < n2 / max(n1, 1) < 8.0  # ~4x ink at 2x scale
-
-    def test_deterministic_and_png_roundtrip(self):
-        import numpy as np
-
-        from ocr_platform_ray.multimodal.codecs import decode_png, encode_png
-        from ocr_platform_ray.stages.raster import rasterize_pdf
-
-        pdf = self._pdf()
-        a, b = rasterize_pdf(pdf)[0], rasterize_pdf(pdf)[0]
-        assert np.array_equal(a, b)
-        back = decode_png(encode_png(a))
-        assert np.array_equal(back[:, :, 0], a)
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestPdfPipeline:
     def test_rasterize_query_deterministic(self):
@@ -480,27 +426,6 @@ class TestPdfPipeline:
         # deterministic across runs
         out2 = q_extract_pdf_docs("/root/testdata/sf0.001")
         pd.testing.assert_frame_equal(out, out2)
-
-    def test_pdf_blob_page_count_probe(self):
-        import ray.data as rd
-
-        from ocr_platform_ray.sources.ingest import pdf_blob_page_counts
-
-        pdf2 = make_pdf(
-            [
-                [{"text": "a b c", "x": 72, "y": 100, "size": 12}],
-                [{"text": "d e f", "x": 72, "y": 100, "size": 12}],
-            ]
-        )
-        df = pd.DataFrame(
-            {
-                "url": ["u1", "u2"],
-                "html": [pdf2, b"<p>not a pdf</p>"],
-            }
-        )
-        out = pdf_blob_page_counts(rd.from_pandas(df)).to_pandas().set_index("url")
-        assert out.loc["u1", "n_pdf_pages"] == 2
-        assert out.loc["u2", "n_pdf_pages"] == 0
 
 
 class TestGolden:
@@ -550,8 +475,6 @@ class TestLzwAndImageSalvage:
             assert _lzw_decode(lzw_compress(blob)) == blob
 
     def test_lzw_and_dct_pages_extract_byte_identical(self):
-        from ocr_platform_ray.stages.pdf import pdf_page_count
-
         paras = ["hello world paragraph body text here comes more prose"]
         base = extract_page(make_article_pdf("Chapter 1", paras, page_number=1), "")
         for kw in (
@@ -563,7 +486,7 @@ class TestLzwAndImageSalvage:
             r = extract_page(pdf, "")
             assert r["failed_stage"] is None, kw
             assert r["body"] == base["body"] and r["header"] == base["header"], kw
-            assert pdf_page_count(pdf) == 1
+            assert len(pdf_page_boxes(pdf)) == 1
 
 
 class TestAsciiAndRleFilters:
@@ -605,7 +528,6 @@ class TestAsciiAndRleFilters:
     def test_filtered_pages_extract_byte_identical(self):
         from ocr_platform_ray.stages.extract import extract_page
         from ocr_platform_ray.sources.pdfgen import make_article_pdf
-        from ocr_platform_ray.stages.pdf import pdf_page_count
 
         paras = ["hello world paragraph body text here comes more prose"]
         base = extract_page(make_article_pdf("Chapter 1", paras, page_number=1), "")
@@ -620,7 +542,7 @@ class TestAsciiAndRleFilters:
             r = extract_page(pdf, "")
             assert r["failed_stage"] is None, kw
             assert r["body"] == base["body"] and r["header"] == base["header"], kw
-            assert pdf_page_count(pdf) == 1
+            assert len(pdf_page_boxes(pdf)) == 1
 
 
 class TestCodecProperties:
@@ -695,9 +617,7 @@ class TestPdfOutline:
             (3, "Sub 2.1.1", 5),
         ]
         # extraction over the same bytes is untouched by the outline
-        from ocr_platform_ray.stages.pdf import pdf_page_count
-
-        assert pdf_page_count(pdf) == 6
+        assert len(pdf_page_boxes(pdf)) == 6
 
     def test_no_outline_and_broken_tree(self):
         from ocr_platform_ray.sources.pdfgen import make_pdf
@@ -727,41 +647,3 @@ class TestPdfOutline:
             got = pdf_outline(pdf)
             assert [(g["level"], g["title"], g["page_index"]) for g in got] \
                 == [(1, "Only chapter", 1)], kw
-
-
-class TestPdfInfo:
-    """Info-dictionary metadata (`stages/pdf.pdf_info`)."""
-
-    def test_roundtrip_and_salvage(self):
-        from ocr_platform_ray.sources.pdfgen import make_pdf
-        from ocr_platform_ray.stages.pdf import pdf_info
-
-        pages = [[{"text": "body", "x": 72, "y": 100, "size": 12}]]
-        pdf = make_pdf(
-            pages,
-            info={
-                "Title": "A (Parenthetical) Title",
-                "Author": "Jane Q. Author",
-                "Producer": "pdfgen",
-                "CreationDate": "D:20240101120000Z",
-            },
-        )
-        got = pdf_info(pdf)
-        assert got["Title"] == "A (Parenthetical) Title"
-        assert got["Author"] == "Jane Q. Author"
-        assert got["CreationDate"] == "D:20240101120000Z"
-        # no Info -> {}
-        assert pdf_info(make_pdf(pages)) == {}
-        # dangling Info ref -> {}
-        import re
-
-        broken = re.sub(rb"/Info \d+ 0 R", b"/Info 9999 0 R", pdf)
-        assert pdf_info(broken) == {}
-        # outline + info coexist
-        both = make_pdf(
-            pages * 2, outline=[(1, "C1", 0)], info={"Title": "T"}
-        )
-        from ocr_platform_ray.stages.pdf import pdf_outline
-
-        assert pdf_info(both)["Title"] == "T"
-        assert [o["title"] for o in pdf_outline(both)] == ["C1"]

@@ -128,7 +128,7 @@ class TestRedo:
         assert r1["parts"] == 4 and r1["skipped"] == 0
         # redo one url from the 3rd shard (urls 20-29)
         r2 = redo_urls(
-            src, out, [url_for(25)], extraction_pipeline, fragments_per_part=1, columns=PAGE_COLUMNS
+            src, out, [url_for(25)], extraction_pipeline, columns=PAGE_COLUMNS
         )
         assert r2["invalidated"] == 1
         assert r2["redone_parts"] == 1

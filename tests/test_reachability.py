@@ -12,7 +12,10 @@ followed).  The roots are the query registry (``QUERIES``,
 or an import (it runs on import, ``__main__``'s dispatch included), and
 everything in the scripts outside the package that drive it:
 ``__ray_entry__.py``, ``bench.py``, ``tools/`` and ``perfbench/``.
-Tests are not roots: a def only a test reaches is dead code with a test.
+Tests are not roots: a def only a test reaches is dead code with a test,
+and it is deleted with its test, not parked.  ALLOWED takes exactly two
+kinds of reason: a reference implementation a test compares a shipped
+route against (``_REF``), and a fixture generator (``_FIX``).
 """
 
 import ast
@@ -36,9 +39,9 @@ ROOT_DEFS = {
 
 _REF = "reference implementation a remaining test compares a shipped route against: "
 _FIX = "fixture generator: "
-_LATER = "reached only by its own tests; left for the next prune (ROADMAP item 3): "
 
-# Defs no production root reaches that stay, each with its reason.
+# Defs no production root reaches that stay, each with its reason: one of
+# the two kinds above, nothing else (test_allowlist_reasons holds it).
 ALLOWED: dict[tuple[str, str], str] = {
     ("ocr_platform_ray.functions.hijri", "hijri_to_gregorian"): _REF + "gregorian_to_hijri round trips",
     ("ocr_platform_ray.functions.hijri", "_jd_to_gregorian"): _REF + "hijri_to_gregorian's day arithmetic",
@@ -56,34 +59,6 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("ocr_platform_ray.stages.aes", "aes_ecb_decrypt"): _FIX + "the FIPS-197 KAT entry to the shared AES core",
     ("ocr_platform_ray.stages.aes", "_encrypt_state"): _FIX + "the AES encrypt path of the PDF encryptors",
     ("ocr_platform_ray.stages.aes", "_SHIFT_COLS"): _FIX + "the AES encrypt path of the PDF encryptors",
-    ("ocr_platform_ray.functions.hijri", "hijri_to_gregorian_year"): _LATER + "1 test",
-    ("ocr_platform_ray.functions.localization", "fold_localized_entries"): _LATER + "1 test",
-    ("ocr_platform_ray.functions.robots", "_decide"): _LATER + "1 test",
-    ("ocr_platform_ray.functions.translit", "add_transliteration"): _LATER + "1 test",
-    ("ocr_platform_ray.functions.validation", "empty_to_none"): _LATER + "1 test",
-    ("ocr_platform_ray.functions.validation", "T"): _LATER + "empty_to_none's type variable",
-    ("ocr_platform_ray.ops.dedup", "lsh_plan"): _LATER + "3 tests",
-    ("ocr_platform_ray.ops.diff", "diff_summary"): _LATER + "1 test",
-    ("ocr_platform_ray.ops.drift", "js_divergence"): _LATER + "1 test",
-    ("ocr_platform_ray.ops.lm", "save_ngram_lm"): _LATER + "3 tests",
-    ("ocr_platform_ray.ops.lm", "load_ngram_lm"): _LATER + "3 tests",
-    ("ocr_platform_ray.ops.lm", "_UNI_SCHEMA"): _LATER + "save_ngram_lm's schema",
-    ("ocr_platform_ray.ops.lm", "_BG_SCHEMA"): _LATER + "save_ngram_lm's schema",
-    ("ocr_platform_ray.ops.sketch", "count_min_join_size"): _LATER + "2 tests",
-    ("ocr_platform_ray.ops.upsert", "list_versions"): _LATER + "3 tests",
-    ("ocr_platform_ray.ops.upsert", "vacuum_versions"): _LATER + "2 tests",
-    ("ocr_platform_ray.ops.validate", "enforce_expectations"): _LATER + "1 test",
-    ("ocr_platform_ray.pipelines.catalog", "genre_counters"): _LATER + "1 test",
-    ("ocr_platform_ray.pipelines.curate", "curate_recipe"): _LATER + "3 tests",
-    ("ocr_platform_ray.pipelines.curate", "CURATION_RECIPES"): _LATER + "3 tests",
-    ("ocr_platform_ray.sources.ingest", "ingest_raw_html"): _LATER + "1 test",
-    ("ocr_platform_ray.sources.ingest", "pdf_blob_page_counts"): _LATER + "1 test",
-    ("ocr_platform_ray.sources.warc", "write_wet_dataset"): _LATER + "2 tests",
-    ("ocr_platform_ray.sources.warc", "conversion_record"): _LATER + "1 test",
-    ("ocr_platform_ray.stages.pdf", "pdf_info"): _LATER + "2 tests",
-    ("ocr_platform_ray.stages.pdf", "_INFO_RE"): _LATER + "pdf_info's pattern",
-    ("ocr_platform_ray.stages.pdf", "pdf_page_count"): _LATER + "the page-count probe of 6 PDF tests",
-    ("ocr_platform_ray.stages.raster", "rasterize_pdf"): _LATER + "3 tests",
 }
 
 
@@ -262,6 +237,10 @@ class TestReachability:
             "top-level defs no query, job or tool reaches (delete them, or "
             f"add a reason to ALLOWED): {dead}"
         )
+
+    def test_allowlist_reasons(self):
+        odd = sorted(k for k, why in ALLOWED.items() if not why.startswith((_REF, _FIX)))
+        assert not odd, f"ALLOWED entries that are neither _REF nor _FIX: {odd}"
 
     def test_allowlist_has_no_stale_entries(self):
         stale = sorted(set(ALLOWED) - unreached())

@@ -1092,59 +1092,6 @@ class TestDupSpanBloom:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestPersistedLM:
-    def test_save_load_score_matches_inline(self, tmp_path):
-        from ocr_platform_ray.ops.lm import (
-            load_ngram_lm,
-            ngram_lm_scores,
-            save_ngram_lm,
-            score_with_ngram_lm,
-            train_ngram_lm,
-        )
-
-        rng = np.random.default_rng(9)
-        vocab = np.array(["red", "green", "blue", "cyan", "teal", "plum"])
-        texts = [" ".join(rng.choice(vocab, rng.integers(2, 10))) for _ in range(60)]
-        df = pd.DataFrame({"doc_id": np.arange(60), "text": texts})
-        tr = rd.from_pandas(df[df.doc_id % 3 == 0], override_num_blocks=3)
-        sc = rd.from_pandas(df, override_num_blocks=4)
-
-        def norm(out):
-            if not isinstance(out, pd.DataFrame):
-                out = out.to_pandas()
-            return out.sort_values("doc_id").reset_index(drop=True)
-
-        inline = norm(ngram_lm_scores(tr, sc))
-        lm = train_ngram_lm(tr)
-        save_ngram_lm(lm, str(tmp_path / "lm"))
-        loaded = load_ngram_lm(str(tmp_path / "lm"))
-        assert loaded.vocab == lm.vocab
-        persisted = norm(score_with_ngram_lm(sc, loaded))
-        pd.testing.assert_frame_equal(persisted[inline.columns], inline, check_dtype=False)
-
-    def test_empty_bigram_table_round_trips(self, tmp_path):
-        # single-token docs: unigrams exist, bigram table is EMPTY —
-        # save must still leave a typed fragment for load
-        from ocr_platform_ray.ops.lm import (
-            load_ngram_lm,
-            save_ngram_lm,
-            score_with_ngram_lm,
-            train_ngram_lm,
-        )
-
-        tr = rd.from_pandas(pd.DataFrame({"doc_id": [0, 1], "text": ["solo", "word"]}))
-        lm = train_ngram_lm(tr)
-        save_ngram_lm(lm, str(tmp_path / "lm"))
-        loaded = load_ngram_lm(str(tmp_path / "lm"))
-        sc = rd.from_pandas(pd.DataFrame({"doc_id": [0], "text": ["solo word pair"]}))
-        out = score_with_ngram_lm(sc, loaded)
-        if not isinstance(out, pd.DataFrame):
-            out = out.to_pandas()
-        assert out["n_bigrams"].tolist() == [2]
-        assert np.isfinite(out["avg_nll"]).all()
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestReviewRegressions2:
     def test_non_word_aligned_bloom_bits(self):
         # bloom_bits not a multiple of 64 (and tiny) must round up to
@@ -1160,25 +1107,6 @@ class TestReviewRegressions2:
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         assert (out["n_dup_windows"] >= 0).all() and len(out) == 2
-
-    def test_lm_resave_does_not_merge_stale_fragments(self, tmp_path):
-        from ocr_platform_ray.ops.lm import (
-            load_ngram_lm,
-            save_ngram_lm,
-            train_ngram_lm,
-        )
-
-        d = str(tmp_path / "lm")
-        tr = rd.from_pandas(
-            pd.DataFrame({"doc_id": [0, 1], "text": ["a b c", "b c d"]})
-        )
-        lm = train_ngram_lm(tr)
-        save_ngram_lm(lm, d)
-        save_ngram_lm(lm, d)  # re-save into the SAME dir
-        loaded = load_ngram_lm(d)
-        uni = loaded.uni_counts.to_pandas().sort_values("w").reset_index(drop=True)
-        # counts must equal ONE generation (b and c appear twice in train)
-        assert uni.set_index("w")["cu"].to_dict() == {"a": 1, "b": 2, "c": 2, "d": 1}
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1876,115 +1876,6 @@ class TestUnigram:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCompactBucketState:
-    def _inc(self, ids, texts):
-        return rd.from_pandas(
-            pd.DataFrame({"doc_id": np.array(ids, dtype=np.int64), "text": texts})
-        ).repartition(3)
-
-    def test_compacted_state_equals_uncompacted_twin(self, tmp_path):
-        import glob
-
-        from ocr_platform_ray.ops.incremental import (
-            compact_bucket_state,
-            incremental_exact_dedup,
-        )
-
-        days = [
-            (range(10), [f"t{i % 6}" for i in range(10)]),
-            (range(100, 110), [f"t{i % 8}" for i in range(10)]),
-            (range(200, 210), [f"t{i % 12}" for i in range(10)]),
-        ]
-        results = {}
-        for variant in ("plain", "compacted"):
-            sd = str(tmp_path / variant)
-            for d, (ids, texts) in enumerate(days, 1):
-                out = incremental_exact_dedup(
-                    self._inc(ids, texts), "text", "doc_id", sd,
-                    ingest_id=f"day{d}", n_buckets=8,
-                )
-                if variant == "compacted" and d == 2:
-                    rep = compact_bucket_state(sd)
-                    assert (rep["files_after"] <= 1).all()
-            results[variant] = (
-                out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-            )
-            # after 3 ingests on 8 buckets: compacted twin has <= 1 file
-            # per bucket from days 1-2, plus day3's appends
-            files = glob.glob(sd + "/buckets/*/*.parquet")
-            if variant == "compacted":
-                per_bucket = {}
-                for p in files:
-                    per_bucket.setdefault(p.rsplit("/", 2)[1], []).append(p)
-                assert all(len(v) <= 2 for v in per_bucket.values())
-        pd.testing.assert_frame_equal(results["plain"], results["compacted"])
-
-    def test_idempotent_and_replay_untouched(self, tmp_path):
-        from ocr_platform_ray.ops.incremental import (
-            compact_bucket_state,
-            incremental_exact_dedup,
-        )
-
-        sd = str(tmp_path / "state")
-        inc1 = self._inc(range(10), [f"t{i % 6}" for i in range(10)])
-        s1 = incremental_exact_dedup(
-            inc1, "text", "doc_id", sd, ingest_id="day1", n_buckets=4
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        inc2 = self._inc(range(100, 110), [f"t{i % 8}" for i in range(10)])
-        incremental_exact_dedup(
-            inc2, "text", "doc_id", sd, ingest_id="day2", n_buckets=4
-        )
-        r1 = compact_bucket_state(sd)
-        r2 = compact_bucket_state(sd)  # idempotent re-run
-        assert (r2["files_after"] <= 1).all()
-        assert r1["n_rows"].sum() == r2["n_rows"].sum()
-        # replay of a committed ingest still a pure read after compaction
-        replay = incremental_exact_dedup(
-            inc1, "text", "doc_id", sd, ingest_id="day1", n_buckets=4
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(replay, s1)
-
-    def test_minhash_state_compaction_parity(self, tmp_path):
-        from ocr_platform_ray.ops.incremental import (
-            compact_bucket_state,
-            incremental_minhash_dedup,
-        )
-
-        base = [
-            f"the quick brown fox jumps over the lazy dog number {i} "
-            f"with plenty of shared shingle content to hash" for i in range(6)
-        ]
-        results = {}
-        for variant in ("plain", "compacted"):
-            sd = str(tmp_path / ("m_" + variant))
-            incremental_minhash_dedup(
-                self._inc(range(6), base), "text", "doc_id", sd,
-                ingest_id="day1", n_buckets=8,
-            )
-            if variant == "compacted":
-                compact_bucket_state(sd)
-            # day2: near-dups of committed docs (appended word) must drop
-            near = [t + " extra" for t in base[:3]] + ["completely different short text"]
-            out = incremental_minhash_dedup(
-                self._inc(range(100, 104), near), "text", "doc_id", sd,
-                ingest_id="day2", n_buckets=8,
-            )
-            results[variant] = (
-                out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-            )
-        pd.testing.assert_frame_equal(
-            results["plain"][["doc_id", "text"]],
-            results["compacted"][["doc_id", "text"]],
-        )
-
-    def test_empty_state_noop(self, tmp_path):
-        from ocr_platform_ray.ops.incremental import compact_bucket_state
-
-        rep = compact_bucket_state(str(tmp_path / "nothing"))
-        assert len(rep) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestFullyDuplicateIncrement:
     def test_all_dup_increment_commits_and_replays(self, tmp_path):
         from ocr_platform_ray.ops.incremental import (
@@ -2281,33 +2172,3 @@ class TestHits:
         assert len(hits(empty)) == 0
         with pytest.raises(ValueError):
             hits(empty, n_iter=0)
-
-
-class TestLshPlan:
-    def test_plan_tracks_threshold_and_composes(self):
-        from ocr_platform_ray.ops.dedup import lsh_plan
-
-        prev_est = 0.0
-        for t in (0.3, 0.5, 0.7, 0.9):
-            plan = lsh_plan(t)
-            assert plan["bands"] * plan["rows"] == 64
-            # inflection estimate tracks the requested threshold
-            assert abs(plan["threshold_est"] - t) < 0.25
-            assert plan["threshold_est"] >= prev_est  # monotone in t
-            prev_est = plan["threshold_est"]
-
-    def test_recall_bias_adds_bands(self):
-        from ocr_platform_ray.ops.dedup import lsh_plan
-
-        neutral = lsh_plan(0.8, fn_weight=0.5)
-        recall = lsh_plan(0.8, fn_weight=0.95)
-        assert recall["bands"] >= neutral["bands"]
-        assert recall["fn_area"] <= neutral["fn_area"]
-
-    def test_validation(self):
-        from ocr_platform_ray.ops.dedup import lsh_plan
-
-        with pytest.raises(ValueError):
-            lsh_plan(0.0)
-        with pytest.raises(ValueError):
-            lsh_plan(0.5, num_perm=1)

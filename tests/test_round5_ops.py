@@ -123,16 +123,6 @@ class TestSnapshotDiff:
                 rd.from_pandas(old), rd.from_pandas(new), "k", ["v"]
             ).to_pandas()
 
-    def test_diff_summary(self):
-        from ocr_platform_ray.ops.diff import diff_summary, snapshot_diff
-
-        old, new = self._frames()
-        d = snapshot_diff(rd.from_pandas(old), rd.from_pandas(new), "k", ["text"])
-        s = diff_summary(d)
-        want = self._want(old, new)
-        counts = want[want.change != "unchanged"]["change"].value_counts()
-        assert dict(zip(s["change"], s["n"])) == counts.to_dict()
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestExtractHostLinks:
@@ -353,13 +343,6 @@ class TestRobotsFilter:
 
         assert parse_robots_rules("Disallow: /x/\n") == []
 
-    def test_decision_longest_match_allow_ties(self):
-        from ocr_platform_ray.functions.robots import _decide
-
-        rules = [(False, "/a/"), (True, "/a/b"), (False, "/a/b")]
-        assert _decide("/a/c", rules) is False
-        assert _decide("/a/bq", rules) is True  # allow wins the length tie
-        assert _decide("/elsewhere", rules) is True  # no match = allow
 
     def test_filter_end_to_end_and_annotation(self):
         from ocr_platform_ray.functions.robots import robots_filter
@@ -454,95 +437,6 @@ class TestCardRedaction:
         assert luhn_valid("4111111111111111")
         assert luhn_valid("5500000000000004")
         assert not luhn_valid("4111111111111112")
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCompactParquetDir:
-    def _frags(self, tmp_path, n=12, rows=50):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        d = tmp_path / "frags"
-        d.mkdir()
-        for i in range(n):
-            t = pa.table(
-                {
-                    "k": np.arange(i * rows, (i + 1) * rows, dtype="int64"),
-                    "v": [f"r{i}-{j}" for j in range(rows)],
-                }
-            )
-            pq.write_table(t, str(d / f"part-{i:04d}.parquet"))
-        return str(d)
-
-    def _read_all(self, d):
-        import glob
-
-        import pyarrow.parquet as pq
-
-        files = sorted(glob.glob(f"{d}/*.parquet"))
-        return pd.concat(
-            [pq.read_table(f).to_pandas() for f in files], ignore_index=True
-        )
-
-    def test_roundtrip_and_grouping(self, tmp_path):
-        import os
-
-        from ocr_platform_ray.ops.layout import compact_parquet_dir, plan_compaction
-
-        src = self._frags(tmp_path)
-        sz = os.path.getsize(os.path.join(src, "part-0000.parquet"))
-        target = int(sz * 3.5)  # ~3-4 fragments per group
-        groups = plan_compaction(src, target_bytes=target)
-        assert all(
-            sum(os.path.getsize(f) for f in g) <= target or len(g) == 1
-            for g in groups
-        )
-        # groups are contiguous name runs
-        flat = [f for g in groups for f in g]
-        assert flat == sorted(flat)
-        out = str(tmp_path / "compacted")
-        written = compact_parquet_dir(src, out, target_bytes=target)
-        assert len(written) == len(groups) < 12
-        pd.testing.assert_frame_equal(self._read_all(out), self._read_all(src))
-
-    def test_idempotent_rerun_and_delete_inputs(self, tmp_path):
-        import glob
-        import os
-
-        from ocr_platform_ray.ops.layout import compact_parquet_dir
-
-        src = self._frags(tmp_path, n=6)
-        want = self._read_all(src)
-        out = str(tmp_path / "c")
-        w1 = compact_parquet_dir(src, out, target_bytes=1 << 16)
-        bytes1 = {p: open(p, "rb").read() for p in w1}
-        w2 = compact_parquet_dir(src, out, target_bytes=1 << 16)
-        assert w2 == w1
-        assert {p: open(p, "rb").read() for p in w2} == bytes1
-        compact_parquet_dir(src, out, target_bytes=1 << 16, delete_inputs=True)
-        assert glob.glob(f"{src}/*.parquet") == []
-        pd.testing.assert_frame_equal(self._read_all(out), want)
-
-    def test_same_dir_and_empty_rejected(self, tmp_path):
-        from ocr_platform_ray.ops.layout import compact_parquet_dir
-
-        src = self._frags(tmp_path, n=2)
-        with pytest.raises(ValueError, match="differ"):
-            compact_parquet_dir(src, src)
-        empty = tmp_path / "none"
-        empty.mkdir()
-        with pytest.raises(ValueError, match="no parquet"):
-            compact_parquet_dir(str(empty), str(tmp_path / "o"))
-
-    def test_oversized_single_file_own_group(self, tmp_path):
-        import os
-
-        from ocr_platform_ray.ops.layout import plan_compaction
-
-        src = self._frags(tmp_path, n=3, rows=500)
-        big = os.path.getsize(os.path.join(src, "part-0000.parquet"))
-        groups = plan_compaction(src, target_bytes=big // 2)
-        assert [len(g) for g in groups] == [1, 1, 1]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1131,21 +1025,13 @@ class TestExpectations:
             ("kind", "in_set", 1, "z"),
         ]
 
-    def test_block_independence_and_enforce(self):
-        from ocr_platform_ray.ops.validate import (
-            check_expectations,
-            enforce_expectations,
-        )
+    def test_block_independence(self):
+        from ocr_platform_ray.ops.validate import check_expectations
 
         rules = [{"column": "id", "rule": "unique"}]
         r1 = check_expectations(rd.from_pandas(self._df()).repartition(1), rules)
         r7 = check_expectations(rd.from_pandas(self._df()).repartition(7), rules)
         pd.testing.assert_frame_equal(r1, r7)
-        with pytest.raises(ValueError, match="expectations violated"):
-            enforce_expectations(rd.from_pandas(self._df()), rules)
-        clean = pd.DataFrame({"id": [1, 2, 3]})
-        rep = enforce_expectations(rd.from_pandas(clean), rules)
-        assert rep["n_violations"].tolist() == [0]
 
     def test_unknown_rule_rejected(self):
         from ocr_platform_ray.ops.validate import check_expectations
@@ -2109,59 +1995,6 @@ class TestVideoNearDup:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestMinhashRecallProbe:
-    """Round-4 session-7: measured LSH quality probe
-    (ops/dedup.minhash_recall_probe)."""
-
-    def _corpus(self, n_base=40, seed=5):
-        import random
-
-        rng = random.Random(seed)
-        words = [f"w{k}" for k in range(300)]
-        rows = []
-        for i in range(n_base):
-            toks = [rng.choice(words) for _ in range(60)]
-            rows.append((f"d{i:03d}", " ".join(toks)))
-            # high-jaccard near-dup: change 2/60 tokens
-            nd = list(toks)
-            for p in rng.sample(range(60), 2):
-                nd[p] = rng.choice(words)
-            rows.append((f"d{i:03d}x", " ".join(nd)))
-        return pd.DataFrame({"doc_id": [r[0] for r in rows], "text": [r[1] for r in rows]})
-
-    def test_planted_near_dups_high_recall_and_deterministic(self):
-        from ocr_platform_ray.ops.dedup import minhash_recall_probe
-
-        df = self._corpus()
-        ds = rd.from_pandas(df).repartition(4)
-        r1 = minhash_recall_probe(
-            ds, "text", "doc_id", threshold=0.75, sample_n=100, seed=3
-        )
-        assert r1["sample_n"] == 80  # corpus smaller than sample_n -> all
-        assert r1["n_truth_pairs"] >= 20  # planted pairs land in the sample
-        assert r1["recall"] is not None and r1["recall"] >= 0.85
-        assert r1["precision"] is not None and r1["precision"] >= 0.85
-        # deterministic: same dict on a different block structure
-        r2 = minhash_recall_probe(
-            rd.from_pandas(df).repartition(9), "text", "doc_id",
-            threshold=0.75, sample_n=100, seed=3,
-        )
-        assert r1 == r2
-
-    def test_sampling_and_validation(self):
-        from ocr_platform_ray.ops.dedup import minhash_recall_probe
-
-        df = self._corpus(n_base=30, seed=9)
-        ds = rd.from_pandas(df)
-        r = minhash_recall_probe(ds, "text", "doc_id", sample_n=20, seed=1)
-        assert r["sample_n"] == 20
-        with pytest.raises(ValueError, match="bands"):
-            minhash_recall_probe(ds, "text", "doc_id", bands=7)
-        with pytest.raises(ValueError, match="sample_n"):
-            minhash_recall_probe(ds, "text", "doc_id", sample_n=1)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestReviewFixesS7:
     """Regression pins for the session-7 self-review findings."""
 
@@ -2794,61 +2627,6 @@ class TestBloomStripParagraphs:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestReadAuto:
-    """Round-4 session-8: format-dispatching read/write
-    (sources/auto.py) behind the `convert` CLI."""
-
-    def _df(self):
-        return pd.DataFrame(
-            {
-                "k": np.arange(8, dtype="int64"),
-                "s": [f"row {i}" for i in range(8)],
-            }
-        )
-
-    def test_detect_and_roundtrip_all_writable_formats(self, tmp_path):
-        from ocr_platform_ray.sources.auto import (
-            detect_format,
-            read_auto,
-            write_auto,
-        )
-
-        df = self._df()
-        for fmt in ("parquet", "jsonl", "csv", "ipc", "orc"):
-            out = str(tmp_path / fmt)
-            import os
-
-            os.makedirs(out, exist_ok=True)
-            n = write_auto(rd.from_pandas(df), out, fmt)
-            assert n >= 1
-            assert detect_format(out) == fmt
-            back = (
-                read_auto(out)
-                .to_pandas()
-                .sort_values("k")
-                .reset_index(drop=True)
-            )
-            pd.testing.assert_frame_equal(back[["k", "s"]], df, check_dtype=False)
-            # column projection through the dispatcher
-            proj = read_auto(out, columns=["k"])
-            assert proj.schema().names == ["k"]
-
-    def test_majority_vote_and_errors(self, tmp_path):
-        from ocr_platform_ray.sources.auto import detect_format, write_auto
-
-        d = tmp_path / "mixed"
-        d.mkdir()
-        (d / "a.orc").write_bytes(b"")
-        (d / "b.jsonl").write_bytes(b"")
-        (d / "c.jsonl").write_bytes(b"")
-        assert detect_format(str(d)) == "jsonl"
-        with pytest.raises(ValueError, match="no recognized"):
-            detect_format(str(tmp_path))  # only the 'mixed' dir inside
-        with pytest.raises(ValueError, match="unknown format"):
-            write_auto(rd.from_pandas(self._df()), str(tmp_path), "warc")
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestTfrecordSource:
     """Round-4 session-9: TFRecord source/sink (sources/tfrecord.py) —
     framing + tf.train.Example from the public specs, lane-vectorized
@@ -3009,17 +2787,6 @@ class TestTfrecordSource:
         split = _encode_rows(df.head(3)) + _encode_rows(df.tail(5))
         assert whole == split  # records are a pure per-row function
 
-    def test_auto_dispatch(self, tmp_path):
-        from ocr_platform_ray.sources.auto import detect_format, read_auto, write_auto
-
-        df = self._df()[["doc_id", "text"]]
-        out = str(tmp_path / "auto")
-        n = write_auto(rd.from_pandas(df).repartition(2), out, "tfrecord")
-        assert n == 2
-        assert detect_format(out) == "tfrecord"
-        back = read_auto(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        assert back["text"].tolist() == df["text"].tolist()
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestAvroSource:
@@ -3130,8 +2897,7 @@ class TestAvroSource:
         with pytest.raises(Exception, match="bad magic"):
             read_avro(bad).to_pandas()
 
-    def test_block_independence_and_auto_dispatch(self, tmp_path):
-        from ocr_platform_ray.sources.auto import detect_format, read_auto, write_auto
+    def test_block_independence(self):
         from ocr_platform_ray.sources.avro import _column_plan, _encode_rows
 
         df = self._df()
@@ -3139,13 +2905,6 @@ class TestAvroSource:
         whole = _encode_rows(df, plan)
         split = _encode_rows(df.head(3), plan) + _encode_rows(df.tail(5), plan)
         assert whole == split
-        d = df[["doc_id", "text"]]
-        out = str(tmp_path / "auto")
-        n = write_auto(rd.from_pandas(d).repartition(2), out, "avro")
-        assert n == 2
-        assert detect_format(out) == "avro"
-        back = read_auto(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        assert back["text"].tolist() == d["text"].tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -3874,12 +3633,15 @@ class TestTokenDivergence:
     def test_identity_disjoint_and_naive_equality(self):
         from collections import Counter
 
-        from ocr_platform_ray.ops.drift import js_divergence, token_divergence
+        from ocr_platform_ray.ops.drift import token_divergence
+
+        def js(a, b):
+            return token_divergence(self._ds(a), self._ds(b))["js_term"].sum()
 
         a_texts = ["the cat sat", "the dog ran", "cat cat"]
         c_texts = ["totally different words here", "nothing shared at all"]
-        assert js_divergence(self._ds(a_texts), self._ds(a_texts)) == 0.0
-        assert js_divergence(self._ds(a_texts), self._ds(c_texts)) == 1.0
+        assert js(a_texts, a_texts) == 0.0
+        assert js(a_texts, c_texts) == pytest.approx(1.0, rel=1e-12)
 
         def dist(texts):
             cnt = Counter(w for t in texts for w in t.lower().split(" ") if w)
@@ -3896,12 +3658,10 @@ class TestTokenDivergence:
                 want += 0.5 * x * np.log2(x / m)
             if y:
                 want += 0.5 * y * np.log2(y / m)
-        got = js_divergence(self._ds(a_texts), self._ds(b_texts))
-        assert got == pytest.approx(want, rel=1e-12)
-        assert 0.0 < got < 1.0
         t = token_divergence(self._ds(a_texts), self._ds(b_texts))
         assert (t["js_term"].to_numpy() >= 0).all()
         assert t["js_term"].sum() == pytest.approx(want, rel=1e-12)
+        assert 0.0 < want < 1.0
 
     def test_bucketed_route_equals_driver_and_validation(self):
         from ocr_platform_ray.ops.drift import token_divergence
@@ -6049,18 +5809,9 @@ class TestSqliteSource:
         with pytest.raises(ValueError, match="no table"):
             read_sqlite(p, table="missing")
 
-    def test_auto_dispatch_and_unsupported_types(self, tmp_path):
-        from ocr_platform_ray.sources.auto import (
-            detect_format, read_auto, write_auto,
-        )
+    def test_unsupported_types(self, tmp_path):
         from ocr_platform_ray.sources.sqlite_io import write_sqlite_dataset
 
-        df = pd.DataFrame({"a": [1, 2], "b": ["x", "y"]})
-        d = str(tmp_path / "auto")
-        n = write_auto(rd.from_pandas(df), d, "sqlite")
-        assert n == 1 and detect_format(d) == "sqlite"
-        back = read_auto(d).to_pandas()
-        assert back["a"].tolist() == [1, 2]
         # nested values are a loud error, not silent text
         with pytest.raises((ValueError, Exception)):
             write_sqlite_dataset(
@@ -6717,45 +6468,6 @@ class TestGroupedCatEntropy:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCmJoinSize:
-    """CM-sketch join-cardinality estimate (`ops/sketch.count_min_join_size`)."""
-
-    def test_never_underestimates_and_bound(self):
-        from ocr_platform_ray.ops.sketch import (
-            count_min_build, count_min_join_size,
-        )
-
-        rng = np.random.RandomState(0)
-        # zipf-ish keys on both sides, real overlap
-        a = pd.DataFrame({"k": rng.zipf(1.6, 30000) % 500})
-        b = pd.DataFrame({"k": rng.zipf(1.6, 20000) % 300})
-        ca = count_min_build(rd.from_pandas(a), "k", width=4096, depth=4)
-        cb = count_min_build(rd.from_pandas(b), "k", width=4096, depth=4)
-        est = count_min_join_size(ca, cb)
-        va = a["k"].value_counts()
-        vb = b["k"].value_counts()
-        truth = int(
-            sum(int(va[k]) * int(vb[k]) for k in va.index if k in vb.index)
-        )
-        assert est >= truth  # collisions only add
-        slack = (np.e / 4096) * len(a) * len(b)
-        assert est <= truth + slack
-        # and the estimate is actually informative on this data
-        assert est <= truth * 1.2 + slack / 10
-
-    def test_shape_mismatch_raises(self):
-        from ocr_platform_ray.ops.sketch import (
-            count_min_build, count_min_join_size,
-        )
-
-        df = pd.DataFrame({"k": [1, 2, 3]})
-        ca = count_min_build(rd.from_pandas(df), "k", width=1024, depth=4)
-        cb = count_min_build(rd.from_pandas(df), "k", width=2048, depth=4)
-        with pytest.raises(ValueError, match="shapes differ"):
-            count_min_join_size(ca, cb)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestReviewFixesS12:
     """Session-12 self-review regression pins."""
 
@@ -7291,45 +7003,6 @@ class TestCohensKappa:
         ]
         assert outs[0] == outs[1]  # bit-identical dict
         assert abs(outs[0]["kappa"]) < 0.05
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDatasetCard:
-    """Datasheet assembly (`ops/card.dataset_card`)."""
-
-    def test_card_facts_exact(self):
-        from ocr_platform_ray.ops.card import dataset_card
-
-        df = pd.DataFrame(
-            {
-                "doc_id": np.arange(60, dtype="int64"),
-                "lang": ["en"] * 40 + ["de"] * 20,
-                "text": [f"doc {i % 50} has four tokens" for i in range(60)],
-            }
-        )
-        card = dataset_card(rd.from_pandas(df).repartition(5))
-        assert card["n_rows"] == 60
-        assert card["languages"] == {"en": 40, "de": 20}
-        assert card["n_tokens"] == 60 * 5
-        # ids 50..59 duplicate texts 0..9 -> 50 distinct, 10 dup rows
-        assert card["n_distinct_texts"] == 50
-        np.testing.assert_allclose(card["dup_rate"], 10 / 60)
-        cols = {c["col"] for c in card["columns"]}
-        assert cols == {"doc_id", "lang", "text"}
-
-    def test_sections_skippable_and_exchange_route(self):
-        from ocr_platform_ray.ops.card import dataset_card
-
-        df = pd.DataFrame({"k": np.arange(30, dtype="int64")})
-        card = dataset_card(rd.from_pandas(df), text_col=None, lang_col=None)
-        assert "n_tokens" not in card and "languages" not in card
-        assert card["n_rows"] == 30
-        # duplicated text block: distinct vs total exact
-        df2 = pd.DataFrame(
-            {"text": [f"t {i}" for i in range(40)] * 2, "lang": ["x"] * 80}
-        )
-        a = dataset_card(rd.from_pandas(df2))
-        assert a["n_distinct_texts"] == 40 and a["dup_rate"] == 0.5
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -736,17 +736,6 @@ class TestXmlSource:
         assert sorted(got.columns) == ["k", "v"]
         assert got["k"].tolist() == ["a", "b"]
 
-    def test_auto_dispatch(self, tmp_path):
-        from ocr_platform_ray.sources.auto import detect_format, read_auto, write_auto
-
-        df = pd.DataFrame({"a": [1, 2, 3], "s": ["x", "y", "z"]})
-        d = str(tmp_path / "x")
-        n = write_auto(rd.from_pandas(df), d, "xml")
-        assert n >= 1
-        assert detect_format(d) == "xml"
-        back = read_auto(d).to_pandas().sort_values("a").reset_index(drop=True)
-        pd.testing.assert_frame_equal(back[["a", "s"]], df, check_dtype=False)
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestZipfFit:
@@ -1329,29 +1318,6 @@ class TestReviewFixesS13:
         assert got["c_len"] == 5 and got["r_len"] == 6
         cc = Counter(["a b", "b c"]) + Counter(["x y"])
         assert got["p2"] == 2 / 3  # 'a b','b c' match, 'x y' doesn't
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCardCorpusLaws:
-    def test_card_laws_section(self):
-        import ray.data as rdd
-
-        from ocr_platform_ray.ops.card import dataset_card
-
-        ds = rdd.read_parquet("/root/testdata/sf0.001/documents.parquet")
-        card = dataset_card(ds, corpus_laws=True, id_col="doc_id")
-        laws = card["corpus_laws"]
-        assert set(laws) == {
-            "zipf_slope", "zipf_r2", "zipf_top_k", "heaps_beta", "vocab_size"
-        }
-        assert laws["zipf_slope"] < 0
-        assert laws["vocab_size"] > 0
-        # without an id col: zipf only
-        card2 = dataset_card(ds, corpus_laws=True, id_col=None)
-        assert "heaps_beta" not in card2["corpus_laws"]
-        # default off
-        card3 = dataset_card(ds)
-        assert "corpus_laws" not in card3
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -14,19 +14,9 @@ from ocr_platform_ray.corpus import make_pages_table
 
 @pytest.mark.usefixtures("ray_session")
 class TestIngest:
-    def test_raw_html_source(self, tmp_path):
-        from ocr_platform_ray.sources import ingest_raw_html
-
-        for i in range(5):
-            (tmp_path / f"doc{i}.html").write_text(f"<html><p>content {i}</p></html>")
-        ds = ingest_raw_html(str(tmp_path))
-        df = ds.to_pandas()
-        assert len(df) == 5
-        assert set(df.columns) == {"url", "warc_ts", "html", "text", "lang"}
-        assert all(u.startswith("file://") for u in df.url)
 
     def test_page_count_probe(self):
-        from ocr_platform_ray.sources import page_count_probe
+        from ocr_platform_ray.sources.ingest import page_count_probe
 
         t = make_pages_table(10)
         out = page_count_probe(rd.from_arrow(t))
@@ -37,7 +27,7 @@ class TestIngest:
         import hashlib
 
         from ocr_platform_ray.pipelines.extraction import extraction_pipeline, read_pages
-        from ocr_platform_ray.sources import partition_pages_by_url
+        from ocr_platform_ray.sources.ingest import partition_pages_by_url
 
         t = make_pages_table(30)
         out_dir = str(tmp_path / "parts")
@@ -62,8 +52,6 @@ class TestIngest:
                 for r in df.itertuples()
             }
 
-        a = extraction_pipeline(
-            read_pages(out_dir, parallelism=len(paths)), partitioned_input=True
-        ).to_pandas()
+        a = extraction_pipeline(read_pages(out_dir), partitioned_input=True).to_pandas()
         b = extraction_pipeline(rd.from_arrow(t)).to_pandas()
         assert hashes(a) == hashes(b)

@@ -1,6 +1,6 @@
 """WARC / WET source tests (sources/warc.py): record-level roundtrips,
 parser tolerance (continuation headers, fractional dates, gzip vs plain),
-the extraction route-equivalence invariant, and the WET sink roundtrip."""
+and the extraction route-equivalence invariant."""
 
 import datetime
 import gzip
@@ -8,21 +8,17 @@ import gzip
 import pandas as pd
 import pyarrow as pa
 import pytest
-import ray.data as rd
 
 from ocr_platform_ray.corpus import make_pages_table
 from ocr_platform_ray.schemas import PAGES_SCHEMA
 from ocr_platform_ray.sources.warc import (
     build_record,
-    conversion_record,
     parse_warc_file,
     read_warc,
-    read_wet,
     response_record,
     warcinfo_record,
     write_pages_warc,
     write_warc,
-    write_wet_dataset,
 )
 
 
@@ -138,36 +134,3 @@ class TestWarcSource:
         out = QUERIES["warc_extract_docs"]("unused")
         assert len(out) == 40
         assert list(out.columns) == ["url", "n_pages", "total_words", "text_sha256"]
-
-    def test_wet_sink_roundtrip(self, tmp_path):
-        from ocr_platform_ray.pipelines.extraction import extraction_pipeline
-
-        t = make_pages_table(12)
-        docs = extraction_pipeline(rd.from_arrow(t))
-        paths = write_wet_dataset(docs, str(tmp_path / "wet"))
-        assert paths and all(p.endswith(".warc.wet.gz") for p in paths)
-        got = read_wet(paths).to_pandas()
-        want = extraction_pipeline(rd.from_arrow(t)).to_pandas()
-        g = dict(zip(got["url"], got["text"]))
-        w = dict(zip(want["url"], want["extracted_text"]))
-        assert g == w  # extracted text survives the WET container byte-for-byte
-
-    def test_wet_sink_idempotent_rerun(self, tmp_path):
-        rows = [
-            {"url": f"https://e/{i}", "extracted_text": f"text {i}", "lang": "en"}
-            for i in range(10)
-        ]
-        docs = rd.from_items(rows)
-        p1 = write_wet_dataset(docs, str(tmp_path / "w"))
-        bytes1 = {p: open(p, "rb").read() for p in p1}
-        p2 = write_wet_dataset(rd.from_items(rows), str(tmp_path / "w"))
-        # content-keyed names: rerun overwrites the same files identically
-        assert set(p2) == set(p1)
-        assert {p: open(p, "rb").read() for p in p2} == bytes1
-
-    def test_conversion_record_lang_and_refers_to(self):
-        rec = conversion_record(
-            "https://e/1", datetime.datetime(2024, 1, 1), "hello", lang="en"
-        )
-        assert b"WARC-Refers-To-Target-URI: https://e/1" in rec
-        assert b"WARC-Identified-Content-Language: en" in rec

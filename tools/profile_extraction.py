@@ -74,12 +74,9 @@ def main() -> None:
     corpus_dir = f"/tmp/ocr_profile_corpus_{n_urls}"
     if not os.path.isdir(corpus_dir) or not os.listdir(corpus_dir):
         write_pages_parquet(corpus_dir, n_urls, urls_per_shard=250)
-    n_files = len(os.listdir(corpus_dir))
 
     def run():
-        docs = extraction_pipeline(
-            read_pages(corpus_dir, parallelism=n_files), partitioned_input=partitioned
-        )
+        docs = extraction_pipeline(read_pages(corpus_dir), partitioned_input=partitioned)
         n = sum(b.num_rows for b in docs.iter_batches(batch_format="pyarrow"))
         return docs, n
 
