@@ -1,8 +1,9 @@
 """Benchmark harness (driver contract: prints ONE JSON line).
 
-Headline: the flagship extraction pipeline over a deterministic synthetic
-pages corpus (built once under /tmp, reused across runs and parallelism
-levels).  Also times the tracked slice of the query suite
+Headline: the extraction job as shipped (``run_extraction``: read,
+extract, reassemble, write, manifest commit, into a fresh output
+directory) over a deterministic synthetic pages corpus (built once under
+/tmp, reused across runs and parallelism levels).  Also times the tracked slice of the query suite
 (``pipelines/queries.py::TRACKED``) over the star-schema directory
 $GRAFT_SF_DIR (default: SF_DIR below).
 
@@ -24,8 +25,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO = os.path.dirname(os.path.abspath(__file__))
@@ -80,7 +83,7 @@ def run_once() -> dict:
     ctx.enable_progress_bars = False
 
     from ocr_platform_ray.corpus import write_pages_parquet
-    from ocr_platform_ray.pipelines.extraction import read_pages, extraction_pipeline
+    from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
     from ocr_platform_ray.pipelines.queries import QUERIES, TRACKED
 
     # ---- build (or reuse) the bench corpus, then warm the page cache -----
@@ -88,20 +91,24 @@ def run_once() -> dict:
         write_pages_parquet(CORPUS_DIR, BENCH_URLS, urls_per_shard=750)
     n_pages = read_pages(CORPUS_DIR).count()  # warm page cache, untimed
 
-    # headline uses the shuffle-free partition-aligned path (the corpus is
-    # url-range-sharded, the 100 TB layout the manifest writer produces);
-    # read_pages keeps blocks file-aligned (no splitting).
-    def _pipeline():
-        return extraction_pipeline(read_pages(CORPUS_DIR), partitioned_input=True)
+    # headline: the job as shipped, with the layout asserted (the corpus
+    # is url-range-sharded, the 100 TB layout the manifest writer
+    # produces), into a fresh output directory each time
+    def _pipeline() -> int:
+        out = tempfile.mkdtemp(prefix="ocr_bench_out_")
+        try:
+            return run_extraction(CORPUS_DIR, out, partitioned_input=True)["rows"]
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
 
-    _consume(_pipeline())  # warm Ray workers, untimed (steady-state measure)
+    _pipeline()  # warm Ray workers, untimed (steady-state measure)
 
     # ---- headline: extraction docs/sec (best of 3 — the sandbox host is
     # shared and noisy; min wall isolates the pipeline from transient load)
     trials = []
     for _ in range(3):
         t0 = time.monotonic()
-        n_docs = _consume(_pipeline())
+        n_docs = _pipeline()
         trials.append(time.monotonic() - t0)
     extract_s = min(trials)
 

@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps({"shards": len(paths)}))
         elif args.cmd == "redo":
-            from .pipelines.extraction import PAGE_COLUMNS, extraction_pipeline
+            from .pipelines.extraction import PAGE_COLUMNS, extract_docs, extraction_pipeline
             from .state.manifest import redo_urls
 
             res = redo_urls(
@@ -124,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.output,
                 args.url,
                 extraction_pipeline,
+                extract_docs,
                 columns=PAGE_COLUMNS,
             )
             print(json.dumps(res))

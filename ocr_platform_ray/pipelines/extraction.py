@@ -1,10 +1,11 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
-    read_parquet(pages) -> map_batches(ExtractPages(), fused into the read)
-    -> per-file reassembly when a part's files are url-disjoint, fused
-       with the read and a per-file parquet write (one task per file of
-       the whole job), or hash(url) % 64 shard exchange (reassemble in
-       warc_ts order) + write_parquet, part by part
+    per input file of a url-disjoint part, one plain Ray task:
+        read the file -> ExtractPages -> reassemble its urls -> write
+    every other part, as a Ray Data execution:
+        read_parquet(part) -> map_batches(ExtractPages(), fused into the
+        read) -> hash(url) % 64 shard exchange (reassemble in warc_ts
+        order) -> write_parquet
     -> manifest per part
 
 Mirrors the reference's book OCR path (POST /book/ocr -> book worker
@@ -15,6 +16,7 @@ shuffle payload is extracted text, not raw html bytes (SURVEY.md §4)."""
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -22,7 +24,8 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..stages.extract import ExtractPages
-from ..stages.reassemble import _docs_from_block, reassemble_docs
+from ..stages.reassemble import _docs_from_block, reassemble_docs, reassemble_docs_partitioned
+from ..stages.skew import explode_oversized
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text"]
 
@@ -56,30 +59,35 @@ def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
 
 
 def extraction_pipeline(
-    pages: rd.Dataset | pa.Table,
+    pages: rd.Dataset,
     *,
     batch_size: int = 256,
     partitioned_input: bool = False,
-) -> rd.Dataset | pa.Table:
+) -> rd.Dataset:
     """pages Dataset -> per-document Dataset with the byte-identical
     ``extracted_text`` per url (DOC_OUT_SCHEMA).
 
     ``partitioned_input=True`` selects the shuffle-free reassembly
-    (``_docs_from_block`` per block, as ``reassemble_docs_partitioned``)
-    — valid only when every input block holds all pages of its urls
-    (url-ranged shard layout, unsplit file reads).  Its stages also run
-    in-process on a ``pa.Table`` holding whole urls (one input file),
-    returning the docs as a table: the job's per-file task
-    (``run_with_manifest``) calls it that way.  Both reassemblies produce
-    byte-identical output (asserted in tests)."""
-    if not partitioned_input:
-        return reassemble_docs(extract_pages_ds(pages, batch_size=batch_size))
-    for stage in (ExtractPages(batch_size), _docs_from_block):
-        if isinstance(pages, pa.Table):
-            pages = stage(pages)
-        else:
-            pages = pages.map_batches(stage, batch_format="pyarrow", batch_size=None)
-    return pages
+    (``reassemble_docs_partitioned``) — valid only when every input block
+    holds all pages of its urls (url-ranged shard layout, unsplit file
+    reads).  Both reassemblies produce byte-identical output (asserted in
+    tests).  ``extract_docs`` is the same pipeline over one file's pages
+    in-process."""
+    extracted = extract_pages_ds(pages, batch_size=batch_size)
+    if partitioned_input:
+        return reassemble_docs_partitioned(extracted)
+    return reassemble_docs(extracted)
+
+
+def extract_docs(pages: pa.Table, *, max_blob_bytes: int | None = None) -> pa.Table:
+    """One file's pages, holding every page of their urls -> their docs,
+    in-process: the job's per-file task (``run_with_manifest``) runs it.
+    ``max_blob_bytes`` runs the oversized-payload splitter first.  Its
+    globals reach neither ``ray.data`` nor the url exchange, so the task's
+    worker never imports them."""
+    if max_blob_bytes is not None:
+        pages = explode_oversized(pages, max_bytes=max_blob_bytes)
+    return _docs_from_block(ExtractPages()(pages))
 
 
 def run_extraction(
@@ -97,32 +105,28 @@ def run_extraction(
     oversized-payload splitter pre-pass (stages.skew); split chunks keep
     their url, so it composes with either reassembly.
 
-    Each manifest part picks its reassembly (``run_with_manifest``):
-    ``partitioned_input=True`` asserts a url-ranged/hash-sharded layout
-    (corpus writer / ``partition_pages_by_url`` output), so every part is
-    aligned.  With ``partitioned_input=False`` a part is still aligned
-    when its files' parquet footers prove their url ranges disjoint and
-    each file fits one read block; any other part runs the url exchange.
-    The whole job's aligned files run in one Ray execution, one fused
-    read→extract→reassemble→write task per file, and each part commits
-    when its last file lands; exchange parts run afterwards, part by
-    part.  Either way the aligned precondition is checked at commit: a
-    part that would publish a url twice is recomputed through the
-    exchange."""
-    # bound in the driver: pipe also runs inside tasks, which may not
-    # be able to import the package
-    from ..stages.skew import explode_oversized
+    Each manifest part picks its reassembly (``run_with_manifest``): a
+    part with a file bigger than one read block runs the url exchange;
+    any other part is aligned when ``partitioned_input=True`` asserts a
+    url-ranged/hash-sharded layout (corpus writer /
+    ``partition_pages_by_url`` output) or its files' parquet footers
+    prove their url ranges disjoint.  Each aligned file runs one plain
+    Ray task, ``extract_docs`` between a read and a write of that file,
+    and a part commits when its last file lands; exchange parts run
+    afterwards through ``extraction_pipeline``, part by part.  A part
+    that would publish a url twice is recomputed through the exchange."""
     from ..state.manifest import run_with_manifest
 
-    def pipe(pages: rd.Dataset | pa.Table, *, partitioned_input: bool) -> rd.Dataset | pa.Table:
+    def pipe(pages: rd.Dataset) -> rd.Dataset:
         if max_blob_bytes is not None:
             pages = explode_oversized(pages, max_bytes=max_blob_bytes)
-        return extraction_pipeline(pages, partitioned_input=partitioned_input)
+        return extraction_pipeline(pages)
 
     return run_with_manifest(
         input_path,
         output_dir,
         pipe,
+        functools.partial(extract_docs, max_blob_bytes=max_blob_bytes),
         resume=resume,
         fragments_per_part=fragments_per_part,
         columns=PAGE_COLUMNS,

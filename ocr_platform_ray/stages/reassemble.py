@@ -171,12 +171,11 @@ def reassemble_docs_partitioned(pages_ds):
     url-hash-partitioned (corpus.write_pages_parquet and
     ``partition_pages_by_url`` both guarantee it) AND the read does not
     split files (``read_pages``: one block per file).  This function does not
-    check it: a violation yields two doc rows for one url.  The job
-    (``run_with_manifest``) checks it per part — it picks this path only
-    when the caller asserts the layout or the files' footer url ranges are
-    disjoint, and recomputes through ``reassemble_docs`` any part whose
-    output holds a url twice.  For arbitrary inputs use ``reassemble_docs``
-    (the url exchange); this path is the map-side-complete optimization —
-    one task per file, no all-to-all exchange.  ``batch_size=None`` = one
-    batch per block, preserving file alignment."""
+    check it: a violation yields two doc rows for one url.  The job's
+    per-file tasks (``run_with_manifest``) run ``_docs_from_block`` on whole
+    files in-process, and recompute through ``reassemble_docs`` any part
+    whose output holds a url twice.  For arbitrary inputs use
+    ``reassemble_docs`` (the url exchange); this path is the
+    map-side-complete optimization — no all-to-all exchange.
+    ``batch_size=None`` = one batch per block, preserving file alignment."""
     return pages_ds.map_batches(_docs_from_block, batch_format="pyarrow", batch_size=None)

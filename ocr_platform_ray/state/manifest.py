@@ -19,14 +19,12 @@ lays shards out url-ranged, which guarantees this; for arbitrary inputs,
 an ingest repartition-by-url-hash pass establishes the invariant first.
 
 Within a partition, a url's pages may or may not span files.  A part whose
-files' footers show disjoint url ranges and one read block per file (or
-whose caller asserts the layout) is *aligned*: its files are reassembled
-without the url exchange, and the aligned files of every pending part run
-in one Ray execution, one fused read→extract→reassemble→write task per
-file, each part committed as its last file lands.  Every other part runs
-the exchange afterwards, part by part.  The commit checks the choice: an
-aligned part that holds a url twice is recomputed through the exchange
-before it is published.
+files each fit one read block and show disjoint footer url ranges (or
+whose caller asserts the layout) is *aligned*: each of its files runs one
+plain Ray task that reads, extracts, reassembles and writes it, and the
+part commits as its last file lands.  Every other part runs the url
+exchange afterwards, part by part, as a Ray Data execution.  An aligned
+part that holds a url twice is recomputed through the exchange.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ import time
 import zlib
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 
@@ -105,21 +103,27 @@ def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
     return ranges
 
 
-def _part_layout(footers: list[pq.FileMetaData], max_block_bytes: int | None) -> str:
+def _part_layout(
+    footers: list[pq.FileMetaData], max_block_bytes: int | None, asserted: bool = False
+) -> str:
     """Why a fragment group may, or may not, skip the url exchange, from
-    its files' footers alone: ``"footers"`` when every file has url
-    statistics and fits one read block (a bigger file is emitted as
-    several) and the files' ``[min, max]`` ranges, sorted by min, are
-    strictly disjoint (a shared boundary url counts as overlap); else
-    ``"no stats"``, ``"large file"`` or ``"overlap"``."""
+    its files' footers alone: ``"large file"`` when some file is bigger
+    than one read block, whatever the caller asserts; else ``"asserted"``
+    when the caller asserts the layout, or ``"footers"`` when every file
+    has url statistics and the files' ``[min, max]`` ranges, sorted by
+    min, are strictly disjoint (a shared boundary url counts as overlap);
+    else ``"no stats"`` or ``"overlap"``."""
+    for md in footers:
+        size = sum(md.row_group(rg).total_byte_size for rg in range(md.num_row_groups))
+        if max_block_bytes is not None and size > max_block_bytes:
+            return "large file"
+    if asserted:
+        return "asserted"
     spans = []
     for md in footers:
         ranges = _url_ranges(md)
         if ranges is None:
             return "no stats"
-        size = sum(md.row_group(rg).total_byte_size for rg in range(md.num_row_groups))
-        if max_block_bytes is not None and size > max_block_bytes:
-            return "large file"
         if ranges:
             spans.append((min(lo for lo, _ in ranges), max(hi for _, hi in ranges)))
     spans.sort()
@@ -128,74 +132,61 @@ def _part_layout(footers: list[pq.FileMetaData], max_block_bytes: int | None) ->
     return "footers"
 
 
-_LANDED = pa.schema([("path", pa.string()), ("pages", pa.int64()), ("task_s", pa.float64())])
+def _file_task(file_fn, columns: list[str] | None):
+    """The aligned files' task: read one file whole, run ``file_fn`` on
+    its pages, write the docs to ``<tmp_dir>/<file stem>.parquet`` (a
+    retry overwrites its failed attempt) and return the file, its pages
+    and the task's seconds.  Nothing it reaches may import ``ray.data``
+    or, through ``pq.read_table``, ``pyarrow.dataset``: the worker pays
+    for either import, more than a small file's task costs."""
 
-
-def _land_files(pipeline_fn, tmp_dirs: dict[str, str]):
-    """The aligned files' fused task, after a read with ``include_paths``
-    and one read task per file: take the block's ``path`` column off, run
-    ``pipeline_fn(pages, partitioned_input=True)`` on its pages as a
-    table, write the docs into the file's ``part-NNNNN.tmp`` directory
-    with ``pq.write_table`` and return one row: the file, its pages in
-    this block (Ray splits a file bigger than the target block size into
-    several blocks) and the task's seconds.  A block's output file is
-    named after its source file, page count and urls, so the blocks of a
-    split file never overwrite each other (the commit's repeat guard
-    recomputes such a part) and a retried task overwrites what its failed
-    attempt wrote."""
-
-    def land(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return _LANDED.empty_table()
+    def land_file(path: str, tmp_dir: str) -> tuple[str, int, float]:
         t0 = time.perf_counter()
-        (path,) = pc.unique(block.column("path")).to_pylist()  # raises on a mixed block
-        pages = block.drop_columns(["path"])
-        docs = pipeline_fn(pages, partitioned_input=True)
+        pages = pq.ParquetFile(path).read(columns=columns)
+        docs = file_fn(pages)
         if docs.num_rows:
-            urls = "\n".join(u or "" for u in pages.column("url").to_pylist())
             stem = os.path.splitext(os.path.basename(path))[0]
-            name = f"{stem}-{pages.num_rows}-{zlib.crc32(urls.encode()):08x}.parquet"
-            pq.write_table(docs, os.path.join(tmp_dirs[path], name))
-        row = [path, pages.num_rows, time.perf_counter() - t0]
-        return pa.table([[v] for v in row], schema=_LANDED)
+            pq.write_table(docs, os.path.join(tmp_dir, stem + ".parquet"))
+        return path, pages.num_rows, time.perf_counter() - t0
 
-    return land
+    return land_file
 
 
 def run_with_manifest(
     input_path: str,
     output_dir: str,
     pipeline_fn,
+    file_fn,
     *,
     resume: bool = True,
     fragments_per_part: int = 8,
     columns: list[str] | None = None,
     file_aligned_blocks: bool = False,
 ) -> dict:
-    """Run ``pipeline_fn`` over every pending partition (a group of
-    ``fragments_per_part`` input files) with atomic publish (write to a
-    ``part-NNNNN.tmp`` dir, rename) + a manifest per part.
+    """Run every pending partition (a group of ``fragments_per_part``
+    input files) with atomic publish (write to a ``part-NNNNN.tmp`` dir,
+    rename) + a manifest per part.
 
-    ``pipeline_fn(pages, partitioned_input=...)`` (like
-    ``extraction_pipeline``) emits one row per url.  Before any work runs,
-    each pending part is sorted into *aligned* or *exchange*.  A part is
-    aligned when ``file_aligned_blocks=True`` asserts the layout
-    (url-ranged or url-hash-sharded files; no url range is checked) or when
-    ``_part_layout`` finds every file small enough for one read block,
-    with disjoint footer url ranges.  Every pending aligned file of the
-    whole job is then read in ONE Dataset, one block per file, and each
-    block runs one fused task (``_land_files``): ``pipeline_fn`` on that
-    file's pages as a ``pa.Table`` with ``partitioned_input=True``, then a
-    ``pq.write_table`` of its docs into its part's tmp dir.  The driver
-    consumes the tasks' rows as they stream and commits a part as soon as
-    the last of its files has landed, so parallelism is one task per
-    file of the job, not of a part.  Exchange parts run afterwards, one
-    Ray execution per part: ``pipeline_fn(ds, partitioned_input=False)``
-    on the part's files read with Ray's default blocks (the url
-    exchange), written with ``write_parquet``.  The aligned precondition
-    is checked, not trusted: an aligned part whose written output holds a
-    url twice (a file split across blocks, wrong statistics) is
-    recomputed through the exchange before it is published.
+    ``pipeline_fn(pages_ds)`` (like ``extraction_pipeline``) and
+    ``file_fn(pages_table)`` (like ``extract_docs``) emit one row per url,
+    the second from one file's pages that hold every page of their urls.
+    Before any work runs, ``_part_layout`` sorts each pending part into
+    *aligned* or *exchange*: a part with a file bigger than one read block
+    (``DataContext.target_max_block_size``) runs the exchange; any other
+    is aligned when ``file_aligned_blocks=True`` asserts the layout
+    (url-ranged or url-hash-sharded files) or when its files' footer url
+    ranges are disjoint.
+
+    Every pending aligned file of the job runs one plain Ray task
+    (``_file_task``: read, ``file_fn``, write into its part's tmp dir),
+    retried when its worker dies, never on an error it raises.  The
+    driver drains the tasks (``ray.wait``) and commits a part as soon as
+    its last file has landed with its footer's row count.  Exchange parts
+    run afterwards, one Ray Data execution each: ``pipeline_fn`` over the
+    part's files read one block per file, then ``write_parquet``.  The
+    aligned precondition is checked, not trusted: an aligned part whose
+    output holds a url twice (two files sharing a url, wrong statistics)
+    is recomputed through the exchange before it is published.
 
     The manifest records ``"reassembly"`` (``"aligned"`` |
     ``"exchange"``), ``"reassembly_reason"`` (``"asserted"``,
@@ -205,9 +196,10 @@ def run_with_manifest(
     overlap in time, so elapsed time would not describe the part), for an
     exchange part the elapsed time of its run (plus its discarded
     aligned tasks' seconds when it was recomputed).  ``rows_per_s`` is
-    rows over ``wall_s``.  A failure mid-stream leaves every part
-    committed whose files had all landed; the rest leave only their
-    ``.tmp`` dirs, which a rerun deletes and recomputes.
+    rows over ``wall_s``.  A task that fails stops no other: every part
+    whose files all land is committed and every exchange part runs, then
+    the job raises the first task's error; the failed parts leave only
+    their ``.tmp`` dirs, which a rerun deletes and recomputes.
 
     Every pending file's footer is read once, before any work runs.  A
     part with an unreadable footer is not run; every other part runs and
@@ -267,11 +259,8 @@ def run_with_manifest(
     for pid in pending:
         if any(f in unreadable for f in groups[pid]):
             continue
-        reasons[pid] = (
-            "asserted"
-            if file_aligned_blocks
-            else _part_layout([footers[f] for f in groups[pid]], max_block)
-        )
+        layout = [footers[f] for f in groups[pid]]
+        reasons[pid] = _part_layout(layout, max_block, file_aligned_blocks)
     aligned = [pid for pid, r in reasons.items() if r in ("asserted", "footers")]
     exchange = [pid for pid in reasons if pid not in aligned]
 
@@ -307,36 +296,40 @@ def run_with_manifest(
         total_rows += rows
 
     task_s = dict.fromkeys(aligned, 0.0)
-    if aligned:
-        part_of = {f: pid for pid in aligned for f in groups[pid]}
-        for pid in aligned:
-            os.makedirs(part_dir(pid) + ".tmp")
-        waiting = {pid: set(groups[pid]) for pid in aligned}
-        landed = dict.fromkeys(part_of, 0)
-        ds = rd.read_parquet(
-            list(part_of), columns=columns, include_paths=True, override_num_blocks=len(part_of)
-        )
-        tmp_dirs = {f: part_dir(pid) + ".tmp" for f, pid in part_of.items()}
-        lands = ds.map_batches(
-            _land_files(pipeline_fn, tmp_dirs), batch_format="pyarrow", batch_size=None
-        )
-        for row in lands.iter_rows():
-            f, pid = row["path"], part_of[row["path"]]
-            landed[f] += row["pages"]
-            task_s[pid] += row["task_s"]
-            if landed[f] >= footers[f].num_rows:
-                waiting[pid].discard(f)
-                if not waiting[pid]:
-                    del waiting[pid]
-                    commit(pid, "aligned", task_s[pid])
-        for pid in sorted(waiting):  # a file with no rows yields no block
-            commit(pid, "aligned", task_s[pid])
+    part_of = {f: pid for pid in aligned for f in groups[pid]}
+    waiting = {pid: set(groups[pid]) for pid in aligned}
+    for pid in aligned:
+        os.makedirs(part_dir(pid) + ".tmp")
+    land = ray.remote(max_retries=-1, scheduling_strategy="SPREAD")(_file_task(file_fn, columns))
+    refs = [land.remote(f, part_dir(pid) + ".tmp") for f, pid in part_of.items()]
+    errors = []
+    try:
+        while refs:
+            (ref,), refs = ray.wait(refs)
+            try:
+                f, pages, secs = ray.get(ref)
+            except ray.exceptions.RayError as e:
+                errors.append(e)
+                continue
+            pid = part_of[f]
+            task_s[pid] += secs
+            if pages != footers[f].num_rows:
+                errors.append(ValueError(f"{f}: read {pages} of {footers[f].num_rows} rows"))
+                continue
+            waiting[pid].discard(f)
+            if not waiting[pid]:
+                commit(pid, "aligned", task_s[pid])
+    finally:
+        for ref in refs:  # the driver failed: stop the tasks it will not drain
+            ray.cancel(ref)
 
     for pid in sorted(exchange):
         tp = time.monotonic()
-        ds = rd.read_parquet(groups[pid], columns=columns)
-        pipeline_fn(ds, partitioned_input=False).write_parquet(part_dir(pid) + ".tmp")
+        ds = rd.read_parquet(groups[pid], columns=columns, override_num_blocks=len(groups[pid]))
+        pipeline_fn(ds).write_parquet(part_dir(pid) + ".tmp")
         commit(pid, "exchange", time.monotonic() - tp + task_s.get(pid, 0.0))
+    if errors:
+        raise errors[0]
     if unreadable:
         raise ValueError(
             f"{len(unreadable)} input file(s) have an unreadable parquet footer; "
@@ -454,6 +447,7 @@ def redo_urls(
     output_dir: str,
     urls: list[str],
     pipeline_fn,
+    file_fn,
     *,
     columns: list[str] | None = None,
 ) -> dict:
@@ -482,6 +476,7 @@ def redo_urls(
         input_path,
         output_dir,
         pipeline_fn,
+        file_fn,
         resume=True,
         fragments_per_part=fragments_per_part,
         columns=columns,

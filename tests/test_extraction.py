@@ -438,9 +438,30 @@ class TestReassemblyChoice:
         docs = _job_docs(str(tmp_path / "out"))
         assert docs[docs.url == shared].extracted_text.tolist() == [want]
 
+    def test_exchange_part_reads_one_block_per_file(self, tmp_path, monkeypatch, plan_ops):
+        """An exchange part's read fuses with the extraction: no raw page
+        crosses the object store between a read and an extract task."""
+        from ocr_platform_ray.pipelines import extraction
+
+        plans = []
+        pipeline = extraction.extraction_pipeline
+
+        def spy(ds, **kwargs):
+            docs = pipeline(ds, **kwargs)
+            plans.append(plan_ops(docs))
+            return docs
+
+        monkeypatch.setattr(extraction, "extraction_pipeline", spy)
+        t = make_pages_table(20)
+        files = [t.slice(0, 50), t.slice(50)]
+        src = _write_files(tmp_path / "pages", files, write_statistics=False)
+        assert self._run(src, tmp_path) == ("exchange", "no stats")
+        plan = plans[0]  # the job's; _run's reference pass follows it
+        assert plan[0].startswith("ReadParquet->MapBatches(ExtractPages)"), plan
+
     def _split_files(self, tmp_path, urls_per_shard, **kwargs):
         """Run the job with a target block size (64 KiB) smaller than the
-        input files, so a file read in one task comes out as several blocks."""
+        input files."""
         from ray.data import DataContext
 
         from ocr_platform_ray.corpus import write_pages_parquet
@@ -457,9 +478,28 @@ class TestReassemblyChoice:
 
     def test_split_file_is_recomputed_through_the_exchange(self, tmp_path):
         """An asserted layout whose files exceed the target block size
-        reaches the aligned reassembly as several blocks; the commit sees
-        the repeated url and publishes the exchange's output instead."""
+        goes to the exchange before any task reads it: the size rule
+        holds whatever the caller asserts."""
         got = self._split_files(tmp_path, 20, partitioned_input=True)
+        assert got == ("exchange", "large file")
+
+    def test_asserted_layout_that_splits_a_url_is_recomputed(self, tmp_path):
+        """A wrong assertion (one url's pages in two files of a part)
+        reaches the aligned reassembly; the commit sees the repeated url
+        and publishes the exchange's output instead."""
+        import pyarrow.compute as pc
+
+        t = make_pages_table(10)
+        k = next(u for u in range(1, 9) if corpus.n_pages_for(u) >= 2)
+        pages = t.filter(pc.equal(t.column("url"), corpus.url_for(k)))
+        a = pa.concat_tables(
+            [self._urls(t, [corpus.url_for(u) for u in range(k)]), pages.slice(0, 1)]
+        )
+        b = pa.concat_tables(
+            [pages.slice(1), self._urls(t, [corpus.url_for(u) for u in range(k + 1, 10)])]
+        )
+        src = _write_files(tmp_path / "pages", [a, b])
+        got = self._run(src, tmp_path, partitioned_input=True)
         assert got == ("exchange", "duplicate-recomputed")
 
     def test_large_file_goes_straight_to_the_exchange(self, tmp_path):
@@ -469,10 +509,10 @@ class TestReassemblyChoice:
 
 @pytest.mark.usefixtures("ray_session")
 class TestOneExecution:
-    """Every pending aligned file of the job runs in one Ray execution; a
-    part commits once its last file has landed."""
+    """Every pending aligned file of the job runs one plain Ray task, with
+    no Ray Data execution; a part commits once its last file has landed."""
 
-    def test_aligned_parts_share_one_read(self, tmp_path, monkeypatch):
+    def test_aligned_job_builds_no_dataset(self, tmp_path, monkeypatch):
         import ray.data as rd
 
         from ocr_platform_ray.corpus import write_pages_parquet
@@ -487,17 +527,54 @@ class TestOneExecution:
         out = str(tmp_path / "out")
         assert len(write_pages_parquet(src, 40, urls_per_shard=10)) == 4
         want = _doc_hashes(extraction_pipeline(read_pages(src)).to_pandas())
-        reads = []
-        read_parquet = rd.read_parquet
-        monkeypatch.setattr(
-            rd, "read_parquet", lambda paths, **kw: reads.append(paths) or read_parquet(paths, **kw)
-        )
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("an all-aligned job read a Dataset")
+
+        monkeypatch.setattr(rd, "read_parquet", no_dataset)
         r = run_extraction(src, out, fragments_per_part=2)
         assert r["parts"] == 2 and r["rows"] == 40
-        assert [len(p) for p in reads] == [4]
         parts = completed_parts(out)
         assert [m["reassembly"] for m in parts.values()] == ["aligned", "aligned"]
         assert _doc_hashes(_job_docs(out)) == want
+
+    def test_file_task_runs_without_ray_data(self, tmp_path):
+        """The per-file task, shipped by value, runs in a process where
+        ``import ray.data`` fails and the package is not importable: a
+        reference to either would cost every worker its import."""
+        import subprocess
+        import sys
+
+        import pyarrow.parquet as pq
+        from ray import cloudpickle
+
+        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import PAGE_COLUMNS, extract_docs
+        from ocr_platform_ray.stages.extract import ExtractPages
+        from ocr_platform_ray.stages.reassemble import _docs_from_block
+        from ocr_platform_ray.state.manifest import _file_task
+
+        (path,) = write_pages_parquet(str(tmp_path / "pages"), 12, urls_per_shard=12)
+        task = tmp_path / "task.pkl"
+        task.write_bytes(cloudpickle.dumps(_file_task(extract_docs, PAGE_COLUMNS)))
+        script = (
+            "import pickle, sys\n"
+            "sys.modules['ray.data'] = None\n"
+            "land = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print(land(sys.argv[2], sys.argv[3])[1])\n"
+            "assert not any(m.startswith('ocr_platform_ray') for m in sys.modules)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(task), path, str(tmp_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        pages = pq.read_table(path, columns=PAGE_COLUMNS)
+        assert int(run.stdout) == pages.num_rows
+        stem = os.path.splitext(os.path.basename(path))[0]
+        got = pq.read_table(str(tmp_path / f"{stem}.parquet"))
+        assert got.equals(_docs_from_block(ExtractPages()(pages)))
 
     @pytest.mark.parametrize("partitioned_input", [True, False])
     def test_null_url_commits(self, tmp_path, partitioned_input):
@@ -524,16 +601,13 @@ class TestOneExecution:
         assert got == want and len(want) == 2
 
     def test_resume_after_a_failure_mid_stream(self, tmp_path):
-        """A file whose data pages are corrupt (its footer intact, so the
-        read is planned) fails its task mid-stream: the parts whose files
-        all landed before it stay committed, the failed part publishes
-        nothing, and the rerun redoes only what is not committed.  One
-        task at a time, in input order, with the corrupt file last, keeps
-        part 0 ahead of the failure."""
+        """A file whose data pages are corrupt (its footer intact, so its
+        task runs) fails its task mid-stream: every part whose files all
+        land is committed, whenever they land, the failed part publishes
+        nothing, and the rerun redoes only what is not committed."""
         import glob as g
 
         import pyarrow.parquet as pq
-        from ray.data import DataContext, ExecutionResources
 
         from ocr_platform_ray.corpus import write_pages_parquet
         from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
@@ -555,16 +629,10 @@ class TestOneExecution:
         with open(bad, "wb") as f:
             f.write(bytes(raw))
 
-        opts = DataContext.get_current().execution_options
-        limits = opts.resource_limits
-        opts.resource_limits = ExecutionResources(cpu=1)
-        try:
-            with pytest.raises(Exception):
-                run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
-        finally:
-            opts.resource_limits = limits
+        with pytest.raises(Exception):
+            run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
         committed = completed_parts(out)
-        assert 0 in committed and 2 not in committed
+        assert sorted(committed) == [0, 1]
         for pid in range(3):
             published = os.path.isdir(os.path.join(out, f"part-{pid:05d}"))
             assert published == (pid in committed)
@@ -590,6 +658,7 @@ class TestRegrouping:
         from ocr_platform_ray.corpus import url_for, write_pages_parquet
         from ocr_platform_ray.pipelines.extraction import (
             PAGE_COLUMNS,
+            extract_docs,
             extraction_pipeline,
             read_pages,
             run_extraction,
@@ -609,7 +678,9 @@ class TestRegrouping:
 
         run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
         assert published() == [0, 1]
-        r = redo_urls(src, out, [url_for(25)], extraction_pipeline, columns=PAGE_COLUMNS)
+        r = redo_urls(
+            src, out, [url_for(25)], extraction_pipeline, extract_docs, columns=PAGE_COLUMNS
+        )
         assert r["redone_parts"] == 1 and r["parts"] == 2
         assert published() == [0, 1]
         r = run_extraction(src, out, fragments_per_part=8)

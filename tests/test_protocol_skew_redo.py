@@ -116,19 +116,23 @@ class TestRunExtractionWithSplitter:
 class TestRedo:
     def test_redo_recomputes_only_matching_partitions(self, tmp_path):
         from ocr_platform_ray.corpus import url_for, write_pages_parquet
-        from ocr_platform_ray.pipelines.extraction import PAGE_COLUMNS, extraction_pipeline
+        from ocr_platform_ray.pipelines.extraction import (
+            PAGE_COLUMNS,
+            extract_docs,
+            extraction_pipeline,
+        )
         from ocr_platform_ray.state.manifest import redo_urls, run_with_manifest
 
         src = str(tmp_path / "pages")
         out = str(tmp_path / "out")
         write_pages_parquet(src, 40, urls_per_shard=10)  # 4 fragments
         r1 = run_with_manifest(
-            src, out, extraction_pipeline, fragments_per_part=1, columns=PAGE_COLUMNS
+            src, out, extraction_pipeline, extract_docs, fragments_per_part=1, columns=PAGE_COLUMNS
         )
         assert r1["parts"] == 4 and r1["skipped"] == 0
         # redo one url from the 3rd shard (urls 20-29)
         r2 = redo_urls(
-            src, out, [url_for(25)], extraction_pipeline, columns=PAGE_COLUMNS
+            src, out, [url_for(25)], extraction_pipeline, extract_docs, columns=PAGE_COLUMNS
         )
         assert r2["invalidated"] == 1
         assert r2["redone_parts"] == 1
