@@ -47,13 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--output", required=True)
     ex.add_argument("--no-resume", action="store_true")
     ex.add_argument("--fragments-per-part", type=int, default=64)
-    ex.add_argument(
-        "--partitioned",
-        action="store_true",
-        help="assert a url-ranged/hash-sharded input layout: every part reassembles "
-        "shuffle-free (without it, only parts whose parquet footers prove "
-        "that layout do)",
-    )
 
     rp = sub.add_parser("repartition", help="url-hash repartition a pages table")
     rp.add_argument("--input", required=True)
@@ -103,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.output,
                 resume=not args.no_resume,
                 fragments_per_part=args.fragments_per_part,
-                partitioned_input=args.partitioned,
             )
             print(json.dumps(res))
         elif args.cmd == "repartition":
@@ -151,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
             out_bytes = sum(m.get("out_bytes", 0) for m in parts.values())
             walls = [m["wall_s"] for m in parts.values() if m.get("wall_s")]
             slowest = max(parts.values(), key=lambda m: m.get("wall_s", 0)) if parts else None
+            mix = [m.get("reassembly") for m in parts.values()]
+            residual = next((m for m in parts.values() if m.get("reassembly") == "residual"), None)
             print(
                 json.dumps(
                     {
@@ -164,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
                             if slowest
                             else None
                         ),
+                        "reassembly": {r: mix.count(r) for r in sorted(set(mix), key=str)},
+                        "residual_part": residual
+                        and {k: residual[k] for k in ("part_id", "rows", "inputs")},
                     }
                 )
             )

@@ -1,10 +1,12 @@
 """The flagship pipeline (SURVEY.md §3.1 rebuild shape):
 
-    per input file of a url-disjoint part, one plain Ray task:
-        read the file -> ExtractPages -> reassemble its urls -> write
-    every other part, as a Ray Data execution:
-        read_parquet(part) -> map_batches(ExtractPages(), fused into the
-        read) -> hash(url) % 64 shard exchange (reassemble in warc_ts
+    url census (every file's url column) -> local urls and residual urls
+    per input file, one plain Ray task:
+        read the file -> drop its residual urls -> ExtractPages ->
+        reassemble its urls -> write
+    the residual urls of every file, as one Ray Data execution:
+        read_parquet(filtered) -> map_batches(ExtractPages(), fused into
+        the read) -> hash(url) % 64 shard exchange (reassemble in warc_ts
         order) -> write_parquet
     -> manifest per part
 
@@ -80,8 +82,9 @@ def extraction_pipeline(
 
 
 def extract_docs(pages: pa.Table, *, max_blob_bytes: int | None = None) -> pa.Table:
-    """One file's pages, holding every page of their urls -> their docs,
-    in-process: the job's per-file task (``run_with_manifest``) runs it.
+    """One file's local pages, every page of their urls (the url census
+    leaves no other in the table) -> their docs, in-process: the job's
+    per-file task (``run_with_manifest``) runs it.
     ``max_blob_bytes`` runs the oversized-payload splitter first.  Its
     globals reach neither ``ray.data`` nor the url exchange, so the task's
     worker never imports them."""
@@ -105,16 +108,13 @@ def run_extraction(
     oversized-payload splitter pre-pass (stages.skew); split chunks keep
     their url, so it composes with either reassembly.
 
-    Each manifest part picks its reassembly (``run_with_manifest``): a
-    part with a file bigger than one read block runs the url exchange;
-    any other part is aligned when ``partitioned_input=True`` asserts a
-    url-ranged/hash-sharded layout (corpus writer /
-    ``partition_pages_by_url`` output) or its files' parquet footers
-    prove their url ranges disjoint.  Each aligned file runs one plain
-    Ray task, ``extract_docs`` between a read and a write of that file,
-    and a part commits when its last file lands; exchange parts run
-    afterwards through ``extraction_pipeline``, part by part.  A part
-    that would publish a url twice is recomputed through the exchange."""
+    Any input layout gives one doc row per url (``run_with_manifest``):
+    a url census sends each url that one file holds to that file's plain
+    Ray task (``extract_docs`` between a read and a write), and every url
+    split across files, or in a file bigger than one read block, to one
+    residual part reassembled through ``extraction_pipeline``'s url
+    exchange.  ``partitioned_input`` has no effect: the census is exact,
+    so no layout needs asserting; it stays for callers that pass it."""
     from ..state.manifest import run_with_manifest
 
     def pipe(pages: rd.Dataset) -> rd.Dataset:
@@ -130,5 +130,4 @@ def run_extraction(
         resume=resume,
         fragments_per_part=fragments_per_part,
         columns=PAGE_COLUMNS,
-        file_aligned_blocks=partitioned_input,
     )

@@ -171,10 +171,11 @@ def reassemble_docs_partitioned(pages_ds):
     url-hash-partitioned (corpus.write_pages_parquet and
     ``partition_pages_by_url`` both guarantee it) AND the read does not
     split files (``read_pages``: one block per file).  This function does not
-    check it: a violation yields two doc rows for one url.  The job's
-    per-file tasks (``run_with_manifest``) run ``_docs_from_block`` on whole
-    files in-process, and recompute through ``reassemble_docs`` any part
-    whose output holds a url twice.  For arbitrary inputs use
+    check it: a violation yields two doc rows for one url.  The job does
+    not use it: its per-file tasks (``run_with_manifest``) run
+    ``_docs_from_block`` in-process on the urls its census found in one
+    file only, and send the rest to ``reassemble_docs``.  For arbitrary
+    inputs use
     ``reassemble_docs`` (the url exchange); this path is the
     map-side-complete optimization — no all-to-all exchange.
     ``batch_size=None`` = one batch per block, preserving file alignment."""

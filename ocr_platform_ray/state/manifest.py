@@ -12,19 +12,13 @@ skipped; incomplete ones (no manifest) are recomputed — idempotent because
 partition ids are deterministic (the reference's unique
 ``(bookId, pdfPageNumber)`` idempotence, schema.prisma:100 / D4/D5).
 
-Partitioning assumption (documented per SURVEY.md custom-operator rule):
-one partition = a contiguous group of input fragments, and a url's pages
-never span fragment groups.  The corpus writer (corpus.write_pages_parquet)
-lays shards out url-ranged, which guarantees this; for arbitrary inputs,
-an ingest repartition-by-url-hash pass establishes the invariant first.
-
-Within a partition, a url's pages may or may not span files.  A part whose
-files each fit one read block and show disjoint footer url ranges (or
-whose caller asserts the layout) is *aligned*: each of its files runs one
-plain Ray task that reads, extracts, reassembles and writes it, and the
-part commits as its last file lands.  Every other part runs the url
-exchange afterwards, part by part, as a Ray Data execution.  An aligned
-part that holds a url twice is recomputed through the exchange.
+One partition is a contiguous group of input files, and a url's pages may
+sit in any files.  A census of every file's urls, read before any work,
+sorts them: a url held by one file is *local*, and each file runs one
+plain Ray task that reads, extracts, reassembles and writes its local
+urls, its part committing as its last file lands.  Every other url is
+*residual*: one Ray Data execution reassembles them all through the url
+exchange into one residual part, so each url is published once.
 """
 
 from __future__ import annotations
@@ -37,6 +31,7 @@ import time
 import zlib
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -62,6 +57,7 @@ def completed_parts(output_dir: str) -> dict[int, dict]:
 
 
 _NULL_URL = b"\x00"  # the checksum's fixed marker for a null url
+_NO_URLS = pa.array([], pa.string())
 
 
 def _url_checksum(part_dir: str) -> tuple[int, int, bool]:
@@ -84,70 +80,57 @@ def _url_checksum(part_dir: str) -> tuple[int, int, bool]:
     return len(urls), crc, len(set(named)) < len(named)
 
 
-def _url_ranges(md: pq.FileMetaData) -> list[tuple] | None:
-    """Per-row-group ``(min, max)`` of a fragment's ``url`` column from its
-    parquet footer (no data read); None when some non-empty row group has
-    no url statistics."""
-    names = [md.schema.column(i).path for i in range(md.num_columns)]
-    if "url" not in names:
-        return None
-    col = names.index("url")
-    ranges = []
-    for rg in range(md.num_row_groups):
-        if md.row_group(rg).num_rows == 0:
+def _url_census(files: list[str]) -> tuple[dict, dict, pa.Array, dict]:
+    """Read every file's footer and ``url`` column, once, before any work.
+
+    Returns ``(footers, urls, residual, unreadable)``: ``urls[f]`` holds
+    file ``f``'s distinct urls, ``residual`` every named url that is not
+    local, and ``unreadable[f]`` why ``f`` could not be read.  A url is
+    local when exactly one file holds it and that file is not large (the
+    sum of its row groups' sizes exceeds
+    ``DataContext.target_max_block_size``: a task does not read it whole).
+    A null url is local to each file that holds it."""
+    max_block = rd.DataContext.get_current().target_max_block_size
+    footers, urls, unreadable = {}, {}, {}
+    for f in files:
+        try:
+            pf = pq.ParquetFile(f)
+            col = pf.read(columns=["url"]).column("url")
+        except (OSError, pa.ArrowException) as e:
+            unreadable[f] = f"{type(e).__name__}: {e}"
             continue
-        stats = md.row_group(rg).column(col).statistics
-        if stats is None or not stats.has_min_max:
-            return None
-        ranges.append((stats.min, stats.max))
-    return ranges
-
-
-def _part_layout(
-    footers: list[pq.FileMetaData], max_block_bytes: int | None, asserted: bool = False
-) -> str:
-    """Why a fragment group may, or may not, skip the url exchange, from
-    its files' footers alone: ``"large file"`` when some file is bigger
-    than one read block, whatever the caller asserts; else ``"asserted"``
-    when the caller asserts the layout, or ``"footers"`` when every file
-    has url statistics and the files' ``[min, max]`` ranges, sorted by
-    min, are strictly disjoint (a shared boundary url counts as overlap);
-    else ``"no stats"`` or ``"overlap"``."""
-    for md in footers:
+        footers[f] = pf.metadata
+        urls[f] = pc.unique(col).cast(pa.string())
+    every = pa.concat_arrays([_NO_URLS, *urls.values()])
+    counts = pc.value_counts(every)
+    residual = [counts.field("values").filter(pc.greater(counts.field("counts"), 1))]
+    for f, md in footers.items():
         size = sum(md.row_group(rg).total_byte_size for rg in range(md.num_row_groups))
-        if max_block_bytes is not None and size > max_block_bytes:
-            return "large file"
-    if asserted:
-        return "asserted"
-    spans = []
-    for md in footers:
-        ranges = _url_ranges(md)
-        if ranges is None:
-            return "no stats"
-        if ranges:
-            spans.append((min(lo for lo, _ in ranges), max(hi for _, hi in ranges)))
-    spans.sort()
-    if any(hi >= lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
-        return "overlap"
-    return "footers"
+        if max_block is not None and size > max_block:
+            residual.append(urls[f])
+    return footers, urls, pc.unique(pa.concat_arrays(residual)).drop_null(), unreadable
 
 
 def _file_task(file_fn, columns: list[str] | None):
-    """The aligned files' task: read one file whole, run ``file_fn`` on
-    its pages, write the docs to ``<tmp_dir>/<file stem>.parquet`` (a
-    retry overwrites its failed attempt) and return the file, its pages
-    and the task's seconds.  Nothing it reaches may import ``ray.data``
-    or, through ``pq.read_table``, ``pyarrow.dataset``: the worker pays
-    for either import, more than a small file's task costs."""
+    """The per-file task: read one file whole, drop the pages of the
+    residual urls it holds, run ``file_fn`` on the rest, write the docs to
+    ``<tmp_dir>/<file stem>.parquet`` (a retry overwrites its failed
+    attempt) and return the file, the rows it read and the task's
+    seconds.  Nothing it reaches may import ``ray.data`` or, through
+    ``pq.read_table``, ``pyarrow.dataset``: the worker pays for either
+    import, more than a small file's task costs."""
 
-    def land_file(path: str, tmp_dir: str) -> tuple[str, int, float]:
+    def land_file(path: str, tmp_dir: str, residual: pa.Array) -> tuple[str, int, float]:
         t0 = time.perf_counter()
         pages = pq.ParquetFile(path).read(columns=columns)
+        rows = pages.num_rows
+        if len(residual):
+            pages = pages.filter(pc.invert(pc.is_in(pages.column("url"), value_set=residual)))
         docs = file_fn(pages)
         if docs.num_rows:
             stem = os.path.splitext(os.path.basename(path))[0]
             pq.write_table(docs, os.path.join(tmp_dir, stem + ".parquet"))
-        return path, pages.num_rows, time.perf_counter() - t0
+        return path, rows, time.perf_counter() - t0
 
     return land_file
 
@@ -161,53 +144,47 @@ def run_with_manifest(
     resume: bool = True,
     fragments_per_part: int = 8,
     columns: list[str] | None = None,
-    file_aligned_blocks: bool = False,
 ) -> dict:
-    """Run every pending partition (a group of ``fragments_per_part``
-    input files) with atomic publish (write to a ``part-NNNNN.tmp`` dir,
-    rename) + a manifest per part.
+    """Run every pending partition with atomic publish (write to a
+    ``part-NNNNN.tmp`` dir, rename) + a manifest per part.  The parts are
+    the groups of ``fragments_per_part`` input files, then, when some url
+    is residual, one residual part.
 
-    ``pipeline_fn(pages_ds)`` (like ``extraction_pipeline``) and
-    ``file_fn(pages_table)`` (like ``extract_docs``) emit one row per url,
-    the second from one file's pages that hold every page of their urls.
-    Before any work runs, ``_part_layout`` sorts each pending part into
-    *aligned* or *exchange*: a part with a file bigger than one read block
-    (``DataContext.target_max_block_size``) runs the exchange; any other
-    is aligned when ``file_aligned_blocks=True`` asserts the layout
-    (url-ranged or url-hash-sharded files) or when its files' footer url
-    ranges are disjoint.
+    ``file_fn(pages_table)`` (like ``extract_docs``) emits one row per url
+    from pages that hold every page of their urls; ``pipeline_fn(pages_ds)``
+    (like ``extraction_pipeline``) does so for any layout.  Before any work
+    runs, ``_url_census`` reads every file's urls and names the residual
+    ones: split across files, or in a large file.  Every pending file that
+    holds a local url runs one plain Ray task (``_file_task``: read, drop
+    the residual urls' pages, ``file_fn``, write into its part's tmp dir),
+    retried when its worker dies, never on an error it raises.  The driver
+    drains the tasks (``ray.wait``) and commits a part as soon as its last
+    file has landed with its footer's row count.  After the stream, the
+    residual part, when pending, runs as one Ray Data execution:
+    ``pipeline_fn`` over the residual urls' pages of the files that hold
+    them (its ``inputs``), read one block per file, then
+    ``write_parquet``.  Each url is so published once, whatever the
+    layout and the grouping.  A part that would publish a url twice raises
+    instead.
 
-    Every pending aligned file of the job runs one plain Ray task
-    (``_file_task``: read, ``file_fn``, write into its part's tmp dir),
-    retried when its worker dies, never on an error it raises.  The
-    driver drains the tasks (``ray.wait``) and commits a part as soon as
-    its last file has landed with its footer's row count.  Exchange parts
-    run afterwards, one Ray Data execution each: ``pipeline_fn`` over the
-    part's files read one block per file, then ``write_parquet``.  The
-    aligned precondition is checked, not trusted: an aligned part whose
-    output holds a url twice (two files sharing a url, wrong statistics)
-    is recomputed through the exchange before it is published.
+    The manifest records ``"reassembly"`` (``"aligned"`` | ``"residual"``),
+    ``"residual_urls"`` (how many residual urls its inputs hold: a part
+    committed under another census recomputes) and ``"wall_s"``: for an
+    aligned part the sum of its file tasks' seconds as the tasks report
+    them (aligned parts overlap in time, so elapsed time would not
+    describe the part), for the residual part the elapsed time of its run.
+    ``rows_per_s`` is rows over ``wall_s``.  A task that fails stops no
+    other: every part whose files all land is committed and the residual
+    part runs, then the job raises the first task's error; the failed
+    parts leave only their ``.tmp`` dirs, which a rerun deletes and
+    recomputes.
 
-    The manifest records ``"reassembly"`` (``"aligned"`` |
-    ``"exchange"``), ``"reassembly_reason"`` (``"asserted"``,
-    ``"footers"``, ``"no stats"``, ``"large file"``, ``"overlap"`` or
-    ``"duplicate-recomputed"``) and ``"wall_s"``: for an aligned part the
-    sum of its file tasks' seconds as the tasks report them (aligned parts
-    overlap in time, so elapsed time would not describe the part), for an
-    exchange part the elapsed time of its run (plus its discarded
-    aligned tasks' seconds when it was recomputed).  ``rows_per_s`` is
-    rows over ``wall_s``.  A task that fails stops no other: every part
-    whose files all land is committed and every exchange part runs, then
-    the job raises the first task's error; the failed parts leave only
-    their ``.tmp`` dirs, which a rerun deletes and recomputes.
-
-    Every pending file's footer is read once, before any work runs.  A
-    part with an unreadable footer is not run; every other part runs and
-    commits, and the job then raises one ``ValueError`` naming the
-    unreadable files.  A part is unpublished (manifest first, then its
-    directory) before it is recomputed, and so is every part beyond the
-    current grouping: output grouped more finely by an earlier run would
-    otherwise publish its urls twice.
+    A part with a file the census could not read does not run; every
+    other part runs and commits, and the job then raises one
+    ``ValueError`` naming the unreadable files.  A part is unpublished
+    (manifest first, then its directory) before it is recomputed, and so
+    is every part id beyond the current parts: output grouped more finely
+    by an earlier run would otherwise publish its urls twice.
 
     Returns {"parts", "skipped", "rows", "wall_s"}."""
     frags = _list_fragments(input_path)
@@ -215,7 +192,16 @@ def run_with_manifest(
     manifest_dir = os.path.join(output_dir, "_manifest")
     os.makedirs(manifest_dir, exist_ok=True)
     done = completed_parts(output_dir) if resume else {}
-    max_block = rd.DataContext.get_current().target_max_block_size
+    footers, urls, residual, unreadable = _url_census(frags)
+    held = {f: u.filter(pc.is_in(u, value_set=residual)) for f, u in urls.items()}
+
+    def part(inputs: list[str], reassembly: str) -> tuple[list[str], str, int]:
+        mine = pa.concat_arrays([_NO_URLS] + [held[f] for f in inputs if f in held])
+        return inputs, reassembly, len(pc.unique(mine))
+
+    parts = {pid: part(group, "aligned") for pid, group in enumerate(groups)}
+    if len(residual):
+        parts[len(groups)] = part([f for f in frags if len(held.get(f, ()))], "residual")
 
     def part_dir(pid: int) -> str:
         return os.path.join(output_dir, f"part-{pid:05d}")
@@ -231,63 +217,48 @@ def run_with_manifest(
     names = os.listdir(manifest_dir) + os.listdir(output_dir)
     ids = {n[5:].split(".")[0] for n in names if n.startswith("part-")}
     for pid in sorted(int(i) for i in ids if i.isdigit()):
-        if pid >= len(groups):
+        if pid not in parts:
             unpublish(pid)
 
     total_rows, skipped = 0, 0
     t0 = time.monotonic()
     pending = []
-    for pid, group in enumerate(groups):
+    for pid, spec in parts.items():
         # committed = manifest matches AND the published output directory
         # still exists — a deleted/lost shard must recompute, not silently
         # count its manifest rows
-        if pid in done and done[pid].get("inputs") == group and os.path.isdir(part_dir(pid)):
-            total_rows += done[pid]["rows"]
+        m = done.get(pid, {})
+        if (m.get("inputs"), m.get("reassembly"), m.get("residual_urls")) == spec and (
+            os.path.isdir(part_dir(pid))
+        ):
+            total_rows += m["rows"]
             skipped += 1
         else:
             unpublish(pid)  # incomplete or stale earlier attempt -> recompute
-            pending.append(pid)
-    footers: dict[str, pq.FileMetaData] = {}
-    unreadable: dict[str, str] = {}
-    for pid in pending:
-        for f in groups[pid]:
-            try:
-                footers[f] = pq.read_metadata(f)
-            except (OSError, pa.ArrowException) as e:
-                unreadable[f] = f"{type(e).__name__}: {e}"
-    reasons: dict[int, str] = {}  # runnable pending pid -> reassembly_reason
-    for pid in pending:
-        if any(f in unreadable for f in groups[pid]):
-            continue
-        layout = [footers[f] for f in groups[pid]]
-        reasons[pid] = _part_layout(layout, max_block, file_aligned_blocks)
-    aligned = [pid for pid, r in reasons.items() if r in ("asserted", "footers")]
-    exchange = [pid for pid in reasons if pid not in aligned]
+            if not any(f in unreadable for f in spec[0]):
+                pending.append(pid)
 
-    def commit(pid: int, reassembly: str, wall: float) -> None:
+    def commit(pid: int, wall: float) -> None:
         nonlocal total_rows
         tmp_dir = part_dir(pid) + ".tmp"
         rows, crc, repeats = _url_checksum(tmp_dir)
-        if reassembly == "aligned" and repeats:
-            # a url's pages reached two blocks: never publish two doc rows
-            shutil.rmtree(tmp_dir)
-            reasons[pid] = "duplicate-recomputed"
-            exchange.append(pid)
-            return
+        if repeats:
+            raise ValueError(f"{tmp_dir} holds a url twice; the part is not published")
         os.replace(tmp_dir, part_dir(pid))  # atomic publish
         out_bytes = sum(
             os.path.getsize(os.path.join(part_dir(pid), f)) for f in os.listdir(part_dir(pid))
         )
+        inputs, reassembly, n_residual = parts[pid]
         manifest = {
             "part_id": pid,
-            "inputs": groups[pid],
+            "inputs": inputs,
             "rows": rows,
             "url_crc32": crc,
             "out_bytes": out_bytes,
             "wall_s": round(wall, 3),
             "rows_per_s": round(rows / wall, 1) if wall > 0 else None,
             "reassembly": reassembly,
-            "reassembly_reason": reasons[pid],
+            "residual_urls": n_residual,
         }
         mpath = os.path.join(manifest_dir, f"part-{pid:05d}.json")
         with open(mpath + ".tmp", "w") as f:
@@ -295,49 +266,60 @@ def run_with_manifest(
         os.replace(mpath + ".tmp", mpath)
         total_rows += rows
 
+    aligned = [pid for pid in pending if parts[pid][1] == "aligned"]
+    # a file runs when it holds a local url (a null url is one)
+    part_of = {f: pid for pid in aligned for f in groups[pid] if len(urls[f]) > len(held[f])}
+    waiting = {pid: {f for f in groups[pid] if f in part_of} for pid in aligned}
     task_s = dict.fromkeys(aligned, 0.0)
-    part_of = {f: pid for pid in aligned for f in groups[pid]}
-    waiting = {pid: set(groups[pid]) for pid in aligned}
     for pid in aligned:
         os.makedirs(part_dir(pid) + ".tmp")
+        if not waiting[pid]:
+            commit(pid, 0.0)
     land = ray.remote(max_retries=-1, scheduling_strategy="SPREAD")(_file_task(file_fn, columns))
-    refs = [land.remote(f, part_dir(pid) + ".tmp") for f, pid in part_of.items()]
+    refs = [land.remote(f, part_dir(pid) + ".tmp", held[f]) for f, pid in part_of.items()]
     errors = []
     try:
         while refs:
             (ref,), refs = ray.wait(refs)
             try:
-                f, pages, secs = ray.get(ref)
+                f, rows, secs = ray.get(ref)
             except ray.exceptions.RayError as e:
                 errors.append(e)
                 continue
             pid = part_of[f]
             task_s[pid] += secs
-            if pages != footers[f].num_rows:
-                errors.append(ValueError(f"{f}: read {pages} of {footers[f].num_rows} rows"))
+            if rows != footers[f].num_rows:
+                errors.append(ValueError(f"{f}: read {rows} of {footers[f].num_rows} rows"))
                 continue
             waiting[pid].discard(f)
             if not waiting[pid]:
-                commit(pid, "aligned", task_s[pid])
+                commit(pid, task_s[pid])
     finally:
         for ref in refs:  # the driver failed: stop the tasks it will not drain
             ray.cancel(ref)
 
-    for pid in sorted(exchange):
+    rid = len(groups)  # the residual part
+    if rid in pending:
         tp = time.monotonic()
-        ds = rd.read_parquet(groups[pid], columns=columns, override_num_blocks=len(groups[pid]))
-        pipeline_fn(ds).write_parquet(part_dir(pid) + ".tmp")
-        commit(pid, "exchange", time.monotonic() - tp + task_s.get(pid, 0.0))
+        inputs = parts[rid][0]
+        ds = rd.read_parquet(
+            inputs,
+            columns=columns,
+            override_num_blocks=len(inputs),
+            filter=pc.field("url").isin(residual),
+        )
+        pipeline_fn(ds).write_parquet(part_dir(rid) + ".tmp")
+        commit(rid, time.monotonic() - tp)
     if errors:
         raise errors[0]
     if unreadable:
         raise ValueError(
-            f"{len(unreadable)} input file(s) have an unreadable parquet footer; "
+            f"{len(unreadable)} input file(s) are unreadable; "
             "their parts were not run, every other part is committed: "
             + "; ".join(f"{f} ({e})" for f, e in sorted(unreadable.items()))
         )
     return {
-        "parts": len(groups),
+        "parts": len(parts),
         "skipped": skipped,
         "rows": total_rows,
         "wall_s": round(time.monotonic() - t0, 3),
@@ -425,20 +407,11 @@ def checkpoint_dataset(
     return thaw_list_columns(rd.read_parquet(d), spec)
 
 
-def _fragment_contains(path: str, urls: set[str]) -> bool:
-    """Check via parquet row-group statistics (no data read) whether a
-    fragment could contain any of the urls."""
-    ranges = _url_ranges(pq.read_metadata(path))
-    if ranges is None:
-        return True  # no stats -> assume yes
-    return any(lo <= u <= hi for lo, hi in ranges for u in urls)
-
-
 def _committed_part_size(frags: list[str], done: dict[int, dict]) -> int:
     """The ``fragments_per_part`` a committed job ran with, from its
-    manifests' ``inputs``: part ``pid`` starts at file ``pid × size``, and
-    part 0 is full unless it is the only part."""
-    pid, m = min(done.items())
+    aligned manifests' ``inputs``: part ``pid`` starts at file
+    ``pid × size``, and part 0 is full unless it is the only part."""
+    pid, m = min((pid, m) for pid, m in done.items() if m.get("reassembly") == "aligned")
     return len(m["inputs"]) if pid == 0 else frags.index(m["inputs"][0]) // pid
 
 
@@ -451,27 +424,34 @@ def redo_urls(
     *,
     columns: list[str] | None = None,
 ) -> dict:
-    """D5 / §3.2 redo semantics: recompute exactly the partitions whose
-    input fragments may contain the given urls (located via parquet
-    row-group stats, no data read), atomically replacing their output
-    shards + manifest lines.  The partitions are the committed job's own:
-    their size comes from its manifests, so a redo never regroups the
-    output.  The reference's LIFO-priority redo job becomes 'run the
-    small recompute job first' (O4)."""
-    target = set(urls)
+    """D5 / §3.2 redo semantics: recompute exactly the partitions that
+    publish the given urls, atomically replacing their output shards +
+    manifest lines.  The url census locates them: a local url's part is
+    the one of the file that holds it, a residual url's is the residual
+    part.  The partitions are the committed job's own: their size comes
+    from its manifests, so a redo never regroups the output.  The
+    reference's LIFO-priority redo job becomes 'run the small recompute
+    job first' (O4)."""
     frags = _list_fragments(input_path)
     done = completed_parts(output_dir)
-    if not done:
+    if not any(m.get("reassembly") == "aligned" for m in done.values()):
         raise ValueError(f"no committed part in {output_dir}: run the job before a redo")
     fragments_per_part = _committed_part_size(frags, done)
     groups = [frags[i : i + fragments_per_part] for i in range(0, len(frags), fragments_per_part)]
-    invalidated = 0
+    _, file_urls, residual, _ = _url_census(frags)
+    target = pa.array(sorted(set(urls)), pa.string())
+    local = target.filter(pc.invert(pc.is_in(target, value_set=residual)))
+    redo = {len(groups)} if len(local) < len(target) else set()
     for pid, group in enumerate(groups):
-        if any(_fragment_contains(f, target) for f in group):
-            mpath = os.path.join(output_dir, "_manifest", f"part-{pid:05d}.json")
-            if os.path.exists(mpath):
-                os.remove(mpath)
-                invalidated += 1
+        holders = [file_urls[f] for f in group if f in file_urls]
+        if any(pc.any(pc.is_in(local, value_set=u)).as_py() for u in holders):
+            redo.add(pid)
+    invalidated = 0
+    for pid in redo:
+        mpath = os.path.join(output_dir, "_manifest", f"part-{pid:05d}.json")
+        if os.path.exists(mpath):
+            os.remove(mpath)
+            invalidated += 1
     result = run_with_manifest(
         input_path,
         output_dir,

@@ -348,6 +348,12 @@ def _write_files(d, tables, **write_kwargs):
     return str(d)
 
 
+def _pages_of(t, urls):
+    import pyarrow.compute as pc
+
+    return t.filter(pc.is_in(t.column("url"), pa.array(urls)))
+
+
 def _job_docs(out):
     import glob as g
 
@@ -365,30 +371,54 @@ def _exchange_texts(pages):
     return dict(zip(df.url, df.extracted_text))
 
 
+def _move_first_page(src_file, dst_file, url):
+    """Move ``url``'s first page (by warc_ts) from one parquet file to the
+    end of another: the url is then split across the two files."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    a, b = pq.read_table(src_file), pq.read_table(dst_file)
+    pages = a.filter(pc.equal(a.column("url"), url)).sort_by("warc_ts")
+    keep = a.filter(pc.invert(pc.equal(a.column("url"), url)))
+    pq.write_table(pa.concat_tables([keep, pages.slice(1)]), src_file)
+    pq.write_table(pa.concat_tables([b, pages.slice(0, 1)]), dst_file)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestReassemblyChoice:
-    """``run_extraction(partitioned_input=False)`` skips the url exchange
-    for a part only when its files' footers prove their url ranges
-    disjoint; the manifest says which reassembly ran and why."""
+    """The url census decides: a url that one file holds runs in that
+    file's task, every other url in the one residual part, through the
+    url exchange.  Each manifest says which reassembly its part ran."""
 
     def _run(self, src, tmp_path, **kwargs):
+        """(reassembly, rows) of each committed part, by part id."""
         from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
         from ocr_platform_ray.state.manifest import completed_parts
 
         out = str(tmp_path / "out")
         run_extraction(src, out, **kwargs)
-        (m,) = completed_parts(out).values()
         docs = _job_docs(out)
         assert docs.url.is_unique
         assert dict(zip(docs.url, docs.extracted_text)) == _exchange_texts(
             read_pages(src)
         )
-        return m["reassembly"], m["reassembly_reason"]
+        return [(m["reassembly"], m["rows"]) for _, m in sorted(completed_parts(out).items())]
 
-    def _urls(self, t, urls):
+    def _split_url(self, t, n_urls, first_page_last):
+        """Two files that split one url: url ``k``'s first page in the
+        file of the urls after it, or its later pages there."""
         import pyarrow.compute as pc
 
-        return t.filter(pc.is_in(t.column("url"), pa.array(urls)))
+        k = next(u for u in range(1, n_urls - 1) if corpus.n_pages_for(u) >= 2)
+        pages = t.filter(pc.equal(t.column("url"), corpus.url_for(k))).sort_by("warc_ts")
+        head, tail = (pages.slice(1), pages.slice(0, 1)) if first_page_last else (
+            pages.slice(0, 1), pages.slice(1)
+        )
+        a = pa.concat_tables([_pages_of(t, [corpus.url_for(u) for u in range(k)]), head])
+        b = pa.concat_tables(
+            [tail, _pages_of(t, [corpus.url_for(u) for u in range(k + 1, n_urls)])]
+        )
+        return corpus.url_for(k), [a, b]
 
     def test_url_range_files_skip_the_exchange(self, tmp_path):
         import random
@@ -396,50 +426,49 @@ class TestReassemblyChoice:
         t = make_pages_table(40)
         shards = []
         for lo in range(0, 40, 10):
-            part = self._urls(t, [corpus.url_for(u) for u in range(lo, lo + 10)])
+            part = _pages_of(t, [corpus.url_for(u) for u in range(lo, lo + 10)])
             order = list(range(part.num_rows))
             random.Random(lo).shuffle(order)  # pages out of warc_ts order
             shards.append(part.take(order))
         src = _write_files(tmp_path / "pages", shards)
-        assert self._run(src, tmp_path) == ("aligned", "footers")
+        assert self._run(src, tmp_path) == [("aligned", 40)]
 
-    def test_interleaved_url_ranges_exchange(self, tmp_path):
+    def test_interleaved_url_ranges_run_aligned(self, tmp_path):
+        """The files' url ranges overlap, but each url is in one file."""
         t = make_pages_table(20)
-        even = self._urls(t, [corpus.url_for(u) for u in range(0, 20, 2)])
-        odd = self._urls(t, [corpus.url_for(u) for u in range(1, 20, 2)])
+        even = _pages_of(t, [corpus.url_for(u) for u in range(0, 20, 2)])
+        odd = _pages_of(t, [corpus.url_for(u) for u in range(1, 20, 2)])
         src = _write_files(tmp_path / "pages", [even, odd])
-        assert self._run(src, tmp_path) == ("exchange", "overlap")
+        assert self._run(src, tmp_path) == [("aligned", 20)]
 
-    def test_file_without_statistics_exchanges(self, tmp_path):
+    def test_file_without_statistics_runs_aligned(self, tmp_path):
         t = make_pages_table(20)
         src = _write_files(tmp_path / "pages", [t], write_statistics=False)
-        assert self._run(src, tmp_path) == ("exchange", "no stats")
+        assert self._run(src, tmp_path) == [("aligned", 20)]
 
     def test_shared_boundary_url_exchanges(self, tmp_path):
         """``max_A == min_B``: the url that both files hold comes out once,
-        pages in warc_ts order, although file A holds its later pages."""
-        import pyarrow.compute as pc
-
+        from the residual part, pages in warc_ts order, although file A
+        holds its later pages."""
         import ray.data as rd
 
+        from ocr_platform_ray.state.manifest import completed_parts
+
         t = make_pages_table(10)
-        k = next(u for u in range(1, 9) if corpus.n_pages_for(u) >= 2)
-        shared = corpus.url_for(k)
-        pages = t.filter(pc.equal(t.column("url"), shared)).sort_by("warc_ts")
-        a = pa.concat_tables(
-            [self._urls(t, [corpus.url_for(u) for u in range(k)]), pages.slice(1)]
-        )
-        b = pa.concat_tables(
-            [pages.slice(0, 1), self._urls(t, [corpus.url_for(u) for u in range(k + 1, 10)])]
-        )
-        src = _write_files(tmp_path / "pages", [a, b])
-        assert self._run(src, tmp_path) == ("exchange", "overlap")
+        shared, files = self._split_url(t, 10, first_page_last=True)
+        src = _write_files(tmp_path / "pages", files)
+        assert self._run(src, tmp_path) == [("aligned", 9), ("residual", 1)]
         want = _exchange_texts(rd.from_arrow(t))[shared]
         docs = _job_docs(str(tmp_path / "out"))
         assert docs[docs.url == shared].extracted_text.tolist() == [want]
+        residual = completed_parts(str(tmp_path / "out"))[1]
+        assert [os.path.basename(f) for f in residual["inputs"]] == [
+            "pages-00000.parquet",
+            "pages-00001.parquet",
+        ]
 
     def test_exchange_part_reads_one_block_per_file(self, tmp_path, monkeypatch, plan_ops):
-        """An exchange part's read fuses with the extraction: no raw page
+        """The residual part's read fuses with the extraction: no raw page
         crosses the object store between a read and an extract task."""
         from ocr_platform_ray.pipelines import extraction
 
@@ -452,59 +481,38 @@ class TestReassemblyChoice:
             return docs
 
         monkeypatch.setattr(extraction, "extraction_pipeline", spy)
-        t = make_pages_table(20)
-        files = [t.slice(0, 50), t.slice(50)]
+        _, files = self._split_url(make_pages_table(20), 20, first_page_last=False)
         src = _write_files(tmp_path / "pages", files, write_statistics=False)
-        assert self._run(src, tmp_path) == ("exchange", "no stats")
+        assert self._run(src, tmp_path) == [("aligned", 19), ("residual", 1)]
         plan = plans[0]  # the job's; _run's reference pass follows it
         assert plan[0].startswith("ReadParquet->MapBatches(ExtractPages)"), plan
 
-    def _split_files(self, tmp_path, urls_per_shard, **kwargs):
-        """Run the job with a target block size (64 KiB) smaller than the
-        input files."""
+    def test_asserted_layout_that_splits_a_url_exchanges_it(self, tmp_path):
+        """A wrong assertion (one url's pages in two files of a part)
+        changes nothing: the census sends that url to the residual part."""
+        _, files = self._split_url(make_pages_table(10), 10, first_page_last=False)
+        src = _write_files(tmp_path / "pages", files)
+        got = self._run(src, tmp_path, partitioned_input=True)
+        assert got == [("aligned", 9), ("residual", 1)]
+
+    def test_large_file_goes_straight_to_the_exchange(self, tmp_path):
+        """Every url of a file bigger than the target block size (64 KiB
+        here; three of the four files) goes to the residual part, and no
+        task reads such a file whole; the small file runs aligned."""
         from ray.data import DataContext
 
         from ocr_platform_ray.corpus import write_pages_parquet
 
         src = str(tmp_path / "pages")
-        write_pages_parquet(src, 40, urls_per_shard=urls_per_shard)
+        write_pages_parquet(src, 40, urls_per_shard=10)
         ctx = DataContext.get_current()
         old = ctx.target_max_block_size
         ctx.target_max_block_size = 64 * 1024
         try:
-            return self._run(src, tmp_path, **kwargs)
+            got = self._run(src, tmp_path)
         finally:
             ctx.target_max_block_size = old
-
-    def test_split_file_is_recomputed_through_the_exchange(self, tmp_path):
-        """An asserted layout whose files exceed the target block size
-        goes to the exchange before any task reads it: the size rule
-        holds whatever the caller asserts."""
-        got = self._split_files(tmp_path, 20, partitioned_input=True)
-        assert got == ("exchange", "large file")
-
-    def test_asserted_layout_that_splits_a_url_is_recomputed(self, tmp_path):
-        """A wrong assertion (one url's pages in two files of a part)
-        reaches the aligned reassembly; the commit sees the repeated url
-        and publishes the exchange's output instead."""
-        import pyarrow.compute as pc
-
-        t = make_pages_table(10)
-        k = next(u for u in range(1, 9) if corpus.n_pages_for(u) >= 2)
-        pages = t.filter(pc.equal(t.column("url"), corpus.url_for(k)))
-        a = pa.concat_tables(
-            [self._urls(t, [corpus.url_for(u) for u in range(k)]), pages.slice(0, 1)]
-        )
-        b = pa.concat_tables(
-            [pages.slice(1), self._urls(t, [corpus.url_for(u) for u in range(k + 1, 10)])]
-        )
-        src = _write_files(tmp_path / "pages", [a, b])
-        got = self._run(src, tmp_path, partitioned_input=True)
-        assert got == ("exchange", "duplicate-recomputed")
-
-    def test_large_file_goes_straight_to_the_exchange(self, tmp_path):
-        got = self._split_files(tmp_path, 10, partitioned_input=False)
-        assert got == ("exchange", "large file")
+        assert got == [("aligned", 10), ("residual", 30)]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -513,9 +521,12 @@ class TestOneExecution:
     no Ray Data execution; a part commits once its last file has landed."""
 
     def test_aligned_job_builds_no_dataset(self, tmp_path, monkeypatch):
+        """No url is split across files in url-range, interleaved or
+        statistics-free layouts: the job builds no Dataset on any."""
+        import pyarrow.parquet as pq
         import ray.data as rd
 
-        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.corpus import url_for, write_pages_parquet
         from ocr_platform_ray.pipelines.extraction import (
             extraction_pipeline,
             read_pages,
@@ -524,19 +535,68 @@ class TestOneExecution:
         from ocr_platform_ray.state.manifest import completed_parts
 
         src = str(tmp_path / "pages")
-        out = str(tmp_path / "out")
         assert len(write_pages_parquet(src, 40, urls_per_shard=10)) == 4
+        t = pq.read_table(src)
         want = _doc_hashes(extraction_pipeline(read_pages(src)).to_pandas())
+        interleaved = [
+            _pages_of(t, [url_for(u) for u in range(i, 40, 4)])
+            for i in range(4)
+        ]
+        layouts = {
+            "url-range": src,
+            "interleaved": _write_files(tmp_path / "interleaved", interleaved),
+            "no stats": _write_files(
+                tmp_path / "no-stats", interleaved, write_statistics=False
+            ),
+        }
 
         def no_dataset(*args, **kwargs):
             raise AssertionError("an all-aligned job read a Dataset")
 
         monkeypatch.setattr(rd, "read_parquet", no_dataset)
+        for name, pages in layouts.items():
+            out = str(tmp_path / "out" / name)
+            r = run_extraction(pages, out, fragments_per_part=2)
+            assert r["parts"] == 2 and r["rows"] == 40, name
+            parts = completed_parts(out)
+            assert [m["reassembly"] for m in parts.values()] == ["aligned", "aligned"]
+            assert _doc_hashes(_job_docs(out)) == want, name
+
+    def test_url_split_across_parts_is_published_once(self, tmp_path, monkeypatch):
+        """12 urls in 4 files, one url's first page in file 0 and its other
+        pages in file 3: with 2 files per part, the url comes out once,
+        from the one residual part, the job's only Dataset."""
+        import ray.data as rd
+
+        from ocr_platform_ray.pipelines.extraction import run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        t = make_pages_table(12)
+        split = next(u for u in range(3, 12, 4) if corpus.n_pages_for(u) >= 2)
+        files = [_pages_of(t, [corpus.url_for(u) for u in range(i, 12, 4)]) for i in range(4)]
+        src = _write_files(tmp_path / "pages", files)
+        paths = sorted(os.path.join(src, f) for f in os.listdir(src))
+        _move_first_page(paths[3], paths[0], corpus.url_for(split))
+        reads = []
+        read_parquet = rd.read_parquet
+
+        def spy(*args, **kwargs):
+            reads.append(args)
+            return read_parquet(*args, **kwargs)
+
+        monkeypatch.setattr(rd, "read_parquet", spy)
+        out = str(tmp_path / "out")
         r = run_extraction(src, out, fragments_per_part=2)
-        assert r["parts"] == 2 and r["rows"] == 40
+        assert len(reads) == 1
+        assert r["parts"] == 3 and r["rows"] == 12
         parts = completed_parts(out)
-        assert [m["reassembly"] for m in parts.values()] == ["aligned", "aligned"]
-        assert _doc_hashes(_job_docs(out)) == want
+        assert [m["reassembly"] for _, m in sorted(parts.items())] == [
+            "aligned", "aligned", "residual"
+        ]
+        monkeypatch.undo()
+        docs = _job_docs(out)
+        assert docs.url.is_unique and len(docs) == 12
+        assert dict(zip(docs.url, docs.extracted_text)) == _exchange_texts(rd.from_arrow(t))
 
     def test_file_task_runs_without_ray_data(self, tmp_path):
         """The per-file task, shipped by value, runs in a process where
@@ -559,14 +619,16 @@ class TestOneExecution:
         task.write_bytes(cloudpickle.dumps(_file_task(extract_docs, PAGE_COLUMNS)))
         script = (
             "import pickle, sys\n"
+            "import pyarrow as pa\n"
             "sys.modules['ray.data'] = None\n"
             "land = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "print(land(sys.argv[2], sys.argv[3])[1])\n"
+            "print(land(sys.argv[2], sys.argv[3], pa.array([sys.argv[4]]))[1])\n"
             "assert not any(m.startswith('ocr_platform_ray') for m in sys.modules)\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        residual = corpus.url_for(4)  # its pages belong to another task
         run = subprocess.run(
-            [sys.executable, "-c", script, str(task), path, str(tmp_path)],
+            [sys.executable, "-c", script, str(task), path, str(tmp_path), residual],
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert run.returncode == 0, run.stderr
@@ -574,7 +636,8 @@ class TestOneExecution:
         assert int(run.stdout) == pages.num_rows
         stem = os.path.splitext(os.path.basename(path))[0]
         got = pq.read_table(str(tmp_path / f"{stem}.parquet"))
-        assert got.equals(_docs_from_block(ExtractPages()(pages)))
+        local = _pages_of(pages, [corpus.url_for(u) for u in range(12) if u != 4])
+        assert got.equals(_docs_from_block(ExtractPages()(local)))
 
     @pytest.mark.parametrize("partitioned_input", [True, False])
     def test_null_url_commits(self, tmp_path, partitioned_input):
@@ -601,27 +664,31 @@ class TestOneExecution:
         assert got == want and len(want) == 2
 
     def test_resume_after_a_failure_mid_stream(self, tmp_path):
-        """A file whose data pages are corrupt (its footer intact, so its
-        task runs) fails its task mid-stream: every part whose files all
-        land is committed, whenever they land, the failed part publishes
-        nothing, and the rerun redoes only what is not committed."""
+        """A file whose data pages are corrupt (its footer and url column
+        intact, so its task runs) fails its task mid-stream: every part
+        whose files all land is committed, whenever they land, and so is
+        the residual part of a url split across the first two parts; the
+        failed part publishes nothing, and the rerun redoes only what is
+        not committed."""
         import glob as g
 
         import pyarrow.parquet as pq
 
-        from ocr_platform_ray.corpus import write_pages_parquet
+        from ocr_platform_ray.corpus import url_for, write_pages_parquet
         from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
         from ocr_platform_ray.state.manifest import completed_parts
 
         src = str(tmp_path / "pages")
         out = str(tmp_path / "out")
         files = sorted(write_pages_parquet(src, 60, urls_per_shard=10))
+        _move_first_page(files[0], files[2], url_for(3))  # parts 0 and 1
         want = _exchange_texts(read_pages(src))
         bad = files[-1]
         pq.write_table(pq.read_table(bad), bad, row_group_size=8)
         good = open(bad, "rb").read()
         md = pq.read_metadata(bad)
-        col = md.row_group(md.num_row_groups - 1).column(0)
+        html = md.schema.to_arrow_schema().get_field_index("html")
+        col = md.row_group(md.num_row_groups - 1).column(html)
         raw = bytearray(good)
         raw[col.data_page_offset : col.data_page_offset + col.total_compressed_size] = (
             b"\xff" * col.total_compressed_size
@@ -632,8 +699,9 @@ class TestOneExecution:
         with pytest.raises(Exception):
             run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
         committed = completed_parts(out)
-        assert sorted(committed) == [0, 1]
-        for pid in range(3):
+        assert sorted(committed) == [0, 1, 3]
+        assert committed[3]["reassembly"] == "residual" and committed[3]["rows"] == 1
+        for pid in range(4):
             published = os.path.isdir(os.path.join(out, f"part-{pid:05d}"))
             assert published == (pid in committed)
         assert not g.glob(os.path.join(out, "_manifest", "*.tmp"))
@@ -642,6 +710,7 @@ class TestOneExecution:
             f.write(good)
         r = run_extraction(src, out, fragments_per_part=2, partitioned_input=True)
         assert r["skipped"] == len(committed) and r["rows"] == 60
+        assert sorted(completed_parts(out)) == [0, 1, 2, 3]
         assert not g.glob(os.path.join(out, "*.tmp"))
         docs = _job_docs(out)
         assert docs.url.is_unique
@@ -688,6 +757,68 @@ class TestRegrouping:
         assert published() == [0]
         assert sorted(os.listdir(out)) == ["_manifest", "part-00000"]
 
+    def _split_job(self, tmp_path):
+        """4 url-range files of 10 urls with url 3's first page moved to
+        the last file, 2 files per part: parts 0 and 1, then the residual
+        part 2."""
+        from ocr_platform_ray.corpus import url_for, write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        files = sorted(write_pages_parquet(src, 40, urls_per_shard=10))
+        _move_first_page(files[0], files[3], url_for(3))
+        run_extraction(src, out, fragments_per_part=2)
+        assert sorted(completed_parts(out)) == [0, 1, 2]
+        return src, out, _exchange_texts(read_pages(src))
+
+    def _redo(self, src, out, url, want):
+        """Redo one url; returns the ids of the parts it rewrote."""
+        import glob as g
+
+        from ocr_platform_ray.pipelines.extraction import (
+            PAGE_COLUMNS,
+            extract_docs,
+            extraction_pipeline,
+        )
+        from ocr_platform_ray.state.manifest import redo_urls
+
+        def stamps():
+            paths = g.glob(os.path.join(out, "_manifest", "part-*.json"))
+            return {int(p[-10:-5]): os.stat(p).st_mtime_ns for p in paths}
+
+        before = stamps()
+        r = redo_urls(src, out, [url], extraction_pipeline, extract_docs, columns=PAGE_COLUMNS)
+        after = stamps()
+        assert sorted(after) == sorted(before) and r["redone_parts"] == 1
+        docs = _job_docs(out)
+        assert docs.url.is_unique and dict(zip(docs.url, docs.extracted_text)) == want
+        return {pid for pid in after if after[pid] != before[pid]}
+
+    def test_redo_of_a_local_url_recomputes_only_its_files_part(self, tmp_path):
+        from ocr_platform_ray.corpus import url_for
+
+        src, out, want = self._split_job(tmp_path)
+        assert self._redo(src, out, url_for(25), want) == {1}
+        assert self._redo(src, out, url_for(35), want) == {1}  # file 3 holds url 3 too
+
+    def test_redo_of_a_residual_url_recomputes_only_the_residual_part(self, tmp_path):
+        """Then a coarser rerun keeps the residual part, under its new id."""
+        from ocr_platform_ray.corpus import url_for
+        from ocr_platform_ray.pipelines.extraction import run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        src, out, want = self._split_job(tmp_path)
+        assert self._redo(src, out, url_for(3), want) == {2}
+        r = run_extraction(src, out, fragments_per_part=4)
+        assert r["parts"] == 2 and r["skipped"] == 0 and r["rows"] == 40
+        parts = completed_parts(out)
+        assert [parts[pid]["reassembly"] for pid in (0, 1)] == ["aligned", "residual"]
+        assert sorted(os.listdir(out)) == ["_manifest", "part-00000", "part-00001"]
+        docs = _job_docs(out)
+        assert docs.url.is_unique and dict(zip(docs.url, docs.extracted_text)) == want
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestUnreadableFooter:
@@ -714,20 +845,32 @@ class TestUnreadableFooter:
         assert sorted(os.listdir(out)) == ["_manifest", "part-00000"]
         assert len(_job_docs(out)) == 20
 
+    def test_a_mended_file_recomputes_the_parts_its_urls_reach(self, tmp_path):
+        """Url 3 has pages in file 0 and in the unreadable file 3: part 0
+        publishes it from file 0 alone.  Once file 3 reads, the census
+        finds url 3 split, so part 0 recomputes and url 3 comes out once,
+        whole, from the residual part."""
+        from ocr_platform_ray.corpus import url_for, write_pages_parquet
+        from ocr_platform_ray.pipelines.extraction import read_pages, run_extraction
+        from ocr_platform_ray.state.manifest import completed_parts
 
-@pytest.mark.usefixtures("ray_session")  # the corpus writer runs on Ray
-class TestPartLayout:
-    @pytest.mark.parametrize("max_block,want", [(1 << 27, "footers"), (1024, "large file")])
-    def test_footer_decision(self, tmp_path, max_block, want):
-        """``_part_layout`` over two url-range files, from footers alone."""
-        import pyarrow.parquet as pq
-
-        from ocr_platform_ray.corpus import write_pages_parquet
-        from ocr_platform_ray.state.manifest import _part_layout
-
-        write_pages_parquet(str(tmp_path), 20, urls_per_shard=10)
-        footers = [pq.read_metadata(p) for p in sorted(tmp_path.glob("*.parquet"))]
-        assert _part_layout(footers, max_block) == want
+        src = str(tmp_path / "pages")
+        out = str(tmp_path / "out")
+        files = sorted(write_pages_parquet(src, 40, urls_per_shard=10))
+        _move_first_page(files[0], files[3], url_for(3))
+        want = _exchange_texts(read_pages(src))
+        raw = open(files[3], "rb").read()
+        with open(files[3], "wb") as f:
+            f.write(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match=os.path.basename(files[3])):
+            run_extraction(src, out, fragments_per_part=2)
+        assert sorted(completed_parts(out)) == [0]
+        with open(files[3], "wb") as f:
+            f.write(raw)
+        r = run_extraction(src, out, fragments_per_part=2)
+        assert r["parts"] == 3 and r["skipped"] == 0 and r["rows"] == 40
+        docs = _job_docs(out)
+        assert docs.url.is_unique and dict(zip(docs.url, docs.extracted_text)) == want
 
 
 @pytest.mark.usefixtures("ray_session")

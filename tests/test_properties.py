@@ -4,7 +4,8 @@ input, not just fixture cases (SURVEY.md §5 item 3)."""
 import datetime
 import unicodedata
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ocr_platform_ray.functions.hijri import gregorian_to_hijri, hijri_to_gregorian
@@ -394,3 +395,127 @@ class TestDupSpanKernelProps:
             toks = t.split(" ")
             kept = [tok for j, tok in enumerate(toks) if j not in covered]
             assert len(toks) - cov[i] == len(kept)
+
+
+def _job_files(n_urls, n_files, interleave, split, shuffle, null):
+    """The whole input and its files: urls in ranges of consecutive urls
+    or dealt round-robin; ``split = (url, distance)`` moves a many-page
+    url's first page ``distance`` files on; ``shuffle`` seeds a row order
+    inside each file; ``null`` nulls one url."""
+    import random
+
+    import pyarrow as pa
+
+    from ocr_platform_ray.corpus import make_pages_table, n_pages_for, url_for
+    from ocr_platform_ray.pipelines.extraction import PAGE_COLUMNS
+
+    t = make_pages_table(n_urls).select(PAGE_COLUMNS)
+    home = {url_for(u): u % n_files if interleave else u * n_files // n_urls for u in range(n_urls)}
+    urls = t.column("url").to_pylist()
+    file_of = [home[u] for u in urls]
+    if split is not None and n_files > 1:
+        many = [url_for(u) for u in range(n_urls) if n_pages_for(u) >= 2]
+        url, distance = many[split[0] % len(many)], 1 + split[1] % (n_files - 1)
+        ts = t.column("warc_ts").to_pylist()
+        first = min((i for i, u in enumerate(urls) if u == url), key=lambda i: ts[i])
+        file_of[first] = (home[url] + distance) % n_files
+    if null is not None:
+        gone = url_for(null % n_urls)
+        t = t.set_column(0, "url", pa.array([None if u == gone else u for u in urls], pa.string()))
+    files = []
+    for k in range(n_files):
+        rows = [i for i, f in enumerate(file_of) if f == k]
+        if shuffle is not None:
+            random.Random(shuffle + k).shuffle(rows)
+        files.append(t.take(rows))
+    return t, files
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestJobPublishesEachUrlOnce:
+    """The job's invariant under any layout, grouping, rerun and redo:
+    each named url is published once, with the doc that extracting and
+    reassembling the whole input in one process gives it, and every
+    published part has its manifest."""
+
+    def _check(self, out, want):
+        import glob
+        import os
+
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        files = glob.glob(os.path.join(out, "part-*", "*.parquet"))
+        docs = pa.concat_tables([pq.read_table(f) for f in files]).select(want.schema.names)
+        named = docs.filter(pc.is_valid(docs.column("url"))).to_pylist()
+        assert len({d["url"] for d in named}) == len(named), "a url is published twice"
+        ref = want.filter(pc.is_valid(want.column("url"))).to_pylist()
+        assert {d["url"]: d for d in named} == {d["url"]: d for d in ref}
+        null_pages = [pc.sum(t.filter(pc.is_null(t.column("url"))).column("n_pages")).as_py()
+                      for t in (docs, want)]
+        assert null_pages[0] == null_pages[1]
+        dirs = {int(d[-5:]) for d in glob.glob(os.path.join(out, "part-?????"))}
+        assert dirs == set(completed_parts(out))
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n_urls=st.integers(4, 12),
+        n_files=st.integers(1, 4),
+        interleave=st.booleans(),
+        split=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 2)),
+        shuffle=st.none() | st.integers(0, 99),
+        stats=st.booleans(),
+        null=st.none() | st.integers(0, 11),
+        fpp=st.integers(1, 4),
+        fpp_rerun=st.integers(1, 4),
+        partitioned=st.booleans(),
+        redo=st.integers(0, 11),
+    )
+    # one url's first page in file 0, its other pages in file 3, 2 files
+    # per part: each part once published its own copy of the url
+    @example(n_urls=12, n_files=4, interleave=True, split=(1, 0), shuffle=None, stats=True,
+             null=None, fpp=2, fpp_rerun=4, partitioned=False, redo=3)
+    def test_run_rerun_redo(self, n_urls, n_files, interleave, split, shuffle, stats, null,
+                            fpp, fpp_rerun, partitioned, redo):
+        import os
+        import tempfile
+
+        import pyarrow.parquet as pq
+
+        from ocr_platform_ray.corpus import url_for
+        from ocr_platform_ray.pipelines.extraction import (
+            PAGE_COLUMNS,
+            extract_docs,
+            extraction_pipeline,
+            run_extraction,
+        )
+        from ocr_platform_ray.stages.extract import ExtractPages
+        from ocr_platform_ray.stages.reassemble import _docs_from_block
+        from ocr_platform_ray.state.manifest import redo_urls
+
+        whole, files = _job_files(n_urls, n_files, interleave, split, shuffle, null)
+        want = _docs_from_block(ExtractPages()(whole))
+        with tempfile.TemporaryDirectory() as d:
+            src, out = os.path.join(d, "pages"), os.path.join(d, "out")
+            os.makedirs(src)
+            for k, t in enumerate(files):
+                pq.write_table(t, os.path.join(src, f"pages-{k:05d}.parquet"),
+                               write_statistics=stats)
+            run_extraction(src, out, fragments_per_part=fpp, partitioned_input=partitioned)
+            self._check(out, want)
+            run_extraction(src, out, fragments_per_part=fpp_rerun)
+            self._check(out, want)
+            named = [url_for(u) for u in range(n_urls) if null is None or u != null % n_urls]
+            r = redo_urls(src, out, [named[redo % len(named)]], extraction_pipeline,
+                          extract_docs, columns=PAGE_COLUMNS)
+            assert r["redone_parts"] == 1
+            self._check(out, want)
