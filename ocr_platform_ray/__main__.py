@@ -12,7 +12,8 @@ queue/HTTP endpoints would switch to (SURVEY.md §3: POST /book/ocr ->
     python -m ocr_platform_ray explain --query NAME --sf-dir DIR
 
 Owns the Ray session (guarded init / shutdown) — the only place in the
-package besides bench.py that does.
+package besides bench.py that does.  ``gen-corpus`` and ``status`` touch
+local files only and start none.
 """
 
 from __future__ import annotations
@@ -86,6 +87,42 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = p.parse_args(argv)
+    if args.cmd == "gen-corpus":
+        from .corpus import write_pages_parquet
+
+        paths = write_pages_parquet(args.output, args.urls, urls_per_shard=args.urls_per_shard)
+        print(json.dumps({"shards": len(paths), "urls": args.urls}))
+        return 0
+    if args.cmd == "status":
+        from .state.manifest import completed_parts
+
+        parts = completed_parts(args.output)
+        rows = sum(m["rows"] for m in parts.values())
+        out_bytes = sum(m.get("out_bytes", 0) for m in parts.values())
+        walls = [m["wall_s"] for m in parts.values() if m.get("wall_s")]
+        slowest = max(parts.values(), key=lambda m: m.get("wall_s", 0)) if parts else None
+        mix = [m.get("reassembly") for m in parts.values()]
+        residual = next((m for m in parts.values() if m.get("reassembly") == "residual"), None)
+        print(
+            json.dumps(
+                {
+                    "committed_parts": len(parts),
+                    "rows": rows,
+                    "out_bytes": out_bytes,
+                    "total_wall_s": round(sum(walls), 2),
+                    "mean_rows_per_s": round(rows / max(sum(walls), 1e-9), 1),
+                    "slowest_part": (
+                        {"part_id": slowest["part_id"], "wall_s": slowest["wall_s"]}
+                        if slowest
+                        else None
+                    ),
+                    "reassembly": {r: mix.count(r) for r in sorted(set(mix), key=str)},
+                    "residual_part": residual
+                    and {k: residual[k] for k in ("part_id", "rows", "inputs")},
+                }
+            )
+        )
+        return 0
     ray = _ray_session()
     try:
         if args.cmd == "extract":
@@ -128,42 +165,6 @@ def main(argv: list[str] | None = None) -> int:
             out = page_count_probe(rdata.read_parquet(args.input))
             print(out.head(args.limit).to_string())
             print(f"... {len(out)} urls total")
-        elif args.cmd == "gen-corpus":
-            from .corpus import write_pages_parquet
-
-            paths = write_pages_parquet(
-                args.output, args.urls, urls_per_shard=args.urls_per_shard
-            )
-            print(json.dumps({"shards": len(paths), "urls": args.urls}))
-        elif args.cmd == "status":
-            from .state.manifest import completed_parts
-
-            parts = completed_parts(args.output)
-            rows = sum(m["rows"] for m in parts.values())
-            out_bytes = sum(m.get("out_bytes", 0) for m in parts.values())
-            walls = [m["wall_s"] for m in parts.values() if m.get("wall_s")]
-            slowest = max(parts.values(), key=lambda m: m.get("wall_s", 0)) if parts else None
-            mix = [m.get("reassembly") for m in parts.values()]
-            residual = next((m for m in parts.values() if m.get("reassembly") == "residual"), None)
-            print(
-                json.dumps(
-                    {
-                        "committed_parts": len(parts),
-                        "rows": rows,
-                        "out_bytes": out_bytes,
-                        "total_wall_s": round(sum(walls), 2),
-                        "mean_rows_per_s": round(rows / max(sum(walls), 1e-9), 1),
-                        "slowest_part": (
-                            {"part_id": slowest["part_id"], "wall_s": slowest["wall_s"]}
-                            if slowest
-                            else None
-                        ),
-                        "reassembly": {r: mix.count(r) for r in sorted(set(mix), key=str)},
-                        "residual_part": residual
-                        and {k: residual[k] for k in ("part_id", "rows", "inputs")},
-                    }
-                )
-            )
         elif args.cmd == "explain":
             from .ops.relational import explain_routes
             from .pipelines.queries import QUERIES

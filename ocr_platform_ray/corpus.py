@@ -244,48 +244,33 @@ def make_pages_rows(url_indices, seed: int = SEED):
             yield {"url": url, "warc_ts": ts, "html": html, "text": prior, "lang": lang}
 
 
-def make_pages_table(n_urls: int, seed: int = SEED) -> pa.Table:
-    """Build the pages table for urls [0, n_urls) as one Arrow table."""
+def make_pages_table(urls: int | range, seed: int = SEED) -> pa.Table:
+    """Build the pages table for urls [0, urls) (or the url indices of a
+    range) as one Arrow table."""
     from .schemas import PAGES_SCHEMA
 
-    rows = list(make_pages_rows(range(n_urls), seed))
+    rows = list(make_pages_rows(range(urls) if isinstance(urls, int) else urls, seed))
     cols = {name: [r[name] for r in rows] for name in PAGES_SCHEMA.names}
     return pa.Table.from_pydict(cols, schema=PAGES_SCHEMA)
 
 
 def write_pages_parquet(out_dir: str, n_urls: int, seed: int = SEED, urls_per_shard: int = 200) -> list[str]:
-    """Write the corpus as sharded parquet (one file per url range) using Ray
-    for parallel generation — the layout a resumable 100 TB read expects
-    (many independent fragments, §4)."""
+    """Write the corpus as sharded parquet, one file per url range — the
+    layout a resumable 100 TB read expects (many independent fragments,
+    §4).  Runs in this process: no Ray session."""
     import os
 
     import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from .schemas import PAGES_SCHEMA
 
     os.makedirs(out_dir, exist_ok=True)
-    shards = [(lo, min(lo + urls_per_shard, n_urls)) for lo in range(0, n_urls, urls_per_shard)]
-
-    def gen_shard(batch):
-        paths = []
-        for i, lo, hi in zip(batch["shard"], batch["lo"], batch["hi"]):
-            rows = list(make_pages_rows(range(int(lo), int(hi)), seed))
-            cols = {name: [r[name] for r in rows] for name in PAGES_SCHEMA.names}
-            t = pa.Table.from_pydict(cols, schema=PAGES_SCHEMA)
-            path = os.path.join(out_dir, f"pages-{int(i):05d}.parquet")
-            pq.write_table(t, path + ".tmp")
-            os.replace(path + ".tmp", path)  # atomic publish
-            paths.append(path)
-        return {"path": paths}
-
-    meta = rd.from_items(
-        [{"shard": i, "lo": lo, "hi": hi} for i, (lo, hi) in enumerate(shards)]
-    )
-    out = meta.map_batches(gen_shard, batch_size=1)
-    return sorted(
-        p for b in out.iter_batches(batch_format="pyarrow") for p in b.column("path").to_pylist()
-    )
+    paths = []
+    for i, lo in enumerate(range(0, n_urls, urls_per_shard)):
+        t = make_pages_table(range(lo, min(lo + urls_per_shard, n_urls)), seed)
+        path = os.path.join(out_dir, f"pages-{i:05d}.parquet")
+        pq.write_table(t, path + ".tmp")
+        os.replace(path + ".tmp", path)  # atomic publish
+        paths.append(path)
+    return paths
 
 
 def make_docs_meta_table(n_urls: int, seed: int = SEED) -> pa.Table:

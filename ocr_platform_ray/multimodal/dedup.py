@@ -213,7 +213,6 @@ def video_near_dup_pairs(
     max_hamming: int = 6,
     n_bands: int = 8,
     min_match_frac: float = 0.8,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Near-duplicate video pairs: sample every Nth frame
     (`decode.sample_frames`), dHash each sampled frame, find per-SLOT
@@ -239,7 +238,7 @@ def video_near_dup_pairs(
     pairs = fingerprint_near_dup_pairs(
         hashed, "dhash", id_col,
         max_hamming=max_hamming, n_bands=n_bands,
-        within_col="frame_idx", n_shards=n_shards, as_dataset=True,
+        within_col="frame_idx", as_dataset=True,
     )
     matched = auto_group_agg(
         pairs.map_batches(
@@ -250,7 +249,6 @@ def video_near_dup_pairs(
         ),
         ["id_a", "id_b"],
         {"n_matched": ("n_matched", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(matched, pd.DataFrame):
         matched = matched.to_pandas()
@@ -263,7 +261,6 @@ def video_near_dup_pairs(
         ),
         [id_col],
         {"n_frames": ("n_frames", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(counts, pd.DataFrame):
         counts = counts.to_pandas()

@@ -165,9 +165,8 @@ def incremental_agg_into(
 
     report = exchange(
         delta.map_batches(partial, batch_format="pandas"),
-        lambda b, n: b["__part"],
+        lambda b: b["__part"],
         apply_part,
-        n_shards=n_partitions,
     ).to_pandas()
     if report.shape[1] == 0:
         # empty delta: zero partition groups -> columnless empty frame

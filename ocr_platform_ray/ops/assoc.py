@@ -3,7 +3,7 @@ over (basket, item) rows: which items appear together in the same
 basket (user × event types, document × tags, host × resource kinds)
 more often than independence predicts.
 
-Scale shape: ONE bounded ``hash(basket) % n_shards`` exchange co-locates
+Scale shape: ONE bounded ``hash(basket)`` exchange co-locates
 each basket's rows (after a per-batch local distinct combiner shrinks
 the payload to the distinct projection), then each shard vectorizes the
 whole pipeline — global per-basket distinct, the canonical a<b pair
@@ -42,7 +42,6 @@ def pair_cooccurrence(
     item_col: str,
     min_pair_count: int = 1,
     max_items_per_basket: int | None = None,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """(item_a, item_b, n_pair, n_a, n_b, support, lift) for every
     unordered item pair co-occurring in ``>= min_pair_count`` baskets,
@@ -112,11 +111,9 @@ def pair_cooccurrence(
         ds.map_batches(project, batch_format="pandas"),
         basket_col,
         per_shard,
-        n_shards=n_shards,
     )
     red = auto_group_agg(
         partials, ["kind", "item_a", "item_b"], {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         # exchange route: thin the pair rows map-side BEFORE the driver

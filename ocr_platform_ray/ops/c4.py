@@ -211,7 +211,6 @@ def c4_span_dedup(
     width: int = 3,
     method: str = "auto",
     broadcast_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Remove all but one occurrence of any ``width``-sentence span that
     appears more than once in the corpus (C4 §2.2's dedup rule).
@@ -255,12 +254,7 @@ def c4_span_dedup(
         losers = g[dup & ~first]
         return losers[[id_col, "pos"]]
 
-    losers = exchange(
-        occurrences,
-        lambda b, n: b["gh"].to_numpy() % np.uint64(n),
-        per_shard_losers,
-        n_shards=n_shards,
-    )
+    losers = exchange(occurrences, "gh", per_shard_losers)
 
     def _strip_rows(originals, starts_per_row):
         # untouched docs pass through BYTE-IDENTICAL without even being
@@ -337,7 +331,7 @@ def c4_span_dedup(
             }
         )
 
-    stripped = exchange(marked.union(docs), id_col, per_shard_strip, n_shards=n_shards)
+    stripped = exchange(marked.union(docs), id_col, per_shard_strip)
     sch = ds.schema()
     orig_cols = sch.names if sch is not None else [id_col, text_col]
     extra = [c for c in orig_cols if c not in (id_col, text_col)]

@@ -31,7 +31,6 @@ def grouped_ordered_concat(
     sep: str = "\n",
     out_col: str = "chunk_text",
     offsets_col: str | None = None,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Per group: items sorted by ``order_col`` and joined with ``sep``.
     Output: ``(group_col, n_items, out_col)``.  ``order_col`` must be
@@ -61,7 +60,6 @@ def grouped_ordered_concat(
         ds.select_columns([group_col, order_col, text_col]),
         group_col,
         per_shard,
-        n_shards=n_shards,
     )
 
 

@@ -263,7 +263,6 @@ def semdedup(
     n_iters: int = 10,
     seed: int = 23,
     centroids: np.ndarray | None = None,
-    n_shards: int = 32,
     fit_rows: int | None = None,
     max_cluster_rows: int = 100_000,
 ) -> rd.Dataset:
@@ -346,9 +345,8 @@ def semdedup(
 
     return exchange(
         ds.map_batches(project, batch_format="pandas"),
-        lambda b, n: b["cluster"].to_numpy() % n,
+        "cluster",
         per_shard,
-        n_shards=n_shards,
     )
 
 

@@ -32,7 +32,6 @@ def cohort_retention(
     key_col: str,
     ts_col: str,
     period_us: int = _US_PER_DAY,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """(cohort, offset, n_keys) retention matrix in long form.
 
@@ -68,7 +67,6 @@ def cohort_retention(
         ),
         [key_col],
         {"cohort": ("__p", "min")},
-        n_shards=n_shards,
     )
     if isinstance(firsts, pd.DataFrame):
         if len(firsts) == 0:
@@ -81,7 +79,7 @@ def cohort_retention(
             )
         firsts = rd.from_pandas(firsts)
 
-    joined = auto_join(pds, firsts, key_col, n_buckets=n_shards)
+    joined = auto_join(pds, firsts, key_col)
 
     def activity(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -98,7 +96,6 @@ def cohort_retention(
         joined.map_batches(activity, batch_format="pandas"),
         ["cohort", "offset", key_col],
         {"__n": (key_col, "count")},
-        n_shards=n_shards,
     )
 
     if isinstance(distinct, pd.DataFrame):
@@ -116,7 +113,6 @@ def cohort_retention(
         )
         out = auto_group_agg(
             partials, ["cohort", "offset"], {"n_keys": ("n_keys", "sum")},
-            n_shards=n_shards,
         )
         if not isinstance(out, pd.DataFrame):
             out = out.to_pandas()

@@ -50,7 +50,6 @@ def pmi_bigrams(
     *,
     text_col: str = "text",
     min_count: int = 5,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """(x, y, n_xy, n_x, n_y, pmi) for every ordered adjacent bigram
     occurring ``>= min_count`` times.  n_x/n_y are corpus unigram
@@ -118,7 +117,6 @@ def pmi_bigrams(
         ds.map_batches(partials, batch_format="pandas"),
         ["kind", "x", "y"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.map_batches(

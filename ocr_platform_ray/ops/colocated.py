@@ -51,7 +51,7 @@ def partition_by_key(
         os.replace(path + ".tmp", path)
         return pd.DataFrame({"path": [path], "rows": [len(g)]})
 
-    manifest = exchange(ds, key, write_shard, n_shards=n_shards).to_pandas()
+    manifest = exchange(ds, lambda b: _hash_labels(b, [key], n_shards), write_shard).to_pandas()
     lpath = os.path.join(out_dir, "_layout.json")
     with open(lpath + ".tmp", "w") as f:
         json.dump(

@@ -10,7 +10,7 @@ Both routes move only 64-bit gram hashes, never gram strings:
       are ``ray.put`` once, every train batch runs one vectorized
       ``np.isin`` + segmented count.  Map-only, zero shuffles.
   bucketed (eval side corpus-scale): explode BOTH sides to (id, gram-hash)
-      rows, co-group by ``hash % n_buckets``, in-bucket ``isin`` emits
+      rows, co-group by gram hash, in-bucket ``isin`` emits
       per-(doc, bucket) partial counts, then one hash-shard reduce by doc.
       Two exchanges, payload = the gram-hash projections.
 
@@ -71,8 +71,6 @@ def contamination_counts(
     n: int = 8,
     method: str = "auto",
     broadcast_threshold_rows: int = 2_000_000,
-    n_buckets: int = 64,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Per-train-document count of distinct word ``n``-grams shared with
     ``eval_ds``; documents with zero overlap are dropped.  Output:
@@ -119,7 +117,7 @@ def contamination_counts(
 
         return train.map_batches(count_shared, batch_format="pandas")
 
-    # bucketed route: co-group train and eval gram hashes by hash range.
+    # bucketed route: co-group train and eval gram hashes by gram hash.
     # The eval side carries NO id column — the union null-fills it in
     # mixed buckets (an int id upcasts to float there; restored below),
     # which keeps the route id-dtype-agnostic (string urls work too)
@@ -135,9 +133,6 @@ def contamination_counts(
     id_dtype = pd.Series(
         dtype=_pd_dtype(dict(zip(tschema.names, tschema.types))[id_col])
     ).dtype
-
-    def gh_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
-        return (b["gh"].to_numpy(dtype="int64") % n + n) % n
 
     def _empty_partial() -> pd.DataFrame:
         return pd.DataFrame(
@@ -159,12 +154,8 @@ def contamination_counts(
             out[id_col] = out[id_col].astype(id_dtype)
         return out
 
-    partials = exchange(
-        t_rows.union(e_rows), gh_bucket, per_bucket, n_shards=n_buckets
-    )
-    reduced = sharded_group_agg(
-        partials, [id_col], {"n_shared_grams": ("c", "sum")}, n_shards=n_shards
-    )
+    partials = exchange(t_rows.union(e_rows), "gh", per_bucket)
+    reduced = sharded_group_agg(partials, [id_col], {"n_shared_grams": ("c", "sum")})
     return reduced.map_batches(
         lambda b: b[b["n_shared_grams"] > 0], batch_format="pandas"
     )

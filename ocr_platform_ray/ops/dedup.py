@@ -172,12 +172,6 @@ def _band_hashes(sig_mat: np.ndarray, bands: int, rows_per_band: int) -> np.ndar
     return (h >> np.uint64(1)).astype(np.int64)
 
 
-def _bh_shard(b: pd.DataFrame, n: int) -> np.ndarray:
-    """Exchange label of an LSH (band, bucket) row: ``bh % n``, so a
-    bucket never splits across shards."""
-    return b["bh"].to_numpy(dtype=np.uint64) % n
-
-
 def _shingle_hashes_batch(texts, k: int, split_mode: str = "ws") -> list[np.ndarray]:
     """Word-k-gram hashes per text: ONE vectorized hash call over every
     gram of the batch (pd.util.hash_array per row cost ~30us of dispatch
@@ -298,13 +292,12 @@ def minhash_lsh_duplicates(
 
     exploded = sig_ds.map_batches(explode_bands, batch_format="pandas")
 
-    # candidate pairs: shuffle a bounded shard label (hash-shard exchange,
-    # stages/reassemble.py pattern) instead of grouping per (band, bh)
-    # bucket — per-bucket map_groups costs ~1.6 ms of Python per BUCKET
-    # (millions of buckets at corpus scale); the in-shard self-merge is one
-    # vectorized pandas join per shard.
-    n_shards = 64
-
+    # candidate pairs: shuffle a bounded shard label of ``bh`` (hash-shard
+    # exchange, stages/reassemble.py pattern; a bucket never splits across
+    # shards) instead of grouping per (band, bh) bucket — per-bucket
+    # map_groups costs ~1.6 ms of Python per BUCKET (millions of buckets at
+    # corpus scale); the in-shard self-merge is one vectorized pandas join
+    # per shard.
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # self-join within buckets of this shard: (band, bh) equality,
         # ordered pairs only; buckets are small by LSH design so the
@@ -335,7 +328,7 @@ def minhash_lsh_duplicates(
                 else pd.DataFrame({"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")})
             )
     if cand_pairs is None:
-        cand_ds = exchange(exploded, _bh_shard, shard_pairs, n_shards=n_shards)
+        cand_ds = exchange(exploded, "bh", shard_pairs)
 
     if verify == "bucketed" and cand_pairs is not None:
         if cand_pairs.empty:
@@ -500,7 +493,6 @@ def simhash_near_dup_pairs(
     n_bands: int = 4,
     max_posting: int = 1000,
     pairs_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """End-to-end SimHash near-duplicate pairs (Manku, Jain & Das Sarma
@@ -552,12 +544,6 @@ def simhash_near_dup_pairs(
 
     exploded = sig_ds.map_batches(explode, batch_format="pandas")
 
-    def band_shard(b: pd.DataFrame, n: int) -> np.ndarray:
-        key = b["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + b[
-            "bi"
-        ].to_numpy(dtype=np.uint64)
-        return key % n
-
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
@@ -607,12 +593,11 @@ def simhash_near_dup_pairs(
         pairs["hamming"] = pairs["hamming"].astype("int64")
         pairs = pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
         return rd.from_pandas(pairs) if as_dataset else pairs
-    cand = exchange(exploded, band_shard, shard_pairs, n_shards=n_shards)
+    cand = exchange(exploded, ["bi", "bv"], shard_pairs)
     # cross-band dedupe: a pair found in two bands lives in two shards;
     # hamming is a pure function of the pair, so min == the single value
     deduped = sharded_group_agg(
         cand, ["id_a", "id_b"], {"hamming": ("hamming", "min")},
-        n_shards=n_shards,
     )
     if as_dataset:
         return deduped
@@ -642,7 +627,6 @@ def _ngram_pair_counts(
     k: int,
     max_posting: int,
     split_mode: str,
-    n_shards: int = 64,
 ):
     """Shared candidate core behind `ngram_jaccard_pairs` and
     `ngram_containment_pairs`: explode (shingle-hash, id, set_size) ->
@@ -693,9 +677,8 @@ def _ngram_pair_counts(
 
     partials = exchange(
         ds.map_batches(explode, batch_format="pandas"),
-        lambda b, n: b["sh"].to_numpy() % n,
+        "sh",
         shard_pairs,
-        n_shards=n_shards,
     )
     # distributed per-pair reduce (a pair's shingles spread over shards):
     # second hash-shard exchange, then the metric + threshold filter run
@@ -1068,7 +1051,6 @@ def dup_clusters_distributed(
     id_a: str = "id_a",
     id_b: str = "id_b",
     max_rounds: int = 50,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Connected components by MIN-LABEL PROPAGATION over Ray Datasets —
@@ -1123,7 +1105,6 @@ def dup_clusters_distributed(
         edges.map_batches(init_labels, batch_format="pandas"),
         ["id"],
         {"label": ("label", "min")},
-        n_shards=n_shards,
     ).materialize()
 
     def as_id(b: pd.DataFrame) -> pd.DataFrame:
@@ -1169,14 +1150,12 @@ def dup_clusters_distributed(
             labels,
             "id",
             how="inner",
-            n_buckets=n_shards,
         )
         proposals = j.map_batches(to_proposal, batch_format="pandas")
         flagged = exchange(
             proposals.union(labels.map_batches(project, batch_format="pandas")),
             "id",
             min_reduce,
-            n_shards=n_shards,
         ).materialize()
         labels = flagged.map_batches(drop_flag, batch_format="pandas")
         if count_changed(flagged) == 0:
@@ -1213,7 +1192,6 @@ def dedup_keep_representatives(
     *,
     clusters: str = "driver",
     driver_threshold_rows: int = 2_000_000,
-    n_buckets: int = 32,
 ) -> rd.Dataset:
     """Drop every near-dup cluster member except the minimum-id
     representative.  Composes with any pair source (minhash / simhash /
@@ -1267,7 +1245,7 @@ def dedup_keep_representatives(
         from .relational import freeze_list_columns, thaw_list_columns
 
         frozen, spec = freeze_list_columns(ds)
-        kept = anti_join(frozen, losers_ds, id_col, method="bucketed", n_buckets=n_buckets)
+        kept = anti_join(frozen, losers_ds, id_col, method="bucketed")
         return thaw_list_columns(kept, spec)
 
     pairs_df = pairs.to_pandas() if isinstance(pairs, rd.Dataset) else pairs
@@ -1334,7 +1312,6 @@ def embedding_cosine_pairs(
     dim = len(first[0][emb_col])
     planes = _hyperplanes(dim, n_bands * band_bits, seed)
     planes_ref = ray.put(planes)
-    n_shards = 64
 
     def sig(batch: pd.DataFrame) -> pd.DataFrame:
         pl = cached_get(planes_ref)
@@ -1371,7 +1348,7 @@ def embedding_cosine_pairs(
         pairs = shard_pairs(head) if head.shape[1] > 0 else _cos_pairs_empty()[["id_a", "id_b"]]
     if pairs is None:
         pairs = (
-            exchange(sig_keys, _bh_shard, shard_pairs, n_shards=n_shards)
+            exchange(sig_keys, "bh", shard_pairs)
             .to_pandas()
             .drop_duplicates()
         )
@@ -1443,7 +1420,6 @@ def fingerprint_near_dup_pairs(
     n_bands: int = 8,
     max_posting: int = 1000,
     pairs_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     within_col: str | None = None,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
@@ -1514,16 +1490,6 @@ def fingerprint_near_dup_pairs(
 
     exploded = ds.map_batches(explode, batch_format="pandas")
 
-    def band_shard(b: pd.DataFrame, n: int) -> np.ndarray:
-        key = b["bv"].to_numpy(dtype=np.uint64) * np.uint64(n_bands) + b[
-            "bi"
-        ].to_numpy(dtype=np.uint64)
-        if within_col:
-            key = key * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                b["wc"].to_numpy()
-            )
-        return key % n
-
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
@@ -1582,10 +1548,9 @@ def fingerprint_near_dup_pairs(
         )
         pairs = finalize(pairs.drop_duplicates(pair_keys))
         return rd.from_pandas(pairs) if as_dataset else pairs
-    cand = exchange(exploded, band_shard, shard_pairs, n_shards=n_shards)
+    cand = exchange(exploded, bucket_cols, shard_pairs)
     deduped = sharded_group_agg(
         cand, pair_keys, {"hamming": ("hamming", "min")},
-        n_shards=n_shards,
     )
     if as_dataset:
         if within_col:

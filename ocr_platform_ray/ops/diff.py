@@ -64,7 +64,6 @@ def snapshot_diff(
     compare_cols: list[str] | str,
     *,
     include_unchanged: bool = False,
-    n_buckets: int = 32,
 ) -> rd.Dataset:
     """Diff two snapshots keyed by ``key_col``: rows ``(key_col, change)``
     with change in {added, removed, changed[, unchanged]}.
@@ -80,7 +79,7 @@ def snapshot_diff(
         compare_cols = [compare_cols]
     o = _hash_projection(old, key_col, compare_cols, "__h_old")
     n = _hash_projection(new, key_col, compare_cols, "__h_new")
-    joined = bucketed_hash_join(o, n, key_col, how="outer", n_buckets=n_buckets)
+    joined = bucketed_hash_join(o, n, key_col, how="outer")
 
     def classify(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:

@@ -30,7 +30,7 @@ from .exchange import exchange
 from .relational import auto_group_agg, bucketed_hash_join
 
 
-def _token_counts(ds: rd.Dataset, text_col: str, n_shards: int):
+def _token_counts(ds: rd.Dataset, text_col: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         toks = pc.split_pattern(
             pc.utf8_lower(pa.array(b[text_col].fillna(""), pa.string())),
@@ -44,7 +44,6 @@ def _token_counts(ds: rd.Dataset, text_col: str, n_shards: int):
         ds.map_batches(partial, batch_format="pandas"),
         ["token"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
 
 
@@ -66,16 +65,14 @@ def token_divergence(
     a: rd.Dataset,
     b: rd.Dataset,
     text_col: str = "text",
-    *,
-    n_shards: int = 32,
 ) -> pd.DataFrame | rd.Dataset:
     """Per-token drift table between two corpora: (token, n_a, n_b,
     js_term) over the union vocabulary, js_term ≥ 0 and
     Σ js_term = JSD(A, B) in bits.  Returns pandas when both count
     tables fit the size probe (one driver outer merge), else a Dataset
     from the bucketed full-outer exchange."""
-    ca = _token_counts(a, text_col, n_shards)
-    cb = _token_counts(b, text_col, n_shards)
+    ca = _token_counts(a, text_col)
+    cb = _token_counts(b, text_col)
     tot = {}
     for name, c in (("a", ca), ("b", cb)):
         if isinstance(c, pd.DataFrame):
@@ -111,7 +108,7 @@ def token_divergence(
     cb_ds = to_ds(cb).map_batches(
         lambda t: t.rename(columns={"n": "n_b"}), batch_format="pandas"
     )
-    joined = bucketed_hash_join(ca_ds, cb_ds, on="token", how="outer", n_buckets=n_shards)
+    joined = bucketed_hash_join(ca_ds, cb_ds, on="token", how="outer")
     tot_a, tot_b = float(tot["a"]), float(tot["b"])
 
     def finish(t: pd.DataFrame) -> pd.DataFrame:
@@ -136,7 +133,6 @@ def cusum_changepoint(
     group_col: str,
     ts_col: str,
     bucket_us: int = 3_600_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Per-group CUSUM change-point over the bucketed event-rate series
     (Page 1954's cumulative-sum chart in its retrospective single-pass
@@ -173,7 +169,6 @@ def cusum_changepoint(
         ds.map_batches(partial, batch_format="pandas"),
         [group_col, "bucket"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()
@@ -241,7 +236,6 @@ def grouped_trend(
     *,
     order_col: str,
     tie_col: str,
-    n_shards: int = 64,
     max_rows_per_group: int = 20_000,
 ) -> pd.DataFrame:
     """Per-group Mann–Kendall monotone-trend test + Theil–Sen robust
@@ -264,7 +258,7 @@ def grouped_trend(
     are each a single IEEE division of raw doubles — also bit-exact
     against a self-join SQL oracle.
 
-    Scale shape: ONE bounded ``hash(group) % n_shards`` exchange
+    Scale shape: ONE bounded ``hash(group)`` exchange
     co-locates each key (the keyed-window scaffold); per shard the
     i<j pair index is built in one flat-segmented-arange pass across
     ALL keys at once (no per-key Python) and reduced to a key-dim
@@ -352,9 +346,7 @@ def grouped_trend(
         out["__tt"] = out["__tt"].fillna(0).astype("int64")
         return out
 
-    reduced = exchange(
-        ds.map_batches(prep, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
-    ).to_pandas()
+    reduced = exchange(ds.map_batches(prep, batch_format="pandas"), gcols, per_shard).to_pandas()
     if len(reduced) == 0 or "n" not in reduced.columns:
         return pd.DataFrame(
             {
@@ -392,8 +384,6 @@ def ks_two_sample(
     side_a,
     side_b,
     group_cols: list[str],
-    *,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group two-sample Kolmogorov–Smirnov statistic — the
     distribution-level drift readout next to the token JS divergence and
@@ -411,7 +401,7 @@ def ks_two_sample(
 
     Scale shape: per-batch (group, value, side) count combiners shrink
     the exchange to the distinct-value grid, ONE bounded
-    ``hash(group) % n_shards`` exchange co-locates each group's grid,
+    ``hash(group)`` exchange co-locates each group's grid,
     and a single vectorized sort + cumsum pass per shard emits the
     key-dim (n_a, n_b, d) table.  NULL values drop; groups missing
     either side drop (the SQL inner-join semantics)."""
@@ -456,7 +446,7 @@ def ks_two_sample(
         return red[(red["n_a"] > 0) & (red["n_b"] > 0)]
 
     reduced = exchange(
-        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
+        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard
     ).to_pandas()
     if len(reduced) == 0 or "num" not in reduced.columns:
         return pd.DataFrame(

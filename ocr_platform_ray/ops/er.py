@@ -21,7 +21,7 @@ form):
    stop being candidates (substitution typos — the planted-twin class —
    keep their length and still match); pass ``length_block=False`` for
    the single-key behavior.
-2. **Pairs** per block-shard: ONE ``hash(block) % n_shards`` exchange
+2. **Pairs** per block-shard: ONE ``hash(block)`` exchange
    co-locates each block; an in-shard self-merge emits (a < b by id)
    candidate pairs.  ``max_block_size`` raises loudly on degenerate
    blocks (the m² guard — the wedge/posting-cap rule); empty-string
@@ -53,7 +53,6 @@ def resolve_entities(
     name_col: str = "name",
     *,
     threshold: float = 0.88,
-    n_shards: int = 64,
     max_block_size: int = 5_000,
     length_block: bool = True,
 ) -> pd.DataFrame:
@@ -107,7 +106,7 @@ def resolve_entities(
         )
 
     blocked = ds.map_batches(block, batch_format="pandas")
-    edges = exchange(blocked, "blk", pairs, n_shards=n_shards)
+    edges = exchange(blocked, "blk", pairs)
     # isolated records must appear: union (id, id) self-edges
     selfe = ds.map_batches(
         lambda b: pd.DataFrame(

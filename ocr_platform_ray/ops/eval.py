@@ -41,8 +41,6 @@ def confusion_matrix(
     ds: rd.Dataset,
     label_col: str,
     pred_col: str,
-    *,
-    n_shards: int = 32,
 ) -> pd.DataFrame | rd.Dataset:
     """Multiclass confusion matrix: one row per observed (label, pred)
     pair with its count.  A per-batch value_counts combiner caps the
@@ -64,7 +62,6 @@ def confusion_matrix(
         ds.map_batches(partial, batch_format="pandas"),
         [label_col, pred_col],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if isinstance(out, pd.DataFrame):
         out = out.sort_values([label_col, pred_col]).reset_index(drop=True)
@@ -263,8 +260,6 @@ def cohens_kappa(
     ds: rd.Dataset,
     label_col: str,
     pred_col: str,
-    *,
-    n_shards: int = 32,
 ) -> dict:
     """Cohen's κ (Cohen 1960 — chance-corrected inter-rater agreement,
     the annotation-quality readout next to the confusion/PR/AUC family):
@@ -278,7 +273,7 @@ def cohens_kappa(
     identically.  Returns {kappa, p_o, p_e, n}; perfect-chance
     degeneracy (p_e == 1: both raters constant) yields NaN κ, SQL's
     NULL."""
-    cm = confusion_matrix(ds, label_col, pred_col, n_shards=n_shards)
+    cm = confusion_matrix(ds, label_col, pred_col)
     if not isinstance(cm, pd.DataFrame):
         cm = cm.to_pandas()
     if len(cm) == 0:

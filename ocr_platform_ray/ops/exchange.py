@@ -9,6 +9,13 @@ that decides:
 * the label — ``_hash_labels`` of the key column(s), or the caller's own
   label function (range cuts, spans, precomputed hashes), or a ``SHARD``
   column an upstream UDF already wrote;
+* the shard count — ``shard_count()``, one private constant.  No caller
+  passes a count: a hashed column key always uses ``shard_count()``; a
+  callable key returns its own labels and closes over whatever count it
+  needs (range cuts, ``len(cutoffs) + 1``); a site that pre-labels
+  ``SHARD`` or recomputes a shard id calls ``shard_count()`` once on the
+  driver while it builds its plan, and its closures capture the value.
+  No worker reads the constant;
 * the group-by — Ray's sort-based ``groupby().map_groups``;
 * absorbing the column-less ``(0, 0)`` blocks Ray's sort emits for empty
   key ranges.
@@ -47,6 +54,17 @@ SHARD = "__shard"
 # of ~50 tasks), 2.35 s at 65536 and 2.32 s as one task.
 _ABSORB_BATCH_ROWS = 65536
 
+# Shards of a hashed-key exchange.  Every result is independent of it
+# (tests/test_exchange.py::TestShardCountFree runs every oracle query at 1
+# and 7); it sets only how many ``per_shard`` calls an exchange makes.
+_N_SHARDS = 64
+
+
+def shard_count() -> int:
+    """The shard count of a hashed-key exchange.  Read it on the driver
+    while building a plan, never inside a UDF."""
+    return _N_SHARDS
+
 
 def _hash_labels(batch, keys: list[str], n: int) -> np.ndarray:
     """Deterministic shard/bucket label: hash of the key value(s) modulo n
@@ -70,15 +88,18 @@ def exchange(
     key: str | list[str] | Callable | None,
     per_shard: Callable,
     *,
-    n_shards: int,
     batch_format: str = "pandas",
 ) -> rd.Dataset:
     """Shard ``ds`` and map every non-empty shard with ``per_shard``.
 
     ``key`` picks each row's shard:
 
-    * a column name or list of names: ``_hash_labels(batch, keys, n_shards)``;
-    * a callable ``key(batch, n_shards) -> int array`` (one label per row);
+    * a column name or list of names:
+      ``_hash_labels(batch, keys, shard_count())``;
+    * a callable ``key(batch) -> int array``: one non-negative label per
+      row of ``batch`` (a pandas DataFrame or pyarrow Table, per
+      ``batch_format``).  It must be a pure function of the row, and
+      closes over any count it needs;
     * ``None``: the rows already carry a ``SHARD`` column.
 
     ``per_shard`` gets one shard's rows (every row with that label, in
@@ -91,12 +112,13 @@ def exchange(
             label = key
         else:
             keys = [key] if isinstance(key, str) else list(key)
+            n = shard_count()
 
-            def label(b, n):
+            def label(b):
                 return _hash_labels(b, keys, n)
 
         def add_label(b):
-            s = np.asarray(label(b, n_shards)).astype("int64")
+            s = np.asarray(label(b)).astype("int64")
             if arrow:
                 return b.append_column(SHARD, pa.array(s, pa.int64()))
             return b.assign(**{SHARD: s})

@@ -42,7 +42,6 @@ def politeness_order(
     priority_col: str,
     tie_cols: list[str],
     descending: bool = True,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """(host, *tie_cols, priority, r, pos): r = the URL's rank within
@@ -73,7 +72,6 @@ def politeness_order(
         ds.map_batches(routable, batch_format="pandas"),
         host_col,
         rank_shard,
-        n_shards=n_shards,
     ).materialize()  # consumed by the count reduce AND the pos pass
 
     counts = auto_group_agg(
@@ -85,7 +83,6 @@ def politeness_order(
         ),
         [host_col],
         {"c": ("c", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(counts, pd.DataFrame):
         counts = counts.to_pandas()
@@ -115,7 +112,7 @@ def politeness_order(
         g["pos"] = (off + within + 1).astype("int64")
         return g
 
-    res = exchange(ranked, "r", pos_shard, n_shards=n_shards)
+    res = exchange(ranked, "r", pos_shard)
     if as_dataset:
         return res
     return res.to_pandas().sort_values("pos", kind="mergesort").reset_index(

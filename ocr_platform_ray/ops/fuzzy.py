@@ -175,7 +175,6 @@ def fuzzy_join_lev(
     id_col: str = "id",
     str_col: str = "name",
     max_dist: int = 2,
-    n_shards: int = 64,
     with_command_score: bool = False,
     verify: str = "broadcast",
     blocking: str = "auto",
@@ -281,11 +280,6 @@ def fuzzy_join_lev(
     lk = left.map_batches(left_keys, batch_format="pandas")
     rk = right.map_batches(right_keys, batch_format="pandas")
 
-    def seg_shard(b: pd.DataFrame, n: int) -> np.ndarray:
-        h = pd.util.hash_array(b["seg"].to_numpy(dtype=object))
-        h = h * np.uint64(0x9E3779B97F4A7C15) ^ b["L"].to_numpy(dtype=np.uint64)
-        return h % n
-
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {"id_l": pd.Series(dtype="int64"), "id_r": pd.Series(dtype="int64")}
@@ -310,7 +304,7 @@ def fuzzy_join_lev(
         }
     )
     if pairs is None:  # exchange blocking route
-        cand_ds = exchange(lk.union(rk), seg_shard, shard_pairs, n_shards=n_shards)
+        cand_ds = exchange(lk.union(rk), ["seg", "L"], shard_pairs)
         if verify == "bucketed":
             return _verify_bucketed(
                 cand_ds, left, right, id_col, str_col, d, with_command_score, empty_out

@@ -5,7 +5,7 @@ linkage survivorship, crawl metadata consolidation, profile rollup).
 Exactly SQL's ``FIRST(col ORDER BY order DESC, tie DESC) FILTER (WHERE
 col IS NOT NULL)`` per column.
 
-Scale shape: ONE bounded ``hash(key) % n_shards`` exchange co-locates
+Scale shape: ONE bounded ``hash(key)`` exchange co-locates
 each key's rows (the keyed-window scaffold), then a single vectorized
 pass per shard — mergesort by (key, order, tie) and one cython
 ``groupby().last()`` (pandas ``last`` skips NaN, which IS the
@@ -30,7 +30,6 @@ def golden_record(
     order_col: str,
     tie_col: str,
     value_cols: list[str],
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """One row per key: each ``value_cols`` entry holds the column's
@@ -49,7 +48,7 @@ def golden_record(
         out["n_rows"] = gb.size().astype("int64")
         return out.reset_index()
 
-    res = exchange(ds.select_columns(keep), gcols, per_shard, n_shards=n_shards)
+    res = exchange(ds.select_columns(keep), gcols, per_shard)
     if as_dataset:
         return res
     out = res.to_pandas()

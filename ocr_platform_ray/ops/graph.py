@@ -36,7 +36,7 @@ import ray.data as rd
 
 from ..functions.textscan import flat_finditer
 from .dedup import dup_clusters_distributed
-from .exchange import SHARD, _hash_labels, exchange
+from .exchange import SHARD, _hash_labels, exchange, shard_count
 from .relational import (
     anti_join,
     auto_group_agg,
@@ -53,7 +53,6 @@ def connected_components(
     dst_col: str = "dst",
     *,
     max_rounds: int = 50,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Connected components of an undirected edge list: (id,
@@ -65,7 +64,6 @@ def connected_components(
         id_a=src_col,
         id_b=dst_col,
         max_rounds=max_rounds,
-        n_shards=n_shards,
         as_dataset=as_dataset,
     )
 
@@ -77,7 +75,6 @@ def pagerank(
     *,
     damping: float = 0.85,
     n_iter: int = 20,
-    n_shards: int = 64,
     personalization: dict | None = None,
     route: str = "auto",
     driver_threshold_rows: int = 2_000_000,
@@ -136,14 +133,13 @@ def pagerank(
 
     if route == "dataset":
         return _pagerank_dataset(
-            proj, stack, src_col, dst_col, damping, n_iter, n_shards,
+            proj, stack, src_col, dst_col, damping, n_iter,
             personalization,
         )
     nodes = auto_group_agg(
         proj.map_batches(stack, batch_format="pandas"),
         ["node"],
         {"__one": ("node", "count")},
-        n_shards=n_shards,
         driver_threshold_rows=driver_threshold_rows,
     )
     if not isinstance(nodes, pd.DataFrame):
@@ -151,7 +147,7 @@ def pagerank(
             # vertex set larger than the driver contract: ranks must
             # ride the exchange
             return _pagerank_dataset(
-                proj, stack, src_col, dst_col, damping, n_iter, n_shards,
+                proj, stack, src_col, dst_col, damping, n_iter,
                 personalization,
             )
         nodes = nodes.to_pandas()
@@ -168,7 +164,6 @@ def pagerank(
         ),
         [src_col],
         {"outdeg": ("outdeg", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(deg, pd.DataFrame):
         deg = deg.to_pandas()
@@ -215,7 +210,6 @@ def pagerank(
             proj.map_batches(contrib_partial, batch_format="pandas"),
             [dst_col],
             {"c": ("c", "sum")},
-            n_shards=n_shards,
         )
         if not isinstance(summed, pd.DataFrame):
             summed = summed.to_pandas()
@@ -234,7 +228,6 @@ def _pagerank_dataset(
     dst_col: str,
     damping: float,
     n_iter: int,
-    n_shards: int,
     personalization: dict | None,
 ) -> rd.Dataset:
     """PageRank with the rank table as a DATASET end-to-end — the
@@ -258,7 +251,6 @@ def _pagerank_dataset(
             proj.map_batches(stack, batch_format="pandas"),
             ["node"],
             {"__one": ("node", "count")},
-            n_shards=n_shards,
         )
         .map_batches(lambda b: b[["node"]], batch_format="pandas")
         .materialize()
@@ -281,7 +273,6 @@ def _pagerank_dataset(
             ),
             [src_col],
             {"outdeg": ("outdeg", "sum")},
-            n_shards=n_shards,
         )
         .map_batches(
             lambda b: b.rename(columns={src_col: "node"}), batch_format="pandas"
@@ -329,9 +320,7 @@ def _pagerank_dataset(
     ).materialize()
 
     for _ in range(n_iter):
-        j = bucketed_hash_join(
-            ranks, deg, on="node", how="left", n_buckets=n_shards
-        ).materialize()
+        j = bucketed_hash_join(ranks, deg, on="node", how="left").materialize()
 
         def dang_part(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
@@ -351,7 +340,7 @@ def _pagerank_dataset(
             )
 
         wsrc = j.map_batches(weights, batch_format="pandas")
-        ej = bucketed_hash_join(proj, wsrc, on=src_col, how="inner", n_buckets=n_shards)
+        ej = bucketed_hash_join(proj, wsrc, on=src_col, how="inner")
 
         def contrib(b: pd.DataFrame) -> pd.DataFrame:
             sub = pd.DataFrame({"node": b[dst_col], "c": b["__w"]})
@@ -361,11 +350,8 @@ def _pagerank_dataset(
             ej.map_batches(contrib, batch_format="pandas"),
             ["node"],
             {"c": ("c", "sum")},
-            n_shards=n_shards,
         )
-        nj = bucketed_hash_join(
-            nodes_p, summed, on="node", how="left", n_buckets=n_shards
-        )
+        nj = bucketed_hash_join(nodes_p, summed, on="node", how="left")
 
         def update(b: pd.DataFrame, _d=dangling) -> pd.DataFrame:
             base = ((1.0 - damping) + damping * _d) * b["p"].to_numpy()
@@ -390,7 +376,6 @@ def hits(
     dst_col: str = "dst",
     *,
     n_iter: int = 20,
-    n_shards: int = 64,
     route: str = "auto",
     driver_threshold_rows: int = 2_000_000,
 ) -> pd.DataFrame | rd.Dataset:
@@ -434,17 +419,16 @@ def hits(
         return pd.DataFrame({"node": vals})
 
     if route == "dataset":
-        return _hits_dataset(proj, stack, src_col, dst_col, n_iter, n_shards)
+        return _hits_dataset(proj, stack, src_col, dst_col, n_iter)
     nodes = auto_group_agg(
         proj.map_batches(stack, batch_format="pandas"),
         ["node"],
         {"__one": ("node", "count")},
-        n_shards=n_shards,
         driver_threshold_rows=driver_threshold_rows,
     )
     if not isinstance(nodes, pd.DataFrame):
         if route == "auto":
-            return _hits_dataset(proj, stack, src_col, dst_col, n_iter, n_shards)
+            return _hits_dataset(proj, stack, src_col, dst_col, n_iter)
         nodes = nodes.to_pandas()
     nodes = nodes[["node"]].sort_values("node").reset_index(drop=True)
     n = len(nodes)
@@ -473,7 +457,6 @@ def hits(
             proj.map_batches(partial, batch_format="pandas"),
             ["node"],
             {"c": ("c", "sum")},
-            n_shards=n_shards,
         )
         if not isinstance(summed, pd.DataFrame):
             summed = summed.to_pandas()
@@ -507,7 +490,6 @@ def _hits_dataset(
     src_col: str,
     dst_col: str,
     n_iter: int,
-    n_shards: int,
 ) -> rd.Dataset:
     """HITS with the score tables as DATASETS end-to-end (the
     `_pagerank_dataset` treatment): per half-iteration the current score
@@ -523,7 +505,6 @@ def _hits_dataset(
             proj.map_batches(stack, batch_format="pandas"),
             ["node"],
             {"__one": ("node", "count")},
-            n_shards=n_shards,
         )
         .map_batches(lambda b: b[["node"]], batch_format="pandas")
         .materialize()
@@ -554,7 +535,7 @@ def _hits_dataset(
             ),
             batch_format="pandas",
         )
-        ej = bucketed_hash_join(proj, keyed, on=from_col, how="inner", n_buckets=n_shards)
+        ej = bucketed_hash_join(proj, keyed, on=from_col, how="inner")
 
         def contrib(b: pd.DataFrame, _t=to_col) -> pd.DataFrame:
             sub = pd.DataFrame({"node": b[_t], "c": b["score"]})
@@ -564,11 +545,8 @@ def _hits_dataset(
             ej.map_batches(contrib, batch_format="pandas"),
             ["node"],
             {"c": ("c", "sum")},
-            n_shards=n_shards,
         )
-        joined = bucketed_hash_join(
-            nodes, summed, on="node", how="left", n_buckets=n_shards
-        ).map_batches(
+        joined = bucketed_hash_join(nodes, summed, on="node", how="left").map_batches(
             lambda b: pd.DataFrame(
                 {"node": b["node"], "score": b["c"].fillna(0.0).to_numpy()}
             ),
@@ -605,7 +583,6 @@ def _hits_dataset(
         ),
         on="node",
         how="inner",
-        n_buckets=n_shards,
     )
     return merged.map_batches(
         lambda b: b[["node", "hub", "authority"]], batch_format="pandas"
@@ -813,9 +790,7 @@ def extract_anchor_texts(
     )
 
 
-def _canon_simple_edges(
-    edges: rd.Dataset, src_col: str, dst_col: str, n_shards: int
-) -> rd.Dataset:
+def _canon_simple_edges(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
     """Canonical undirected simple edge set (a < b): self-loops drop,
     duplicate and reversed edges collapse — in-batch drop_duplicates
     combiner, then ONE tuple-hash exchange.  Materialized (the callers
@@ -833,11 +808,10 @@ def _canon_simple_edges(
         edges.map_batches(canon, batch_format="pandas"),
         ["a", "b"],
         lambda g: g.drop_duplicates(),
-        n_shards=n_shards,
     ).materialize()
 
 
-def _edge_degrees(e: rd.Dataset, n_shards: int, deg_threshold_rows: int):
+def _edge_degrees(e: rd.Dataset, deg_threshold_rows: int):
     """(node, deg) over a canonical edge set — endpoint value_counts
     combiner into the size-aware finish (pandas below the probe,
     Dataset past it)."""
@@ -851,11 +825,10 @@ def _edge_degrees(e: rd.Dataset, n_shards: int, deg_threshold_rows: int):
         ["node"],
         {"deg": ("n", "sum")},
         driver_threshold_rows=deg_threshold_rows,
-        n_shards=n_shards,
     )
 
 
-def _orient_edges(e: rd.Dataset, deg, n_shards: int) -> rd.Dataset:
+def _orient_edges(e: rd.Dataset, deg) -> rd.Dataset:
     """Degree-oriented edges (Schank & Wagner 2005): u -> v from the
     lower-(degree, id) endpoint, bounding out-neighborhoods by
     O(sqrt(m)), for the u-sharded wedge self-merge.  ``deg`` may be the
@@ -895,8 +868,8 @@ def _orient_edges(e: rd.Dataset, deg, n_shards: int) -> rd.Dataset:
         lambda b: b.rename(columns={"node": "b", "deg": "db"}),
         batch_format="pandas",
     )
-    j = bucketed_hash_join(e, da, on="a", n_buckets=n_shards)
-    j = bucketed_hash_join(j, db, on="b", n_buckets=n_shards)
+    j = bucketed_hash_join(e, da, on="a")
+    j = bucketed_hash_join(j, db, on="b")
     return j.map_batches(orient, batch_format="pandas")
 
 
@@ -905,7 +878,6 @@ def triangle_count(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    n_shards: int = 64,
     deg_threshold_rows: int = 2_000_000,
 ) -> int:
     """Exact triangle count of the undirected simple graph induced by
@@ -925,19 +897,19 @@ def triangle_count(
     driver+broadcast when the node table is dim-sized, bucketed degree
     joins past the probe); wedges are generated per u-shard with a
     vectorized self-merge (per-shard transient memory is the shard's
-    wedge count, <= m*sqrt(m)/n_shards after orientation) and
+    wedge count, <= m*sqrt(m)/shards after orientation) and
     pre-counted per closing pair (the combiner), and the closing-edge
     check is one bucketed inner join against the edge set on the
     canonical pair.  Only scalar partial sums land on the driver.  The
     edge projection (two id columns) is materialized once because three
     passes consume it (degrees, wedges, closing join)."""
-    e = _canon_simple_edges(edges, src_col, dst_col, n_shards)
+    e = _canon_simple_edges(edges, src_col, dst_col)
     if e.count() == 0:
         # an empty Dataset has no schema — the joins below can't plan
         return 0
-    deg = _edge_degrees(e, n_shards, deg_threshold_rows)
+    deg = _edge_degrees(e, deg_threshold_rows)
 
-    oriented = _orient_edges(e, deg, n_shards)
+    oriented = _orient_edges(e, deg)
 
     def wedge_counts(g: pd.DataFrame) -> pd.DataFrame:
         f = g[["u", "v"]]
@@ -961,8 +933,8 @@ def triangle_count(
         out["n"] = out["n"].astype("int64")
         return out
 
-    wedges = exchange(oriented, "u", wedge_counts, n_shards=n_shards)
-    closed = bucketed_hash_join(wedges, e, on=["a", "b"], n_buckets=n_shards)
+    wedges = exchange(oriented, "u", wedge_counts)
+    closed = bucketed_hash_join(wedges, e, on=["a", "b"])
     parts = closed.map_batches(
         lambda b: pd.DataFrame({"s": [np.int64(b["n"].sum()) if len(b) else np.int64(0)]}),
         batch_format="pandas",
@@ -976,7 +948,6 @@ def kcore_subgraph(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    n_shards: int = 64,
     survivor_threshold_rows: int = 2_000_000,
     max_rounds: int = 10_000,
 ) -> rd.Dataset:
@@ -1007,7 +978,7 @@ def kcore_subgraph(
     if k < 1:
         raise ValueError("kcore_subgraph: need k >= 1")
 
-    e = _canon_simple_edges(edges, src_col, dst_col, n_shards)
+    e = _canon_simple_edges(edges, src_col, dst_col)
     n_edges = e.count()
     # an emptied core exits with a TYPED schema (schema() stays
     # (src, dst)-typed; note Ray's to_pandas() on ANY empty Dataset
@@ -1031,7 +1002,7 @@ def kcore_subgraph(
     for _ in range(max_rounds):
         if n_edges == 0:
             return rd.from_pandas(empty)
-        deg = _edge_degrees(e, n_shards, survivor_threshold_rows)
+        deg = _edge_degrees(e, survivor_threshold_rows)
         if isinstance(deg, pd.DataFrame):
             alive = deg.loc[deg["deg"] >= k, "node"]
             aref = ray.put(frozenset(alive))
@@ -1058,7 +1029,7 @@ def kcore_subgraph(
                     lambda b, _c=col: b.rename(columns={"node": _c}),
                     batch_format="pandas",
                 )
-                e2 = semi_join(e2, keys, col, method="bucketed", n_buckets=n_shards)
+                e2 = semi_join(e2, keys, col, method="bucketed")
             e2 = e2.materialize()
         n2 = e2.count()
         if n2 == n_edges:
@@ -1072,7 +1043,6 @@ def clustering_coefficient(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    n_shards: int = 64,
     deg_threshold_rows: int = 2_000_000,
 ) -> pd.DataFrame:
     """Per-node local clustering coefficient (Watts & Strogatz 1998)
@@ -1095,7 +1065,7 @@ def clustering_coefficient(
     `pagerank` output contract): (node, deg, triangles, cc) — cc is an
     exact ratio of integers, so it is bit-stable across block
     structures."""
-    e = _canon_simple_edges(edges, src_col, dst_col, n_shards)
+    e = _canon_simple_edges(edges, src_col, dst_col)
     if e.count() == 0:
         return pd.DataFrame(
             {
@@ -1105,8 +1075,8 @@ def clustering_coefficient(
                 "cc": pd.Series(dtype="float64"),
             }
         )
-    deg = _edge_degrees(e, n_shards, deg_threshold_rows)
-    oriented = _orient_edges(e, deg, n_shards)
+    deg = _edge_degrees(e, deg_threshold_rows)
+    oriented = _orient_edges(e, deg)
 
     def wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
         f = g[["u", "v"]]
@@ -1116,8 +1086,8 @@ def clustering_coefficient(
             {"a": m["v_x"].to_numpy(), "b": m["v_y"].to_numpy(), "u": m["u"].to_numpy()}
         )
 
-    wedges = exchange(oriented, "u", wedge_rows, n_shards=n_shards)
-    closed = bucketed_hash_join(wedges, e, on=["a", "b"], n_buckets=n_shards)
+    wedges = exchange(oriented, "u", wedge_rows)
+    closed = bucketed_hash_join(wedges, e, on=["a", "b"])
 
     def tri_partial(b: pd.DataFrame) -> pd.DataFrame:
         vc = pd.concat(
@@ -1130,7 +1100,6 @@ def clustering_coefficient(
         ["node"],
         {"triangles": ("n", "sum")},
         driver_threshold_rows=deg_threshold_rows,
-        n_shards=n_shards,
     )
     deg_df = deg if isinstance(deg, pd.DataFrame) else deg.to_pandas()
     tri_df = tri if isinstance(tri, pd.DataFrame) else tri.to_pandas()
@@ -1157,7 +1126,6 @@ def bfs_distances(
     *,
     directed: bool = True,
     max_hops: int = 30,
-    n_shards: int = 64,
     route: str = "auto",
     driver_threshold_rows: int = 2_000_000,
 ) -> pd.DataFrame | rd.Dataset:
@@ -1211,9 +1179,7 @@ def bfs_distances(
         route == "auto"
         and probe_head(proj, driver_threshold_rows) is None
     ):
-        return _bfs_dataset(
-            proj, seeds, src_col, dst_col, directed, max_hops, n_shards
-        )
+        return _bfs_dataset(proj, seeds, src_col, dst_col, directed, max_hops)
 
     dist: dict = {s: 0 for s in seeds}
     frontier = set(seeds)
@@ -1239,7 +1205,6 @@ def bfs_distances(
             proj.map_batches(succ_partial, batch_format="pandas"),
             ["node"],
             {"__one": ("node", "count")},
-            n_shards=n_shards,
         )
         if not isinstance(cand, pd.DataFrame):
             cand = cand.to_pandas()
@@ -1265,7 +1230,6 @@ def _bfs_dataset(
     dst_col: str,
     directed: bool,
     max_hops: int,
-    n_shards: int,
 ) -> rd.Dataset:
     """BFS with visited/frontier as DATASETS riding the bucketed
     exchange (round-4 verdict item #3): per round the edge projection
@@ -1283,7 +1247,7 @@ def _bfs_dataset(
 
     def distinct_nodes(parts: rd.Dataset) -> rd.Dataset:
         return sharded_group_agg(
-            parts, ["node"], {"__one": ("node", "count")}, n_shards=n_shards
+            parts, ["node"], {"__one": ("node", "count")}
         ).map_batches(lambda b: b[["node"]], batch_format="pandas")
 
     for h in range(max_hops):
@@ -1291,9 +1255,7 @@ def _bfs_dataset(
             lambda b: b[["node"]].rename(columns={"node": src_col}),
             batch_format="pandas",
         )
-        succ = semi_join(
-            proj, f_src, src_col, method="bucketed", n_buckets=n_shards
-        ).map_batches(
+        succ = semi_join(proj, f_src, src_col, method="bucketed").map_batches(
             lambda b: pd.DataFrame({"node": pd.unique(b[dst_col])}),
             batch_format="pandas",
         )
@@ -1302,16 +1264,14 @@ def _bfs_dataset(
                 lambda b: b[["node"]].rename(columns={"node": dst_col}),
                 batch_format="pandas",
             )
-            rev = semi_join(
-                proj, f_dst, dst_col, method="bucketed", n_buckets=n_shards
-            ).map_batches(
+            rev = semi_join(proj, f_dst, dst_col, method="bucketed").map_batches(
                 lambda b: pd.DataFrame({"node": pd.unique(b[src_col])}),
                 batch_format="pandas",
             )
             succ = succ.union(rev)
         cand = distinct_nodes(succ)
         new = (
-            anti_join(cand, visited, "node", method="bucketed", n_buckets=n_shards)
+            anti_join(cand, visited, "node", method="bucketed")
             .map_batches(
                 lambda b, _d=np.int64(h + 1): pd.DataFrame(
                     {"node": b["node"], "dist": _d}
@@ -1332,7 +1292,6 @@ def link_prediction_scores(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    n_shards: int = 64,
     deg_threshold_rows: int = 2_000_000,
     max_center_degree: int = 10_000,
     as_dataset: bool = False,
@@ -1368,7 +1327,7 @@ def link_prediction_scores(
     smallest in the graph and distance-2-via-megahub pairs are noise
     predictions by construction.  The same cap must appear in any SQL
     mirror."""
-    e = _canon_simple_edges(edges, src_col, dst_col, n_shards)
+    e = _canon_simple_edges(edges, src_col, dst_col)
     if e.count() == 0:
         out = pd.DataFrame(
             {
@@ -1379,7 +1338,7 @@ def link_prediction_scores(
             }
         )
         return rd.from_pandas(out) if as_dataset else out
-    deg = _edge_degrees(e, n_shards, deg_threshold_rows)
+    deg = _edge_degrees(e, deg_threshold_rows)
 
     # adjacency (w = center, x = neighbor), both directions
     def explode(b: pd.DataFrame) -> pd.DataFrame:
@@ -1391,6 +1350,7 @@ def link_prediction_scores(
         )
 
     adj = e.map_batches(explode, batch_format="pandas")
+    n_shards = shard_count()
 
     def uv_labelled(out: pd.DataFrame) -> pd.DataFrame:
         # the (u, v) exchange label, written where the rows are built
@@ -1420,20 +1380,19 @@ def link_prediction_scores(
             g = g.assign(dw=g["w"].map(dm).to_numpy())
             return wedge_rows(g[g["dw"] <= max_center_degree])
 
-        trip = exchange(adj, "w", wedges, n_shards=n_shards)
+        trip = exchange(adj, "w", wedges)
     else:
         dws = deg.map_batches(
             lambda b: b.rename(columns={"node": "w", "deg": "dw"}),
             batch_format="pandas",
         )
-        adj_deg = bucketed_hash_join(adj, dws, on="w", n_buckets=n_shards)
+        adj_deg = bucketed_hash_join(adj, dws, on="w")
         trip = exchange(
             adj_deg.map_batches(
                 lambda b: b[b["dw"] <= max_center_degree], batch_format="pandas"
             ),
             "w",
             wedge_rows,
-            n_shards=n_shards,
         )
 
     # tag existing edges into the SAME (u, v) exchange so adjacency
@@ -1490,7 +1449,7 @@ def link_prediction_scores(
             }
         )
 
-    scores = exchange(tagged, None, reduce_pairs, n_shards=n_shards)
+    scores = exchange(tagged, None, reduce_pairs)
     if as_dataset:
         return scores
     out = scores.to_pandas()
@@ -1512,7 +1471,6 @@ def label_propagation_communities(
     dst_col: str = "dst",
     *,
     max_iters: int = 20,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Community detection by synchronous label propagation (Raghavan,
     Albert & Kumara 2007) — the near-linear community pass over the
@@ -1537,7 +1495,7 @@ def label_propagation_communities(
     finish.  O(iters) executions — LPA's distributed floor.  Returns
     (node, community) with ``community`` = the label (a member node
     id), plus ``converged`` on the frame's attrs."""
-    e = _canon_simple_edges(edges, src_col, dst_col, n_shards)
+    e = _canon_simple_edges(edges, src_col, dst_col)
     if e.count() == 0:
         out = pd.DataFrame(
             {"node": pd.Series(dtype="object"),

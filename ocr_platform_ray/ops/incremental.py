@@ -194,11 +194,11 @@ def incremental_exact_dedup(
     frozen, spec = freeze_list_columns(ds)
     hashed = frozen.map_batches(add_hash, batch_format="pandas")
 
-    def hash_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
-        return b["__h"].to_numpy().astype(np.uint64) % np.uint64(n)
+    def hash_bucket(b: pd.DataFrame) -> np.ndarray:
+        return b["__h"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(hash_bucket(g.iloc[:1], n_buckets)[0])
+        b = int(hash_bucket(g.iloc[:1])[0])
         # finish the in-increment combine: all rows of a hash are here
         agg = {c: "first" for c in g.columns if c not in (id_col, "n_dups", "__h")}
         agg[id_col] = "min"
@@ -225,7 +225,7 @@ def incremental_exact_dedup(
         os.replace(tmp, os.path.join(bdir, f"{ingest_id}.parquet"))
         return g.drop(columns=["__h"])
 
-    survivors = exchange(hashed, hash_bucket, per_bucket, n_shards=n_buckets)
+    survivors = exchange(hashed, hash_bucket, per_bucket)
     return _commit_ingest(
         survivors, state_dir, ingest_id, spec, layout, len(committed)
     )
@@ -317,12 +317,12 @@ def incremental_minhash_dedup(
             }
         )
 
-    def band_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
+    def band_bucket(b: pd.DataFrame) -> np.ndarray:
         # bucket on (band, bh) jointly so a band's bucket is stable
         key = b["bh"].to_numpy().astype(np.uint64) * np.uint64(
             0x9E3779B97F4A7C15
         ) + b["band"].to_numpy().astype(np.uint64)
-        return key % np.uint64(n)
+        return key % np.uint64(n_buckets)
 
     exploded = frozen.select_columns([id_col, text_col]).map_batches(
         explode_with_sig, batch_format="pandas"
@@ -338,7 +338,7 @@ def incremental_minhash_dedup(
 
     # ---- phase 1: matched new ids (id-only output per bucket) ----
     def per_bucket_match(g: pd.DataFrame) -> pd.DataFrame:
-        old = _read_bucket_state(int(band_bucket(g.iloc[:1], n_buckets)[0]))
+        old = _read_bucket_state(int(band_bucket(g.iloc[:1])[0]))
         if old is None or len(old) == 0:
             return pd.DataFrame({id_col: g[id_col].iloc[:0]})
         m = g.merge(old, on=["band", "bh"], suffixes=("_new", "_old"))
@@ -354,7 +354,7 @@ def incremental_minhash_dedup(
         hit = m.loc[est >= threshold, f"{id_col}_new"].drop_duplicates()
         return pd.DataFrame({id_col: hit.to_numpy()})
 
-    matched = exchange(exploded, band_bucket, per_bucket_match, n_shards=n_buckets)
+    matched = exchange(exploded, band_bucket, per_bucket_match)
     survivors = anti_join(frozen, matched, id_col, method="auto")
     survivors = survivors.materialize()  # consumed by commit + state append
 
@@ -366,7 +366,7 @@ def incremental_minhash_dedup(
     )
 
     def per_bucket_append(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(band_bucket(g.iloc[:1], n_buckets)[0])
+        b = int(band_bucket(g.iloc[:1])[0])
         bdir = _bucket_dir(state_dir, b)
         os.makedirs(bdir, exist_ok=True)
         out = g.sort_values([id_col, "band"])[["band", "bh", id_col, "sig"]]
@@ -384,9 +384,7 @@ def incremental_minhash_dedup(
         return pd.DataFrame({"__b": [b]})
 
     # the append pass is side-effecting; drain it fully before committing
-    exchange(
-        surviving_bands, band_bucket, per_bucket_append, n_shards=n_buckets
-    ).count()
+    exchange(surviving_bands, band_bucket, per_bucket_append).count()
 
     return _commit_ingest(
         survivors, state_dir, ingest_id, spec, layout, len(committed)

@@ -210,7 +210,7 @@ def interval_join(
         out = out[out_cols]
         return bucket_combiner(out) if bucket_combiner is not None else out
 
-    return exchange(p.union(i), None, per_bucket, n_shards=n_buckets)
+    return exchange(p.union(i), None, per_bucket)
 
 
 def coalesce_intervals(
@@ -220,7 +220,6 @@ def coalesce_intervals(
     start_col: str,
     end_col: str,
     gap: int | float = 0,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Merge overlapping-or-touching intervals per key (the SQL
@@ -236,7 +235,7 @@ def coalesce_intervals(
     starts a new island).  Output: one row per island with
     (key..., start=min start, end=max end, n_merged).
 
-    Scale shape: ONE bounded ``hash(key) % n_shards`` exchange co-locates
+    Scale shape: ONE bounded ``hash(key)`` exchange co-locates
     each key's intervals (`_keyed_window`), then a single vectorized pass
     per shard — mergesort by (key, start, end), per-key running-max end
     via cython ``groupby().cummax`` shifted one row, island ids by
@@ -279,6 +278,6 @@ def coalesce_intervals(
         return out.drop(columns="__island")
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, start_col, end_col],
     )

@@ -87,14 +87,14 @@ def cluster_write(
     os.makedirs(out_dir, exist_ok=True)
     cutoffs = _cutoffs_from_sketch(ds, value_col, n_files, sketch_k)
 
-    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
+    def bucket_of(b: pd.DataFrame) -> np.ndarray:
         v = b[value_col].to_numpy(dtype="float64")
         if np.isnan(v).any():
             raise ValueError(f"NaN in cluster column {value_col}")
         return np.searchsorted(cutoffs, v, side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(bucket_of(g.iloc[:1], n_files)[0])
+        k = int(bucket_of(g.iloc[:1])[0])
         body = g.sort_values(value_col, kind="mergesort")
         fname = f"cluster_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
@@ -110,7 +110,7 @@ def cluster_write(
             }
         )
 
-    raw = exchange(ds, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
+    raw = exchange(ds, bucket_of, write_bucket).to_pandas()
     return _finish_zonemap(raw, "vmin", out_dir, "cluster_write")
 
 
@@ -240,11 +240,11 @@ def zorder_write(
         out["__z"] = z.astype("int64")
         return out
 
-    def z_bucket(b: pd.DataFrame, n: int) -> np.ndarray:
+    def z_bucket(b: pd.DataFrame) -> np.ndarray:
         return np.searchsorted(grid, b["__z"].to_numpy().astype(np.uint64), side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(z_bucket(g.iloc[:1], n_files)[0])
+        k = int(z_bucket(g.iloc[:1])[0])
         body = g.sort_values("__z", kind="mergesort").drop(columns="__z")
         fname = f"zorder_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
@@ -257,7 +257,7 @@ def zorder_write(
         return pd.DataFrame([row])
 
     raw = exchange(
-        ds.map_batches(add_z, batch_format="pandas"), z_bucket, write_bucket, n_shards=n_files
+        ds.map_batches(add_z, batch_format="pandas"), z_bucket, write_bucket
     ).to_pandas()
     return _finish_zonemap(raw, "file", out_dir, "zorder_write")
 
@@ -363,11 +363,11 @@ def cluster_write_str(
     cutoffs = _string_cutoffs(ds, value_col, n_files)
     cut_arr = np.array(cutoffs, dtype=object)
 
-    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
+    def bucket_of(b: pd.DataFrame) -> np.ndarray:
         return np.searchsorted(cut_arr, b[value_col].astype(str).to_numpy(), side="right")
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(bucket_of(g.iloc[:1], n_files)[0])
+        k = int(bucket_of(g.iloc[:1])[0])
         body = g.sort_values(value_col, kind="mergesort")
         fname = f"strcluster_{k:05d}.parquet"
         tmp = os.path.join(out_dir, fname + ".tmp")
@@ -379,7 +379,7 @@ def cluster_write_str(
              "n_rows": [len(body)]}
         )
 
-    raw = exchange(ds, bucket_of, write_bucket, n_shards=len(cutoffs) + 1).to_pandas()
+    raw = exchange(ds, bucket_of, write_bucket).to_pandas()
     return _finish_zonemap(raw, "vmin", out_dir, "cluster_write_str")
 
 

@@ -33,9 +33,7 @@ import ray.data as rd
 from .relational import auto_group_agg
 
 
-def _pattern_counts(
-    ds: rd.Dataset, agreement_cols: list[str], n_shards: int
-) -> pd.DataFrame:
+def _pattern_counts(ds: rd.Dataset, agreement_cols: list[str]) -> pd.DataFrame:
     k = len(agreement_cols)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -54,7 +52,6 @@ def _pattern_counts(
         ds.map_batches(partial, batch_format="pandas"),
         ["pattern"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()
@@ -71,7 +68,6 @@ def fs_fit(
     max_iter: int = 200,
     tol: float = 1e-10,
     init_p: float = 0.1,
-    n_shards: int = 64,
 ) -> dict:
     """EM fit of (m, u, λ) over the exact agreement-pattern counts.
     Parameters are clipped to (1e-6, 1−1e-6) each step (the standard
@@ -82,7 +78,7 @@ def fs_fit(
     k = len(agreement_cols)
     if k > 24:
         raise ValueError("more than 24 agreement fields (pattern table blows up)")
-    pc_tab = _pattern_counts(pairs, agreement_cols, n_shards)
+    pc_tab = _pattern_counts(pairs, agreement_cols)
     pats = pc_tab["pattern"].to_numpy()
     n = pc_tab["n"].to_numpy(dtype="float64")
     total = n.sum()

@@ -4,7 +4,7 @@ navigation graphs, curriculum state machines): how often state A is
 immediately followed by state B within a key's timeline.
 
 Scale shape: the `grouped_string_agg` exchange — rows shuffle ONCE by
-``hash(key) % n_shards`` (so every key's timeline is contiguous in one
+``hash(key)`` (so every key's timeline is contiguous in one
 shard), then each shard runs one vectorized sort + shift to extract
 consecutive pairs and pre-counts them.  The exchange payload is the
 (key, order, state) projection; the combiner output is ≤ |states|² rows
@@ -34,7 +34,6 @@ def grouped_transitions(
     order_cols: list[str],
     *,
     with_prob: bool = True,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Global (from_state, to_state, n[, prob]) transition table over
     consecutive within-key states, keys ordered by ``order_cols`` (which
@@ -71,7 +70,7 @@ def grouped_transitions(
         out = t.groupby(["from_state", "to_state"], as_index=False).size()
         return out.rename(columns={"size": "n"}).astype({"n": "int64"})
 
-    partials = exchange(ds.select_columns(need), gcols, per_shard, n_shards=n_shards)
+    partials = exchange(ds.select_columns(need), gcols, per_shard)
     out = auto_group_agg(
         partials, ["from_state", "to_state"], {"n": ("n", "sum")}
     )

@@ -31,7 +31,7 @@ import ray
 import ray.data as rd
 
 from ..state.broadcast import cached_get
-from .exchange import exchange
+from .exchange import exchange, shard_count
 from .relational import auto_group_agg
 from .shuffle import shuffle_hash
 
@@ -95,7 +95,6 @@ def token_budget_sample(
     token_col: str,
     budgets: dict[str, int | None],
     seed: int = 0,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Per-source TOKEN-budget sampling: keep each source's documents in
     the seeded epoch-shuffle order until that source's cumulative token
@@ -113,7 +112,7 @@ def token_budget_sample(
     Scale shape: the grouped form of the ``range_prefix_sum`` two-pass
     scan.  The shuffle key lives in [0, 2^32), so range shards need NO
     key-max scan; pass A reduces per-(source, shard) partial sums
-    (<= sources x n_shards rows) through ``auto_group_agg``; the driver
+    (<= sources x shards rows) through ``auto_group_agg``; the driver
     turns them into an exclusive offset table (dim-sized, broadcast);
     pass B is ONE (key, source, tokens, sk) exchange grouped by range
     shard — a shard task sorts its slice, adds its offsets, and filters
@@ -127,7 +126,7 @@ def token_budget_sample(
     for s, v in budgets.items():
         if v is not None and not (v >= 0):
             raise ValueError(f"budget for {s!r} must be >= 0 or None, got {v}")
-    span = (1 << 32) // n_shards + 1
+    span = (1 << 32) // shard_count() + 1
 
     def add_key(b: pd.DataFrame) -> pd.DataFrame:
         sk = shuffle_hash(b[key_col].to_numpy(dtype="int64"), seed).astype("int64")
@@ -154,7 +153,7 @@ def token_budget_sample(
         {"s": ("s", "sum")},
     )
     if not isinstance(reduced, pd.DataFrame):
-        reduced = reduced.to_pandas()  # <= sources x n_shards rows
+        reduced = reduced.to_pandas()  # <= sources x shards rows
     missing = sorted(set(reduced[source_col]) - set(budgets)) if len(reduced) else []
     if missing:
         raise KeyError(f"sources missing from budgets: {missing}")
@@ -182,7 +181,7 @@ def token_budget_sample(
         out["cum_tokens"] = cum[keep]
         return out
 
-    return exchange(keyed, lambda b, n: b["__kshard"], per_shard, n_shards=n_shards)
+    return exchange(keyed, lambda b: b["__kshard"], per_shard)
 
 
 def temperature_sample(

@@ -50,7 +50,6 @@ def nb_fit(
     text_col: str = "text",
     label_col: str = "lang",
     min_count: int = 1,
-    n_shards: int = 64,
 ) -> dict:
     """Train: exact (label, token) occurrence counts + label doc/token
     totals + the corpus vocabulary size V.  ``min_count`` prunes rare
@@ -93,7 +92,6 @@ def nb_fit(
         ds.map_batches(count_partial, batch_format="pandas"),
         ["label", "token"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(counts, pd.DataFrame):
         counts = counts.to_pandas()
@@ -101,7 +99,6 @@ def nb_fit(
         ds.map_batches(label_partial, batch_format="pandas"),
         ["label"],
         {"n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(labels, pd.DataFrame):
         labels = labels.to_pandas()

@@ -12,12 +12,12 @@ globally:
   pass A (combiner): per-batch partial sums per RANGE shard
       (shard = key // span — monotone in key, so shard s holds exactly the
       keys between shard s-1 and shard s+1) -> `auto_group_agg` finish ->
-      n_shards scalars on the driver -> exclusive scan -> offset table.
+      one scalar per shard on the driver -> exclusive scan -> offset table.
   pass B (one exchange): re-shard rows by the same range label, ONE
       vectorized sort + cumsum per shard, plus that shard's offset.
 
 Shuffle payload is the (key, value) projection once; the driver holds
-n_shards integers, never rows.  At 10^12 documents pass A's partials are
+one integer per shard, never rows.  At 10^12 documents pass A's partials are
 |batches| x |touched shards| rows and the finish planner keeps them off
 the driver when they outgrow it.
 """
@@ -28,14 +28,15 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .exchange import exchange
+from .exchange import exchange, shard_count
 from .relational import auto_group_agg
 
 
-def _shard_of(keys: np.ndarray, span: int, n_shards: int) -> np.ndarray:
-    # monotone key -> shard mapping; clip so an underestimated key_max
-    # stays CORRECT (late keys pile into the last shard: skew, not error)
-    return np.minimum(keys // span, n_shards - 1).astype("int64")
+def _shard_of(keys: np.ndarray, span: int, n: int) -> np.ndarray:
+    # monotone key -> shard mapping over n shards; clip so an
+    # underestimated key_max stays CORRECT (late keys pile into the last
+    # shard: skew, not error)
+    return np.minimum(keys // span, n - 1).astype("int64")
 
 
 def range_prefix_sum(
@@ -43,7 +44,6 @@ def range_prefix_sum(
     key_col: str,
     value_col: str,
     *,
-    n_shards: int = 64,
     key_max: int | None = None,
     out_col: str = "start",
     carry_cols: list[str] | None = None,
@@ -73,13 +73,14 @@ def range_prefix_sum(
         key_max = ds.max(key_col)  # None when the dataset is empty
         if key_max is None:
             key_max = 0
+    n_shards = shard_count()
     span = max(1, (int(key_max) + n_shards) // n_shards)
 
-    def span_shard(b: pd.DataFrame, n: int) -> np.ndarray:
-        return _shard_of(b[key_col].to_numpy(dtype="int64"), span, n)
+    def span_shard(b: pd.DataFrame) -> np.ndarray:
+        return _shard_of(b[key_col].to_numpy(dtype="int64"), span, n_shards)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        sh = span_shard(b, n_shards)
+        sh = span_shard(b)
         return (
             pd.DataFrame({"__shard": sh, "__v": b[value_col].to_numpy(dtype="int64")})
             .groupby("__shard", as_index=False)
@@ -95,13 +96,13 @@ def range_prefix_sum(
     offsets = np.concatenate(([0], np.cumsum(totals)[:-1]))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        sh = int(span_shard(g.iloc[:1], n_shards)[0])
+        sh = int(span_shard(g.iloc[:1])[0])
         g = g.sort_values(key_col, kind="stable").reset_index(drop=True)
         v = g[value_col].to_numpy(dtype="int64")
         g[out_col] = offsets[sh] + np.cumsum(v) - v
         return g[[key_col, value_col, out_col, *carry]]
 
-    return exchange(ds, span_shard, per_shard, n_shards=n_shards)
+    return exchange(ds, span_shard, per_shard)
 
 
 def pack_sequences(
@@ -110,7 +111,6 @@ def pack_sequences(
     key_col: str,
     count_col: str,
     chunk_tokens: int,
-    n_shards: int = 64,
     key_max: int | None = None,
 ) -> rd.Dataset:
     """Assign each document to the training context holding its FIRST
@@ -119,9 +119,7 @@ def pack_sequences(
     concatenate-then-split packing).  Output:
     ``(key_col, count_col, start_tok, chunk_id)``.
     """
-    pref = range_prefix_sum(
-        counts, key_col, count_col, n_shards=n_shards, key_max=key_max, out_col="start_tok"
-    )
+    pref = range_prefix_sum(counts, key_col, count_col, key_max=key_max, out_col="start_tok")
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
         out = b.copy()

@@ -112,7 +112,6 @@ def grouped_moments(
     *,
     scale: int = 100,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group VAR_SAMP / STDDEV_SAMP / AVG — the dispersion
     aggregates behind quality-score audits, exactly SQL-mirrorable.
@@ -159,7 +158,6 @@ def grouped_moments(
         {"n": ("n", "sum"), "s": ("s", "sum"), "s2": ("s2", "sum"),
          "mx": ("mx", "max")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(reduced, pd.DataFrame):
         reduced = reduced.to_pandas()
@@ -196,7 +194,6 @@ def grouped_corr(
     x_scale: int = 100,
     y_scale: int = 100,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group Pearson CORR / COVAR_SAMP via the same
     scaled-integer-sum contract as `grouped_moments`: n, Σx, Σy, Σxy,
@@ -218,7 +215,7 @@ def grouped_corr(
     gcols = list(group_cols)
     reduced = _cross_moment_sums(
         ds, x_col, y_col, gcols, x_scale, y_scale,
-        driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+        driver_threshold_rows=driver_threshold_rows,
     )
     n = reduced["n"].to_numpy(dtype="float64")
     sx = reduced["sx"].to_numpy(dtype="float64")
@@ -248,7 +245,6 @@ def _cross_moment_sums(
     y_scale: int,
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """The shared per-group sufficient-statistic reduce behind
     `grouped_corr` and `grouped_linreg`: exact int64 (n, Σx, Σy, Σxy,
@@ -284,7 +280,6 @@ def _cross_moment_sums(
         gcols,
         aggs,
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(reduced, pd.DataFrame):
         reduced = reduced.to_pandas()
@@ -310,7 +305,6 @@ def grouped_linreg(
     x_scale: int = 100,
     y_scale: int = 100,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group ordinary-least-squares fit (the SQL REGR_SLOPE /
     REGR_INTERCEPT / R² family) over the `grouped_corr`
@@ -331,7 +325,7 @@ def grouped_linreg(
     gcols = list(group_cols)
     reduced = _cross_moment_sums(
         ds, x_col, y_col, gcols, x_scale, y_scale,
-        driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+        driver_threshold_rows=driver_threshold_rows,
     )
     n = reduced["n"].to_numpy(dtype="float64")
     sx = reduced["sx"].to_numpy(dtype="float64")
@@ -366,7 +360,6 @@ def grouped_histogram(
     bin_col: str = "bin",
     count_col: str = "n",
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ):
     """Fixed-width histogram of ``value_col`` over ``[lo, hi)``,
     optionally per group — the distribution pass behind quality-score
@@ -404,7 +397,6 @@ def grouped_histogram(
         [*gcols, bin_col],
         {count_col: (count_col, "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(reduced, pd.DataFrame):
         reduced = reduced.to_pandas()
@@ -509,7 +501,6 @@ def welch_t_test(
     group_cols: list[str] | None = None,
     *,
     scale: int = 100,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Welch's unequal-variance two-sample t statistic (the A/B
     experiment readout) per group: for each ``group_cols`` cell, compare
@@ -539,7 +530,6 @@ def welch_t_test(
         value_col,
         [*gcols, variant_col],
         scale=scale,
-        n_shards=n_shards,
     )
     m = m[m["n"] > 1]
     a = m[m[variant_col] == variant_a].drop(columns=variant_col)
@@ -591,7 +581,6 @@ def grouped_mad_outliers(
     *,
     k: float = 3.0,
     keep_cols: list[str] | None = None,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Robust per-group outlier detection by median absolute deviation:
     a row is an outlier when ``|v − median| > k · MAD`` with both the
@@ -615,8 +604,7 @@ def grouped_mad_outliers(
         batch_format="pandas",
     ).materialize()  # consumed by both percentile passes + the flag pass
 
-    med = grouped_percentile_exact(proj, gcols, value_col, [0.5],
-                                   n_shards=n_shards)
+    med = grouped_percentile_exact(proj, gcols, value_col, [0.5])
     med = med.rename(columns={value_col: "med"}).drop(columns="q")
     med_ref = ray.put(med)
 
@@ -630,7 +618,6 @@ def grouped_mad_outliers(
 
     mad = grouped_percentile_exact(
         proj.map_batches(absdev, batch_format="pandas"), gcols, "__d", [0.5],
-        n_shards=n_shards,
     )
     mad = mad.rename(columns={"__d": "mad"}).drop(columns="q")
     mad_ref = ray.put(mad)
@@ -662,7 +649,6 @@ def grouped_scale(
     scale: int = 100,
     keep_cols: list[str] | None = None,
     out_col: str = "scaled",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Per-group feature scaling — the ML-preprocessing normalization
@@ -688,8 +674,7 @@ def grouped_scale(
     ).materialize()  # consumed by the stats reduce AND the transform
 
     if method == "zscore":
-        m = grouped_moments(proj, value_col, gcols, scale=scale,
-                            n_shards=n_shards)
+        m = grouped_moments(proj, value_col, gcols, scale=scale)
         stats = m[[*gcols, "mean_v", "stddev_v"]]
     else:
         red = auto_group_agg(
@@ -701,7 +686,6 @@ def grouped_scale(
             ),
             gcols,
             {"mn": ("mn", "min"), "mx": ("mx", "max")},
-            n_shards=n_shards,
         )
         stats = red if isinstance(red, pd.DataFrame) else red.to_pandas()
     stats_ref = ray.put(stats)
@@ -747,7 +731,6 @@ def grouped_autocorr(
     tie_col: str,
     lag: int = 1,
     value_scale: int = 100,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group lag-``k`` autocorrelation — the time-series
     seasonality/persistence readout: Pearson corr between each key's
@@ -760,7 +743,7 @@ def grouped_autocorr(
     timeline); keys with fewer than ``lag + 2`` observations or a
     zero-variance side get NaN acf, matching SQL NULL.
 
-    Scale shape: ONE bounded ``hash(key) % n_shards`` exchange co-locates
+    Scale shape: ONE bounded ``hash(key)`` exchange co-locates
     each key's rows (the keyed-window scaffold); per shard a single
     mergesort + cython ``groupby().shift(lag)`` forms the pairs and the
     per-key exact int64 (n, Σx, Σy, Σxy, Σx², Σy²) — each key lives in
@@ -803,9 +786,7 @@ def grouped_autocorr(
         )
         return out
 
-    reduced = exchange(
-        ds.map_batches(valued, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
-    ).to_pandas()
+    reduced = exchange(ds.map_batches(valued, batch_format="pandas"), gcols, per_shard).to_pandas()
     if len(reduced) == 0 or "n" not in reduced.columns:
         return pd.DataFrame(
             {
@@ -846,7 +827,6 @@ def grouped_winsorize(
     q_hi: float = 0.95,
     keep_cols: list[str] | None = None,
     out_col: str = "winsorized",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Per-group winsorization — the outlier-robust preprocessing
@@ -870,9 +850,7 @@ def grouped_winsorize(
         lambda b: b[carry].dropna(subset=[*gcols, value_col]),
         batch_format="pandas",
     ).materialize()
-    cuts = grouped_percentile_exact(
-        proj, gcols, value_col, [q_lo, q_hi], n_shards=n_shards
-    )
+    cuts = grouped_percentile_exact(proj, gcols, value_col, [q_lo, q_hi])
     lo = cuts[cuts["q"] == q_lo].set_index(gcols)[value_col]
     hi = cuts[cuts["q"] == q_hi].set_index(gcols)[value_col]
     table = pd.DataFrame({"lo": lo, "hi": hi}).reset_index()
@@ -909,7 +887,6 @@ def grouped_gini(
     value_col: str,
     *,
     scale: int = 100,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group Gini concentration (the inequality readout —
     source dominance in a corpus mix, revenue concentration per segment)
@@ -954,9 +931,7 @@ def grouped_gini(
         )
         return out
 
-    red = exchange(
-        ds.map_batches(nonneg, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
-    ).to_pandas()
+    red = exchange(ds.map_batches(nonneg, batch_format="pandas"), gcols, per_shard).to_pandas()
     if len(red) == 0 or "n" not in red.columns:
         return pd.DataFrame(
             {
@@ -988,7 +963,6 @@ def grouped_cat_entropy(
     cat_col: str,
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Per-key Shannon entropy of a categorical distribution (bits) —
     the behavior-diversity / source-mix readout (how varied is a user's
@@ -1020,7 +994,6 @@ def grouped_cat_entropy(
         [*gcols, cat_col],
         {"n": ("n", "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1056,7 +1029,7 @@ def grouped_cat_entropy(
     if isinstance(red, pd.DataFrame):
         return finish(red).sort_values(gcols).reset_index(drop=True)
 
-    out = exchange(red, gcols, finish, n_shards=n_shards).to_pandas()
+    out = exchange(red, gcols, finish).to_pandas()
     if len(out) == 0 or "entropy" not in out.columns:
         return finish(pd.DataFrame())
     return out.sort_values(gcols).reset_index(drop=True)
@@ -1070,7 +1043,6 @@ def grouped_trimmed_mean(
     q_lo: float = 0.05,
     q_hi: float = 0.95,
     scale: int = 100,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group TRIMMED mean — the robust central-tendency
     readout next to `grouped_winsorize` (winsorize clips outliers to the
@@ -1095,9 +1067,7 @@ def grouped_trimmed_mean(
         lambda b: b[keep].dropna(subset=[*gcols, value_col]),
         batch_format="pandas",
     ).materialize()
-    cuts = grouped_percentile_exact(
-        proj, gcols, value_col, [q_lo, q_hi], n_shards=n_shards
-    )
+    cuts = grouped_percentile_exact(proj, gcols, value_col, [q_lo, q_hi])
     lo = cuts[cuts["q"] == q_lo].set_index(gcols)[value_col]
     hi = cuts[cuts["q"] == q_hi].set_index(gcols)[value_col]
     table = pd.DataFrame({"lo": lo, "hi": hi}).reset_index()
@@ -1127,7 +1097,6 @@ def grouped_trimmed_mean(
         proj.map_batches(partial, batch_format="pandas"),
         gcols,
         {"n": ("n", "sum"), "n_kept": ("n_kept", "sum"), "s": ("s", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()
@@ -1158,7 +1127,6 @@ def grouped_skewkurt(
     *,
     scale: int = 100,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """EXACT per-group skewness and excess kurtosis — the tail-shape
     profile next to `grouped_moments`' dispersion: the population-moment
@@ -1226,7 +1194,6 @@ def grouped_skewkurt(
         gcols,
         {c: (c, "sum") for c in ("n", "s1", "s2", "s3h", "s3l", "s4h", "s4l")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(reduced, pd.DataFrame):
         reduced = reduced.to_pandas()
@@ -1267,7 +1234,6 @@ def cat_association(
     y_col: str,
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Association profile between two categorical columns — mutual
     information, marginal entropies, χ² and Cramér's V in ONE pass (the
@@ -1303,7 +1269,6 @@ def cat_association(
         [x_col, y_col],
         {"n": ("n", "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()
@@ -1356,7 +1321,6 @@ def grouped_bootstrap_ci(
     alpha: float = 0.05,
     seed: int = 0,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Per-group bootstrap confidence interval for the MEAN by the
     Poisson bootstrap (Chamandy et al. 2012, "Estimating Uncertainty
@@ -1433,7 +1397,6 @@ def grouped_bootstrap_ci(
         gcols,
         spec,
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()

@@ -31,7 +31,7 @@ import ray.data as rd
 # import inside a worker-executed body would fail on workers that cannot
 # import the package from disk (foreign-cwd drivers)
 from ..state.broadcast import cached_get
-from .exchange import SHARD, _hash_labels, exchange
+from .exchange import SHARD, _hash_labels, exchange, shard_count
 
 
 # --------------------------------------------------------------------------
@@ -218,15 +218,14 @@ def bucketed_hash_join(
     on: str | list[str],
     *,
     how: str = "inner",
-    n_buckets: int = 32,
     right_prefix: str = "r_",
 ) -> rd.Dataset:
     """Explicit partitioned hash join: both sides tagged with
-    ``hash(key) % n_buckets``, unioned, co-grouped per bucket, merged with
-    pandas per bucket (``exchange``).  One all-to-all shuffle total.
+    ``hash(key) % shard_count()``, unioned, co-grouped per bucket, merged
+    with pandas per bucket (``exchange``).  One all-to-all shuffle total.
 
     Partitioning assumption: a single bucket's rows fit in a worker's heap;
-    for skewed keys raise ``n_buckets`` or salt the hot key upstream."""
+    for skewed keys salt the hot key upstream."""
     keys = [on] if isinstance(on, str) else list(on)
     lsch, rsch = left.schema(), right.schema()
     if lsch is None or rsch is None:
@@ -270,12 +269,13 @@ def bucketed_hash_join(
     rpads = {
         c: dt for c, dt in _pad_plan(lschema, lcols).items() if c not in r_cols
     }
+    n = shard_count()
 
     def tag(ds: rd.Dataset, side: str, rn: dict, pads: dict) -> rd.Dataset:
         def add(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch.rename(columns=rn) if rn else batch.copy()
             out = _pad_typed(out, pads)[union_cols].copy()
-            out[SHARD] = _hash_labels(out, keys, n_buckets).astype("int64")
+            out[SHARD] = _hash_labels(out, keys, n).astype("int64")
             out["__side"] = side
             return out
 
@@ -290,7 +290,7 @@ def bucketed_hash_join(
         rg = _restore_dtypes(g.loc[~lmask, keys + [c for c in r_cols if c not in keys]].copy(), rtargets)
         return lg.merge(rg, on=keys, how=how)
 
-    return exchange(l.union(r), None, join_bucket, n_shards=n_buckets)
+    return exchange(l.union(r), None, join_bucket)
 
 
 _ROUTE_LOG: list | None = None
@@ -339,7 +339,6 @@ def auto_join(
     *,
     how: str = "inner",
     broadcast_threshold_rows: int = 2_000_000,
-    n_buckets: int = 64,
     right_prefix: str = "r_",
 ) -> rd.Dataset:
     """Size-aware join planner (the Spark broadcast-threshold decision):
@@ -366,9 +365,7 @@ def auto_join(
     one bucket, can emit it exactly once."""
     if how in ("right", "outer"):
         _log_route("auto_join", "bucketed", how=how, reason="outer-side exactness")
-        return bucketed_hash_join(
-            left, right, on, how=how, n_buckets=n_buckets, right_prefix=right_prefix
-        )
+        return bucketed_hash_join(left, right, on, how=how, right_prefix=right_prefix)
     head = probe_head(right, broadcast_threshold_rows)
     if head is not None:
         _log_route("auto_join", "broadcast", how=how, build_rows=int(len(head)))
@@ -398,9 +395,7 @@ def auto_join(
         if overlap:
             head = head.rename(columns={c: right_prefix + c for c in overlap})
         return broadcast_hash_join(left, head, on, how=how, suffix="_r")
-    return bucketed_hash_join(
-        left, right, on, how=how, n_buckets=n_buckets, right_prefix=right_prefix
-    )
+    return bucketed_hash_join(left, right, on, how=how, right_prefix=right_prefix)
 
 
 def native_join(
@@ -445,10 +440,10 @@ def _key_set_ref(keys: rd.Dataset, on: str):
 
 
 def _semi_anti_bucketed(
-    ds: rd.Dataset, keys: rd.Dataset, on: str, keep_in: bool, n_buckets: int
+    ds: rd.Dataset, keys: rd.Dataset, on: str, keep_in: bool
 ) -> rd.Dataset:
     """Distributed semi/anti filter: one bucketed exchange on
-    ``hash(key) % n_buckets`` co-grouping data rows with a DEDUPED key
+    ``hash(key) % shard_count()`` co-grouping data rows with a DEDUPED key
     projection, then an in-bucket isin (or its complement) — no
     driver-held key set, the route for a corpus-sized key side.
 
@@ -468,17 +463,18 @@ def _semi_anti_bucketed(
     kpad = _pad_plan(ksch, [on])
     union_cols = dcols + ["__k"]
     dpads = _pad_plan(dschema, dcols)
+    n = shard_count()
 
     def tag_data(b: pd.DataFrame) -> pd.DataFrame:
         out = _pad_typed(b.copy(), {"__k": kpad[on]})[union_cols].copy()
-        out[SHARD] = _hash_labels(b, [on], n_buckets).astype("int64")
+        out[SHARD] = _hash_labels(b, [on], n).astype("int64")
         out["__side"] = "l"
         return out
 
     def tag_keys(b: pd.DataFrame) -> pd.DataFrame:
         # in-batch dedup combiner: the exchange moves distinct keys per batch
         out = b[[on]].drop_duplicates().rename(columns={on: "__k"})
-        out[SHARD] = _hash_labels(out, ["__k"], n_buckets).astype("int64")
+        out[SHARD] = _hash_labels(out, ["__k"], n).astype("int64")
         out = _pad_typed(out, dpads)[union_cols + [SHARD]].copy()
         out["__side"] = "r"
         return out
@@ -493,7 +489,7 @@ def _semi_anti_bucketed(
         mask = lg[on].isin(set(kvals))
         return lg[mask if keep_in else ~mask]
 
-    return exchange(l.union(r), None, per_bucket, n_shards=n_buckets)
+    return exchange(l.union(r), None, per_bucket)
 
 
 def _semi_anti_bloom(
@@ -501,7 +497,6 @@ def _semi_anti_bloom(
     keys: rd.Dataset,
     on: str,
     keep_in: bool,
-    n_buckets: int,
     m_bits: int,
 ) -> rd.Dataset:
     """Bloom-prefiltered semi/anti (the Dolma fixed-memory idea applied
@@ -538,9 +533,9 @@ def _semi_anti_bloom(
 
     candidates = ds.map_batches(prefilter(True), batch_format="pandas")
     if keep_in:
-        return _semi_anti_bucketed(candidates, keys, on, True, n_buckets)
+        return _semi_anti_bucketed(candidates, keys, on, True)
     definite = ds.map_batches(prefilter(False), batch_format="pandas")
-    survivors = _semi_anti_bucketed(candidates, keys, on, False, n_buckets)
+    survivors = _semi_anti_bucketed(candidates, keys, on, False)
     return definite.union(survivors)
 
 
@@ -551,7 +546,6 @@ def _semi_anti(
     keep_in: bool,
     method: str,
     broadcast_threshold_rows: int,
-    n_buckets: int,
     bloom_m_bits: int = 1 << 23,
 ) -> rd.Dataset:
     if method == "auto":
@@ -569,9 +563,9 @@ def _semi_anti(
         )
         method = "bucketed"
     if method == "bucketed":
-        return _semi_anti_bucketed(ds, keys, on, keep_in, n_buckets)
+        return _semi_anti_bucketed(ds, keys, on, keep_in)
     if method == "bloom":
-        return _semi_anti_bloom(ds, keys, on, keep_in, n_buckets, bloom_m_bits)
+        return _semi_anti_bloom(ds, keys, on, keep_in, bloom_m_bits)
     ref = _key_set_ref(keys, on)
     return ds.map_batches(_KeyFilter(ref, on, keep_in), batch_format="pandas")
 
@@ -583,7 +577,6 @@ def semi_join(
     *,
     method: str = "broadcast",
     broadcast_threshold_rows: int = 2_000_000,
-    n_buckets: int = 32,
     bloom_m_bits: int = 1 << 23,
 ) -> rd.Dataset:
     """Rows of ``ds`` whose key appears in ``keys`` (J6 semi-filter).
@@ -596,10 +589,7 @@ def semi_join(
     degrades to bucketed-plus-overhead); "auto" probes the key side
     with ``limit(threshold+1)`` and picks (the auto_join planner
     pattern).  Routes are equivalence-tested."""
-    return _semi_anti(
-        ds, keys, on, True, method, broadcast_threshold_rows, n_buckets,
-        bloom_m_bits,
-    )
+    return _semi_anti(ds, keys, on, True, method, broadcast_threshold_rows, bloom_m_bits)
 
 
 def anti_join(
@@ -609,16 +599,12 @@ def anti_join(
     *,
     method: str = "broadcast",
     broadcast_threshold_rows: int = 2_000_000,
-    n_buckets: int = 32,
     bloom_m_bits: int = 1 << 23,
 ) -> rd.Dataset:
     """Rows of ``ds`` whose key does NOT appear in ``keys`` (the
     ``AdvancedGenreToBook: {none:{}}`` anti-filter, J6).  Same
     ``method`` routes as ``semi_join``."""
-    return _semi_anti(
-        ds, keys, on, False, method, broadcast_threshold_rows, n_buckets,
-        bloom_m_bits,
-    )
+    return _semi_anti(ds, keys, on, False, method, broadcast_threshold_rows, bloom_m_bits)
 
 
 # --------------------------------------------------------------------------
@@ -646,7 +632,6 @@ def grouped_top_k(
     tie_col: str | None = None,
     finish: str = "auto",
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> rd.Dataset | pd.DataFrame:
     """Top-k rows PER GROUP with a dense 1-based ``rk`` rank column (the
     SQL ``row_number() OVER (PARTITION BY ... ORDER BY ...) <= k`` window
@@ -689,7 +674,7 @@ def grouped_top_k(
             return out
         return rank_head(df)
 
-    return exchange(pruned, group_cols, rank_head, n_shards=n_shards)
+    return exchange(pruned, group_cols, rank_head)
 
 
 def grouped_rank_buckets(
@@ -700,7 +685,6 @@ def grouped_rank_buckets(
     n_buckets: int = 3,
     labels: list[str] | None = None,
     out_col: str = "bucket",
-    n_shards: int = 64,
     method: str = "exact",
     group_row_threshold: int = 5_000_000,
     sketch_k: int = 4096,
@@ -760,7 +744,7 @@ def grouped_rank_buckets(
         from .sketch import grouped_sketches, sketch_quantile
 
         key = group_cols[0]
-        merged = grouped_sketches(ds, key, order_cols[0], k=sketch_k, n_shards=n_shards)
+        merged = grouped_sketches(ds, key, order_cols[0], k=sketch_k)
         cutoffs = {
             row[key]: np.asarray(
                 [sketch_quantile(row["sk"], (i + 1) / n_buckets) for i in range(n_buckets - 1)],
@@ -791,7 +775,7 @@ def grouped_rank_buckets(
         g[out_col] = label_arr[idx] if label_arr is not None else idx
         return g.reset_index(drop=True)
 
-    return exchange(ds, group_cols, per_shard, n_shards=n_shards)
+    return exchange(ds, group_cols, per_shard)
 
 
 def grouped_percentile_exact(
@@ -801,7 +785,6 @@ def grouped_percentile_exact(
     qs: list[float],
     *,
     interpolation: str = "disc",
-    n_shards: int = 64,
     q_col: str = "q",
 ) -> pd.DataFrame:
     """EXACT per-group percentiles.  ``interpolation="disc"`` returns
@@ -820,7 +803,7 @@ def grouped_percentile_exact(
 
     Complement to `ops/sketch.grouped_quantile_sketch` (the bounded-
     error, fixed-memory route): exact answers need each group's rows
-    co-located, so this is ONE bounded ``hash(group) % n_shards``
+    co-located, so this is ONE bounded ``hash(group)``
     exchange with a vectorized sort + take per shard.  Same skew caveat
     as `grouped_rank_buckets`'s exact route — a dominant group lands in
     one shard; at corpus scale prefer the sketch."""
@@ -857,7 +840,7 @@ def grouped_percentile_exact(
         return pd.concat(outs, ignore_index=True)
 
     out = exchange(
-        ds.select_columns(keep), group_cols, per_shard, n_shards=n_shards
+        ds.select_columns(keep), group_cols, per_shard
     ).to_pandas()  # result is |groups| x |qs| rows — dim-sized
     return out.sort_values(
         [*group_cols, q_col], kind="mergesort"
@@ -871,7 +854,6 @@ def grouped_mode(
     *,
     count_col: str = "n",
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     finish: str = "auto",
 ) -> rd.Dataset | pd.DataFrame:
     """Most frequent value per group (the SQL ``mode()`` aggregate) with
@@ -896,7 +878,6 @@ def grouped_mode(
         keyc,
         {count_col: (count_col, "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if isinstance(counts, pd.DataFrame):
         # driver finish: the complete count table is already here — one
@@ -913,7 +894,7 @@ def grouped_mode(
     out = grouped_top_k(
         counts, group_cols, count_col, 1,
         descending=True, tie_col=value_col, finish=finish,
-        driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+        driver_threshold_rows=driver_threshold_rows,
     )
     if isinstance(out, pd.DataFrame):
         return out.drop(columns="rk").reset_index(drop=True)
@@ -1001,7 +982,6 @@ def asof_join(
     suffix: str = "_r",
     direction: str = "backward",
     tolerance: "pd.Timedelta | None" = None,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """As-of join: for each left row, the latest right row of the same key
     with right.ts <= left.ts (``direction="backward"``, the default) —
@@ -1010,9 +990,9 @@ def asof_join(
     ``tolerance`` (a Timedelta) bounds the match distance; beyond it the
     row fills with the missing value, matching ``pd.merge_asof``.
 
-    Exchange shape: ONE co-grouping shuffle on ``hash(key) % n_shards`` (the
-    reassemble_docs hash-shard pattern) — n_shards vectorized
-    ``pd.merge_asof(..., by=key)`` calls instead of one Python call per key
+    Exchange shape: ONE co-grouping shuffle on ``hash(key)`` (the
+    reassemble_docs hash-shard pattern) — one vectorized per shard
+    ``pd.merge_asof(..., by=key)`` call instead of one Python call per key
     (~1.6 ms/group table construction dominates at millions of keys).
     Ordering comes from the explicit in-shard sort, never arrival order.
 
@@ -1057,11 +1037,13 @@ def asof_join(
     def _empty_out() -> pd.DataFrame:
         return pd.DataFrame({c: pd.Series(dtype=out_dtypes.get(c, "object")) for c in out_cols})
 
+    n = shard_count()
+
     def tag(ds: rd.Dataset, side: str, cols: list[str]) -> rd.Dataset:
         def add(b: pd.DataFrame) -> pd.DataFrame:
             out = b[cols].copy()
             out["__side"] = side
-            out[SHARD] = _hash_labels(out, [key], n_shards).astype("int64")
+            out[SHARD] = _hash_labels(out, [key], n).astype("int64")
             return out
 
         return ds.map_batches(add, batch_format="pandas")
@@ -1099,7 +1081,7 @@ def asof_join(
                 merged[oc] = merged[oc].astype(out_dtypes[oc])
         return merged
 
-    return exchange(l.union(r), None, per_shard, n_shards=n_shards)
+    return exchange(l.union(r), None, per_shard)
 
 
 def stratified_sample(
@@ -1136,12 +1118,10 @@ def sharded_group_agg(
     ds: rd.Dataset,
     keys: list[str],
     aggs: dict[str, tuple[str, str]],
-    *,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Distributed exact group-aggregate via the hash-shard exchange
-    (stages/reassemble.py pattern): shuffle a bounded ``hash(keys) %
-    n_shards`` label, then ONE vectorized pandas groupby per shard.
+    (stages/reassemble.py pattern): shuffle a bounded ``hash(keys)``
+    label, then ONE vectorized pandas groupby per shard.
 
     ``aggs`` maps output alias -> (source column, pandas agg name).
 
@@ -1149,7 +1129,7 @@ def sharded_group_agg(
     built-in aggregate executes per GROUP in Python (~2.3 ms/group
     measured) — 95 k groups took 22 s where this exchange takes ~2 s.  The
     shard groupby is just as distributed (the driver never sees the
-    partials; each shard holds |rows|/n_shards) and every shard reduce is
+    partials; each shard holds |rows|/shards) and every shard reduce is
     one vectorized pandas call."""
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -1157,7 +1137,7 @@ def sharded_group_agg(
             **{alias: (src, how) for alias, (src, how) in aggs.items()}
         )
 
-    return exchange(ds, keys, per_shard, n_shards=n_shards)
+    return exchange(ds, keys, per_shard)
 
 
 def auto_group_agg(
@@ -1166,7 +1146,6 @@ def auto_group_agg(
     aggs: dict[str, tuple[str, str]],
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     finish: str = "auto",
 ) -> rd.Dataset | pd.DataFrame:
     """Size-aware FINISH planner for partial aggregates — the ``auto_join``
@@ -1208,7 +1187,7 @@ def auto_group_agg(
         gb = df.groupby(keys)
         out = pd.DataFrame({a: gb[src].agg(how) for a, (src, how) in aggs.items()})
         return out.reset_index()
-    return sharded_group_agg(ds, keys, aggs, n_shards=n_shards)
+    return sharded_group_agg(ds, keys, aggs)
 
 
 # --------------------------------------------------------------------------
@@ -1220,7 +1199,6 @@ def rollup_agg(
     aggs: dict[str, tuple[str, str]],
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """``GROUP BY ROLLUP(k1, k2, …)``: every prefix grouping level plus
     the grand total, with rolled-up key columns emitted as NULL exactly
@@ -1264,9 +1242,7 @@ def rollup_agg(
 
     partials = ds.map_batches(partial, batch_format="pandas")
     levels: list[pd.DataFrame] = []
-    cur = auto_group_agg(
-        partials, keys, merge, driver_threshold_rows=driver_threshold_rows, n_shards=n_shards
-    )
+    cur = auto_group_agg(partials, keys, merge, driver_threshold_rows=driver_threshold_rows)
     for i in range(len(keys), -1, -1):
         lvl_keys = keys[:i]
         if i < len(keys):
@@ -1274,7 +1250,7 @@ def rollup_agg(
             if lvl_keys:
                 cur = auto_group_agg(
                     src, lvl_keys, merge,
-                    driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+                    driver_threshold_rows=driver_threshold_rows,
                 )
             else:
                 # grand total: one constant group (a single reduced row)
@@ -1283,7 +1259,7 @@ def rollup_agg(
                 )
                 cur = auto_group_agg(
                     withk, ["__all"], merge,
-                    driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+                    driver_threshold_rows=driver_threshold_rows,
                 )
         out = cur.to_pandas() if isinstance(cur, rd.Dataset) else cur.copy()
         if "__all" in out.columns:
@@ -1300,7 +1276,6 @@ def cube_agg(
     aggs: dict[str, tuple[str, str]],
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """``GROUP BY CUBE(k1, k2, …)``: every SUBSET of the keys (2^n
     grouping levels incl. the grand total), rolled-up columns NULL
@@ -1335,7 +1310,7 @@ def cube_agg(
     }
     finest = auto_group_agg(
         ds.map_batches(partial, batch_format="pandas"), keys, merge,
-        driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+        driver_threshold_rows=driver_threshold_rows,
     )
     finest_df = finest.to_pandas() if isinstance(finest, rd.Dataset) else finest
     levels: list[pd.DataFrame] = []
@@ -1366,7 +1341,6 @@ def grouping_sets_agg(
     aggs: dict[str, tuple[str, str]],
     *,
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """``GROUP BY GROUPING SETS ((…), (…), …)``: the general form behind
     ROLLUP and CUBE — an arbitrary list of grouping-key subsets from ONE
@@ -1409,7 +1383,7 @@ def grouping_sets_agg(
     }
     finest = auto_group_agg(
         ds.map_batches(partial, batch_format="pandas"), keys, merge,
-        driver_threshold_rows=driver_threshold_rows, n_shards=n_shards,
+        driver_threshold_rows=driver_threshold_rows,
     )
     finest_df = finest.to_pandas() if isinstance(finest, rd.Dataset) else finest
     levels: list[pd.DataFrame] = []
@@ -1445,7 +1419,6 @@ def grouped_string_agg(
     *,
     sep: str = ",",
     out_col: str = "agg_v",
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """SQL's ordered ``string_agg(value, sep ORDER BY …)`` per group —
     the list/sequence-building aggregate (user event timelines, ordered
@@ -1456,7 +1429,7 @@ def grouped_string_agg(
     NULL group keys form one group like SQL GROUP BY.
 
     Scale shape: the hash-shard exchange (`sharded_group_agg` pattern) —
-    rows shuffle once by ``hash(group) % n_shards``, then ONE vectorized
+    rows shuffle once by ``hash(group)``, then ONE vectorized
     sort + groupby-join per shard.  A group's output string is
     proportional to the group by semantics (it IS the concatenation), so
     the natural unit stays the shard, never the driver.  Non-string
@@ -1475,7 +1448,7 @@ def grouped_string_agg(
             **{out_col: ("__v", sep.join)}
         )
 
-    return exchange(ds.select_columns(need), gcols, per_shard, n_shards=n_shards)
+    return exchange(ds.select_columns(need), gcols, per_shard)
 
 
 def unpivot_columns(
@@ -1559,7 +1532,6 @@ def pivot_agg(
     values: list | None = None,
     fill_value=None,
     prefix: str = "",
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Wide (pivoted) aggregate — ``SUM/COUNT(CASE WHEN pivot = v THEN …)``
     per index key, one output column per pivot value.  Mergeable aggs
@@ -1603,7 +1575,7 @@ def pivot_agg(
         w.columns = cols
         return w.reset_index()
 
-    return exchange(partials, index, per_shard, n_shards=n_shards)
+    return exchange(partials, index, per_shard)
 
 
 def dataset_set_op(
@@ -1613,7 +1585,6 @@ def dataset_set_op(
     op: str,
     *,
     bag: bool = False,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """SQL ``INTERSECT`` / ``EXCEPT`` over arbitrary column tuples —
     distinct set semantics by default, ``bag=True`` for the ``ALL``
@@ -1628,6 +1599,7 @@ def dataset_set_op(
     merge + np.repeat in bag mode)."""
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be 'intersect' or 'except', got {op!r}")
+    n = shard_count()
 
     def prep(side: int):
         def f(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1640,7 +1612,7 @@ def dataset_set_op(
                 out = batch[cols].drop_duplicates().copy()
                 out["__n"] = np.int64(1)
             out["__side"] = np.int64(side)
-            out[SHARD] = _hash_labels(out, cols, n_shards).astype("int64")
+            out[SHARD] = _hash_labels(out, cols, n).astype("int64")
             return out
 
         return f
@@ -1664,7 +1636,7 @@ def dataset_set_op(
     u = a.map_batches(prep(0), batch_format="pandas").union(
         b.map_batches(prep(1), batch_format="pandas")
     )
-    return exchange(u, None, per_shard, n_shards=n_shards)
+    return exchange(u, None, per_shard)
 
 
 def pre_aggregate(

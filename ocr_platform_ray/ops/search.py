@@ -341,7 +341,6 @@ def _score_posting_files(
     for t, j in term_j.items():
         df_t = int(dfc.get(t, 0))
         idf[j] = math.log(1.0 + (n_docs - df_t + 0.5) / (df_t + 0.5))
-    n_doc_shards = 64
 
     def contrib(t: pd.DataFrame) -> pd.DataFrame:
         j = t["token"].map(term_j).to_numpy(dtype=np.int64)
@@ -363,10 +362,7 @@ def _score_posting_files(
         return s.sort_values(["score", id_col], ascending=[False, True]).head(k)
 
     pruned = exchange(
-        post.map_batches(contrib, batch_format="pandas"),
-        id_col,
-        per_shard,
-        n_shards=n_doc_shards,
+        post.map_batches(contrib, batch_format="pandas"), id_col, per_shard
     ).to_pandas()
     if pruned.empty:
         return empty
@@ -643,7 +639,6 @@ def rrf_fuse(
     on: list[str],
     rank_col: str = "rk",
     k: int = 60,
-    n_buckets: int = 32,
 ) -> pd.DataFrame:
     """Reciprocal-rank fusion (Cormack, Clarke & Büttner 2009) of two
     ranked result lists — the standard hybrid-retrieval combiner for a
@@ -693,7 +688,7 @@ def rrf_fuse(
             lambda t: t[keys + [rank_col]].rename(columns={rank_col: "__rk_b"}),
             batch_format="pandas",
         )
-        j = bucketed_hash_join(aa, bb, on=keys, how="outer", n_buckets=n_buckets)
+        j = bucketed_hash_join(aa, bb, on=keys, how="outer")
 
         def fin_batch(t: pd.DataFrame) -> pd.DataFrame:
             for c in ("__rk_a", "__rk_b"):

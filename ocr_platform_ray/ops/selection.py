@@ -69,7 +69,6 @@ def token_chi2(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 30,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Top-``k`` tokens most associated (χ², document-presence
     contingency) with ``class_col == class_value`` vs the rest of the
@@ -133,7 +132,6 @@ def token_chi2(
         ds.map_batches(partial, batch_format="pandas"),
         ["token"],
         {"n_in": ("n_in", "sum"), "n_out": ("n_out", "sum")},
-        n_shards=n_shards,
     )
     if isinstance(reduced, pd.DataFrame):
         scored = _chi2_frame(reduced, n_class, n_rest)

@@ -23,7 +23,7 @@ overflow instead of wrapping (the oracle corpus satisfies this; the
 operator itself is exact over the full 32-bit domain).  The global position is then
 the exclusive prefix COUNT of rows in shuffle_key order — the
 ``range_prefix_sum`` two-pass scan (ops/pack.py), NOT a global sort: one
-(shuffle_key, 1) exchange, n_shards scalars on the driver.
+(shuffle_key, 1) exchange, one scalar per shard on the driver.
 
 Keys >= 2^32 need a 64-bit mix (splitmix64) — same machinery, but the
 32-bit form is kept as the primary because a SQL oracle can mirror it
@@ -63,7 +63,6 @@ def epoch_shuffle(
     key_col: str,
     *,
     seed: int = 0,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Assign every row its position in the seed-determined global random
     order.  Keys must be unique non-negative integers below 2^32 (the
@@ -85,7 +84,6 @@ def epoch_shuffle(
         keyed,
         "shuffle_key",
         "__one",
-        n_shards=n_shards,
         key_max=int(_MOD32 - np.uint64(1)),
         out_col="pos",
         carry_cols=[key_col],
@@ -103,7 +101,6 @@ def grouped_sample_k(
     id_col: str,
     seed: int = 0,
     finish: str = "auto",
-    n_shards: int = 64,
 ):
     """Deterministic k-per-group sample WITHOUT replacement (the exact-k
     dual of the fraction-based `stratified_sample`): rows rank by the
@@ -131,7 +128,6 @@ def grouped_sample_k(
         k,
         descending=False,
         finish=finish,
-        n_shards=n_shards,
     )
 
 
@@ -201,7 +197,6 @@ def grouped_weighted_sample_k(
     *,
     seed: int = 0,
     finish: str = "auto",
-    n_shards: int = 64,
 ):
     """`weighted_sample_k` per group: k weighted draws without
     replacement within EACH group (the 'per-source quality-weighted
@@ -223,5 +218,4 @@ def grouped_weighted_sample_k(
         descending=False,
         tie_col=id_col,
         finish=finish,
-        n_shards=n_shards,
     )

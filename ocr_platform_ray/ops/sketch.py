@@ -85,7 +85,6 @@ def grouped_sketches(
     value_col: str,
     *,
     k: int = 256,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Per-group MERGED sketch table ``(key, sk, n)``: per-batch
     per-group partials (combiner), hash-shard exchange on the key,
@@ -121,7 +120,7 @@ def grouped_sketches(
         return pd.DataFrame(rows)
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    out = exchange(partials, key_col, per_shard, n_shards=n_shards).to_pandas()
+    out = exchange(partials, key_col, per_shard).to_pandas()
     return out.sort_values(key_col).reset_index(drop=True)
 
 
@@ -132,13 +131,12 @@ def grouped_quantile_sketch(
     *,
     quantile: float = 0.5,
     k: int = 256,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Approximate grouped quantile via mergeable sketches (one merged
     sketch per group through ``grouped_sketches``; driver reads the
     quantile).  Exact while a group's count <= k; error O(1/k) in rank
     beyond."""
-    merged = grouped_sketches(ds, key_col, value_col, k=k, n_shards=n_shards)
+    merged = grouped_sketches(ds, key_col, value_col, k=k)
     out = pd.DataFrame(
         {
             key_col: merged[key_col],
@@ -232,7 +230,6 @@ def approx_distinct_by(
     col: str,
     *,
     p: int = 12,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Grouped approximate distinct: per-batch per-group register
     partials, hash-shard exchange on the key, per-shard elementwise-max
@@ -266,7 +263,6 @@ def approx_distinct_by(
         ds.select_columns([key_col, col]).map_batches(partial, batch_format="pandas"),
         key_col,
         per_shard,
-        n_shards=n_shards,
     ).to_pandas()
     return out.sort_values(key_col).reset_index(drop=True)
 
@@ -503,7 +499,6 @@ def hll_cumulative_distinct(
     *,
     bucket_us: int = 86_400_000_000,
     p: int = 12,
-    n_shards: int = 32,
 ) -> pd.DataFrame:
     """Cumulative distinct keys over time — "total unique users ever
     seen, by day" without co-locating anything: per (bucket) the batch
@@ -545,7 +540,7 @@ def hll_cumulative_distinct(
             out.append({"bucket": int(bk), "regs": acc.tobytes()})
         return pd.DataFrame(out, columns=["bucket", "regs"])
 
-    merged = exchange(parts, "bucket", merge_shard, n_shards=n_shards).to_pandas()
+    merged = exchange(parts, "bucket", merge_shard).to_pandas()
     if len(merged) == 0:
         return pd.DataFrame(
             {"bucket": pd.Series(dtype="int64"),

@@ -181,7 +181,6 @@ def duplicated_window_counts(
     *,
     width: int = 8,
     min_count: int = 2,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """Dataset[(gh, cnt)] of window hashes occurring >= min_count times
     corpus-wide.  Map-side combiner (in-batch value_counts) so the count
@@ -201,7 +200,6 @@ def duplicated_window_counts(
         ds.map_batches(explode_counts, batch_format="pandas"),
         ["gh"],
         {"cnt": ("cnt", "sum")},
-        n_shards=n_shards,
     ).map_batches(lambda b: b[b["cnt"] >= min_count], batch_format="pandas")
 
 
@@ -256,7 +254,6 @@ def dup_span_stats(
     min_count: int = 2,
     method: str = "auto",
     broadcast_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     bloom_bits: int = 1 << 23,
 ) -> rd.Dataset:
     """Per-document duplicated-span statistics: ``(id, n_windows,
@@ -273,9 +270,7 @@ def dup_span_stats(
     is a FIXED-SIZE Bloom bitmap (``bloom_bits/8`` bytes however large
     the duplicated-hash table grows — the Dolma/CCNet structure); counts
     may OVERCOUNT at the Bloom false-positive rate, never undercount."""
-    counts = duplicated_window_counts(
-        ds, text_col, width=width, min_count=min_count, n_shards=n_shards
-    )
+    counts = duplicated_window_counts(ds, text_col, width=width, min_count=min_count)
     member, counts = _resolve_dup_route(
         counts, method, broadcast_threshold_rows, bloom_bits
     )
@@ -342,7 +337,7 @@ def dup_span_stats(
             }
         )
 
-    dup_stats = exchange(marked, id_col, per_shard, n_shards=n_shards)
+    dup_stats = exchange(marked, id_col, per_shard)
     joined = auto_join(
         ds.map_batches(base, batch_format="pandas"),
         dup_stats,
@@ -369,7 +364,6 @@ def strip_duplicated_spans(
     min_count: int = 2,
     method: str = "auto",
     broadcast_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
     bloom_bits: int = 1 << 23,
 ) -> rd.Dataset:
     """Remove every token covered by a duplicated window from each
@@ -384,9 +378,7 @@ def strip_duplicated_spans(
     ``method="bloom"``: map-only strip against a fixed-size Bloom
     bitmap (see ``dup_span_stats``) — may OVER-cut at the false-positive
     rate, never misses a truly duplicated window."""
-    counts = duplicated_window_counts(
-        ds, text_col, width=width, min_count=min_count, n_shards=n_shards
-    )
+    counts = duplicated_window_counts(ds, text_col, width=width, min_count=min_count)
     member, counts = _resolve_dup_route(
         counts, method, broadcast_threshold_rows, bloom_bits
     )
@@ -477,7 +469,7 @@ def strip_duplicated_spans(
         )
         return pd.DataFrame({id_col: doc_rows[id_col].to_numpy(), text_col: out_texts})
 
-    stripped = exchange(marked.union(docs), id_col, per_shard, n_shards=n_shards)
+    stripped = exchange(marked.union(docs), id_col, per_shard)
     # route-independent output schema (the auto_join convention): the
     # exchange carried only (id, pos, text), so any other input columns
     # are joined back — one more bucketed exchange at corpus scale,

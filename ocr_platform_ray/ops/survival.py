@@ -30,8 +30,6 @@ def kaplan_meier(
     ds: rd.Dataset,
     duration_col: str,
     event_col: str,
-    *,
-    n_shards: int = 32,
 ) -> pd.DataFrame:
     """(t, n_risk, d, censored, surv) over the distinct duration grid.
     ``event_col`` is 1 for an OBSERVED event (churn/death) and 0 for a
@@ -51,7 +49,6 @@ def kaplan_meier(
         ds.map_batches(partial, batch_format="pandas"),
         ["t"],
         {"d": ("d", "sum"), "n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()

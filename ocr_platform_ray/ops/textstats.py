@@ -380,7 +380,6 @@ def token_document_frequency(
     text_col: str = "text",
     min_df: int = 1,
     split: str = " ",
-    n_shards: int = 64,
 ):
     """Vocabulary document frequency (df): for every space-delimited token,
     the number of DISTINCT documents containing it — the corpus-statistics
@@ -406,7 +405,7 @@ def token_document_frequency(
         return pd.DataFrame({"token": vc.index.to_numpy(), "df": vc.to_numpy().astype("int64")})
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    reduced = auto_group_agg(partials, ["token"], {"df": ("df", "sum")}, n_shards=n_shards)
+    reduced = auto_group_agg(partials, ["token"], {"df": ("df", "sum")})
     if isinstance(reduced, pd.DataFrame):
         return reduced[reduced["df"] >= min_df].reset_index(drop=True)
     return reduced.map_batches(lambda b: b[b["df"] >= min_df], batch_format="pandas")
@@ -863,7 +862,6 @@ def zipf_fit(
     text_col: str = "text",
     *,
     top_k: int = 1000,
-    n_shards: int = 32,
     driver_threshold_rows: int = 2_000_000,
 ) -> pd.DataFrame:
     """Zipf rank–frequency fit over the corpus vocabulary (Zipf 1949 —
@@ -902,7 +900,6 @@ def zipf_fit(
         ["token"],
         {"n": ("n", "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(counts, pd.DataFrame):
         pruned = counts.map_batches(
@@ -961,7 +958,6 @@ def heaps_fit(
     id_col: str = "doc_id",
     text_col: str = "text",
     *,
-    n_shards: int = 32,
     min_checkpoint: int = 8,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Heaps'-law vocabulary-growth fit (Heaps 1978 / Herdan 1960 —
@@ -1016,7 +1012,6 @@ def heaps_fit(
         ds.map_batches(doc_lens, batch_format="pandas"),
         id_col,
         "n_toks",
-        n_shards=n_shards,
         out_col="start",
     ).materialize()
     tot_parts = offs.map_batches(
@@ -1038,7 +1033,6 @@ def heaps_fit(
         firsts,
         offs.map_batches(lambda b: b[[id_col, "start"]], batch_format="pandas"),
         on=id_col,
-        n_buckets=n_shards,
     )
 
     def gpos(b: pd.DataFrame) -> pd.DataFrame:
@@ -1053,7 +1047,6 @@ def heaps_fit(
         joined.map_batches(gpos, batch_format="pandas"),
         ["token"],
         {"fp": ("fp", "min")},
-        n_shards=n_shards,
     )
 
     cps = []

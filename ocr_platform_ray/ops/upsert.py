@@ -58,9 +58,9 @@ def _partition_of(keys, n_partitions: int):
     return (shuffle_hash(keys, 0) % n_partitions).astype("int64")
 
 
-def _part_label(key_col: str):
+def _part_label(key_col: str, n_partitions: int):
     """Exchange label of the partition layout: ``_partition_of(key)``."""
-    return lambda b, n: _partition_of(b[key_col].to_numpy(), n)
+    return lambda b: _partition_of(b[key_col].to_numpy(), n_partitions)
 
 
 def _group_part(g: pd.DataFrame, key_col: str, n_partitions: int) -> int:
@@ -89,7 +89,7 @@ def write_merge_target(
         os.replace(tmp, _part_path(target_dir, k))
         return pd.DataFrame({"part": [k], "n": [len(g)]})
 
-    exchange(ds, _part_label(key_col), write_part, n_shards=n_partitions).materialize()
+    exchange(ds, _part_label(key_col, n_partitions), write_part).materialize()
 
 
 def merge_into(
@@ -160,9 +160,7 @@ def merge_into(
             }
         )
 
-    report = exchange(
-        updates, _part_label(key_col), apply_part, n_shards=n_partitions
-    ).to_pandas()
+    report = exchange(updates, _part_label(key_col, n_partitions), apply_part).to_pandas()
     return report.sort_values("part").reset_index(drop=True)
 
 
@@ -270,9 +268,7 @@ def versioned_write_target(
         os.replace(tmp, os.path.join(target_dir, fname))
         return pd.DataFrame({"part": [k], "file": [fname]})
 
-    rep = exchange(
-        ds, _part_label(key_col), write_part, n_shards=n_partitions
-    ).to_pandas()
+    rep = exchange(ds, _part_label(key_col, n_partitions), write_part).to_pandas()
     parts = (
         {str(int(p)): f for p, f in zip(rep["part"], rep["file"])}
         if len(rep)
@@ -354,9 +350,7 @@ def versioned_merge_into(
         os.replace(tmp, os.path.join(target_dir, fname))
         return pd.DataFrame({"part": [k], "file": [fname]})
 
-    rep = exchange(
-        updates, _part_label(key_col), apply_part, n_shards=n_partitions
-    ).to_pandas()
+    rep = exchange(updates, _part_label(key_col, n_partitions), apply_part).to_pandas()
     parts = dict(old_parts)
     for p, f in zip(rep.get("part", []), rep.get("file", [])):
         parts[str(int(p))] = f
@@ -436,9 +430,8 @@ def delete_keys(
 
     rep = exchange(
         keys.map_batches(lambda b: b[[key_col]].drop_duplicates(), batch_format="pandas"),
-        _part_label(key_col),
+        _part_label(key_col, n_partitions),
         apply_part,
-        n_shards=n_partitions,
     ).to_pandas()
     if len(rep) == 0 or "part" not in rep.columns:
         return pd.DataFrame(

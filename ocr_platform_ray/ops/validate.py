@@ -137,7 +137,6 @@ def benford_audit(
     value_col: str,
     *,
     scale: int = 100,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Benford first-significant-digit audit (Newcomb 1881 / Benford 1938
     — the fabricated-data / unit-mixing screen a financial or telemetry
@@ -171,7 +170,6 @@ def benford_audit(
         ds.map_batches(partial, batch_format="pandas"),
         ["digit"],
         {"n": ("n", "sum")},
-        n_shards=n_shards,
     )
     if not isinstance(red, pd.DataFrame):
         red = red.to_pandas()

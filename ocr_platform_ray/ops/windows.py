@@ -15,7 +15,7 @@ hash-shard exchange above the threshold — the (key × bucket) partial
 cardinality at corpus scale can exceed one machine, so the scale route
 keeps the finalize distributed.
 ``sessionize``
-shuffles a bounded ``hash(key) % n_shards`` label and runs one vectorized
+shuffles a bounded ``hash(key)`` label and runs one vectorized
 pandas pass per shard instead of one Python call per key."""
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def grouped_shift(
     order_cols: list[str],
     shifts: dict[str, tuple[str, int]],
     columns: list[str] | None = None,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """LAG/LEAD over partitions (``LAG(col, n) OVER (PARTITION BY key
@@ -144,7 +143,7 @@ def grouped_shift(
     like SQL's NULL.
 
     Scale shape (the ``sessionize`` pattern): ONE bounded
-    ``hash(key) % n_shards`` exchange co-locates each key's rows, then a
+    ``hash(key)`` exchange co-locates each key's rows, then a
     single vectorized pandas pass per shard — mergesort by
     (key, *order_cols) and ``groupby(key).shift(n)``, a cython kernel, no
     per-key Python.  Order inside a group must be made deterministic by
@@ -163,7 +162,7 @@ def grouped_shift(
             g[out_col] = gb[src].shift(n)
         return g
 
-    shifted = exchange(ds.select_columns(keep), key_col, per_shard, n_shards=n_shards)
+    shifted = exchange(ds.select_columns(keep), key_col, per_shard)
     if as_dataset:
         return shifted
     return (
@@ -180,7 +179,6 @@ def grouped_rolling_agg(
     ts_col: str,
     value_col: str,
     window: str = "1h",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Event-time RANGE-frame rolling aggregate per key — the SQL window
@@ -195,7 +193,7 @@ def grouped_rolling_agg(
     frame), ``n_at_ts`` the events collapsed into the row.
 
     Scale shape: a per-batch combiner pre-aggregates to (key, ts) partials
-    so the ONE bounded ``hash(key) % n_shards`` exchange moves partials,
+    so the ONE bounded ``hash(key)`` exchange moves partials,
     not events; each shard runs a single vectorized pass — merge partials
     (vectorized groupby), mergesort by (key, ts), window WIDTHS from the
     cython per-key time-rolling count (``closed="both"`` = RANGE boundary
@@ -238,9 +236,7 @@ def grouped_rolling_agg(
         out["roll_value"] = cv[hi] - cv[lo]
         return out
 
-    rolled = exchange(
-        ds.map_batches(partial, batch_format="pandas"), key_col, per_shard, n_shards=n_shards
-    )
+    rolled = exchange(ds.map_batches(partial, batch_format="pandas"), key_col, per_shard)
     if as_dataset:
         return rolled
     pdf = rolled.to_pandas()
@@ -264,7 +260,6 @@ def grouped_rank(
     rank_col: str = "rnk",
     dense_col: str | None = "drnk",
     pct: bool = False,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """RANK / DENSE_RANK window functions (``RANK() OVER (PARTITION BY
@@ -283,7 +278,7 @@ def grouped_rank(
     bit-for-bit).
 
     Scale shape (the ``grouped_shift`` pattern): project to
-    (keys, order, carry), ONE bounded ``hash(key) % n_shards`` exchange
+    (keys, order, carry), ONE bounded ``hash(key)`` exchange
     co-locates each partition, then a single vectorized cython
     ``groupby().rank`` pass per shard — no per-key Python, and no key
     ever needs more than its own rows in one shard."""
@@ -307,7 +302,7 @@ def grouped_rank(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, rank_col, *(carry_cols or [])],
     )
 
@@ -321,7 +316,6 @@ def grouped_ntile(
     tie_col: str,
     carry_cols: list[str] | None = None,
     ntile_col: str = "nt",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """``NTILE(n) OVER (PARTITION BY key ORDER BY v, tie)``: split every
@@ -333,7 +327,7 @@ def grouped_ntile(
     tie contract).
 
     Scale shape (the `grouped_rank` pattern): project, ONE bounded
-    ``hash(key) % n_shards`` exchange co-locates each partition, then a
+    ``hash(key)`` exchange co-locates each partition, then a
     single vectorized pass per shard — sort, cumcount, and the bucket
     formula in numpy; no per-key Python."""
     if n < 1:
@@ -355,7 +349,7 @@ def grouped_ntile(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, order_col, tie_col],
     )
 
@@ -365,14 +359,13 @@ def _keyed_window(
     key_cols: list[str],
     keep: list[str],
     per_shard,
-    n_shards: int,
     as_dataset: bool,
     sort_cols: list[str],
 ):
     """Shared scaffold for ordered per-key window ops: project, ONE
-    bounded ``hash(key) % n_shards`` exchange, one vectorized pass per
+    bounded ``hash(key)`` exchange, one vectorized pass per
     shard (the `grouped_rank`/`grouped_shift` shape)."""
-    res = exchange(ds.select_columns(keep), key_cols, per_shard, n_shards=n_shards)
+    res = exchange(ds.select_columns(keep), key_cols, per_shard)
     if as_dataset:
         return res
     return res.to_pandas().sort_values(
@@ -390,7 +383,6 @@ def grouped_cumsum(
     carry_cols: list[str] | None = None,
     out_col: str = "running",
     how: str = "sum",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Running aggregate per key (``SUM/MIN/MAX(v) OVER (PARTITION BY
@@ -418,7 +410,7 @@ def grouped_cumsum(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, order_col, tie_col],
     )
 
@@ -434,7 +426,6 @@ def grouped_rolling_rows(
     following: int = 0,
     carry_cols: list[str] | None = None,
     out_col: str = "roll",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """ROW-frame rolling sum per key (``SUM(v) OVER (PARTITION BY key
@@ -470,7 +461,7 @@ def grouped_rolling_rows(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, order_col, tie_col],
     )
 
@@ -481,10 +472,9 @@ def sessionize(
     key_col: str = "user_id",
     ts_col: str = "ts",
     gap_minutes: int = 30,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
-    """Session windows: ONE shuffle on ``hash(key) % n_shards`` (the
+    """Session windows: ONE shuffle on ``hash(key)`` (the
     reassemble_docs shard-exchange — every event of a key lands in the same
     shard), then a single vectorized pandas pass per shard: sort by
     (key, ts), session boundary = key change OR gap > ``gap_minutes``,
@@ -508,9 +498,7 @@ def sessionize(
         out["session_id"] = out.groupby(key_col).cumcount()
         return out[[key_col, "session_id", "session_start", "session_end", "n_events"]]
 
-    sessions = exchange(
-        events.select_columns([key_col, ts_col]), key_col, per_shard, n_shards=n_shards
-    )
+    sessions = exchange(events.select_columns([key_col, ts_col]), key_col, per_shard)
     if as_dataset:
         # at corpus scale the SESSION TABLE itself is corpus-sized —
         # keep it distributed for write_parquet / downstream stages
@@ -529,7 +517,6 @@ def grouped_share(
     *,
     out_col: str = "share",
     driver_threshold_rows: int = 2_000_000,
-    n_shards: int = 64,
 ) -> "rd.Dataset":
     """``RATIO_TO_REPORT``: each row's share of its group's total —
     ``v / SUM(v) OVER (PARTITION BY key)``.  ``value_col`` must be
@@ -552,7 +539,6 @@ def grouped_share(
         key_cols,
         {"t": ("t", "sum")},
         driver_threshold_rows=driver_threshold_rows,
-        n_shards=n_shards,
     )
     if not isinstance(totals, pd.DataFrame):
         totals = totals.to_pandas()
@@ -584,7 +570,6 @@ def funnel_match(
     ts_col: str = "ts",
     type_col: str = "event_type",
     within: pd.Timedelta | None = None,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Ordered-sequence (funnel) matching per key — the
@@ -603,7 +588,7 @@ def funnel_match(
     independent, SQL-mirrorable — full oracle on the event_funnel query).
 
     Scale shape: only rows whose type is one of ``steps`` ride the ONE
-    bounded ``hash(key) % n_shards`` exchange, projected to three columns;
+    bounded ``hash(key)`` exchange, projected to three columns;
     each shard then runs len(steps) vectorized merge+min passes (no
     per-key Python).  The per-step event times themselves are needed for
     the after-chain, so no earlier reduction is possible without changing
@@ -668,9 +653,7 @@ def funnel_match(
         out["stage"] = out["stage"].astype("int64")
         return out
 
-    matched = exchange(
-        ds.map_batches(step_rows, batch_format="pandas"), key_col, per_shard, n_shards=n_shards
-    )
+    matched = exchange(ds.map_batches(step_rows, batch_format="pandas"), key_col, per_shard)
     if as_dataset:
         return matched
     out = matched.to_pandas()
@@ -694,7 +677,6 @@ def grouped_fill(
     tie_col: str,
     value_cols: list[str],
     direction: str = "ffill",
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Per-key ordered NULL fill — SQL's gap-filling window
@@ -710,7 +692,7 @@ def grouped_fill(
     ``tie_col`` makes the order total, so the fill is deterministic and
     block-structure independent.
 
-    Scale shape: ONE bounded ``hash(key) % n_shards`` exchange
+    Scale shape: ONE bounded ``hash(key)`` exchange
     co-locates each key's rows (`_keyed_window`), then a single
     vectorized pass per shard — mergesort by (key, order, tie) and one
     cython ``groupby().ffill/bfill`` per shard.  No per-key Python."""
@@ -727,7 +709,7 @@ def grouped_fill(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, order_col, tie_col],
     )
 
@@ -741,7 +723,6 @@ def grouped_decay_window(
     value_col: str,
     weights: list[float],
     normalize: bool = True,
-    n_shards: int = 64,
     as_dataset: bool = False,
     out_col: str = "decay",
 ) -> pd.DataFrame | rd.Dataset:
@@ -757,7 +738,7 @@ def grouped_decay_window(
     operand-for-operand (left-associated additions), so a LAG-chain SQL
     mirror produces bit-identical doubles.
 
-    Scale shape: ONE bounded ``hash(key) % n_shards`` exchange (the
+    Scale shape: ONE bounded ``hash(key)`` exchange (the
     `grouped_shift` scaffold), then per shard one vectorized pass — a
     mergesort and len(weights) shifted adds; no per-key Python."""
     if not weights:
@@ -788,7 +769,7 @@ def grouped_decay_window(
         return g
 
     return _keyed_window(
-        ds, key_cols, keep, per_shard, n_shards, as_dataset,
+        ds, key_cols, keep, per_shard, as_dataset,
         [*key_cols, order_col, tie_col],
     )
 
@@ -846,7 +827,7 @@ def global_row_number(
         sketch_k,
     )
 
-    def bucket_of(b: pd.DataFrame, n: int) -> np.ndarray:
+    def bucket_of(b: pd.DataFrame) -> np.ndarray:
         v = b[lead].to_numpy(dtype="float64")
         bk = np.searchsorted(cutoffs, v, side="right").astype("int64")
         bk[np.isnan(v)] = len(cutoffs)  # NULLS LAST
@@ -854,7 +835,7 @@ def global_row_number(
 
     counts = auto_group_agg(
         proj.map_batches(
-            lambda b: b.assign(__bucket=bucket_of(b, n_buckets))
+            lambda b: b.assign(__bucket=bucket_of(b))
             .groupby("__bucket", as_index=False)
             .size()
             .rename(columns={"size": "c"}),
@@ -874,14 +855,14 @@ def global_row_number(
         offsets[1:] = np.cumsum(per)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        bk = int(bucket_of(g.iloc[:1], n_buckets)[0])
+        bk = int(bucket_of(g.iloc[:1])[0])
         g = g.sort_values(
             ocols, kind="mergesort", na_position="last"
         ).reset_index(drop=True)
         g[out_col] = offsets[bk] + np.arange(1, len(g) + 1, dtype="int64")
         return g
 
-    res = exchange(proj, bucket_of, per_bucket, n_shards=len(cutoffs) + 1)
+    res = exchange(proj, bucket_of, per_bucket)
     if as_dataset:
         return res
     out = res.to_pandas()
@@ -896,7 +877,6 @@ def densify_buckets(
     key_cols: list[str],
     ts_col: str,
     bucket_us: int,
-    n_shards: int = 64,
     as_dataset: bool = False,
 ) -> pd.DataFrame | rd.Dataset:
     """Gap-filled dense time buckets — the series-densification step
@@ -908,7 +888,7 @@ def densify_buckets(
 
     Scale shape: counts pre-combine per batch to (key, bucket, n)
     partials — the raw events never move — and ONE bounded
-    ``hash(key) % n_shards`` exchange co-locates each key's partials;
+    ``hash(key)`` exchange co-locates each key's partials;
     per shard one vectorized pass sums partials, expands every key's
     [min, max] bucket range (np.repeat + cumulative arange), and
     left-merges the counts.  Output is (keys × their spans)-sized by
@@ -946,9 +926,7 @@ def densify_buckets(
         out["n"] = out["n"].fillna(0).astype("int64")
         return out
 
-    res = exchange(
-        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
-    )
+    res = exchange(ds.map_batches(partial, batch_format="pandas"), gcols, per_shard)
     if as_dataset:
         return res
     out = res.to_pandas()
@@ -969,7 +947,6 @@ def grouped_max_streak(
     *,
     ts_col: str,
     bucket_us: int = 86_400_000_000,
-    n_shards: int = 64,
 ) -> pd.DataFrame:
     """Longest consecutive-bucket activity streak per key (the retention
     "longest daily streak" readout) — the gaps-and-islands rank trick:
@@ -1010,9 +987,7 @@ def grouped_max_streak(
         out["max_streak"] = out["max_streak"].astype("int64")
         return out
 
-    res = exchange(
-        ds.map_batches(partial, batch_format="pandas"), gcols, per_shard, n_shards=n_shards
-    ).to_pandas()
+    res = exchange(ds.map_batches(partial, batch_format="pandas"), gcols, per_shard).to_pandas()
     if len(res) == 0 or "max_streak" not in res.columns:
         return pd.DataFrame(
             {

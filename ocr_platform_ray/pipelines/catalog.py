@@ -56,7 +56,7 @@ def dedup_external_ref(meta: rd.Dataset) -> rd.Dataset:
         g = g.sort_values(["external_ref", "created_at", "url"], kind="mergesort")
         return g[~g["external_ref"].duplicated()]
 
-    return exchange(meta, "external_ref", pick, n_shards=64)
+    return exchange(meta, "external_ref", pick)
 
 
 def assign_unique_slugs(meta: rd.Dataset) -> rd.Dataset:
@@ -71,7 +71,7 @@ def assign_unique_slugs(meta: rd.Dataset) -> rd.Dataset:
         g["slug"] = np.where(k == 0, g["slug"], g["slug"] + "-" + k.astype(str))
         return g
 
-    return exchange(meta, "slug", rank, n_shards=64)
+    return exchange(meta, "slug", rank)
 
 
 def validate_splits(meta: rd.Dataset, pages_per_url: pd.DataFrame) -> pd.DataFrame:
@@ -96,8 +96,6 @@ def validate_splits(meta: rd.Dataset, pages_per_url: pd.DataFrame) -> pd.DataFra
 def merge_documents(
     docs: rd.Dataset,
     plan: pd.DataFrame,
-    *,
-    n_shards: int = 64,
 ) -> rd.Dataset:
     """PDF merge + ``splitsData`` builder — the batch rendering of the
     reference's multi-volume merge (apps/web/src/hooks/useMergePdf.ts:5-28):
@@ -176,9 +174,7 @@ def merge_documents(
             }
         )
 
-    return exchange(
-        docs.map_batches(tag, batch_format="pandas"), "merged_url", assemble, n_shards=n_shards
-    )
+    return exchange(docs.map_batches(tag, batch_format="pandas"), "merged_url", assemble)
 
 
 def merge_with_previous(new_meta: rd.Dataset, prev_meta: rd.Dataset) -> rd.Dataset:

@@ -932,7 +932,7 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
 
 def q_colocated_orders_join(sf_dir: str) -> pd.DataFrame:
     """SHUFFLE-FREE co-located join: orders and customer are first laid
-    out by the same hash(c_custkey) % n_shards layout (the one-time
+    out by the same hash(c_custkey) % 16 layout (the one-time
     partitioning investment), then joined with one map task per shard
     pair — no exchange anywhere in the join (ops/colocated.py).  Same
     oracle semantics as orders_by_segment."""
@@ -1111,7 +1111,7 @@ def q_top_orders_revenue(sf_dir: str, *, finish: str = "auto") -> pd.DataFrame:
     groupby when the probed partial table fits (saves the AllToAll floor
     at sf-scale), the distributed shard exchange above the threshold —
     there each reduced shard emits only its local top 10 and the driver
-    sees <= 10 x n_shards candidate rows.  Routes equivalence-tested."""
+    sees <= 10 x shards candidate rows.  Routes equivalence-tested."""
     from ..ops.relational import auto_group_agg
 
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -1343,7 +1343,7 @@ def q_median_value_by_type(sf_dir: str) -> pd.DataFrame:
             median_value=("value", "median")
         )
 
-    out = exchange(ev, "event_type", med, n_shards=8).to_pandas()
+    out = exchange(ev, "event_type", med).to_pandas()
     out["median_value"] = _round_half_away(out["median_value"], 4)
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -1430,7 +1430,6 @@ def q_running_totals(sf_dir: str) -> pd.DataFrame:
     from ..ops.exchange import exchange
 
     ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    n_shards = 64
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort").copy()
@@ -1438,7 +1437,7 @@ def q_running_totals(sf_dir: str) -> pd.DataFrame:
         g["running_value"] = g.groupby("user_id")["__c"].cumsum() / 100.0
         return g[["event_id", "user_id", "running_value"]]
 
-    out = exchange(ev, "user_id", per_shard, n_shards=n_shards).to_pandas()
+    out = exchange(ev, "user_id", per_shard).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -4075,7 +4074,6 @@ def q_approx_distinct_users_by_type(sf_dir: str) -> pd.DataFrame:
             ev.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
             ["event_type", "user_id"],
             lambda g: g.drop_duplicates(),
-            n_shards=32,
         )
         .map_batches(
             lambda b: b.groupby("event_type", as_index=False).agg(
@@ -6073,7 +6071,6 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
     joined = auto_join(li, orders, "l_orderkey", how="inner")
     late_by = pd.Timedelta(days=90)
-    n_shards = 64
 
     def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0 or "o_orderdate" not in b.columns:
@@ -6098,7 +6095,7 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         # re-dedupe pairs across batches (all of an order's partials are
         # in this shard), reduce each order, then count blames PER
-        # SUPPLIER in-shard — the driver sees <= n_shards x n_suppliers
+        # SUPPLIER in-shard — the driver sees <= shards x n_suppliers
         # partial rows, never the order-count-sized blamed list
         pairs = g.groupby(["l_orderkey", "l_suppkey"], as_index=False).agg(
             late=("late", "max")
@@ -6119,7 +6116,6 @@ def q_tpch_q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
         joined.map_batches(pair_partial, batch_format="pandas"),
         "l_orderkey",
         per_shard,
-        n_shards=n_shards,
     ).to_pandas()
     counts = partials.groupby("l_suppkey", as_index=False).agg(size=("size", "sum"))
     supp = read_dim_pandas(f"{sf_dir}/supplier.parquet", ["s_suppkey", "s_name"])
@@ -6243,7 +6239,7 @@ def q_tpch_q4_order_priority(sf_dir: str) -> pd.DataFrame:
     date+priority projection rides ONE ``auto_join``, a per-batch
     distinct-(order, priority) combiner caps the exchange payload, one
     bounded hash-shard exchange re-dedupes and counts per priority
-    in-shard, and the driver sums <= n_shards x 5 partial rows.  Full SQL
+    in-shard, and the driver sums <= shards x 5 partial rows.  Full SQL
     oracle in TestTailQueryOracles."""
     from ..ops.exchange import exchange
     from ..ops.relational import auto_join
@@ -6260,7 +6256,6 @@ def q_tpch_q4_order_priority(sf_dir: str) -> pd.DataFrame:
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     joined = auto_join(li, orders, "l_orderkey", how="inner")
     late_by = pd.Timedelta(days=30)
-    n_shards = 64
 
     def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0 or "o_orderdate" not in b.columns:
@@ -6281,7 +6276,6 @@ def q_tpch_q4_order_priority(sf_dir: str) -> pd.DataFrame:
         joined.map_batches(pair_partial, batch_format="pandas"),
         "l_orderkey",
         per_shard,
-        n_shards=n_shards,
     ).to_pandas()
     out = partials.groupby("o_orderpriority", as_index=False).agg(
         order_count=("size", "sum")

@@ -107,7 +107,9 @@ def partition_pages_by_url(
         os.replace(path + ".tmp", path)
         return pd.DataFrame({"path": [path], "rows": [len(g)]})
 
-    manifest = exchange(pages, "url", write_shard, n_shards=n_shards).to_pandas()
+    manifest = exchange(
+        pages, lambda b: _hash_labels(b, ["url"], n_shards), write_shard
+    ).to_pandas()
     return sorted(manifest["path"])
 
 

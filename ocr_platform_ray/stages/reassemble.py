@@ -1,6 +1,6 @@
 """Document reassembly — the one required shuffle (SURVEY.md §4).
 
-A ``hash(url) % n_shards`` exchange (``ops/exchange.py``) collects every
+A ``hash(url)`` exchange (``ops/exchange.py``) collects every
 page of a document into one shard (the analogue of the reference's unique
 ``(bookId, pdfPageNumber)`` ordering, packages/db/prisma/schema.prisma:100),
 sorts each url's pages by ``warc_ts`` (strictly increasing per url = page
@@ -45,23 +45,18 @@ def page_text(header: str | None, body: str, footnotes: str | None) -> str:
     return "\n".join(parts)
 
 
-def reassemble_docs(pages_ds, *, n_shards: int = 64):
+def reassemble_docs(pages_ds):
     """pages-extraction Dataset -> per-document Dataset (DOC_OUT_SCHEMA).
 
-    The general-input path — the one required shuffle (SURVEY.md §4),
-    expressed as an explicit url-HASH exchange: a small ``__shard =
-    hash(url) % n_shards`` key is shuffled instead of the url itself, and
-    each shard group (guaranteed to hold every page of its urls) is
-    reassembled with the vectorized block scanner.  Compared to
-    ``groupby("url").map_groups`` this makes n_shards per-group calls
-    instead of one per url (~1.6 ms of table construction each — dominant
-    at millions of urls).
-
-    ``n_shards`` sets only the number of ``_docs_from_block`` calls; the
-    reduce-task count comes from the exchange's output batch
-    (``ops/exchange.py::_ABSORB_BATCH_ROWS``, about total_rows / 65536
-    tasks).  Shard payload ≈ corpus_extracted_bytes / n_shards must fit a
-    worker.
+    The residual part's exchange — the one required shuffle (SURVEY.md
+    §4), run by ``state/manifest.py::run_with_manifest`` on the urls whose
+    pages span files.  It is an explicit url-HASH exchange: a small shard
+    label of ``hash(url)`` is shuffled instead of the url itself, and each
+    shard group (guaranteed to hold every page of its urls) is reassembled
+    with the vectorized block scanner.  Compared to
+    ``groupby("url").map_groups`` this makes one call per shard instead of
+    one per url (~1.6 ms of table construction each — dominant at millions
+    of urls).  The exchange picks the shard count.
 
     (A sort-then-block-scan variant was measured faster still but split
     urls at reduce-block boundaries — rejected for correctness.  For
@@ -71,7 +66,6 @@ def reassemble_docs(pages_ds, *, n_shards: int = 64):
         pages_ds.select_columns(_DOC_INPUT_COLUMNS),
         "url",
         _docs_from_block,
-        n_shards=n_shards,
         batch_format="pyarrow",
     )
 
@@ -97,11 +91,11 @@ def _rank_block(group: pa.Table) -> pa.Table:
     return g.append_column("page_idx", pa.array(idx.astype("int32"), pa.int32()))
 
 
-def assign_page_idx(pages_ds, *, n_shards: int = 64):
+def assign_page_idx(pages_ds):
     """Add the 0-based per-url ``page_idx`` rank column (FIXTURES.md §3).
     Hash-shard exchange on the url (same pattern as ``reassemble_docs``)
     — one vectorized rank pass per shard, never per-url Python."""
-    return exchange(pages_ds, "url", _rank_block, n_shards=n_shards, batch_format="pyarrow")
+    return exchange(pages_ds, "url", _rank_block, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

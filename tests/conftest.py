@@ -21,6 +21,16 @@ def ray_session():
 
 
 @pytest.fixture
+def set_shard_count(monkeypatch):
+    """``set_shard_count(n)``: every exchange planned after the call hashes
+    into ``n`` shards (the private ``ops/exchange.py::_N_SHARDS``); the
+    count is restored when the test ends."""
+    from ocr_platform_ray.ops import exchange
+
+    return lambda n: monkeypatch.setattr(exchange, "_N_SHARDS", n)
+
+
+@pytest.fixture
 def plan_ops():
     """``plan_ops(ds)``: the names of ``ds``'s physical operators after
     Ray's fusion rules, upstream first, without input buffers.  Plans

@@ -18,11 +18,21 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = {"extract", "repartition", "redo", "probe", "gen-corpus", "status", "explain"}
 
 
-def _cli(cwd, *args) -> subprocess.CompletedProcess:
+# runs the CLI with ``ray.init`` made to raise
+_NO_RAY = (
+    "import runpy, ray\n"
+    "def init(*a, **k): raise RuntimeError('ray.init called')\n"
+    "ray.init = init\n"
+    "runpy.run_module('ocr_platform_ray', run_name='__main__')\n"
+)
+
+
+def _cli(cwd, *args, ray_init=True) -> subprocess.CompletedProcess:
     path = [REPO] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    entry = ["-m", "ocr_platform_ray"] if ray_init else ["-c", _NO_RAY]
     proc = subprocess.run(
-        [sys.executable, "-m", "ocr_platform_ray", *args],
+        [sys.executable, *entry, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
@@ -42,6 +52,14 @@ class TestCli:
         out = _cli(tmp_path, "--help").stdout
         choices = re.search(r"\{([a-z,-]+)\}", out)[1]
         assert set(choices.split(",")) == COMMANDS
+
+    def test_gen_corpus_and_status_start_no_ray(self, tmp_path):
+        pages, out = str(tmp_path / "pages"), str(tmp_path / "out")
+        r = _json(_cli(tmp_path, "gen-corpus", "--output", pages, "--urls", "4",
+                       "--urls-per-shard", "2", ray_init=False))
+        assert r == {"shards": 2, "urls": 4}
+        r = _json(_cli(tmp_path, "status", "--output", out, ray_init=False))
+        assert r["committed_parts"] == 0 and r["rows"] == 0
 
     def test_extract_status_redo_status(self, tmp_path):
         """Url 3's first page moved to the last file: the url census sends

@@ -1,14 +1,17 @@
 """The one shard exchange (ops/exchange.py): label equalities that keep
 every converted site's partitioning byte-identical, the per-shard
-contract, reduce-side parallelism, and a guard against hand-rolled
-group-maps or a Ray monkeypatch coming back."""
+contract, reduce-side parallelism, results that do not depend on the
+shard count, and a guard against hand-rolled group-maps, a Ray
+monkeypatch or a caller-chosen shard count coming back."""
 
 import ast
+import importlib.util
 import pathlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 import ray.data as rd
 
@@ -21,6 +24,8 @@ from ocr_platform_ray.ops.exchange import (
 )
 
 PKG = pathlib.Path(ocr_platform_ray.__file__).parent
+REPO = PKG.parent
+SF_SMOKE = "/root/testdata/sf0.001"  # TESTDATA.md: the t1 smoke tables
 
 
 class TestLabels:
@@ -52,7 +57,8 @@ def _stats_tasks(ds: rd.Dataset, op: str) -> int:
 
 
 class TestExchange:
-    def test_per_shard_contract(self, ray_session):
+    def test_per_shard_contract(self, ray_session, set_shard_count):
+        set_shard_count(4)
         df = pd.DataFrame({"k": [f"k{i % 9}" for i in range(90)], "v": range(90)})
         seen = []
 
@@ -63,7 +69,7 @@ class TestExchange:
             return g.groupby("k", as_index=False).agg(n=("v", "size")).assign(sid=sid)
 
         out = exchange(
-            rd.from_pandas(df, override_num_blocks=6), "k", per_shard, n_shards=4
+            rd.from_pandas(df, override_num_blocks=6), "k", per_shard
         ).to_pandas()
         assert sorted(out["k"]) == sorted(df["k"].unique())
         assert (out["n"] == 10).all()
@@ -80,9 +86,8 @@ class TestExchange:
 
         out = exchange(
             rd.from_pandas(df, override_num_blocks=16),
-            lambda b, n: b["k"].to_numpy(),
+            lambda b: b["k"].to_numpy(),
             per_shard,
-            n_shards=64,
         ).materialize()
         assert _stats_tasks(out, "MapBatches(per_shard)") > 1
         shapes = [ray.get(r).shape for r in out.get_internal_block_refs()]
@@ -103,6 +108,32 @@ class TestNoHandRolledExchanges:
                     hits.append(f"{path.relative_to(PKG)}:{node.lineno}")
         assert [h.split(":")[0] for h in hits] == ["ops/exchange.py"], hits
 
+    # The defs that keep an ``n_shards`` parameter: the count is written
+    # into an on-disk layout that a later reader maps back, so it belongs
+    # to the caller.  Each maps to the record that pins it.
+    LAYOUT_DEFS = {
+        "ops/colocated.py::partition_by_key": "_layout.json",
+        "sources/ingest.py::partition_pages_by_url": "pages-NNNNN.parquet names",
+        "ops/search.py::build_bm25_index": "stats.json",
+        "ops/search.py::bm25_index_new_partitions": "config.json",
+        "ops/search.py::_term_shards": "the shard=N/ dirs of stats/config.json",
+        "ops/search.py::_postings_fn": "the shard=N/ dirs of stats/config.json",
+    }
+
+    def test_no_caller_picks_a_shard_count(self):
+        found = set()
+        for path in PKG.rglob("*.py"):
+            rel = path.relative_to(PKG).as_posix()
+            if rel == "ops/exchange.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs
+                    if any(p.arg == "n_shards" for p in params):
+                        found.add(f"{rel}::{node.name}")
+        assert found == set(self.LAYOUT_DEFS), sorted(found ^ set(self.LAYOUT_DEFS))
+
     def test_import_patches_no_ray_class(self):
         from ray.data.grouped_data import GroupedData
 
@@ -111,3 +142,34 @@ class TestNoHandRolledExchanges:
         assert fn.__qualname__ == "GroupedData.map_groups"
         assert not hasattr(fn, "__wrapped__")
 
+
+def _check_correctness():
+    spec = importlib.util.spec_from_file_location(
+        "check_correctness", REPO / "tools" / "check_correctness.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestShardCountFree:
+    """Every query with a SQL oracle gives the oracle's values at any
+    shard count: the count sets only how many ``per_shard`` calls an
+    exchange makes.  1 puts every row in one shard; 7 regroups the rows
+    that the default count puts together."""
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_oracle_queries_match_duckdb(self, ray_session, set_shard_count, n):
+        from ocr_platform_ray.pipelines.queries import ORACLE_SQL, QUERIES
+
+        cc = _check_correctness()
+        set_shard_count(n)
+        con = cc.duckdb_views(SF_SMOKE)
+        bad = []
+        for name, sql in ORACLE_SQL.items():
+            got = cc.to_pandas(QUERIES[name](SF_SMOKE))
+            want = con.sql(sql).df()
+            same_cols = sorted(got.columns) == sorted(want.columns)
+            if not same_cols or cc.value_hash(got) != cc.value_hash(want):
+                bad.append(name)
+        assert not bad, bad

@@ -28,7 +28,7 @@ GRAPH = pd.DataFrame(
 class TestPagerankRoutes:
     def test_dataset_route_matches_driver(self, ray_session):
         drv = pagerank(_edges(GRAPH), n_iter=15, route="driver")
-        ds = pagerank(_edges(GRAPH), n_iter=15, route="dataset", n_shards=16)
+        ds = pagerank(_edges(GRAPH), n_iter=15, route="dataset")
         assert isinstance(ds, rd.Dataset)
         got = ds.to_pandas().sort_values("node").reset_index(drop=True)
         got["node"] = got["node"].astype("int64")
@@ -45,7 +45,6 @@ class TestPagerankRoutes:
         drv = pagerank(_edges(GRAPH), n_iter=12, personalization=pers, route="driver")
         ds = pagerank(
             _edges(GRAPH), n_iter=12, personalization=pers, route="dataset",
-            n_shards=8,
         )
         got = ds.to_pandas().sort_values("node").reset_index(drop=True)
         got["node"] = got["node"].astype("int64")
@@ -67,7 +66,7 @@ class TestPagerankRoutes:
 class TestBfsRoutes:
     def test_dataset_route_matches_driver(self, ray_session):
         drv = bfs_distances(_edges(GRAPH), [1], route="driver")
-        ds = bfs_distances(_edges(GRAPH), [1], route="dataset", n_shards=8)
+        ds = bfs_distances(_edges(GRAPH), [1], route="dataset")
         assert isinstance(ds, rd.Dataset)
         got = (
             ds.to_pandas()
@@ -81,7 +80,7 @@ class TestBfsRoutes:
         # seed 11 reaches 10 only undirected; seed 42 is not in the graph
         drv = bfs_distances(_edges(GRAPH), [11, 42], directed=False, route="driver")
         ds = bfs_distances(
-            _edges(GRAPH), [11, 42], directed=False, route="dataset", n_shards=8
+            _edges(GRAPH), [11, 42], directed=False, route="dataset"
         )
         got = (
             ds.to_pandas()
@@ -109,7 +108,7 @@ class TestHitsRoutes:
         from ocr_platform_ray.ops.graph import hits
 
         drv = hits(_edges(GRAPH), n_iter=10, route="driver")
-        ds = hits(_edges(GRAPH), n_iter=10, route="dataset", n_shards=8)
+        ds = hits(_edges(GRAPH), n_iter=10, route="dataset")
         assert isinstance(ds, rd.Dataset)
         got = ds.to_pandas().sort_values("node").reset_index(drop=True)
         got["node"] = got["node"].astype("int64")

@@ -197,7 +197,7 @@ class TestJoins:
 
         left, right = tables
         got = (
-            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), "k", n_buckets=4)
+            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), "k")
             .to_pandas()
             .sort_values(["k", "v"])
             .reset_index(drop=True)
@@ -215,7 +215,7 @@ class TestJoins:
         right = pd.DataFrame({"k": [2, 3, 999], "name": ["b", "c", "z"], "all_na": [None] * 3})
         got = (
             bucketed_hash_join(
-                rd.from_pandas(left), rd.from_pandas(right), "k", n_buckets=8, how="inner"
+                rd.from_pandas(left), rd.from_pandas(right), "k", how="inner"
             )
             .to_pandas()
             .sort_values("k")
@@ -708,7 +708,6 @@ class TestWindows:
                 key_col="user_id",
                 order_cols=["ts", "event_id"],
                 shifts=shifts,
-                n_shards=5,
             ).reset_index(drop=True)
             pd.testing.assert_frame_equal(
                 got[want.columns.tolist()], want, check_dtype=False
@@ -979,7 +978,7 @@ class TestNativeJoinAndSalt:
             .reset_index(drop=True)
         )
         b = (
-            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), "k", n_buckets=4)
+            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), "k")
             .to_pandas()
             .sort_values(["k", "v"])
             .reset_index(drop=True)
@@ -1000,7 +999,7 @@ class TestCompositeKeyJoin:
             {"a": np.repeat(np.arange(5), 4), "b": np.tile(np.arange(4), 5), "name": range(20)}
         )
         got = (
-            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), ["a", "b"], n_buckets=4)
+            bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), ["a", "b"])
             .to_pandas()
             .sort_values(["a", "b", "v"])
             .reset_index(drop=True)

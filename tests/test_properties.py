@@ -397,24 +397,35 @@ class TestDupSpanKernelProps:
             assert len(toks) - cov[i] == len(kept)
 
 
-def _job_files(n_urls, n_files, interleave, split, shuffle, null):
+def _job_files(n_urls, n_files, interleave, split, shuffle, null, pages=None):
     """The whole input and its files: urls in ranges of consecutive urls
-    or dealt round-robin; ``split = (url, distance)`` moves a many-page
-    url's first page ``distance`` files on; ``shuffle`` seeds a row order
-    inside each file; ``null`` nulls one url."""
+    or dealt round-robin; ``pages[u]`` caps url u's page count;
+    ``split = (url, distance)`` moves a many-page url's first page
+    ``distance`` files on; ``shuffle`` seeds a row order inside each file;
+    ``null`` nulls one url."""
+    import collections
     import random
 
     import pyarrow as pa
 
-    from ocr_platform_ray.corpus import make_pages_table, n_pages_for, url_for
+    from ocr_platform_ray.corpus import make_pages_table, url_for
     from ocr_platform_ray.pipelines.extraction import PAGE_COLUMNS
 
     t = make_pages_table(n_urls).select(PAGE_COLUMNS)
+    if pages is not None:  # a url's rows come in page order
+        seen = collections.Counter()
+        keep = []
+        for i, u in enumerate(t.column("url").to_pylist()):
+            seen[u] += 1
+            if seen[u] <= pages[int(u.rsplit("/", 1)[1])]:
+                keep.append(i)
+        t = t.take(keep)
     home = {url_for(u): u % n_files if interleave else u * n_files // n_urls for u in range(n_urls)}
     urls = t.column("url").to_pylist()
     file_of = [home[u] for u in urls]
-    if split is not None and n_files > 1:
-        many = [url_for(u) for u in range(n_urls) if n_pages_for(u) >= 2]
+    count = collections.Counter(urls)
+    many = [url_for(u) for u in range(n_urls) if count[url_for(u)] >= 2]
+    if split is not None and n_files > 1 and many:
         url, distance = many[split[0] % len(many)], 1 + split[1] % (n_files - 1)
         ts = t.column("warc_ts").to_pylist()
         first = min((i for i, u in enumerate(urls) if u == url), key=lambda i: ts[i])
@@ -429,6 +440,10 @@ def _job_files(n_urls, n_files, interleave, split, shuffle, null):
             random.Random(shuffle + k).shuffle(rows)
         files.append(t.take(rows))
     return t, files
+
+
+# pages per url: the corpus's own counts, or each url's capped at 1..8
+PAGES = st.none() | st.lists(st.integers(1, 8), min_size=12, max_size=12)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -479,13 +494,14 @@ class TestJobPublishesEachUrlOnce:
         fpp_rerun=st.integers(1, 4),
         partitioned=st.booleans(),
         redo=st.integers(0, 11),
+        pages=PAGES,
     )
     # one url's first page in file 0, its other pages in file 3, 2 files
     # per part: each part once published its own copy of the url
     @example(n_urls=12, n_files=4, interleave=True, split=(1, 0), shuffle=None, stats=True,
-             null=None, fpp=2, fpp_rerun=4, partitioned=False, redo=3)
+             null=None, fpp=2, fpp_rerun=4, partitioned=False, redo=3, pages=None)
     def test_run_rerun_redo(self, n_urls, n_files, interleave, split, shuffle, stats, null,
-                            fpp, fpp_rerun, partitioned, redo):
+                            fpp, fpp_rerun, partitioned, redo, pages):
         import os
         import tempfile
 
@@ -502,7 +518,7 @@ class TestJobPublishesEachUrlOnce:
         from ocr_platform_ray.stages.reassemble import _docs_from_block
         from ocr_platform_ray.state.manifest import redo_urls
 
-        whole, files = _job_files(n_urls, n_files, interleave, split, shuffle, null)
+        whole, files = _job_files(n_urls, n_files, interleave, split, shuffle, null, pages)
         want = _docs_from_block(ExtractPages()(whole))
         with tempfile.TemporaryDirectory() as d:
             src, out = os.path.join(d, "pages"), os.path.join(d, "out")
@@ -518,4 +534,64 @@ class TestJobPublishesEachUrlOnce:
             r = redo_urls(src, out, [named[redo % len(named)]], extraction_pipeline,
                           extract_docs, columns=PAGE_COLUMNS)
             assert r["redone_parts"] == 1
+            self._check(out, want)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n_urls=st.integers(4, 12),
+        n_files=st.integers(1, 4),
+        interleave=st.booleans(),
+        split=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 2)),
+        pages=PAGES,
+        fpp=st.integers(1, 4),
+        k=st.integers(0, 3),
+    )
+    # file 1 holds only url 1, whose first page sits in file 2: only the
+    # residual part reads file 1's pages
+    @example(n_urls=4, n_files=4, interleave=False, split=(0, 0), pages=None, fpp=1, k=1)
+    def test_fail_at_file_k_then_resume(self, n_urls, n_files, interleave, split, pages,
+                                        fpp, k):
+        """File k is written without its ``html`` column: the url census
+        reads only ``url``, and whatever extracts k's pages raises.  The
+        job raises after committing every part that does not extract
+        them; once the file is restored, a rerun recomputes only the
+        parts that did not commit."""
+        import os
+        import tempfile
+
+        import pyarrow.parquet as pq
+
+        from ocr_platform_ray.pipelines.extraction import run_extraction
+        from ocr_platform_ray.stages.extract import ExtractPages
+        from ocr_platform_ray.stages.reassemble import _docs_from_block
+        from ocr_platform_ray.state.manifest import completed_parts
+
+        whole, files = _job_files(n_urls, n_files, interleave, split, None, None, pages)
+        want = _docs_from_block(ExtractPages()(whole))
+        k %= n_files
+        urls = [set(t.column("url").to_pylist()) for t in files]
+        residual = {u for u in set().union(*urls) if sum(u in f for f in urls) > 1}
+        n_groups = -(-n_files // fpp)
+        # k's own part extracts its local urls, the residual part its others
+        failing = {k // fpp} if urls[k] - residual else set()
+        failing |= {n_groups} if urls[k] & residual else set()
+        with tempfile.TemporaryDirectory() as d:
+            src, out = os.path.join(d, "pages"), os.path.join(d, "out")
+            os.makedirs(src)
+            paths = [os.path.join(src, f"pages-{i:05d}.parquet") for i in range(n_files)]
+            for i, t in enumerate(files):
+                pq.write_table(t.drop_columns(["html"]) if i == k else t, paths[i])
+            with pytest.raises(Exception):
+                run_extraction(src, out, fragments_per_part=fpp)
+            parts = set(range(n_groups + bool(residual)))
+            assert set(completed_parts(out)) == parts - failing
+            pq.write_table(files[k], paths[k])
+            r = run_extraction(src, out, fragments_per_part=fpp)
+            assert (r["parts"], r["parts"] - r["skipped"]) == (len(parts), len(failing))
             self._check(out, want)

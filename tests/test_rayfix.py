@@ -66,8 +66,7 @@ class TestMapGroupsAbsorber:
         )
         # label == key, so each shard is one group
         out = exchange(
-            ds, lambda b, n: b["k"].to_numpy(), lambda g: g.assign(s=g["v"].sum()),
-            n_shards=8,
+            ds, lambda b: b["k"].to_numpy(), lambda g: g.assign(s=g["v"].sum())
         )
         _assert_typed_blocks(out)
         got = out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
@@ -80,8 +79,8 @@ class TestMapGroupsAbsorber:
             pd.DataFrame({"k": [5, 6, 6], "v": [1, 2, 3]}), override_num_blocks=4
         )
         out = exchange(
-            ds, lambda b, n: b["k"].to_numpy(), lambda t: t.select(["k", "v"]),
-            n_shards=8, batch_format="pyarrow",
+            ds, lambda b: b["k"].to_numpy(), lambda t: t.select(["k", "v"]),
+            batch_format="pyarrow",
         )
         m = out.materialize()
         blocks = [ray.get(r) for r in m.get_internal_block_refs()]
@@ -93,7 +92,7 @@ class TestMapGroupsAbsorber:
             pd.DataFrame({"g": ["a", "a", "b"], "x": [1, 2, 3]}),
             override_num_blocks=6,
         )
-        out = sharded_group_agg(ds, ["g"], {"sx": ("x", "sum")}, n_shards=16)
+        out = sharded_group_agg(ds, ["g"], {"sx": ("x", "sum")})
         _assert_typed_blocks(out)
         got = out.to_pandas().sort_values("g").reset_index(drop=True)
         assert got["sx"].tolist() == [3, 3]
@@ -171,7 +170,7 @@ class TestPaddedUnionJoin:
             pd.DataFrame({"k": [2, 3, 4], "rx": [200, 300, 400], "lx": [9, 9, 9]}),
             override_num_blocks=3,
         )
-        out = bucketed_hash_join(left, right, "k", n_buckets=8)
+        out = bucketed_hash_join(left, right, "k")
         _assert_typed_blocks(out)
         got = out.to_pandas().sort_values("k").reset_index(drop=True)
         assert got.columns.tolist() == ["k", "lx", "rx", "r_lx"]
@@ -187,8 +186,8 @@ class TestPaddedUnionJoin:
             override_num_blocks=3,
         )
         keys = rd.from_pandas(pd.DataFrame({"u": ["b"]}), override_num_blocks=2)
-        semi = _semi_anti_bucketed(data, keys, "u", True, 8)
-        anti = _semi_anti_bucketed(data, keys, "u", False, 8)
+        semi = _semi_anti_bucketed(data, keys, "u", True)
+        anti = _semi_anti_bucketed(data, keys, "u", False)
         _assert_typed_blocks(semi)
         _assert_typed_blocks(anti)
         assert semi.to_pandas()["u"].tolist() == ["b"]
@@ -221,7 +220,7 @@ class TestLabelPropagationTyped:
         pairs = rd.from_pandas(
             pd.DataFrame({"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")})
         )
-        out = dup_clusters_distributed(pairs, n_shards=8, as_dataset=False)
+        out = dup_clusters_distributed(pairs, as_dataset=False)
         assert list(out.columns) == ["id", "cluster_id"]
         assert len(out) == 0
 
@@ -229,7 +228,7 @@ class TestLabelPropagationTyped:
         # 3 edges over 64 shards -> most shards empty every round
         pairs_df = pd.DataFrame({"id_a": [1, 2, 10], "id_b": [2, 3, 11]})
         pairs = rd.from_pandas(pairs_df, override_num_blocks=3)
-        dist = dup_clusters_distributed(pairs, n_shards=64, as_dataset=True)
+        dist = dup_clusters_distributed(pairs, as_dataset=True)
         _assert_typed_blocks(dist)
         got = (
             dist.to_pandas()

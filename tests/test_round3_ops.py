@@ -21,7 +21,7 @@ class TestRangePrefixSum:
         rng = np.random.default_rng(7)
         df = pd.DataFrame({"k": np.arange(1000), "v": rng.integers(0, 50, 1000)})
         got = (
-            range_prefix_sum(rd.from_pandas(df, override_num_blocks=7), "k", "v", n_shards=8)
+            range_prefix_sum(rd.from_pandas(df, override_num_blocks=7), "k", "v")
             .to_pandas()
             .sort_values("k")
             .reset_index(drop=True)
@@ -39,8 +39,7 @@ class TestRangePrefixSum:
         df = pd.DataFrame({"k": keys, "v": rng.integers(1, 9, len(keys))})
         got = (
             range_prefix_sum(
-                rd.from_pandas(df, override_num_blocks=5), "k", "v",
-                n_shards=16, key_max=1000,
+                rd.from_pandas(df, override_num_blocks=5), "k", "v", key_max=1000,
             )
             .to_pandas()
             .sort_values("k")
@@ -117,7 +116,6 @@ class TestDecontamination:
                 rd.from_pandas(tr, override_num_blocks=3),
                 rd.from_pandas(ev, override_num_blocks=2),
                 id_col="doc_id", text_col="text", n=4, method="bucketed",
-                n_buckets=4, n_shards=4,
             )
             .to_pandas()
             .sort_values("doc_id")
@@ -145,7 +143,6 @@ class TestDecontamination:
                 rd.from_pandas(tr, override_num_blocks=3),
                 rd.from_pandas(ev, override_num_blocks=2),
                 id_col="doc_id", text_col="text", n=4, method="bucketed",
-                n_buckets=4, n_shards=4,
             )
             .to_pandas()
             .sort_values("doc_id")
@@ -246,7 +243,7 @@ class TestGroupedTopK:
         got = (
             grouped_top_k(
                 rd.from_pandas(df, override_num_blocks=6), ["g"], "x", 5,
-                tie_col="id", finish="exchange", n_shards=4,
+                tie_col="id", finish="exchange",
             )
             .to_pandas()
             .sort_values(["g", "rk"])
@@ -670,7 +667,7 @@ class TestGroupedOrderedConcat:
             grouped_ordered_concat(
                 rd.from_pandas(df, override_num_blocks=3),
                 group_col="chunk_id", order_col="pos", text_col="text",
-                sep="|", n_shards=4,
+                sep="|",
             )
             .to_pandas()
             .sort_values("chunk_id")

@@ -3,11 +3,14 @@
 the as_dataset minhash pair route, list-column freeze/thaw for the
 pandas exchanges, and the fully-distributed curation chain."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _sorted(df: pd.DataFrame, by) -> pd.DataFrame:
     return df.sort_values(by).reset_index(drop=True)
@@ -273,7 +276,7 @@ import ray, json, sys, hashlib
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, sys.argv[3])
 import ray.data as rd
 from ocr_platform_ray.corpus import make_pages_table
 from ocr_platform_ray.pipelines.curate import curate_corpus
@@ -297,7 +300,7 @@ ray.shutdown()
         import sys
 
         return subprocess.Popen(
-            [sys.executable, "-c", self.CHILD, ckpt or "-", result_path],
+            [sys.executable, "-c", self.CHILD, ckpt or "-", result_path, REPO],
             cwd="/tmp",
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,

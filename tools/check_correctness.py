@@ -8,6 +8,7 @@ Usage: python tools/check_correctness.py [sf_dir]
 from __future__ import annotations
 
 import hashlib
+import pathlib
 import sys
 
 import duckdb
@@ -44,6 +45,14 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
+def duckdb_views(sf_dir: str):
+    """A DuckDB connection with one view per table of ``sf_dir``."""
+    con = duckdb.connect()
+    for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    return con
+
+
 def main(sf_dir: str) -> int:
     import ray
 
@@ -52,12 +61,11 @@ def main(sf_dir: str) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the package of the checkout this file lives in
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from ocr_platform_ray.pipelines.queries import ORACLE_SQL, QUERIES
 
-    con = duckdb.connect()
-    for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    con = duckdb_views(sf_dir)
 
     failures = 0
     for name, fn in QUERIES.items():
