@@ -31,6 +31,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -155,20 +156,19 @@ def pruned_read(
         # empty from the layout's parquet schema instead
         schema = pq.read_schema(any_file)
         names = [n for n in schema.names if columns is None or n in columns]
-        empty = schema.empty_table().select(names).to_pandas()
-        return rd.from_pandas(empty)
+        return rd.from_arrow(schema.empty_table().select(names))
 
-    def residual(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[value_col].to_numpy(dtype="float64")
-        m = np.ones(len(b), dtype=bool)
+    def residual(b: pa.Table) -> pa.Table:
+        v = np.asarray(b.column(value_col).to_numpy(), dtype="float64")
+        m = np.ones(len(v), dtype=bool)
         if lo is not None:
             m &= v >= lo
         if hi is not None:
             m &= v <= hi
-        return b[m]
+        return b.filter(pa.array(m))
 
     return rd.read_parquet(files, columns=columns).map_batches(
-        residual, batch_format="pandas"
+        residual, batch_format="pyarrow"
     )
 
 
@@ -282,20 +282,20 @@ def zorder_pruned_read(
         zm = pq.read_table(os.path.join(out_dir, _ZONEMAP)).to_pandas()
         schema = pq.read_schema(os.path.join(out_dir, zm["file"].iloc[0]))
         names = [n for n in schema.names if columns is None or n in columns]
-        return rd.from_pandas(schema.empty_table().select(names).to_pandas())
+        return rd.from_arrow(schema.empty_table().select(names))
 
-    def residual(b: pd.DataFrame) -> pd.DataFrame:
-        m = np.ones(len(b), dtype=bool)
+    def residual(b: pa.Table) -> pa.Table:
+        m = np.ones(b.num_rows, dtype=bool)
         for c, (lo, hi) in box.items():
-            v = b[c].to_numpy(dtype="float64")
+            v = np.asarray(b.column(c).to_numpy(), dtype="float64")
             if lo is not None:
                 m &= v >= lo
             if hi is not None:
                 m &= v <= hi
-        return b[m]
+        return b.filter(pa.array(m))
 
     return rd.read_parquet(files, columns=columns).map_batches(
-        residual, batch_format="pandas"
+        residual, batch_format="pyarrow"
     )
 
 
@@ -402,13 +402,14 @@ def prefix_pruned_read(
         zm = pq.read_table(os.path.join(out_dir, _ZONEMAP)).to_pandas()
         schema = pq.read_schema(os.path.join(out_dir, zm["file"].iloc[0]))
         names = [n for n in schema.names if columns is None or n in columns]
-        return rd.from_pandas(schema.empty_table().select(names).to_pandas())
+        return rd.from_arrow(schema.empty_table().select(names))
 
-    def residual(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b[value_col].astype(str).str.startswith(prefix)]
+    def residual(b: pa.Table) -> pa.Table:
+        hit = pc.starts_with(b.column(value_col).cast(pa.string()), prefix)
+        return b.filter(pc.fill_null(hit, "None".startswith(prefix)))  # a null reads "None"
 
     return rd.read_parquet(files, columns=columns).map_batches(
-        residual, batch_format="pandas"
+        residual, batch_format="pyarrow"
     )
 
 

@@ -2,8 +2,8 @@
 
     url census (every file's url column) -> local urls and residual urls
     per input file, one plain Ray task:
-        read the file -> drop its residual urls -> ExtractPages ->
-        reassemble its urls -> write
+        read the file -> drop its residual urls -> each page from bytes
+        to row in one pass -> assemble its urls' docs -> write
     the residual urls of every file, as one Ray Data execution:
         read_parquet(filtered) -> map_batches(ExtractPages(), fused into
         the read) -> hash(url) % 64 shard exchange (reassemble in warc_ts
@@ -25,8 +25,9 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.extract import ExtractPages
-from ..stages.reassemble import _docs_from_block, reassemble_docs, reassemble_docs_partitioned
+from ..stages.extract import ExtractPages, _extract_row
+from ..stages.reassemble import _assemble_docs, _page_order, reassemble_docs
+from ..stages.reassemble import reassemble_docs_partitioned
 from ..stages.skew import explode_oversized
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text"]
@@ -84,13 +85,23 @@ def extraction_pipeline(
 def extract_docs(pages: pa.Table, *, max_blob_bytes: int | None = None) -> pa.Table:
     """One file's local pages, every page of their urls (the url census
     leaves no other in the table) -> their docs, in-process: the job's
-    per-file task (``run_with_manifest``) runs it.
+    per-file task (``run_with_manifest``) runs it.  Each page goes from
+    its bytes to its row in one pass (``_extract_row``, 256 raw pages held
+    at a time, as in ``ExtractPages``), and the rows go in ``_page_order``
+    straight into ``_assemble_docs``: the docs of ``ExtractPages`` then
+    ``_docs_from_block``, without their per-page Arrow table.
     ``max_blob_bytes`` runs the oversized-payload splitter first.  Its
     globals reach neither ``ray.data`` nor the url exchange, so the task's
     worker never imports them."""
     if max_blob_bytes is not None:
         pages = explode_oversized(pages, max_bytes=max_blob_bytes)
-    return _docs_from_block(ExtractPages()(pages))
+    rows = []
+    for b in pages.select(["html", "text"]).to_batches(256):
+        extracted = map(_extract_row, b.column(0).to_pylist(), b.column(1).to_pylist())
+        rows += (row for row, _ in extracted)  # keep no page's parts alive
+    urls = pages.column("url").to_pylist()
+    order = _page_order(pages).to_pylist()
+    return _assemble_docs([urls[i] for i in order], [rows[i] for i in order])
 
 
 def run_extraction(
@@ -122,11 +133,14 @@ def run_extraction(
             pages = explode_oversized(pages, max_bytes=max_blob_bytes)
         return extraction_pipeline(pages)
 
+    # one exported remote function per driver process (``_lander``)
+    # serves every job that passes the module-level function
+    docs = functools.partial(extract_docs, max_blob_bytes=max_blob_bytes)
     return run_with_manifest(
         input_path,
         output_dir,
         pipe,
-        functools.partial(extract_docs, max_blob_bytes=max_blob_bytes),
+        extract_docs if max_blob_bytes is None else docs,
         resume=resume,
         fragments_per_part=fragments_per_part,
         columns=PAGE_COLUMNS,

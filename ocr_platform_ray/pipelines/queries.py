@@ -2739,6 +2739,7 @@ def q_unigram_token_count(sf_dir: str) -> pd.DataFrame:
     below and symbol count above, multi-char pieces actually learned
     (corpus-level compression), trainer pinned block-structure
     independent in TestUnigram."""
+    from ..functions.bpe import pretokenize
     from ..ops.unigram import UnigramTokenizer, unigram_train_distributed
 
     ds = _t(sf_dir, "documents", ["doc_id", "text"])
@@ -2754,8 +2755,6 @@ def q_unigram_token_count(sf_dir: str) -> pd.DataFrame:
             self.tok = UnigramTokenizer(vocab, max_piece_len=6)
 
         def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            from ..functions.bpe import pretokenize
-
             n_tok, n_sym, n_words = [], [], []
             for t in b["text"]:
                 words = pretokenize(str(t).lower())

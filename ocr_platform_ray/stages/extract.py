@@ -6,14 +6,19 @@ apps/queue/src/pipeline/utils.ts:38-57, pipeline/index.ts:60-104) and flag
 assignment (M8: ``NEEDS_ADDITIONAL_REVIEW`` on failure, ``EMPTY`` on empty
 body — apps/queue/src/queues/page/worker.ts:41-66).
 
-Two payload backends, selected per row by content sniffing (the reference's
-``mode`` engine selection, pipeline/utils.ts:5-8 / E2):
-  * HTML: regex block tokenizer -> boilerplate strip (tag/class/link-density
-    heuristics, the deterministic analogue of the convert-to-html prompt's
-    structure rules, convert-to-html.ts:3-18) -> segmentation into
-    {header, body, footnotes, page_number} (segment.ts:26-37 output shape).
-  * FAKEPDF layout lines: bbox parse -> XY-cut reading-order reconstruction
-    -> same segmentation (north_star's PDF path).
+Each page is one pass from its bytes to its row (``_extract_row``).  The
+payload backend is selected per row by content sniffing (the reference's
+``mode`` engine selection, pipeline/utils.ts:5-8 / E2), and every backend
+feeds its blocks, in reading order, to one segmentation state machine
+(``_Page``) that builds {header, body, footnotes, page_number}
+(segment.ts:26-37 output shape):
+  * HTML: one pass tokenizes (``_BLOCK_TOKEN_RE.split``), classifies each
+    block as the tag stack closes it (boilerplate strip by tag/class/
+    link-density heuristics, the deterministic analogue of the
+    convert-to-html prompt's structure rules, convert-to-html.ts:3-18) and
+    segments it.
+  * PDF byte streams and FAKEPDF layout lines: positioned boxes -> XY-cut
+    reading-order reconstruction (north_star's PDF path).
 
 Everything is pure and deterministic: byte-identical output per (html,
 text) input regardless of parallelism, block order, or batch size.
@@ -35,6 +40,7 @@ from ..schemas import (
     STAGE_CORRECT,
     STAGE_SEGMENT,
 )
+from .font import _PerProcessCache
 from .pdf import pdf_page_boxes
 
 # --- compiled parser state (module level, shared by every task) -----------
@@ -64,99 +70,76 @@ _BOILER_CLASS_WORDS = ("menu", "share", "ad-", "ads", "banner", "social", "sideb
 
 _HEADING_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6"}
 _BOILER_TAGS = {"nav", "aside", "footer"}
+_FAKEPDF_PREFIX = FAKEPDF_MAGIC.decode()
+_FAKEPDF_ROLES = {"head": "heading", "para": "para", "foot": "footnote", "pageno": "pageno"}
+
+# per-process memos of the per-tag work: an ``attrs`` string -> its
+# lowercased class, and a (tag, class) -> its markup facts.  Each stops
+# growing at _MEMO_MAX entries (hostile input cannot grow them) and only
+# saves recomputing a pure function, so no output depends on them.
+_MEMO_MAX = 4096
+_CLASS_OF: dict[str, str] = _PerProcessCache()
+_MARKUP_OF: dict[tuple[str, str], tuple] = _PerProcessCache()
 
 
-class _Block:
-    __slots__ = ("tag", "cls", "raw")
-
-    def __init__(self, tag: str, cls: str, raw: str):
-        self.tag = tag
-        self.cls = cls
-        self.raw = raw
-
-
-def _tokenize_blocks(html: str) -> list[_Block]:
-    """Split cleaned HTML into flat leaf blocks.  A stack of open block tags
-    accumulates raw inner HTML; closing (or EOF) emits the block.  Nested
-    children consume their own text (parents keep only directly-owned text).
-    Tolerant of unclosed tags (malformed input must not raise)."""
-    html = _COMMENT_RE.sub(" ", html)
-    html = _SCRIPT_STYLE_RE.sub(" ", html)
-    blocks: list[_Block] = []
-    # stack entries: [tag, cls, buffer_parts]
-    stack: list[list] = []
-    # one C-level split instead of a finditer loop with per-match group()
-    # calls: parts = [lead, closing, tag, attrs, between, ...]; a
-    # self-closing tag's attrs end in "/"
-    parts = _BLOCK_TOKEN_RE.split(html)
-    for closing, tag, attrs, text_after in zip(parts[1::4], parts[2::4], parts[3::4], parts[4::4]):
-        tag = tag.lower()
-        if tag == "br":
-            if stack:
-                stack[-1][2].append("\n")
-        elif tag == "hr":
-            blocks.append(_Block("hr", "", ""))
-        elif closing:
-            # pop to matching tag (tolerate mismatches)
-            for j in range(len(stack) - 1, -1, -1):
-                if stack[j][0] == tag:
-                    while len(stack) > j:
-                        t, c, buf = stack.pop()
-                        blocks.append(_Block(t, c, "".join(buf)))
-                    break
-        elif attrs[-1:] == "/":
-            pass
+def _markup_of(tag: str, attrs: str) -> tuple[bool, bool, str | None]:
+    """A block tag's markup facts: (boilerplate by tag or class alone,
+    whatever the text; a ``div``, whose digit-only text is a page number;
+    the role the markup fixes, or None when the text decides between
+    footnote and para)."""
+    cls = ""
+    if attrs and "class" in attrs:
+        cls = _CLASS_OF.get(attrs)
+        if cls is None:
+            cm = _CLASS_RE.search(attrs)
+            cls = cm.group(1).lower() if cm else ""
+            if len(_CLASS_OF) < _MEMO_MAX:
+                _CLASS_OF[attrs] = cls
+    key = (tag, cls)
+    facts = _MARKUP_OF.get(key)
+    if facts is None:
+        if "pageno" in cls:
+            role = "pageno"
+        elif "header" in cls:
+            role = "running_head"
+        elif tag in _HEADING_TAGS:
+            role = "heading"
+        elif "fn" in cls.split():
+            role = "footnote"
         else:
-            if attrs and "class" in attrs:
-                cm = _CLASS_RE.search(attrs)
-                cls = cm.group(1).lower() if cm else ""
-            else:
-                cls = ""
-            stack.append([tag, cls, []])
-        if stack and text_after:
-            stack[-1][2].append(text_after)
-    while stack:  # unclosed at EOF
-        t, c, buf = stack.pop()
-        blocks.append(_Block(t, c, "".join(buf)))
-    return blocks
+            role = None
+        boiler = tag in _BOILER_TAGS or (bool(cls) and any(w in cls for w in _BOILER_CLASS_WORDS))
+        facts = (boiler, tag == "div", role)
+        if len(_MARKUP_OF) < _MEMO_MAX:
+            _MARKUP_OF[key] = facts
+    return facts
 
 
-def _inline_to_text(raw: str) -> tuple[str, float, float]:
-    """Resolve inline markup inside a block: <sup>n</sup> -> [^n] footnote
-    marks (convert-to-html.ts:15 contract), <a> text kept but measured for
-    link density.  Returns (clean_text, link_density, text_density) where
-    text_density = clean chars / raw chars incl. markup — the classic
-    boilerplate signal (north_star "text-density block classification").
-    Tag-free blocks (the common case) skip every regex pass."""
+def _block_text(raw: str) -> str:
+    """A block's text: <sup>n</sup> -> [^n] footnote marks
+    (convert-to-html.ts:15 contract), other tags dropped, entities
+    resolved, normalized; "" for boilerplate by text — link-dominated
+    (<a> text over half the text), or a markup-dominated short block
+    (widgets, buttons, icon rows: clean chars / raw chars incl. markup
+    under 0.1, the classic text-density signal, north_star "text-density
+    block classification").  Tag-free blocks (the common case) skip every
+    regex pass."""
     if "<" not in raw:
-        t = _htmllib.unescape(raw) if "&" in raw else raw
-        return normalize_text(t), 0.0, 1.0
+        return normalize_text(_htmllib.unescape(raw) if "&" in raw else raw)
     link_chars = (
         sum(len(_TAG_RE.sub("", g)) for g in _A_TEXT_RE.findall(raw)) if "<a" in raw else 0
     )
-    t = _SUP_RE.sub(lambda m: f"[^{m.group(1)}]", raw) if "<sup" in raw else raw
-    t = _TAG_RE.sub(" ", t)
+    t = _SUP_RE.sub(r"[^\1]", raw) if "<sup" in raw else raw
+    if "<" in t:
+        t = _TAG_RE.sub(" ", t)
     if "&" in t:
         t = _htmllib.unescape(t)  # &amp; / &#39; / named entities
     t = normalize_text(t)
-    total = max(1, len(t))
-    density = len(t) / max(1, len(raw))
-    return t, min(1.0, link_chars / total), density
-
-
-def _is_boiler_markup(tag: str, cls: str) -> bool:
-    """Boilerplate by tag or class alone, whatever the block's text."""
-    return tag in _BOILER_TAGS or (bool(cls) and any(w in cls for w in _BOILER_CLASS_WORDS))
-
-
-def _is_boiler_text(text: str, link_density: float, text_density: float) -> bool:
-    if link_density > 0.5 and len(text) < 400:
-        return True
-    # markup-dominated short block (widgets, buttons, icon rows): almost
-    # all bytes are tags, almost none are text
-    if text_density < 0.1 and len(text) < 80:
-        return True
-    return False
+    if (link_chars / max(1, len(t)) > 0.5 and len(t) < 400) or (
+        len(t) / max(1, len(raw)) < 0.1 and len(t) < 80
+    ):
+        return ""
+    return t
 
 
 def _xycut_order(items: list[tuple[float, float, float, float, str, str]]) -> list[tuple[str, str]]:
@@ -210,157 +193,182 @@ def _parse_fakepdf(payload: str) -> list[tuple[str, str]]:
     return _xycut_order(boxes)
 
 
-def _failed(stage: str, salvage_text: str) -> dict:
+def _failed(stage: str, salvage_text: str) -> tuple[tuple, None]:
     """M5 semantics: short-circuit with best-so-far text, flag for review."""
     body = normalize_text(salvage_text or "")
-    return {
-        "header": None,
-        "body": body,
-        "footnotes": None,
-        "page_number": None,
-        "spans": [],
-        "total_words": count_words(body),
-        "flags": [FLAG_NEEDS_REVIEW] + ([FLAG_EMPTY] if not body else []),
-        "failed_stage": stage,
-    }
+    return (None, body, None, None, count_words(body), stage), None
 
 
-def _segment(roles: list[tuple[str, str]]) -> dict:
-    """M3: assemble {header, body, footnotes, page_number} + spans from an
-    ordered (role, text) block list.  role in {running_head, heading, para,
-    footnote, pageno, hr}.  Rules (deterministic, frozen by goldens):
+class _Page:
+    """M3 segmentation, one block at a time: every backend feeds ``add``
+    its (role, text) blocks in reading order, role in {running_head,
+    heading, para, footnote, pageno, hr} (any other role is a para).
+    Rules (deterministic, frozen by goldens):
       - header = running-head blocks + headings seen before the first body
         paragraph, joined by '\\n'.
-      - body   = paragraphs and later headings, joined by '\\n\\n'.
+      - body   = paragraphs and later headings, joined by '\\n\\n'; a
+        paragraph after an hr is a footnote.
       - footnotes = footnote blocks joined '\\n' (None if none).
-      - page_number = first digit-only pageno block (None if absent).
-      - spans = (kind, byte_start, byte_end) into the utf-8 body."""
-    header_parts: list[str] = []
-    body_parts: list[tuple[str, str]] = []  # (kind, text)
-    footnote_parts: list[str] = []
-    page_number = None
-    in_footnote_zone = False
-    body_started = False
-    for role, text in roles:
+      - page_number = first int-parsable pageno block (None if absent)."""
+
+    __slots__ = ("header", "body", "kinds", "footnotes", "page_number", "in_footnotes", "body_started")
+
+    def __init__(self):
+        # kinds: "heading" | "para", one per body part
+        self.header, self.body, self.kinds, self.footnotes = [], [], [], []
+        self.page_number, self.in_footnotes, self.body_started = None, False, False
+
+    def add(self, role: str, text: str) -> None:
         if role == "hr":
-            in_footnote_zone = True
-            continue
-        if role == "pageno":
-            if page_number is None:
+            self.in_footnotes = True
+        elif role == "pageno":
+            if self.page_number is None:
                 try:
-                    page_number = int(text)
+                    self.page_number = int(text)
                 except ValueError:
                     pass
-            continue
-        if role == "footnote" or (in_footnote_zone and role == "para"):
-            footnote_parts.append(text)
-            continue
-        if role == "running_head":
-            if not body_started:
-                header_parts.append(text)
-            continue
-        if role == "heading":
-            if body_started:
-                body_parts.append(("heading", text))
+        elif role == "footnote" or (self.in_footnotes and role == "para"):
+            self.footnotes.append(text)
+        elif role == "running_head":
+            if not self.body_started:
+                self.header.append(text)
+        elif role == "heading":
+            if self.body_started:
+                self.body.append(text)
+                self.kinds.append(role)
             else:
-                header_parts.append(text)
-            continue
-        # para
-        body_started = True
-        body_parts.append(("para", text))
+                self.header.append(text)
+        else:
+            self.body_started = True
+            self.body.append(text)
+            self.kinds.append("para")
 
-    spans = []
-    chunks = []
-    offset = 0
-    for kind, text in body_parts:
-        if chunks:
-            offset += 2  # "\n\n" separator
-        b = len(text.encode("utf-8"))
-        spans.append({"kind": kind, "start": offset, "end": offset + b})
-        offset += b
-        chunks.append(text)
-    body = "\n\n".join(chunks)
-    header = "\n".join(header_parts) if header_parts else None
-    footnotes = "\n".join(footnote_parts) if footnote_parts else None
-    total_words = count_words(body) + count_words(footnotes or "")
-    flags = [FLAG_EMPTY] if not body else []
-    return {
-        "header": header,
-        "body": body,
-        "footnotes": footnotes,
-        "page_number": page_number,
-        "spans": spans,
-        "total_words": total_words,
-        "flags": flags,
-        "failed_stage": None,
-    }
+    def build(self) -> tuple:
+        """The page row: (header, body, footnotes, page_number,
+        total_words, failed_stage)."""
+        body = "\n\n".join(self.body)
+        header = "\n".join(self.header) if self.header else None
+        footnotes = "\n".join(self.footnotes) if self.footnotes else None
+        total_words = count_words(body) + count_words(footnotes or "")
+        return header, body, footnotes, self.page_number, total_words, None
 
 
-def extract_page(html: bytes, prior_text: str) -> dict:
-    """Pure fused extraction for one page (M1+M2+M3+M5+M6+M8)."""
+def _add_block(markup: tuple, raw: str, add) -> None:
+    """Classify one closed block straight into the page (M2 boilerplate
+    strip + role)."""
+    boiler, is_div, role = markup
+    # a boilerplate block is dropped whatever its text, so its text is
+    # only built when it holds an entity: unescaping an over-long
+    # "&#...;" raises, which fails the page
+    if not raw or (boiler and "&" not in raw):
+        return
+    text = _block_text(raw)
+    if not text or boiler:
+        return
+    if is_div and len(text) <= 6 and text.isdigit():
+        role = "pageno"
+    elif role is None:
+        role = "footnote" if _FOOTNOTE_START_RE.match(text) else "para"
+    add(role, text)
+
+
+def _html_pass(payload: str, add) -> bool:
+    """Tokenize, classify and segment HTML in one pass; False when no
+    block structure is recognized at all.  A stack of open block tags
+    accumulates raw inner HTML; closing (or EOF) classifies the block into
+    ``add``.  Nested children consume their own text (parents keep only
+    directly-owned text).  Tolerant of unclosed and mismatched tags
+    (malformed input must not raise)."""
+    payload = _SCRIPT_STYLE_RE.sub(" ", _COMMENT_RE.sub(" ", payload))
+    # one C-level split instead of a finditer loop with per-match group()
+    # calls: parts = [lead, closing, tag, attrs, between, ...]; a
+    # self-closing tag's attrs end in "/"
+    parts = _BLOCK_TOKEN_RE.split(payload)
+    found = False
+    stack: list[tuple[str, tuple, list[str]]] = []  # (tag, markup facts, raw parts)
+    top = None  # the innermost open block's raw parts
+    for closing, tag, attrs, text_after in zip(parts[1::4], parts[2::4], parts[3::4], parts[4::4]):
+        tag = tag.lower()
+        if tag == "br":
+            if top is not None:
+                top.append("\n")
+        elif tag == "hr":
+            found = True
+            add("hr", "")
+        elif closing:
+            if stack and stack[-1][0] == tag:
+                _, markup, raw = stack.pop()
+                _add_block(markup, "".join(raw), add)
+            else:  # pop to matching tag (tolerate mismatches)
+                for j in range(len(stack) - 2, -1, -1):
+                    if stack[j][0] == tag:
+                        while len(stack) > j:
+                            _, markup, raw = stack.pop()
+                            _add_block(markup, "".join(raw), add)
+                        break
+            top = stack[-1][2] if stack else None
+        elif attrs[-1:] != "/":
+            found = True
+            top = []
+            stack.append((tag, _markup_of(tag, attrs), top))
+        if text_after and top is not None:
+            top.append(text_after)
+    while stack:  # unclosed at EOF
+        _, markup, raw = stack.pop()
+        _add_block(markup, "".join(raw), add)
+    return found
+
+
+def _decode(html: bytes) -> str:
+    """Charset chain (real CC pages are mixed-encoding): declared meta
+    charset (sniffed from the head bytes) strict, then utf-8 strict, then
+    latin-1 (total — every byte sequence decodes)."""
+    head = html[:2048]
+    m = _CHARSET_RE.search(head) if b"charset" in head.lower() else None
+    declared = m and _CHARSET_ALIASES.get(m.group(1).decode("ascii", "replace").lower())
+    for codec in (declared, "utf-8"):
+        if codec:
+            try:
+                return html.decode(codec)
+            except (UnicodeDecodeError, LookupError):
+                pass
+    return html.decode("latin-1")
+
+
+def _extract_row(html: bytes | None, prior_text: str | None) -> tuple[tuple, _Page | None]:
+    """Pure fused extraction for one page (M1+M2+M3+M5+M6): ((header,
+    body, footnotes, page_number, total_words, failed_stage), the
+    segmented ``_Page``, None on failure)."""
     # ---- stage CORRECT: decode + normalize --------------------------------
-    # charset chain (real CC pages are mixed-encoding): declared meta
-    # charset (sniffed from the head bytes) strict, then utf-8 strict,
-    # then latin-1 (total — every byte sequence decodes).  The failure
-    # path is a missing/empty payload: salvage prior text, flag (M5).
+    # The failure path is a missing/empty payload: salvage prior text,
+    # flag (M5).
     if not html:
         return _failed(STAGE_CORRECT, prior_text)
+    page = _Page()
+    # ---- stage CONVERT_TO_HTML: structure ---------------------------------
     # real PDF byte stream (E2 backend sniff on BYTES — a PDF must never
     # go through charset decoding): public-spec parser -> positioned
-    # boxes -> the same XY-cut + segment path as the layout backend.
+    # boxes -> the same XY-cut + segmentation as the layout backend.
     # Multi-page blobs concatenate pages in page-tree order (normally a
     # blob is one page — S2/S3 explode multi-page documents upstream).
     if html[:5] == b"%PDF-":
         try:
-            roles = []
             for boxes in pdf_page_boxes(html):
                 for role, text in _xycut_order(boxes):
                     text = normalize_text(text)
-                    if not text:
-                        continue
-                    roles.append((role, text))
+                    if text:
+                        page.add(role, text)
         except Exception:
             return _failed(STAGE_CONVERT, prior_text)
+    else:
+        payload = _decode(html)
         try:
-            return _segment(roles)
-        except Exception:
-            return _failed(STAGE_SEGMENT, prior_text)
-    payload = None
-    head = html[:2048]
-    m = _CHARSET_RE.search(head) if b"charset" in head.lower() else None
-    if m:
-        codec = _CHARSET_ALIASES.get(m.group(1).decode("ascii", "replace").lower())
-        if codec:
-            try:
-                payload = html.decode(codec)
-            except (UnicodeDecodeError, LookupError):
-                payload = None
-    if payload is None:
-        try:
-            payload = html.decode("utf-8")
-        except UnicodeDecodeError:
-            payload = html.decode("latin-1")
-
-    # ---- stage CONVERT_TO_HTML: structure ---------------------------------
-    try:
-        if payload.startswith(FAKEPDF_MAGIC.decode()):
-            roles_raw = _parse_fakepdf(payload[len(FAKEPDF_MAGIC) :])
-            roles = []
-            for role, text in roles_raw:
-                text = normalize_text(text)
-                if not text and role != "hr":
-                    continue
-                roles.append(
-                    {
-                        "head": ("heading", text),
-                        "para": ("para", text),
-                        "foot": ("footnote", text),
-                        "pageno": ("pageno", text),
-                    }.get(role, ("para", text))
-                )
-        else:
-            blocks = _tokenize_blocks(payload)
-            if not blocks:
+            if payload.startswith(_FAKEPDF_PREFIX):
+                for role, text in _parse_fakepdf(payload[len(_FAKEPDF_PREFIX) :]):
+                    text = normalize_text(text)
+                    if text or role == "hr":
+                        page.add(_FAKEPDF_ROLES.get(role, "para"), text)
+            elif not _html_pass(payload, page.add):
                 # E2 fallback chain (pipeline/utils.ts:16-36 semantics): no
                 # block structure recognized at all (plain-text payload) ->
                 # the whole normalized text is the body.  Only fires when
@@ -370,46 +378,56 @@ def extract_page(html: bytes, prior_text: str) -> dict:
                 if "&" in t:
                     t = _htmllib.unescape(t)
                 t = normalize_text(t)
-                return _segment([("para", t)] if t else [])
-            roles = []
-            for blk in blocks:
-                if blk.tag == "hr":
-                    roles.append(("hr", ""))
-                    continue
-                boiler = _is_boiler_markup(blk.tag, blk.cls)
-                # such a block is dropped whatever its text, so its text is
-                # only built when it holds an entity: unescaping an
-                # over-long "&#...;" raises, which fails the page
-                if boiler and "&" not in blk.raw:
-                    continue
-                text, link_density, text_density = _inline_to_text(blk.raw)
-                if not text or boiler or _is_boiler_text(text, link_density, text_density):
-                    continue
-                if "pageno" in blk.cls or (text.isdigit() and len(text) <= 6 and blk.tag == "div"):
-                    roles.append(("pageno", text))
-                elif "header" in blk.cls:
-                    roles.append(("running_head", text))
-                elif blk.tag in _HEADING_TAGS:
-                    roles.append(("heading", text))
-                elif "fn" in blk.cls.split() or _FOOTNOTE_START_RE.match(text):
-                    roles.append(("footnote", text))
-                else:
-                    roles.append(("para", text))
-    except Exception:
-        return _failed(STAGE_CONVERT, prior_text)
-
+                if t:
+                    page.add("para", t)
+        except Exception:
+            return _failed(STAGE_CONVERT, prior_text)
     # ---- stage SEGMENT ----------------------------------------------------
     try:
-        return _segment(roles)
+        return page.build(), page
     except Exception:
         return _failed(STAGE_SEGMENT, prior_text)
+
+
+def extract_page(html: bytes, prior_text: str) -> dict:
+    """One page's extraction row (M1+M2+M3+M5+M6+M8): ``_extract_row``
+    plus the body's spans — (kind, byte_start, byte_end) into the utf-8
+    body — and the flags (M8: ``NEEDS_ADDITIONAL_REVIEW`` on failure,
+    ``EMPTY`` on an empty body)."""
+    (header, body, footnotes, page_number, total_words, failed), page = _extract_row(html, prior_text)
+    spans, start = [], 0
+    for kind, text in zip(page.kinds, page.body) if page is not None else ():
+        end = start + (len(text) if text.isascii() else len(text.encode("utf-8")))
+        spans.append({"kind": kind, "start": start, "end": end})
+        start = end + 2  # the "\n\n" separator
+    flags = ([FLAG_NEEDS_REVIEW] if failed else []) + ([FLAG_EMPTY] if not body else [])
+    return {
+        "header": header,
+        "body": body,
+        "footnotes": footnotes,
+        "page_number": page_number,
+        "spans": spans,
+        "total_words": total_words,
+        "flags": flags,
+        "failed_stage": failed,
+    }
 
 
 # ---------------------------------------------------------------------------
 # map_batches stage
 # ---------------------------------------------------------------------------
-_SPAN_T = pa.list_(
-    pa.struct([pa.field("kind", pa.string()), pa.field("start", pa.int64()), pa.field("end", pa.int64())])
+# ``extract_page``'s row: ``ExtractPages``' columns after url and warc_ts
+_PAGE_ROW = pa.schema(
+    [
+        ("header", pa.string()),
+        ("body", pa.string()),
+        ("footnotes", pa.string()),
+        ("page_number", pa.int32()),
+        ("spans", pa.list_(pa.struct([("kind", pa.string()), ("start", pa.int64()), ("end", pa.int64())]))),
+        ("total_words", pa.int64()),
+        ("flags", pa.list_(pa.string())),
+        ("failed_stage", pa.string()),
+    ]
 )
 
 
@@ -436,19 +454,8 @@ class ExtractPages:
 
     @staticmethod
     def _extract(batch: pa.Table) -> pa.Table:
-        htmls = batch.column("html").to_pylist()
-        priors = batch.column("text").to_pylist()
-        results = [extract_page(h, t) for h, t in zip(htmls, priors)]
-        out = {
-            "url": batch.column("url"),
-            "warc_ts": batch.column("warc_ts"),
-            "header": pa.array([r["header"] for r in results], pa.string()),
-            "body": pa.array([r["body"] for r in results], pa.string()),
-            "footnotes": pa.array([r["footnotes"] for r in results], pa.string()),
-            "page_number": pa.array([r["page_number"] for r in results], pa.int32()),
-            "spans": pa.array([r["spans"] for r in results], _SPAN_T),
-            "total_words": pa.array([r["total_words"] for r in results], pa.int64()),
-            "flags": pa.array([r["flags"] for r in results], pa.list_(pa.string())),
-            "failed_stage": pa.array([r["failed_stage"] for r in results], pa.string()),
-        }
-        return pa.table(out)
+        htmls, priors = batch.column("html").to_pylist(), batch.column("text").to_pylist()
+        out = pa.Table.from_pylist(list(map(extract_page, htmls, priors)), schema=_PAGE_ROW)
+        return out.add_column(0, "url", batch.column("url")).add_column(
+            1, "warc_ts", batch.column("warc_ts")
+        )

@@ -25,9 +25,10 @@ from ..ops.exchange import exchange
 from ..schemas import DOC_OUT_SCHEMA
 
 PAGE_SEP = "\n\x0c\n"  # form feed between pages
-# the page columns ``_docs_from_block`` reads; ``reassemble_docs`` ships
-# only these through its exchange (``spans``/``flags`` would ride along
-# for nothing)
+_SEP_BYTES = len(PAGE_SEP.encode("utf-8"))
+# the page columns ``_docs_from_block`` reads (after url and warc_ts, in
+# ``_assemble_docs``' row order); ``reassemble_docs`` ships only these
+# through its exchange (``spans``/``flags`` would ride along for nothing)
 _DOC_INPUT_COLUMNS = [
     "url", "warc_ts", "header", "body", "footnotes", "page_number", "total_words",
     "failed_stage",
@@ -101,60 +102,50 @@ def assign_page_idx(pages_ds):
 # ---------------------------------------------------------------------------
 # Partition-aligned (shuffle-free) reassembly
 # ---------------------------------------------------------------------------
+def _page_order(pages: pa.Table) -> pa.Array:
+    """The stable (url, warc_ts) order of a block's pages: each url's pages
+    in page order, urls sorted, null urls last."""
+    return pc.sort_indices(pages, sort_keys=[("url", "ascending"), ("warc_ts", "ascending")])
+
+
+def _assemble_docs(urls: list, rows: list) -> pa.Table:
+    """The one doc assembly loop: ``urls`` in ``_page_order`` and, in the
+    same order, each page's row (header, body, footnotes, page_number,
+    total_words, failed_stage) -> one doc per url run.  Builds ONE
+    output table from flat Python lists — per-url pa.table construction
+    costs ~1.6ms/url, which dominated the stage before this
+    vectorization."""
+    if not urls:
+        return DOC_OUT_SCHEMA.empty_table()
+    docs, start = [], 0
+    for i in range(1, len(urls) + 1):
+        if i < len(urls) and urls[i] == urls[start]:
+            continue
+        run = rows[start:i]
+        texts = [page_text(r[0], r[1], r[2]) for r in run]
+        # per-url span offsets: utf-8 byte offset of each page's start
+        # inside extracted_text (north-rule span lineage)
+        offs, pos = [], 0
+        for t in texts:
+            offs.append(pos)
+            pos += (len(t) if t.isascii() else len(t.encode("utf-8"))) + _SEP_BYTES
+        words, failed = sum(r[4] for r in run), sum(r[5] is not None for r in run)
+        pagenos = [r[3] for r in run if r[3] is not None]
+        docs.append((urls[start], PAGE_SEP.join(texts), i - start, words, pagenos, failed, offs))
+        start = i
+    return pa.Table.from_pydict(dict(zip(DOC_OUT_SCHEMA.names, zip(*docs))), schema=DOC_OUT_SCHEMA)
+
+
 def _docs_from_block(batch: pa.Table) -> pa.Table:
-    """Group-and-reassemble every url inside one block (sorted by
-    (url, warc_ts) first, so output is deterministic).  Builds ONE output
-    table from flat Python lists — per-url pa.table construction costs
-    ~1.6ms/url, which dominated the stage before this vectorization."""
+    """Group-and-reassemble every url inside one block of extracted pages:
+    the block's columns, in ``_page_order`` (so output is deterministic),
+    through ``_assemble_docs``, the loop the job's ``extract_docs`` feeds
+    straight from its pages."""
     if batch.num_rows == 0:
         return DOC_OUT_SCHEMA.empty_table()
-    order = pc.sort_indices(
-        batch, sort_keys=[("url", "ascending"), ("warc_ts", "ascending")]
-    )
-    b = batch.take(order)
-    urls = b.column("url").to_pylist()
-    headers = b.column("header").to_pylist()
-    bodies = b.column("body").to_pylist()
-    foots = b.column("footnotes").to_pylist()
-    pagenos = b.column("page_number").to_pylist()
-    failed = b.column("failed_stage").to_pylist()
-    words = b.column("total_words").to_pylist()
-
-    o_url, o_text, o_np, o_tw, o_pn, o_nf, o_off = [], [], [], [], [], [], []
-    sep_bytes = len(PAGE_SEP.encode("utf-8"))
-    start = 0
-    n = len(urls)
-    for i in range(1, n + 1):
-        if i == n or urls[i] != urls[start]:
-            sl = slice(start, i)
-            page_texts = [
-                page_text(h, bd, f) for h, bd, f in zip(headers[sl], bodies[sl], foots[sl])
-            ]
-            o_url.append(urls[start])
-            o_text.append(PAGE_SEP.join(page_texts))
-            # per-url span offsets: utf-8 byte offset of each page's start
-            # inside extracted_text (north-rule span lineage)
-            offs, pos = [], 0
-            for pt in page_texts:
-                offs.append(pos)
-                pos += len(pt.encode("utf-8")) + sep_bytes
-            o_off.append(offs)
-            o_np.append(i - start)
-            o_tw.append(sum(words[sl]))
-            o_pn.append([p for p in pagenos[sl] if p is not None])
-            o_nf.append(sum(1 for f in failed[sl] if f is not None))
-            start = i
-    return pa.table(
-        {
-            "url": pa.array(o_url, pa.string()),
-            "extracted_text": pa.array(o_text, pa.string()),
-            "n_pages": pa.array(o_np, pa.int64()),
-            "total_words": pa.array(o_tw, pa.int64()),
-            "page_numbers": pa.array(o_pn, pa.list_(pa.int32())),
-            "n_failed_pages": pa.array(o_nf, pa.int64()),
-            "page_offsets": pa.array(o_off, pa.list_(pa.int64())),
-        }
-    )
+    b = batch.take(_page_order(batch))
+    rows = list(zip(*(b.column(c).to_pylist() for c in _DOC_INPUT_COLUMNS[2:])))
+    return _assemble_docs(b.column("url").to_pylist(), rows)
 
 
 def reassemble_docs_partitioned(pages_ds):
@@ -164,13 +155,11 @@ def reassemble_docs_partitioned(pages_ds):
     contains — true when the pages table is laid out url-ranged /
     url-hash-partitioned (corpus.write_pages_parquet and
     ``partition_pages_by_url`` both guarantee it) AND the read does not
-    split files (``read_pages``: one block per file).  This function does not
-    check it: a violation yields two doc rows for one url.  The job does
-    not use it: its per-file tasks (``run_with_manifest``) run
-    ``_docs_from_block`` in-process on the urls its census found in one
-    file only, and send the rest to ``reassemble_docs``.  For arbitrary
-    inputs use
-    ``reassemble_docs`` (the url exchange); this path is the
-    map-side-complete optimization — no all-to-all exchange.
-    ``batch_size=None`` = one batch per block, preserving file alignment."""
+    split files (``read_pages``: one block per file).  This function does
+    not check it: a violation yields two doc rows for one url.  The job
+    does not use it: its per-file tasks (``run_with_manifest``) run
+    ``extract_docs`` in-process on the urls its census found in one file
+    only, and send the rest to ``reassemble_docs`` (the url exchange, for
+    arbitrary inputs).  ``batch_size=None`` = one batch per block,
+    preserving file alignment."""
     return pages_ds.map_batches(_docs_from_block, batch_format="pyarrow", batch_size=None)

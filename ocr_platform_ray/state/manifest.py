@@ -23,6 +23,7 @@ exchange into one residual part, so each url is published once.
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -133,6 +134,15 @@ def _file_task(file_fn, columns: list[str] | None):
         return path, rows, time.perf_counter() - t0
 
     return land_file
+
+
+@functools.lru_cache(maxsize=8)
+def _lander(file_fn, columns: tuple[str, ...] | None):
+    """The per-file task as a Ray remote function, made once per driver
+    process: Ray exports it once per session, where a new one every job
+    would re-pickle the package-by-value closure each time."""
+    task = _file_task(file_fn, None if columns is None else list(columns))
+    return ray.remote(max_retries=-1, scheduling_strategy="SPREAD")(task)
 
 
 def run_with_manifest(
@@ -275,7 +285,7 @@ def run_with_manifest(
         os.makedirs(part_dir(pid) + ".tmp")
         if not waiting[pid]:
             commit(pid, 0.0)
-    land = ray.remote(max_retries=-1, scheduling_strategy="SPREAD")(_file_task(file_fn, columns))
+    land = _lander(file_fn, None if columns is None else tuple(columns))
     refs = [land.remote(f, part_dir(pid) + ".tmp", held[f]) for f, pid in part_of.items()]
     errors = []
     try:

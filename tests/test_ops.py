@@ -3237,6 +3237,90 @@ class TestStringCluster:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestEmptyResidual:
+    """A pruned read whose residual filters a selected file to nothing
+    returns typed empty batches: Ray's block-size estimate logs no
+    ``Error calculating size`` for them (it did for empty pandas batches
+    with an object column)."""
+
+    def _new_log_lines(self, run):
+        import glob
+        import time
+
+        import ray
+
+        logs = ray._private.worker._global_node.get_logs_dir_path()
+
+        def sizes():
+            paths = glob.glob(os.path.join(logs, "**", "*"), recursive=True)
+            return {p: os.path.getsize(p) for p in paths if os.path.isfile(p)}
+
+        before = sizes()
+        out = run()
+        time.sleep(0.5)  # worker processes write their own log files; let them land
+        new = b""
+        for p, n in sizes().items():
+            with open(p, "rb") as f:
+                f.seek(before.get(p, 0))
+                new += f.read()
+        return out, new.decode("utf-8", "replace")
+
+    def _file_with_gap(self, td, col):
+        """A written file and a value strictly between two of its values."""
+        zm = pd.read_parquet(os.path.join(td, "zonemap.parquet"))
+        for f in zm["file"]:
+            v = np.unique(pd.read_parquet(os.path.join(td, f), columns=[col])[col])
+            if len(v) > 1:
+                return (v[0] + v[1]) / 2
+        raise AssertionError("no file holds two distinct values")
+
+    def test_pruned_reads_log_nothing(self, tmp_path):
+        from ocr_platform_ray.ops.layout import (
+            cluster_write,
+            cluster_write_str,
+            plan_pruned_read,
+            prefix_plan,
+            prefix_pruned_read,
+            pruned_read,
+            zorder_plan,
+            zorder_pruned_read,
+            zorder_write,
+        )
+
+        rng = np.random.RandomState(5)
+        n = 400
+        df = pd.DataFrame(
+            {
+                "url": [f"https://site{rng.randint(0, 9)}.com/p/{i}" for i in range(n)],
+                "v": np.round(rng.lognormal(3, 1, n), 3),
+                "w": np.round(rng.rand(n) * 100, 3),
+            }
+        )
+        ranged, zordered, keyed = (str(tmp_path / d) for d in "rzs")
+        cluster_write(rd.from_pandas(df), "v", ranged, n_files=4)
+        zorder_write(rd.from_pandas(df), ["v", "w"], zordered, n_files=4)
+        cluster_write_str(rd.from_pandas(df), "url", keyed, n_files=4)
+
+        x = self._file_with_gap(ranged, "v")
+        y = self._file_with_gap(zordered, "v")
+        vmin = pd.read_parquet(os.path.join(keyed, "zonemap.parquet"))["vmin"].iloc[0]
+        reads = [
+            (plan_pruned_read(ranged, x, x)[0], lambda: pruned_read(ranged, "v", lo=x, hi=x)),
+            (
+                zorder_plan(zordered, {"v": (y, y)})[0],
+                lambda: zorder_pruned_read(zordered, {"v": (y, y)}),
+            ),
+            # no url holds a NUL: the prefix sorts inside the first file
+            (prefix_plan(keyed, vmin + "\x00")[0], lambda: prefix_pruned_read(keyed, "url", vmin + "\x00")),
+        ]
+        for files, read in reads:
+            assert files, "the residual must see a selected file"
+            ds, log = self._new_log_lines(lambda: read().materialize())
+            assert ds.count() == 0 and "url" in ds.schema().names
+            assert "Error calculating size" not in log
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestReviewFixesS4:
     def test_moments_overflow_detected(self):
         from ocr_platform_ray.ops.profile import grouped_moments
