@@ -25,7 +25,7 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.extract import ExtractPages, _extract_row
+from ..stages.extract import PAGE_SLICE, ExtractPages, _extract_row
 from ..stages.reassemble import _assemble_docs, _page_order, reassemble_docs
 from ..stages.reassemble import reassemble_docs_partitioned
 from ..stages.skew import explode_oversized
@@ -46,7 +46,7 @@ def read_pages(path: str) -> rd.Dataset:
     return rd.read_parquet(path, columns=PAGE_COLUMNS, override_num_blocks=max(n_files, 1))
 
 
-def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
+def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = PAGE_SLICE) -> rd.Dataset:
     """Per-page extraction stage.  ``batch_size`` is deliberately modest:
     rows carry whole-page html blobs, so batch bytes = batch_size x page
     size; oversized blobs are handled by slices inside the UDF
@@ -64,7 +64,7 @@ def extract_pages_ds(pages: rd.Dataset, *, batch_size: int = 256) -> rd.Dataset:
 def extraction_pipeline(
     pages: rd.Dataset,
     *,
-    batch_size: int = 256,
+    batch_size: int = PAGE_SLICE,
     partitioned_input: bool = False,
 ) -> rd.Dataset:
     """pages Dataset -> per-document Dataset with the byte-identical
@@ -86,17 +86,18 @@ def extract_docs(pages: pa.Table, *, max_blob_bytes: int | None = None) -> pa.Ta
     """One file's local pages, every page of their urls (the url census
     leaves no other in the table) -> their docs, in-process: the job's
     per-file task (``run_with_manifest``) runs it.  Each page goes from
-    its bytes to its row in one pass (``_extract_row``, 256 raw pages held
-    at a time, as in ``ExtractPages``), and the rows go in ``_page_order``
-    straight into ``_assemble_docs``: the docs of ``ExtractPages`` then
-    ``_docs_from_block``, without their per-page Arrow table.
+    its bytes to its ``PageRow`` in one pass (``_extract_row``,
+    ``PAGE_SLICE`` raw pages held at a time, as in ``ExtractPages``), and
+    the rows go in ``_page_order`` straight into ``_assemble_docs``: the
+    docs of ``ExtractPages`` then ``_docs_from_block``, without their
+    per-page Arrow table.
     ``max_blob_bytes`` runs the oversized-payload splitter first.  Its
     globals reach neither ``ray.data`` nor the url exchange, so the task's
     worker never imports them."""
     if max_blob_bytes is not None:
         pages = explode_oversized(pages, max_bytes=max_blob_bytes)
     rows = []
-    for b in pages.select(["html", "text"]).to_batches(256):
+    for b in pages.select(["html", "text"]).to_batches(PAGE_SLICE):
         extracted = map(_extract_row, b.column(0).to_pylist(), b.column(1).to_pylist())
         rows += (row for row, _ in extracted)  # keep no page's parts alive
     urls = pages.column("url").to_pylist()
@@ -135,12 +136,14 @@ def run_extraction(
 
     # one exported remote function per driver process (``_lander``)
     # serves every job that passes the module-level function
-    docs = functools.partial(extract_docs, max_blob_bytes=max_blob_bytes)
+    docs = extract_docs
+    if max_blob_bytes is not None:
+        docs = functools.partial(extract_docs, max_blob_bytes=max_blob_bytes)
     return run_with_manifest(
         input_path,
         output_dir,
         pipe,
-        extract_docs if max_blob_bytes is None else docs,
+        docs,
         resume=resume,
         fragments_per_part=fragments_per_part,
         columns=PAGE_COLUMNS,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import html as _htmllib
 import re
+from typing import NamedTuple
 
 import pyarrow as pa
 
@@ -40,7 +41,6 @@ from ..schemas import (
     STAGE_CORRECT,
     STAGE_SEGMENT,
 )
-from .font import _PerProcessCache
 from .pdf import pdf_page_boxes
 
 # --- compiled parser state (module level, shared by every task) -----------
@@ -66,53 +66,28 @@ _CHARSET_ALIASES = {
     "cp1252": "cp1252",
     "us-ascii": "ascii",
 }
-_BOILER_CLASS_WORDS = ("menu", "share", "ad-", "ads", "banner", "social", "sidebar")
+# boilerplate when the class holds any of these words
+_BOILER_CLASS_RE = re.compile("menu|share|ad-|ads|banner|social|sidebar")
 
 _HEADING_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6"}
 _BOILER_TAGS = {"nav", "aside", "footer"}
 _FAKEPDF_PREFIX = FAKEPDF_MAGIC.decode()
 _FAKEPDF_ROLES = {"head": "heading", "para": "para", "foot": "footnote", "pageno": "pageno"}
-
-# per-process memos of the per-tag work: an ``attrs`` string -> its
-# lowercased class, and a (tag, class) -> its markup facts.  Each stops
-# growing at _MEMO_MAX entries (hostile input cannot grow them) and only
-# saves recomputing a pure function, so no output depends on them.
-_MEMO_MAX = 4096
-_CLASS_OF: dict[str, str] = _PerProcessCache()
-_MARKUP_OF: dict[tuple[str, str], tuple] = _PerProcessCache()
+# raw pages extracted per slice: bounds the Python objects built at once
+PAGE_SLICE = 256
 
 
-def _markup_of(tag: str, attrs: str) -> tuple[bool, bool, str | None]:
-    """A block tag's markup facts: (boilerplate by tag or class alone,
-    whatever the text; a ``div``, whose digit-only text is a page number;
-    the role the markup fixes, or None when the text decides between
-    footnote and para)."""
-    cls = ""
-    if attrs and "class" in attrs:
-        cls = _CLASS_OF.get(attrs)
-        if cls is None:
-            cm = _CLASS_RE.search(attrs)
-            cls = cm.group(1).lower() if cm else ""
-            if len(_CLASS_OF) < _MEMO_MAX:
-                _CLASS_OF[attrs] = cls
-    key = (tag, cls)
-    facts = _MARKUP_OF.get(key)
-    if facts is None:
-        if "pageno" in cls:
-            role = "pageno"
-        elif "header" in cls:
-            role = "running_head"
-        elif tag in _HEADING_TAGS:
-            role = "heading"
-        elif "fn" in cls.split():
-            role = "footnote"
-        else:
-            role = None
-        boiler = tag in _BOILER_TAGS or (bool(cls) and any(w in cls for w in _BOILER_CLASS_WORDS))
-        facts = (boiler, tag == "div", role)
-        if len(_MARKUP_OF) < _MEMO_MAX:
-            _MARKUP_OF[key] = facts
-    return facts
+class PageRow(NamedTuple):
+    """One page's extraction, the row every doc is assembled from
+    (``stages/reassemble.py::_assemble_docs``); its fields are also the
+    extracted-page columns the url exchange ships."""
+
+    header: str | None
+    body: str
+    footnotes: str | None
+    page_number: int | None
+    total_words: int
+    failed_stage: str | None
 
 
 def _block_text(raw: str) -> str:
@@ -193,10 +168,10 @@ def _parse_fakepdf(payload: str) -> list[tuple[str, str]]:
     return _xycut_order(boxes)
 
 
-def _failed(stage: str, salvage_text: str) -> tuple[tuple, None]:
+def _failed(stage: str, salvage_text: str) -> tuple[PageRow, None]:
     """M5 semantics: short-circuit with best-so-far text, flag for review."""
     body = normalize_text(salvage_text or "")
-    return (None, body, None, None, count_words(body), stage), None
+    return PageRow(None, body, None, None, count_words(body), stage), None
 
 
 class _Page:
@@ -243,32 +218,38 @@ class _Page:
             self.body.append(text)
             self.kinds.append("para")
 
-    def build(self) -> tuple:
-        """The page row: (header, body, footnotes, page_number,
-        total_words, failed_stage)."""
+    def build(self) -> PageRow:
         body = "\n\n".join(self.body)
         header = "\n".join(self.header) if self.header else None
         footnotes = "\n".join(self.footnotes) if self.footnotes else None
         total_words = count_words(body) + count_words(footnotes or "")
-        return header, body, footnotes, self.page_number, total_words, None
+        return PageRow(header, body, footnotes, self.page_number, total_words, None)
 
 
-def _add_block(markup: tuple, raw: str, add) -> None:
+def _add_block(tag: str, cls: str, raw: str, add) -> None:
     """Classify one closed block straight into the page (M2 boilerplate
     strip + role)."""
-    boiler, is_div, role = markup
+    if not raw:
+        return
+    boiler = tag in _BOILER_TAGS or (bool(cls) and _BOILER_CLASS_RE.search(cls) is not None)
     # a boilerplate block is dropped whatever its text, so its text is
     # only built when it holds an entity: unescaping an over-long
     # "&#...;" raises, which fails the page
-    if not raw or (boiler and "&" not in raw):
+    if boiler and "&" not in raw:
         return
     text = _block_text(raw)
     if not text or boiler:
         return
-    if is_div and len(text) <= 6 and text.isdigit():
+    if "pageno" in cls or (tag == "div" and len(text) <= 6 and text.isdigit()):
         role = "pageno"
-    elif role is None:
-        role = "footnote" if _FOOTNOTE_START_RE.match(text) else "para"
+    elif "header" in cls:
+        role = "running_head"
+    elif tag in _HEADING_TAGS:
+        role = "heading"
+    elif ("fn" in cls and "fn" in cls.split()) or _FOOTNOTE_START_RE.match(text):
+        role = "footnote"
+    else:
+        role = "para"
     add(role, text)
 
 
@@ -285,7 +266,7 @@ def _html_pass(payload: str, add) -> bool:
     # self-closing tag's attrs end in "/"
     parts = _BLOCK_TOKEN_RE.split(payload)
     found = False
-    stack: list[tuple[str, tuple, list[str]]] = []  # (tag, markup facts, raw parts)
+    stack: list[tuple[str, str, list[str]]] = []  # (tag, lowercased class, raw parts)
     top = None  # the innermost open block's raw parts
     for closing, tag, attrs, text_after in zip(parts[1::4], parts[2::4], parts[3::4], parts[4::4]):
         tag = tag.lower()
@@ -297,25 +278,26 @@ def _html_pass(payload: str, add) -> bool:
             add("hr", "")
         elif closing:
             if stack and stack[-1][0] == tag:
-                _, markup, raw = stack.pop()
-                _add_block(markup, "".join(raw), add)
+                _, cls, raw = stack.pop()
+                _add_block(tag, cls, "".join(raw), add)
             else:  # pop to matching tag (tolerate mismatches)
                 for j in range(len(stack) - 2, -1, -1):
                     if stack[j][0] == tag:
                         while len(stack) > j:
-                            _, markup, raw = stack.pop()
-                            _add_block(markup, "".join(raw), add)
+                            t, cls, raw = stack.pop()
+                            _add_block(t, cls, "".join(raw), add)
                         break
             top = stack[-1][2] if stack else None
         elif attrs[-1:] != "/":
             found = True
+            cm = _CLASS_RE.search(attrs) if "class" in attrs else None
             top = []
-            stack.append((tag, _markup_of(tag, attrs), top))
+            stack.append((tag, cm.group(1).lower() if cm else "", top))
         if text_after and top is not None:
             top.append(text_after)
     while stack:  # unclosed at EOF
-        _, markup, raw = stack.pop()
-        _add_block(markup, "".join(raw), add)
+        t, cls, raw = stack.pop()
+        _add_block(t, cls, "".join(raw), add)
     return found
 
 
@@ -335,10 +317,9 @@ def _decode(html: bytes) -> str:
     return html.decode("latin-1")
 
 
-def _extract_row(html: bytes | None, prior_text: str | None) -> tuple[tuple, _Page | None]:
-    """Pure fused extraction for one page (M1+M2+M3+M5+M6): ((header,
-    body, footnotes, page_number, total_words, failed_stage), the
-    segmented ``_Page``, None on failure)."""
+def _extract_row(html: bytes | None, prior_text: str | None) -> tuple[PageRow, _Page | None]:
+    """Pure fused extraction for one page (M1+M2+M3+M5+M6): (its
+    ``PageRow``, the segmented ``_Page``, None on failure)."""
     # ---- stage CORRECT: decode + normalize --------------------------------
     # The failure path is a missing/empty payload: salvage prior text,
     # flag (M5).
@@ -443,7 +424,7 @@ class ExtractPages:
     by ``batch_size`` pages, and the map needs no ``batch_size`` of its own
     (a numeric one keeps Ray from fusing the map with the read)."""
 
-    def __init__(self, batch_size: int = 256):
+    def __init__(self, batch_size: int = PAGE_SLICE):
         self.batch_size = batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:

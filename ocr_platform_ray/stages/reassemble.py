@@ -23,16 +23,14 @@ import pyarrow.compute as pc
 
 from ..ops.exchange import exchange
 from ..schemas import DOC_OUT_SCHEMA
+from .extract import PageRow
 
 PAGE_SEP = "\n\x0c\n"  # form feed between pages
 _SEP_BYTES = len(PAGE_SEP.encode("utf-8"))
-# the page columns ``_docs_from_block`` reads (after url and warc_ts, in
-# ``_assemble_docs``' row order); ``reassemble_docs`` ships only these
-# through its exchange (``spans``/``flags`` would ride along for nothing)
-_DOC_INPUT_COLUMNS = [
-    "url", "warc_ts", "header", "body", "footnotes", "page_number", "total_words",
-    "failed_stage",
-]
+# the page columns ``_docs_from_block`` reads; ``reassemble_docs`` ships
+# only these through its exchange (``spans``/``flags`` would ride along
+# for nothing)
+_DOC_INPUT_COLUMNS = ["url", "warc_ts", *PageRow._fields]
 
 
 def page_text(header: str | None, body: str, footnotes: str | None) -> str:
@@ -110,8 +108,7 @@ def _page_order(pages: pa.Table) -> pa.Array:
 
 def _assemble_docs(urls: list, rows: list) -> pa.Table:
     """The one doc assembly loop: ``urls`` in ``_page_order`` and, in the
-    same order, each page's row (header, body, footnotes, page_number,
-    total_words, failed_stage) -> one doc per url run.  Builds ONE
+    same order, each page's ``PageRow`` -> one doc per url run.  Builds ONE
     output table from flat Python lists — per-url pa.table construction
     costs ~1.6ms/url, which dominated the stage before this
     vectorization."""
@@ -122,15 +119,16 @@ def _assemble_docs(urls: list, rows: list) -> pa.Table:
         if i < len(urls) and urls[i] == urls[start]:
             continue
         run = rows[start:i]
-        texts = [page_text(r[0], r[1], r[2]) for r in run]
+        texts = [page_text(r.header, r.body, r.footnotes) for r in run]
         # per-url span offsets: utf-8 byte offset of each page's start
         # inside extracted_text (north-rule span lineage)
         offs, pos = [], 0
         for t in texts:
             offs.append(pos)
             pos += (len(t) if t.isascii() else len(t.encode("utf-8"))) + _SEP_BYTES
-        words, failed = sum(r[4] for r in run), sum(r[5] is not None for r in run)
-        pagenos = [r[3] for r in run if r[3] is not None]
+        words = sum(r.total_words for r in run)
+        failed = sum(r.failed_stage is not None for r in run)
+        pagenos = [r.page_number for r in run if r.page_number is not None]
         docs.append((urls[start], PAGE_SEP.join(texts), i - start, words, pagenos, failed, offs))
         start = i
     return pa.Table.from_pydict(dict(zip(DOC_OUT_SCHEMA.names, zip(*docs))), schema=DOC_OUT_SCHEMA)
@@ -144,7 +142,7 @@ def _docs_from_block(batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return DOC_OUT_SCHEMA.empty_table()
     b = batch.take(_page_order(batch))
-    rows = list(zip(*(b.column(c).to_pylist() for c in _DOC_INPUT_COLUMNS[2:])))
+    rows = list(map(PageRow, *(b.column(c).to_pylist() for c in PageRow._fields)))
     return _assemble_docs(b.column("url").to_pylist(), rows)
 
 

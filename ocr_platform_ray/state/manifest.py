@@ -140,7 +140,11 @@ def _file_task(file_fn, columns: list[str] | None):
 def _lander(file_fn, columns: tuple[str, ...] | None):
     """The per-file task as a Ray remote function, made once per driver
     process: Ray exports it once per session, where a new one every job
-    would re-pickle the package-by-value closure each time."""
+    would re-pickle the package-by-value closure each time.  So within a
+    session every job's task runs the package's module globals as they
+    were at the first job's export: a monkeypatch made later in the
+    session does not reach the workers unless the test calls
+    ``_lander.cache_clear()`` first."""
     task = _file_task(file_fn, None if columns is None else list(columns))
     return ray.remote(max_retries=-1, scheduling_strategy="SPREAD")(task)
 
