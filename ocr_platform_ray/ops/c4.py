@@ -12,7 +12,7 @@ Two halves, matching the paper's structure:
 * ``c4_span_dedup`` — the CORPUS-level rule ("we removed all but one of
   any three-sentence span occurring more than once in the data set").
   One hash-only exchange carries (span_hash, id, pos); the loser
-  positions meet their documents on an id-shard exchange (the
+  positions meet their documents in an id-shard ``cogroup`` (the
   ``strip_duplicated_spans`` bucketed pattern) or a driver broadcast
   below a probed threshold (``auto_join`` house convention) — document
   text never rides the span exchange.
@@ -49,7 +49,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from .dedup import _sha64
-from .exchange import exchange
+from .exchange import cogroup, exchange
 from .relational import probe_head
 
 # RE2-compatible patterns, mirrored literally in the SQL oracle.
@@ -229,7 +229,7 @@ def c4_span_dedup(
     never rides it.  ``method="auto"`` probes the loser list with
     ``limit(threshold+1)`` (the auto_join planner): below the threshold
     the loser positions broadcast and the strip is map-only; above it
-    they meet their documents on one id-shard exchange.
+    they meet their documents in one id-shard ``cogroup``.
     """
     if method not in ("auto", "broadcast", "bucketed"):
         raise ValueError(f"unknown method {method!r}")
@@ -306,39 +306,17 @@ def c4_span_dedup(
         return ds.map_batches(strip, batch_format="pandas")
 
     # ---- bucketed route: loser positions meet docs on an id shard ----
-    marked = losers.map_batches(
-        lambda b: b.assign(**{text_col: ""})[[id_col, "pos", text_col]],
-        batch_format="pandas",
-    )
-    docs = ds.map_batches(
-        lambda b: b[[id_col, text_col]].assign(pos=np.int64(-1))[
-            [id_col, "pos", text_col]
-        ],
-        batch_format="pandas",
-    )
+    # ``cogroup`` reads the loser side's schema: materialized, its
+    # exchange runs once
+    losers = losers.materialize()
 
-    def per_shard_strip(g: pd.DataFrame) -> pd.DataFrame:
-        is_doc = g["pos"].to_numpy() == -1
-        doc_rows = g[is_doc]
-        pos_tbl = g[~is_doc].sort_values([id_col, "pos"], kind="mergesort")
-        by_id = {i: sub.to_numpy(dtype=np.int64) for i, sub in pos_tbl.groupby(id_col)["pos"]}
+    def per_shard_strip(docs: pd.DataFrame, lost: pd.DataFrame) -> pd.DataFrame:
+        by_id = {}
+        if len(lost):  # a block-less side comes with no columns
+            lost = lost.sort_values([id_col, "pos"], kind="mergesort")
+            by_id = {i: sub.to_numpy(dtype=np.int64) for i, sub in lost.groupby(id_col)["pos"]}
         empty = np.empty(0, dtype=np.int64)
-        starts = [by_id.get(i, empty) for i in doc_rows[id_col]]
-        return pd.DataFrame(
-            {
-                id_col: doc_rows[id_col].to_numpy(),
-                text_col: _strip_rows(list(doc_rows[text_col]), starts),
-            }
-        )
+        starts = [by_id.get(i, empty) for i in docs[id_col]]
+        return docs.assign(**{text_col: _strip_rows(list(docs[text_col]), starts)})
 
-    stripped = exchange(marked.union(docs), id_col, per_shard_strip)
-    sch = ds.schema()
-    orig_cols = sch.names if sch is not None else [id_col, text_col]
-    extra = [c for c in orig_cols if c not in (id_col, text_col)]
-    if not extra:
-        return stripped.map_batches(lambda b: b[orig_cols], batch_format="pandas")
-    from .relational import auto_join
-
-    rest = ds.select_columns([id_col, *extra])
-    joined = auto_join(rest, stripped, id_col, how="inner")
-    return joined.map_batches(lambda b: b[orig_cols], batch_format="pandas")
+    return cogroup(ds, losers, id_col, per_shard_strip)

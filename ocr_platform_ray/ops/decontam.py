@@ -32,14 +32,8 @@ import ray
 import ray.data as rd
 
 from .dedup import _shingle_hashes_batch
-from .exchange import exchange
-from .relational import (
-    _pd_dtype,
-    _restore_dtypes,
-    _restore_targets,
-    probe_head,
-    sharded_group_agg,
-)
+from .exchange import cogroup
+from .relational import probe_head, sharded_group_agg
 
 
 def _gram_hash_rows(ds: rd.Dataset, id_col: str, text_col: str, n: int) -> rd.Dataset:
@@ -117,44 +111,19 @@ def contamination_counts(
 
         return train.map_batches(count_shared, batch_format="pandas")
 
-    # bucketed route: co-group train and eval gram hashes by gram hash.
-    # The eval side carries NO id column — the union null-fills it in
-    # mixed buckets (an int id upcasts to float there; restored below),
-    # which keeps the route id-dtype-agnostic (string urls work too)
-    t_rows = _gram_hash_rows(train, id_col, text_col, n).map_batches(
-        lambda b: b.assign(__side="t"), batch_format="pandas"
+    # bucketed route: co-group train (id, gram hash) rows with the eval
+    # gram hashes by gram hash
+    def per_bucket(tr: pd.DataFrame, ev: pd.DataFrame) -> pd.DataFrame:
+        # a block-less side comes with no columns
+        if not len(tr.columns):
+            tr = pd.DataFrame({id_col: [], "gh": []})
+        ev_gh = ev["gh"].to_numpy() if len(ev) else ()
+        hit = tr.loc[np.isin(tr["gh"].to_numpy(), ev_gh)]
+        return hit.groupby(id_col, as_index=False).agg(c=("gh", "size"))
+
+    partials = cogroup(
+        _gram_hash_rows(train, id_col, text_col, n), eval_grams, "gh", per_bucket
     )
-    e_rows = eval_grams.map_batches(
-        lambda b: pd.DataFrame({"gh": b["gh"], "__side": "e"}),
-        batch_format="pandas",
-    )
-    tschema = train.schema()
-    ttargets = _restore_targets(tschema, {id_col})
-    id_dtype = pd.Series(
-        dtype=_pd_dtype(dict(zip(tschema.names, tschema.types))[id_col])
-    ).dtype
-
-    def _empty_partial() -> pd.DataFrame:
-        return pd.DataFrame(
-            {id_col: pd.Series(dtype=id_dtype), "c": pd.Series(dtype="int64")}
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # union keeps per-block schemas: a bucket fed only one side's
-        # blocks may lack the other side's columns entirely
-        side = g["__side"].to_numpy()
-        ev = np.unique(g.loc[side == "e", "gh"].to_numpy(dtype="int64"))
-        tr = g.loc[side == "t"] if id_col in g.columns else g.iloc[0:0]
-        if not len(ev) or not len(tr):
-            return _empty_partial()
-        tr = _restore_dtypes(tr[[id_col, "gh"]].copy(), ttargets)
-        hit = tr.loc[np.isin(tr["gh"].to_numpy(dtype="int64"), ev)]
-        out = hit.groupby(id_col, as_index=False).agg(c=("gh", "size"))
-        if str(out[id_col].dtype) != str(id_dtype):
-            out[id_col] = out[id_col].astype(id_dtype)
-        return out
-
-    partials = exchange(t_rows.union(e_rows), "gh", per_bucket)
     reduced = sharded_group_agg(partials, [id_col], {"n_shared_grams": ("c", "sum")})
     return reduced.map_batches(
         lambda b: b[b["n_shared_grams"] > 0], batch_format="pandas"

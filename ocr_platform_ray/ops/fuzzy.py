@@ -26,7 +26,7 @@ import ray.data as rd
 
 from ..functions.score import command_score
 from ..state.broadcast import cached_get
-from .exchange import exchange
+from .exchange import cogroup
 
 
 def levenshtein(a: str, b: str, *, cutoff: int | None = None) -> int:
@@ -221,9 +221,7 @@ def fuzzy_join_lev(
                 lens.append(len(s))
                 segi.append(si)
                 segs.append(s[pos : pos + ln])
-        out = pd.DataFrame({"rid": ids, "L": lens, "si": segi, "seg": segs})
-        out["__side"] = "l"
-        return out
+        return pd.DataFrame({"rid": ids, "L": lens, "si": segi, "seg": segs})
 
     def right_keys(b: pd.DataFrame) -> pd.DataFrame:
         ids, lens, segi, segs = [], [], [], []
@@ -245,9 +243,7 @@ def fuzzy_join_lev(
                         lens.append(L)
                         segi.append(si)
                         segs.append(s[q : q + ln])
-        out = pd.DataFrame({"rid": ids, "L": lens, "si": segi, "seg": segs})
-        out["__side"] = "r"
-        return out
+        return pd.DataFrame({"rid": ids, "L": lens, "si": segi, "seg": segs})
 
     empty_pairs = pd.DataFrame(
         {"id_l": pd.Series(dtype="int64"), "id_r": pd.Series(dtype="int64")}
@@ -280,19 +276,12 @@ def fuzzy_join_lev(
     lk = left.map_batches(left_keys, batch_format="pandas")
     rk = right.map_batches(right_keys, batch_format="pandas")
 
-    def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"id_l": pd.Series(dtype="int64"), "id_r": pd.Series(dtype="int64")}
-        )
-        if "__side" not in g.columns:
-            return empty
-        lg = g[g["__side"] == "l"]
-        rg = g[g["__side"] == "r"]
+    def shard_pairs(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         if lg.empty or rg.empty:
-            return empty
+            return empty_pairs
         m = lg.merge(rg, on=["L", "si", "seg"], suffixes=("_l", "_r"))
         if m.empty:
-            return empty
+            return empty_pairs
         out = m[["rid_l", "rid_r"]].drop_duplicates()
         return out.rename(columns={"rid_l": "id_l", "rid_r": "id_r"})
 
@@ -304,7 +293,7 @@ def fuzzy_join_lev(
         }
     )
     if pairs is None:  # exchange blocking route
-        cand_ds = exchange(lk.union(rk), ["seg", "L"], shard_pairs)
+        cand_ds = cogroup(lk, rk, ["seg", "L"], shard_pairs)
         if verify == "bucketed":
             return _verify_bucketed(
                 cand_ds, left, right, id_col, str_col, d, with_command_score, empty_out

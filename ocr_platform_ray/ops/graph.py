@@ -36,7 +36,7 @@ import ray.data as rd
 
 from ..functions.textscan import flat_finditer
 from .dedup import dup_clusters_distributed
-from .exchange import SHARD, _hash_labels, exchange, shard_count
+from .exchange import _typed_empty, cogroup, exchange
 from .relational import (
     anti_join,
     auto_group_agg,
@@ -973,7 +973,7 @@ def kcore_subgraph(
 
     The naive-peel equality, planted-core recovery and both survivor
     routes are pytest-pinned (`TestKcore`)."""
-    from .relational import _typed_empty, semi_join
+    from .relational import semi_join
 
     if k < 1:
         raise ValueError("kcore_subgraph: need k >= 1")
@@ -1318,8 +1318,8 @@ def link_prediction_scores(
     Scale shape: the triangle machinery's canonical edge set + size-
     aware degree reduce; adjacency explodes BOTH directions, wedges
     generate per center-shard with a vectorized self-merge, and the
-    (u, v, w, deg_w) triples meet the tagged edge set in ONE
-    (u, v)-hash exchange where existing edges are dropped and each
+    (u, v, w, deg_w) triples meet the edge set in ONE (u, v)
+    ``cogroup`` where existing edges are dropped and each
     pair's terms — co-located whole by construction — reduce with one
     lexsort + reduceat pass.  ``max_center_degree`` caps the per-center
     wedge blowup (the `max_posting` skew rule): mega-hub centers are
@@ -1350,26 +1350,20 @@ def link_prediction_scores(
         )
 
     adj = e.map_batches(explode, batch_format="pandas")
-    n_shards = shard_count()
-
-    def uv_labelled(out: pd.DataFrame) -> pd.DataFrame:
-        # the (u, v) exchange label, written where the rows are built
-        out[SHARD] = _hash_labels(out, ["u", "v"], n_shards).astype("int64")
-        return out
 
     def wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
         # g: (w, x, dw) of capped-degree centers, w-sharded
         m = g.merge(g[["w", "x"]], on="w")
         m = m[m["x_x"].to_numpy() < m["x_y"].to_numpy()]
-        return uv_labelled(
-            pd.DataFrame(
-                {
-                    "u": m["x_x"].to_numpy(),
-                    "v": m["x_y"].to_numpy(),
-                    "w": m["w"].to_numpy(),
-                    "dw": m["dw"].to_numpy(),
-                }
-            )
+        # the pair (u, v) is named (a, b), as in the canonical edge set
+        # it meets below
+        return pd.DataFrame(
+            {
+                "a": m["x_x"].to_numpy(),
+                "b": m["x_y"].to_numpy(),
+                "w": m["w"].to_numpy(),
+                "dw": m["dw"].to_numpy(),
+            }
         )
 
     if isinstance(deg, pd.DataFrame):
@@ -1395,39 +1389,26 @@ def link_prediction_scores(
             wedge_rows,
         )
 
-    # tag existing edges into the SAME (u, v) exchange so adjacency
-    # filtering needs no separate join
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
-        return uv_labelled(
-            pd.DataFrame(
-                {
-                    "u": b["a"].to_numpy(),
-                    "v": b["b"].to_numpy(),
-                    "w": b["a"].to_numpy(),  # placeholder, ignored
-                    "dw": np.full(len(b), -1, dtype="int64"),  # edge marker
-                }
-            )
-        )
+    # existing edges meet the wedges in the SAME (a, b) co-group, so
+    # adjacency filtering needs no separate join.  ``cogroup`` reads the
+    # wedge side's schema, so it is materialized: its exchange runs once
+    trip = trip.materialize()
 
-    tagged = trip.union(e.map_batches(tag_edges, batch_format="pandas"))
-
-    def reduce_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        is_edge = g["dw"].to_numpy() == -1
-        if is_edge.any():
-            bad = g.loc[is_edge, ["u", "v"]].drop_duplicates()
-            g = g.merge(bad, on=["u", "v"], how="left", indicator=True)
+    def reduce_pairs(g: pd.DataFrame, known: pd.DataFrame) -> pd.DataFrame:
+        if len(g) and len(known):
+            g = g.merge(known, on=["a", "b"], how="left", indicator=True)
             g = g[g["_merge"] == "left_only"].drop(columns="_merge")
-        g = g[g["dw"].to_numpy() != -1]
         if not len(g):
+            # a block-less wedge side comes with no columns
             return pd.DataFrame(
                 {
-                    "u": pd.Series(dtype=g["u"].dtype if len(g.columns) else "object"),
-                    "v": pd.Series(dtype=g["v"].dtype if len(g.columns) else "object"),
+                    "u": pd.Series(dtype=g["a"].dtype if len(g.columns) else "object"),
+                    "v": pd.Series(dtype=g["b"].dtype if len(g.columns) else "object"),
                     "cn": pd.Series(dtype="int64"),
                     "aa": pd.Series(dtype="float64"),
                 }
             )
-        g = g.sort_values(["u", "v", "w"], kind="mergesort").reset_index(drop=True)
+        g = g.sort_values(["a", "b", "w"], kind="mergesort").reset_index(drop=True)
         # libm ln via a unique-degree lookup, NOT np.log: numpy's SIMD
         # log rounds one ulp off libm on many inputs (ln(3) already) and
         # SQL engines use libm; degrees are dim-sized so the exact table
@@ -1436,20 +1417,20 @@ def link_prediction_scores(
         uq = np.unique(dwv)
         lut = np.array([math.log(x) for x in uq], dtype="float64")
         term = 1.0 / lut[np.searchsorted(uq, dwv)]
-        grp = g.groupby(["u", "v"], sort=False)
+        grp = g.groupby(["a", "b"], sort=False)
         starts = np.concatenate(([0], np.cumsum(grp.size().to_numpy())[:-1]))
         aa = np.add.reduceat(term, starts)
         first = g.iloc[starts]
         return pd.DataFrame(
             {
-                "u": first["u"].to_numpy(),
-                "v": first["v"].to_numpy(),
+                "u": first["a"].to_numpy(),
+                "v": first["b"].to_numpy(),
                 "cn": grp.size().to_numpy().astype("int64"),
                 "aa": aa,
             }
         )
 
-    scores = exchange(tagged, None, reduce_pairs)
+    scores = cogroup(trip, e, ["a", "b"], reduce_pairs)
     if as_dataset:
         return scores
     out = scores.to_pandas()

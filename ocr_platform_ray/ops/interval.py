@@ -19,10 +19,8 @@ on Map-Reduce):
     partitioning assumption: intervals are short relative to the point
     domain (sessions/windows, not eras).  Size ``n_buckets`` so the
     typical interval spans O(1) buckets;
-  * one co-grouping exchange (the reassemble/asof union pattern — both
-    sides select columns statically and the kernel treats a missing
-    column set as an empty side, because Dataset.union keeps per-block
-    schemas);
+  * one ``cogroup`` on the precomputed bucket labels (``key=None``), which
+    hands each bucket its points and its intervals as two typed frames;
   * per bucket, ONE vectorized kernel: sort point values, two
     ``np.searchsorted`` calls per interval column give each interval its
     contiguous matching slice, and the pair list materializes with
@@ -37,11 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data as rd
 
-from .exchange import SHARD, exchange
-from .relational import _restore_dtypes, _restore_targets
+from .exchange import SHARD, cogroup
 
 
 def _to_num(arr) -> np.ndarray:
@@ -123,35 +119,8 @@ def interval_join(
         b = (x - lo) // width if is_int else np.floor((x - lo) / width)
         return np.clip(b, 0, n_buckets - 1).astype("int64")
 
-    # dtypes for the typed-empty frame (one-side buckets must still emit
-    # the full schema or downstream Arrow consumers see divergent blocks)
-    def _dtype_map(schema, cols, rename):
-        out = {}
-        for name, typ in zip(schema.names, schema.types):
-            if name in cols and isinstance(typ, pa.DataType):
-                out[rename.get(name, name)] = pd.Series(
-                    dtype=typ.to_pandas_dtype()
-                ).dtype
-        return out
-
-    out_dtypes = _dtype_map(points.schema(), point_cols, {})
-    out_dtypes.update(_dtype_map(intervals.schema(), interval_cols, out_names))
-    # the two-sided union null-fills each side's exclusive columns, which
-    # upcasts int -> float in mixed groups; restore exactly (asof pattern)
-    ptargets = _restore_targets(points.schema(), set(pkeep))
-    itargets = _restore_targets(intervals.schema(), set(ikeep))
-
-    def _empty_out() -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {c: pd.Series(dtype=out_dtypes.get(c, "object")) for c in out_cols}
-        )
-        return bucket_combiner(empty) if bucket_combiner is not None else empty
-
     def tag_points(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[pkeep].copy()
-        out["__side"] = "p"
-        out[SHARD] = _bucket_of(_to_num(b[point_col]))
-        return out
+        return b[pkeep].assign(**{SHARD: _bucket_of(_to_num(b[point_col]))})
 
     def tag_intervals(b: pd.DataFrame) -> pd.DataFrame:
         s, e = _to_num(b[start_col]), _to_num(b[end_col])
@@ -162,10 +131,7 @@ def interval_join(
         keep = (raw1 >= 0) & (raw0 <= n_buckets - 1) & (e >= s)
         sub = b.loc[keep, ikeep].reset_index(drop=True)
         if not len(sub):
-            out = sub.copy()
-            out[SHARD] = np.empty(0, dtype="int64")
-            out["__side"] = pd.Series(dtype="object")
-            return out
+            return sub.assign(**{SHARD: np.empty(0, dtype="int64")})
         b0, b1 = b0[keep], b1[keep]
         counts = (b1 - b0 + 1).astype("int64")
         rep = sub.iloc[np.repeat(np.arange(len(sub)), counts)].copy()
@@ -174,7 +140,6 @@ def interval_join(
         rep[SHARD] = (
             np.arange(int(counts.sum())) - np.repeat(offs, counts) + np.repeat(b0, counts)
         )
-        rep["__side"] = "i"
         return rep
 
     p = points.map_batches(tag_points, batch_format="pandas")
@@ -182,27 +147,9 @@ def interval_join(
 
     side = "right" if closed == "both" else "left"
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        pmask = g["__side"] == "p"
-        if not pmask.any() or any(c not in g.columns for c in pkeep):
-            return _empty_out()
-        imask = g["__side"] == "i"
-        if not imask.any() or any(c not in g.columns for c in ikeep):
-            return _empty_out()
-        pg = _restore_dtypes(g.loc[pmask, pkeep].reset_index(drop=True), ptargets)
-        ig = _restore_dtypes(g.loc[imask, ikeep].reset_index(drop=True), itargets)
-        pv = _to_num(pg[point_col])
-        order = np.argsort(pv, kind="stable")
-        pv = pv[order]
-        li = np.searchsorted(pv, _to_num(ig[start_col]), side="left")
-        ri = np.searchsorted(pv, _to_num(ig[end_col]), side=side)
-        counts = (ri - li).astype("int64")
-        total = int(counts.sum())
-        if total == 0:
-            return _empty_out()
-        offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        p_idx = order[np.arange(total) - np.repeat(offs, counts) + np.repeat(li, counts)]
-        i_idx = np.repeat(np.arange(len(ig)), counts)
+    def pairs(pg: pd.DataFrame, p_idx, ig: pd.DataFrame, i_idx) -> pd.DataFrame:
+        # typed even when empty: both frames keep their side's dtypes, so
+        # every bucket emits one schema
         out = pg.iloc[p_idx].reset_index(drop=True)[point_cols]
         iv = ig.iloc[i_idx].reset_index(drop=True)
         for c in interval_cols:
@@ -210,7 +157,21 @@ def interval_join(
         out = out[out_cols]
         return bucket_combiner(out) if bucket_combiner is not None else out
 
-    return exchange(p.union(i), None, per_bucket)
+    def per_bucket(pg: pd.DataFrame, ig: pd.DataFrame) -> pd.DataFrame:
+        if not len(pg) or not len(ig):
+            return pairs(pg, [], ig, [])
+        pv = _to_num(pg[point_col])
+        order = np.argsort(pv, kind="stable")
+        pv = pv[order]
+        li = np.searchsorted(pv, _to_num(ig[start_col]), side="left")
+        ri = np.searchsorted(pv, _to_num(ig[end_col]), side=side)
+        counts = (ri - li).astype("int64")
+        total = int(counts.sum())
+        offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        p_idx = order[np.arange(total) - np.repeat(offs, counts) + np.repeat(li, counts)]
+        return pairs(pg, p_idx, ig, np.repeat(np.arange(len(ig)), counts))
+
+    return cogroup(p, i, None, per_bucket)
 
 
 def coalesce_intervals(

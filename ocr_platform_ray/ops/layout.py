@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .exchange import exchange
+from .exchange import _pd_dtype, exchange
 from .sketch import grouped_sketches, sketch_quantile
 
 _ZONEMAP = "zonemap.parquet"
@@ -476,8 +476,6 @@ def clustered_merge_join(
     range-clustered storage."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be inner|left, got {how}")
-    from .relational import _pd_dtype  # driver-side composition
-
     pairs = clustered_join_plan(dir_left, dir_right)
     if not pairs:
         raise ValueError("left layout is empty")

@@ -4,12 +4,17 @@ Join strategy (ray_guide / SURVEY §2.4):
   * small build side -> broadcast hash join: ``ray.put`` the built lookup
     ONCE, probe inside ``map_batches`` (J1/J2/J5 — the reference's
     dict-probe joins, texts.airtable.ts:62-104).
-  * both sides large -> explicit partitioned hash join: add
-    ``bucket = hash(key) % B`` to both sides, co-group per bucket, pandas
-    merge per bucket (portable; ``Dataset.join`` exists in this Ray but the
-    explicit form documents the partitioning and survives API drift).
+  * both sides large -> explicit partitioned hash join: both sides meet
+    in ``ops/exchange.py::cogroup`` on ``hash(key) % shard_count()``, one
+    pandas merge per shard (portable; ``Dataset.join`` exists in this Ray
+    but the explicit form documents the partitioning and survives API
+    drift).  ``cogroup`` owns the side marker, the typed padding and the
+    dtype restore, so every two-sided route here (bucketed join and
+    semi/anti, ``asof_join``, ``dataset_set_op``) only writes its
+    per-shard kernel.
   * semi/anti -> broadcast the key set, filter inside ``map_batches``
-    (J4/J6, incl. the ``none:{}`` anti-filter at usul/texts/page.tsx:79-85).
+    (J4/J6, incl. the ``none:{}`` anti-filter at usul/texts/page.tsx:79-85);
+    a corpus-sized key side co-groups its deduped keys instead.
 
 Aggregation at scale: ``pre_aggregate`` computes per-batch partials inside
 ``map_batches`` (one row per key per batch) so the shuffle moves partials,
@@ -31,7 +36,7 @@ import ray.data as rd
 # import inside a worker-executed body would fail on workers that cannot
 # import the package from disk (foreign-cwd drivers)
 from ..state.broadcast import cached_get
-from .exchange import SHARD, _hash_labels, exchange, shard_count
+from .exchange import _pd_dtype, _typed_empty, cogroup, exchange
 
 
 # --------------------------------------------------------------------------
@@ -82,83 +87,6 @@ def broadcast_hash_join(
 # --------------------------------------------------------------------------
 # Partitioned (bucketed) hash join — both sides large
 # --------------------------------------------------------------------------
-def _restore_targets(schema: "pa.Schema", names) -> dict[str, str]:
-    """Map integer/bool columns of an Arrow schema to their numpy dtype
-    names.  A two-sided union exchange null-fills each side's exclusive
-    columns, which upcasts int->float / bool->object in pandas batches;
-    after slicing back to one side's rows the nulls are gone and the
-    original dtype can be restored exactly."""
-    targets: dict[str, str] = {}
-    for name, typ in zip(schema.names, schema.types):
-        if name not in names or not isinstance(typ, pa.DataType):
-            continue  # non-Arrow (simple-block) schemas carry Python types
-        if pa.types.is_integer(typ) or pa.types.is_boolean(typ):
-            targets[name] = np.dtype(typ.to_pandas_dtype()).name
-    return targets
-
-
-def _pd_dtype(typ) -> str:
-    """Arrow type -> pandas dtype name (object for anything exotic)."""
-    if not isinstance(typ, pa.DataType):
-        return "object"
-    if pa.types.is_timestamp(typ):
-        # Ray pandas blocks keep the Arrow unit (parquet timestamps read
-        # as datetime64[us]); matching it keeps padded/typed-empty rows
-        # from upcasting the real side's column in an exchange concat
-        return f"datetime64[{typ.unit}]"
-    if pa.types.is_date(typ):
-        return "datetime64[ns]"
-    if pa.types.is_integer(typ):
-        return np.dtype(typ.to_pandas_dtype()).name
-    if pa.types.is_floating(typ):
-        return "float64"
-    if pa.types.is_boolean(typ):
-        return "bool"
-    return "object"
-
-
-def _typed_empty(schema: "pa.Schema", cols: list[str]) -> pd.DataFrame:
-    types = dict(zip(schema.names, schema.types))
-    return pd.DataFrame({c: pd.Series(dtype=_pd_dtype(types.get(c))) for c in cols})
-
-
-def _pad_typed(df: pd.DataFrame, pads: dict[str, str]) -> pd.DataFrame:
-    """Add each column in ``pads`` (name -> pandas dtype) filled with a
-    TYPED sentinel (0 / NaN / NaT / False / None) the receiver never
-    reads.  Union-exchange sides padded this way share ONE block schema,
-    so the sort concat never outer-joins differing schemas (no int->float
-    upcast, no executor schema-mismatch warnings) and per-bucket reduces
-    always see every column.  Mutates and returns ``df``."""
-    n = len(df)
-    for c, dt in pads.items():
-        if dt == "object":
-            df[c] = pd.Series([None] * n, index=df.index, dtype="object")
-        elif dt.startswith("datetime"):
-            unit = dt[dt.index("[") + 1 : -1] if "[" in dt else "ns"
-            df[c] = pd.Series(
-                np.full(n, np.datetime64("NaT", unit)), index=df.index
-            )
-        else:
-            df[c] = pd.Series(np.zeros(n, dtype=np.dtype(dt)), index=df.index)
-    return df
-
-
-def _pad_plan(schema: "pa.Schema", cols) -> dict[str, str]:
-    """The ``_pad_typed`` spec for ``cols`` of an Arrow schema."""
-    types = dict(zip(schema.names, schema.types))
-    return {c: _pd_dtype(types.get(c)) for c in cols}
-
-
-def _restore_dtypes(df: pd.DataFrame, targets: dict[str, str]) -> pd.DataFrame:
-    for c, dt in targets.items():
-        if c in df.columns and str(df[c].dtype) != dt and not df[c].isna().any():
-            try:
-                df[c] = df[c].astype(dt)
-            except (TypeError, ValueError):
-                pass
-    return df
-
-
 def freeze_list_columns(ds: rd.Dataset) -> tuple[rd.Dataset, dict[str, "np.dtype"]]:
     """Serialize variable-length LIST columns (Arrow ``list<T>`` — span
     lineage like page_offsets, embeddings, …) to per-row BYTES so wide
@@ -220,9 +148,10 @@ def bucketed_hash_join(
     how: str = "inner",
     right_prefix: str = "r_",
 ) -> rd.Dataset:
-    """Explicit partitioned hash join: both sides tagged with
-    ``hash(key) % shard_count()``, unioned, co-grouped per bucket, merged
-    with pandas per bucket (``exchange``).  One all-to-all shuffle total.
+    """Explicit partitioned hash join: both sides co-grouped on
+    ``hash(key) % shard_count()`` (``cogroup``), merged with pandas per
+    shard.  One all-to-all shuffle total.  Non-key right columns that
+    collide with a left column are renamed ``right_prefix + name``.
 
     Partitioning assumption: a single bucket's rows fit in a worker's heap;
     for skewed keys salt the hot key upstream."""
@@ -243,54 +172,13 @@ def bucketed_hash_join(
                 "names — guard the caller with an emptiness check"
             )
         return (right if lsch is None else left).limit(0)
-    lcols = lsch.names
-    rcols = rsch.names
-    overlap = (set(lcols) & set(rcols)) - set(keys)
-    # the right side's overlap columns are renamed r_* BEFORE the union
-    # and each side is PADDED with the other side's columns as typed
-    # sentinels (_pad_typed), so both sides ship ONE identical block
-    # schema through the exchange: no outer-join concat (keeps int64
-    # int64), no missing-column defense in the reduce, and no executor
-    # schema-mismatch warnings
+    overlap = (set(lsch.names) & set(rsch.names)) - set(keys)
     rename = {c: right_prefix + c for c in overlap}
-    r_cols = [rename.get(c, c) for c in rcols]  # right side, post-rename
-    union_cols = lcols + [c for c in r_cols if c not in lcols]
-    ltargets = _restore_targets(left.schema(), set(lcols))
-    rtargets = {
-        rename.get(c, c): dt
-        for c, dt in _restore_targets(right.schema(), set(rcols)).items()
-    }
-    lschema, rschema = left.schema(), right.schema()
-    lpads = {
-        rename.get(c, c): dt
-        for c, dt in _pad_plan(rschema, rcols).items()
-        if rename.get(c, c) not in lcols
-    }
-    rpads = {
-        c: dt for c, dt in _pad_plan(lschema, lcols).items() if c not in r_cols
-    }
-    n = shard_count()
 
-    def tag(ds: rd.Dataset, side: str, rn: dict, pads: dict) -> rd.Dataset:
-        def add(batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch.rename(columns=rn) if rn else batch.copy()
-            out = _pad_typed(out, pads)[union_cols].copy()
-            out[SHARD] = _hash_labels(out, keys, n).astype("int64")
-            out["__side"] = side
-            return out
+    def join_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        return l.merge(r.rename(columns=rename), on=keys, how=how)
 
-        return ds.map_batches(add, batch_format="pandas")
-
-    l = tag(left, "l", {}, lpads)
-    r = tag(right, "r", rename, rpads)
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lmask = (g["__side"] == "l").to_numpy()
-        lg = _restore_dtypes(g.loc[lmask, lcols].copy(), ltargets)
-        rg = _restore_dtypes(g.loc[~lmask, keys + [c for c in r_cols if c not in keys]].copy(), rtargets)
-        return lg.merge(rg, on=keys, how=how)
-
-    return exchange(l.union(r), None, join_bucket)
+    return cogroup(left, right, keys, join_bucket)
 
 
 _ROUTE_LOG: list | None = None
@@ -448,48 +336,23 @@ def _semi_anti_bucketed(
     driver-held key set, the route for a corpus-sized key side.
 
     Correct because every occurrence of a key value (both sides) lands in
-    the same bucket; a bucket fed no key-side blocks has an empty key set
+    the same bucket; a bucket fed no key-side rows has an empty key set
     (semi keeps nothing, anti keeps everything)."""
-    dschema = ds.schema()
-    ksch = keys.schema()
-    if dschema is None:
+    if ds.schema() is None:
         return ds  # block-less data side: nothing to keep OR drop
-    if ksch is None:
+    # in-batch dedup combiner: the exchange moves distinct keys per batch
+    kd = keys.select_columns([on]).map_batches(
+        lambda b: b.drop_duplicates(), batch_format="pandas"
+    )
+    if kd.schema() is None:
         # block-less key side: semi keeps nothing, anti keeps everything
         return ds.limit(0) if keep_in else ds
-    dcols = dschema.names
-    dtargets = _restore_targets(dschema, set(dcols))
-    # padded union (one block schema both sides — see _pad_typed)
-    kpad = _pad_plan(ksch, [on])
-    union_cols = dcols + ["__k"]
-    dpads = _pad_plan(dschema, dcols)
-    n = shard_count()
 
-    def tag_data(b: pd.DataFrame) -> pd.DataFrame:
-        out = _pad_typed(b.copy(), {"__k": kpad[on]})[union_cols].copy()
-        out[SHARD] = _hash_labels(b, [on], n).astype("int64")
-        out["__side"] = "l"
-        return out
+    def per_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        mask = l[on].isin(set(r[on]))
+        return l[mask if keep_in else ~mask]
 
-    def tag_keys(b: pd.DataFrame) -> pd.DataFrame:
-        # in-batch dedup combiner: the exchange moves distinct keys per batch
-        out = b[[on]].drop_duplicates().rename(columns={on: "__k"})
-        out[SHARD] = _hash_labels(out, ["__k"], n).astype("int64")
-        out = _pad_typed(out, dpads)[union_cols + [SHARD]].copy()
-        out["__side"] = "r"
-        return out
-
-    l = ds.map_batches(tag_data, batch_format="pandas")
-    r = keys.select_columns([on]).map_batches(tag_keys, batch_format="pandas")
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lmask = (g["__side"] == "l").to_numpy()
-        lg = _restore_dtypes(g.loc[lmask, dcols].copy(), dtargets)
-        kvals = g.loc[~lmask, "__k"]
-        mask = lg[on].isin(set(kvals))
-        return lg[mask if keep_in else ~mask]
-
-    return exchange(l.union(r), None, per_bucket)
+    return cogroup(ds, kd, on, per_bucket)
 
 
 def _semi_anti_bloom(
@@ -548,6 +411,10 @@ def _semi_anti(
     broadcast_threshold_rows: int,
     bloom_m_bits: int = 1 << 23,
 ) -> rd.Dataset:
+    if method not in ("auto", "broadcast", "bucketed", "bloom"):
+        raise ValueError(
+            f"method must be 'auto', 'broadcast', 'bucketed' or 'bloom', got {method!r}"
+        )
     if method == "auto":
         # mirror auto_join: the probe, when it fits, IS the broadcast
         # key table (one execution total)
@@ -1000,16 +867,20 @@ def asof_join(
     keep their own name unless they collide with a left column (then
     ``+ suffix``), and keys with no right rows fill with the dtype-correct
     missing value (NaN / NaT / None) under the SAME names."""
-    lcols = left.schema().names
+    if direction not in ("backward", "forward", "nearest"):
+        raise ValueError(
+            f"direction must be 'backward', 'forward' or 'nearest', got {direction!r}"
+        )
+    lschema = left.schema()
+    lcols = lschema.names
     rkeep = [key, ts] + [c for c in right_cols if c not in (key, ts)]
-    extra = [c for c in rkeep if c not in (key, ts)]
+    right = right.select_columns(rkeep)
+    rschema = right.schema()
+    extra = rkeep[2:]
     # output name per right payload column: suffix only on collision, in
     # both the merge_asof branch and the empty-right fill branch
     out_names = {c: (c + suffix if c in lcols else c) for c in extra}
-    ltargets = _restore_targets(left.schema(), set(lcols))
-    rtargets = _restore_targets(right.schema(), set(rkeep))
     # dtype-correct fill values for keys that have no right match
-    rschema = right.schema()
     fills = {}
     for name, typ in zip(rschema.names, rschema.types):
         if name in extra:
@@ -1024,50 +895,26 @@ def asof_join(
     out_cols = lcols + [out_names[c] for c in extra]
 
     out_dtypes = {}
-    lschema = left.schema()
     for name, typ in zip(lschema.names, lschema.types):
-        if name in lcols:
-            out_dtypes[name] = _pd_dtype(typ)
+        out_dtypes[name] = _pd_dtype(typ)
     for name, typ in zip(rschema.names, rschema.types):
         if name in extra:
             # fill dtype: ints become float64 (NaN-able), like merge_asof
             dt = _pd_dtype(typ)
             out_dtypes[out_names[name]] = "float64" if dt.startswith("int") else dt
 
-    def _empty_out() -> pd.DataFrame:
-        return pd.DataFrame({c: pd.Series(dtype=out_dtypes.get(c, "object")) for c in out_cols})
-
-    n = shard_count()
-
-    def tag(ds: rd.Dataset, side: str, cols: list[str]) -> rd.Dataset:
-        def add(b: pd.DataFrame) -> pd.DataFrame:
-            out = b[cols].copy()
-            out["__side"] = side
-            out[SHARD] = _hash_labels(out, [key], n).astype("int64")
-            return out
-
-        return ds.map_batches(add, batch_format="pandas")
-
-    l = tag(left, "l", lcols)
-    r = tag(right, "r", rkeep)
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        # shards fed only one side's blocks arrive WITHOUT the other
-        # side's columns (the union keeps per-block schemas) — treat a
-        # missing column set as an empty side
-        lmask = g["__side"] == "l"
-        if not lmask.any() or any(c not in g.columns for c in lcols):
+    def per_shard(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        if not len(l):
             # keys present only in the right dataset produce no output rows
-            return _empty_out()
-        lg = _restore_dtypes(g.loc[lmask, lcols].copy(), ltargets)
-        lg = lg.sort_values(ts, kind="mergesort")
-        rmask = g["__side"] == "r"
-        if not rmask.any() or any(c not in g.columns for c in rkeep):
+            return pd.DataFrame(
+                {c: pd.Series(dtype=out_dtypes[c]) for c in out_cols}
+            )
+        lg = l.sort_values(ts, kind="mergesort")
+        if not len(r):
             for c in extra:
                 lg[out_names[c]] = fills[c]
             return lg[out_cols]
-        rg = _restore_dtypes(g.loc[rmask, rkeep].copy(), rtargets)
-        rg = rg.rename(columns=out_names).sort_values(ts, kind="mergesort")
+        rg = r.rename(columns=out_names).sort_values(ts, kind="mergesort")
         merged = pd.merge_asof(
             lg, rg, on=ts, by=key, direction=direction, tolerance=tolerance
         )[out_cols]
@@ -1081,7 +928,7 @@ def asof_join(
                 merged[oc] = merged[oc].astype(out_dtypes[oc])
         return merged
 
-    return exchange(l.union(r), None, per_shard)
+    return cogroup(left, right, key, per_shard)
 
 
 def stratified_sample(
@@ -1592,37 +1439,33 @@ def dataset_set_op(
     of each tuple, except-all keeps max(count_a - count_b, 0).
 
     Both sides project to ``cols`` and collapse IN BATCH (the combiner
-    — distinct mode dedupes, bag mode pre-counts), a side tag rides a
-    single hash-shard exchange on the full tuple (both blocks carry the
-    identical projected schema, so one-sided shards are safe), and each
-    shard resolves presence with one vectorized indicator merge (counts
-    merge + np.repeat in bag mode)."""
+    — distinct mode dedupes, bag mode pre-counts), co-group on the full
+    tuple (``cogroup``), and each shard resolves presence with one
+    vectorized indicator merge (counts merge + np.repeat in bag mode)."""
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be 'intersect' or 'except', got {op!r}")
-    n = shard_count()
 
-    def prep(side: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            if bag:
-                out = batch.groupby(cols, as_index=False, dropna=False).size().rename(
-                    columns={"size": "__n"}
-                )
-                out["__n"] = out["__n"].astype("int64")
-            else:
-                out = batch[cols].drop_duplicates().copy()
-                out["__n"] = np.int64(1)
-            out["__side"] = np.int64(side)
-            out[SHARD] = _hash_labels(out, cols, n).astype("int64")
-            return out
+    def prep(batch: pd.DataFrame) -> pd.DataFrame:
+        if bag:
+            out = batch.groupby(cols, as_index=False, dropna=False).size().rename(
+                columns={"size": "__n"}
+            )
+            out["__n"] = out["__n"].astype("int64")
+        else:
+            out = batch[cols].drop_duplicates().copy()
+            out["__n"] = np.int64(1)
+        return out
 
-        return f
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
+    def per_shard(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         # dropna=False: NULL-keyed tuples are legal set members (the old
         # drop_duplicates+merge path matched NaN keys; groupby's default
         # dropna=True would silently lose them)
-        l = g.loc[g["__side"] == 0].groupby(cols, as_index=False, dropna=False)["__n"].sum()
-        r = g.loc[g["__side"] == 1].groupby(cols, as_index=False, dropna=False)["__n"].sum()
+        if not len(l):
+            return r[cols].iloc[:0]  # no tuple of ``a`` here: nothing to keep
+        if not len(r):
+            r = l.iloc[:0]  # a block-less ``b`` comes with no columns
+        l = l.groupby(cols, as_index=False, dropna=False)["__n"].sum()
+        r = r.groupby(cols, as_index=False, dropna=False)["__n"].sum()
         if not bag:
             m = l[cols].merge(r[cols], on=cols, how="left", indicator=True)
             want = "both" if op == "intersect" else "left_only"
@@ -1633,10 +1476,12 @@ def dataset_set_op(
         reps = np.minimum(na, nb) if op == "intersect" else np.maximum(na - nb, 0)
         return m.loc[m.index.repeat(reps), cols].reset_index(drop=True)
 
-    u = a.map_batches(prep(0), batch_format="pandas").union(
-        b.map_batches(prep(1), batch_format="pandas")
+    return cogroup(
+        a.map_batches(prep, batch_format="pandas"),
+        b.map_batches(prep, batch_format="pandas"),
+        cols,
+        per_shard,
     )
-    return exchange(u, None, per_shard)
 
 
 def pre_aggregate(

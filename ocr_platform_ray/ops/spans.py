@@ -30,7 +30,7 @@ import ray
 import ray.data as rd
 
 from ..state.broadcast import cached_get
-from .exchange import exchange
+from .exchange import cogroup, exchange
 from .relational import (
     auto_join,
     probe_head,
@@ -370,11 +370,8 @@ def strip_duplicated_spans(
     document (ExactSubstr cut at token granularity), preserving the
     single-space join of the survivors.  Output schema equals the input
     schema on ALL routes (the auto_join route-independence convention).
-    Bucketed route: each doc's text meets its duplicated-window
-    positions on one id-shard exchange (both sides projected to an
-    identical (id, pos, text) schema — the union-of-schemas caution
-    from asof_join/join_bucket); any other input columns are then
-    joined back dtype-exact via one more bucketed exchange.
+    Bucketed route: each doc meets its duplicated-window positions in
+    one id-shard ``cogroup``, which keeps every doc column's dtype.
     ``method="bloom"``: map-only strip against a fixed-size Bloom
     bitmap (see ``dup_span_stats``) — may OVER-cut at the false-positive
     rate, never misses a truly duplicated window."""
@@ -429,57 +426,35 @@ def strip_duplicated_spans(
             {id_col: b[id_col].to_numpy()[row_idx], "pos": pos, "gh": gh}
         )
 
-    marked = (
-        semi_join(
-            ds.map_batches(explode, batch_format="pandas"),
-            counts.select_columns(["gh"]),
-            "gh",
-            method="bucketed",
-        )
-        .select_columns([id_col, "pos"])
-        .map_batches(
-            lambda b: b.assign(**{text_col: ""}), batch_format="pandas"
-        )
-    )
-    docs = ds.map_batches(
-        lambda b: b[[id_col, text_col]].assign(pos=np.int64(-1))[
-            [id_col, "pos", text_col]
-        ],
-        batch_format="pandas",
-    )
+    marked = semi_join(
+        ds.map_batches(explode, batch_format="pandas"),
+        counts.select_columns(["gh"]),
+        "gh",
+        method="bucketed",
+    ).select_columns([id_col, "pos"])
+    # ``cogroup`` reads the marked side's schema: materialized, its
+    # exchange runs once
+    marked = marked.materialize()
 
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        is_doc = g["pos"].to_numpy() == -1
-        doc_rows = g[is_doc]
-        win = g[~is_doc].sort_values([id_col, "pos"], kind="mergesort")
-        pos_by_id = {
-            i: sub.to_numpy(dtype=np.int64)
-            for i, sub in win.groupby(id_col)["pos"]
-        }
-        texts = list(doc_rows[text_col])
-        out_texts: list[str] = []
+    def per_shard(docs: pd.DataFrame, win: pd.DataFrame) -> pd.DataFrame:
         empty = np.empty(0, dtype=np.int64)
+        pos_by_id = {}
+        if len(win):  # a block-less side comes with no columns
+            win = win.sort_values([id_col, "pos"], kind="mergesort")
+            pos_by_id = {
+                i: sub.to_numpy(dtype=np.int64)
+                for i, sub in win.groupby(id_col)["pos"]
+            }
+        texts = list(docs[text_col])
+        out_texts: list[str] = []
         _strip_rows(
             texts,
             (
                 (t.split(" "), pos_by_id.get(i, empty))
-                for i, t in zip(doc_rows[id_col], texts)
+                for i, t in zip(docs[id_col], texts)
             ),
             out_texts,
         )
-        return pd.DataFrame({id_col: doc_rows[id_col].to_numpy(), text_col: out_texts})
+        return docs.assign(**{text_col: out_texts})
 
-    stripped = exchange(marked.union(docs), id_col, per_shard)
-    # route-independent output schema (the auto_join convention): the
-    # exchange carried only (id, pos, text), so any other input columns
-    # are joined back — one more bucketed exchange at corpus scale,
-    # which is what keeps dtypes exact (a null-filled union would upcast
-    # every int payload column to float in the marked rows' blocks)
-    sch = ds.schema()
-    orig_cols = sch.names if sch is not None else [id_col, text_col]
-    extra = [c for c in orig_cols if c not in (id_col, text_col)]
-    if not extra:
-        return stripped.map_batches(lambda b: b[orig_cols], batch_format="pandas")
-    rest = ds.select_columns([id_col, *extra])
-    joined = auto_join(rest, stripped, id_col, how="inner")
-    return joined.map_batches(lambda b: b[orig_cols], batch_format="pandas")
+    return cogroup(ds, marked, id_col, per_shard)

@@ -24,8 +24,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .exchange import exchange
-from .relational import _typed_empty, auto_group_agg
+from .exchange import _typed_empty, exchange
+from .relational import auto_group_agg
 
 
 def _normalize_finish(reduced, *, as_dataset: bool, sort_keys: list[str]):

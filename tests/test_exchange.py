@@ -108,6 +108,28 @@ class TestNoHandRolledExchanges:
                     hits.append(f"{path.relative_to(PKG)}:{node.lineno}")
         assert [h.split(":")[0] for h in hits] == ["ops/exchange.py"], hits
 
+    def test_only_cogroup_tags_a_side(self):
+        # how two inputs share one exchange is decided in ops/exchange.py
+        # (``cogroup``): no other module tags a side or pads/restores one
+        names = {"_pad_typed", "_restore_targets", "_restore_dtypes"}
+        hits = []
+        for path in PKG.rglob("*.py"):
+            rel = path.relative_to(PKG).as_posix()
+            if rel == "ops/exchange.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value == "__side":
+                    hits.append(f"{rel}:{node.lineno} '__side'")
+                elif isinstance(node, ast.alias) and node.name in names:
+                    hits.append(f"{rel} imports {node.name}")
+                elif isinstance(node, ast.Name) and node.id in names:
+                    hits.append(f"{rel}:{node.lineno} {node.id}")
+                elif isinstance(node, ast.Attribute) and node.attr in names:
+                    hits.append(f"{rel}:{node.lineno} {node.attr}")
+                elif isinstance(node, ast.FunctionDef) and node.name in names:
+                    hits.append(f"{rel}:{node.lineno} def {node.name}")
+        assert not hits, hits
+
     # The defs that keep an ``n_shards`` parameter: the count is written
     # into an on-disk layout that a later reader maps back, so it belongs
     # to the caller.  Each maps to the record that pins it.

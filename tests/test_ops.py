@@ -313,6 +313,15 @@ class TestJoins:
         assert set(s["k"]) <= set(right["k"])
         assert set(a["k"]).isdisjoint(set(right["k"]))
 
+    def test_unknown_semi_anti_method_raises_on_driver(self, tables):
+        # an unknown route must not fall through to the driver key set
+        from ocr_platform_ray.ops.relational import anti_join, semi_join
+
+        left, right = tables
+        for fn in (semi_join, anti_join):
+            with pytest.raises(ValueError, match="bucket"):
+                fn(rd.from_pandas(left), rd.from_pandas(right), "k", method="bucket")
+
     def test_semi_anti_bucketed_matches_broadcast(self, tables):
         # route equivalence: the distributed bucketed exchange (and the
         # auto planner forced onto it) must match the broadcast key set
@@ -526,6 +535,19 @@ class TestAsofJoin:
         ).to_pandas()
         assert "v" in got.columns and "v_r" in got.columns
         assert got["v"].iloc[0] == 1.5 and got["v_r"].iloc[0] == 9.9
+
+    def test_unknown_direction_raises_on_driver(self):
+        # checked on the driver: a worker would fail with a MergeError,
+        # and a shard without both sides would fill as if "backward"
+        from ocr_platform_ray.ops.relational import asof_join
+
+        left = pd.DataFrame({"user": [1], "ts": [pd.Timestamp("2024-01-01")]})
+        right = pd.DataFrame({"user": [2], "ts": [pd.Timestamp("2024-01-01")], "v": [1.0]})
+        with pytest.raises(ValueError, match="sideways"):
+            asof_join(
+                rd.from_pandas(left), rd.from_pandas(right),
+                key="user", ts="ts", right_cols=["v"], direction="sideways",
+            )
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -10,9 +10,11 @@ bundles into downstream operators.  These tests pin the two fixes:
   the batcher drops empty blocks inside any task that also holds rows,
   and the sort's last range always holds the maximum key, so no reduce
   task is all-empty.
-* ``bucketed_hash_join`` / ``_semi_anti_bucketed`` pad both union sides to
-  ONE block schema with typed sentinels (``_pad_typed``), so the exchange
-  never sees two different schemas and int columns never upcast.
+* ``cogroup`` (ops/exchange.py), the two-sided exchange every join,
+  semi/anti filter, set operation and span/interval co-group runs
+  through, pads both sides to ONE block schema with typed placeholders,
+  so the exchange never sees two different schemas and each side's
+  ``per_shard`` frame keeps its own dtypes.
 
 The ``TestRayInternals`` canaries fail loudly if a Ray upgrade changes
 any of those behaviours, or the read fusion ``extract_pages_ds`` relies
@@ -26,13 +28,20 @@ import ray
 import ray.data as rd
 
 from ocr_platform_ray.ops.relational import (
-    _pad_typed,
     _semi_anti_bucketed,
+    asof_join,
     bucketed_hash_join,
+    dataset_set_op,
     sharded_group_agg,
 )
 from ocr_platform_ray.ops.dedup import dup_clusters, dup_clusters_distributed
-from ocr_platform_ray.ops.exchange import exchange
+from ocr_platform_ray.ops.exchange import (
+    SHARD,
+    _hash_labels,
+    _pad_typed,
+    cogroup,
+    exchange,
+)
 
 
 def _block_shapes(ds: rd.Dataset) -> list[tuple]:
@@ -192,6 +201,191 @@ class TestPaddedUnionJoin:
         _assert_typed_blocks(anti)
         assert semi.to_pandas()["u"].tolist() == ["b"]
         assert sorted(anti.to_pandas()["u"]) == ["a", "c"]
+
+    @staticmethod
+    def _sites():
+        """Each converted co-group site on a small fixture spread over
+        many blocks: name -> (Dataset builder, expected output dtypes)."""
+        from ocr_platform_ray.ops.c4 import c4_span_dedup
+        from ocr_platform_ray.ops.decontam import contamination_counts
+        from ocr_platform_ray.ops.graph import link_prediction_scores
+        from ocr_platform_ray.ops.interval import interval_join
+        from ocr_platform_ray.ops.spans import strip_duplicated_spans
+
+        ts = pd.to_datetime(["2024-01-01 00:00", "2024-01-01 01:00", "2024-01-01 02:00"])
+        events = pd.DataFrame({"k": [1, 2, 1], "ts": ts.astype("datetime64[us]"), "n": [1, 2, 3]})
+        signups = pd.DataFrame({"k": [1, 3], "ts": ts[:2].astype("datetime64[us]"), "v": [7, 8]})
+        docs = pd.DataFrame(
+            {
+                "doc_id": [0, 1, 2, 3],
+                "text": ["a b c d e", "x a b c d", "p q r s", "a b c d e"],
+                "n": [10, 11, 12, 13],
+                "ok": [True, False, True, False],
+            }
+        )
+        sents = docs.assign(text=["A. B. C. D.", "A. B. C. X.", "P. Q.", "Z. A. B. C."])
+
+        def ds(df, n=3):
+            return rd.from_pandas(df, override_num_blocks=n)
+
+        return {
+            "asof_join": (
+                lambda: asof_join(ds(events), ds(signups), key="k", ts="ts", right_cols=["v"]),
+                {"k": "int64", "ts": "datetime64[us]", "n": "int64", "v": "float64"},
+            ),
+            "dataset_set_op": (
+                lambda: dataset_set_op(ds(docs), ds(docs.iloc[1:]), ["doc_id", "n"], "except"),
+                {"doc_id": "int64", "n": "int64"},
+            ),
+            "interval_join": (
+                lambda: interval_join(
+                    ds(pd.DataFrame({"p": [1, 5, 9], "pid": [0, 1, 2]})),
+                    ds(pd.DataFrame({"s": [0, 4], "e": [6, 10], "iid": [7, 8]})),
+                    point_col="p", start_col="s", end_col="e",
+                    point_cols=["p", "pid"], interval_cols=["iid"], n_buckets=4,
+                ),
+                {"p": "int64", "pid": "int64", "iid": "int64"},
+            ),
+            "contamination_counts": (
+                lambda: contamination_counts(
+                    ds(docs), ds(docs.iloc[:1], 1), id_col="doc_id", text_col="text",
+                    n=3, method="bucketed",
+                ),
+                {"doc_id": "int64", "n_shared_grams": "int64"},
+            ),
+            "strip_duplicated_spans": (
+                lambda: strip_duplicated_spans(
+                    ds(docs), "text", "doc_id", width=3, min_count=2, method="bucketed"
+                ),
+                {"doc_id": "int64", "text": "object", "n": "int64", "ok": "bool"},
+            ),
+            "c4_span_dedup": (
+                lambda: c4_span_dedup(ds(sents), "text", "doc_id", width=3, method="bucketed"),
+                {"doc_id": "int64", "text": "object", "n": "int64", "ok": "bool"},
+            ),
+            "link_prediction_scores": (
+                lambda: link_prediction_scores(
+                    ds(pd.DataFrame({"src": [1, 1, 2, 3], "dst": [2, 3, 4, 4]})),
+                    as_dataset=True,
+                ),
+                {"u": "int64", "v": "int64", "cn": "int64", "aa": "float64"},
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "asof_join",
+            "dataset_set_op",
+            "interval_join",
+            "contamination_counts",
+            "strip_duplicated_spans",
+            "c4_span_dedup",
+            "link_prediction_scores",
+        ],
+    )
+    def test_cogroup_sites_typed_blocks(self, ray_session, site):
+        build, dtypes = self._sites()[site]
+        out = build()
+        _assert_typed_blocks(out)
+        got = out.to_pandas()
+        assert len(got) > 0
+        assert {c: str(t) for c, t in got.dtypes.items()} == dtypes
+
+    def test_fuzzy_exchange_blocking_dtypes(self, ray_session):
+        from ocr_platform_ray.ops.fuzzy import fuzzy_join_lev
+
+        names = pd.DataFrame({"id": [1, 2, 3], "name": ["kitten", "sitting", "mitten"]})
+        got = fuzzy_join_lev(
+            rd.from_pandas(names, override_num_blocks=3),
+            rd.from_pandas(names, override_num_blocks=2),
+            max_dist=2, blocking="exchange",
+        )
+        assert {c: str(t) for c, t in got.dtypes.items()} == {
+            "id_l": "int64", "id_r": "int64", "lev_dist": "int64"
+        }
+        assert (1, 3) in set(zip(got["id_l"], got["id_r"]))
+
+    # one dtype of each kind Arrow hands pandas, on both sides
+    LEFT = pd.DataFrame(
+        {
+            "k": [1, 2, 3, 4, 5, 6],
+            "i": [1, 2, 3, 4, 5, 6],
+            "b": [True, False, True, False, True, False],
+            "t": pd.to_datetime(["2024-01-01"] * 6).astype("datetime64[us]"),
+            "s": list("abcdef"),
+            "f": [1.0, np.nan, 2.0, 3.0, np.nan, 4.0],
+        }
+    )
+    RIGHT = pd.DataFrame({"k": [4, 5, 6, 7, 8, 9], "i": [40, 50, 60, 70, 80, 90], "x": [True] * 6})
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_cogroup_sides_keep_their_dtypes(self, ray_session, set_shard_count, n):
+        def summary(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame(
+                {
+                    "lk": [tuple(sorted(l["k"]))],
+                    "rk": [tuple(sorted(r["k"]))],
+                    "ldt": [str(dict(l.dtypes.astype(str)))],
+                    "rdt": [str(dict(r.dtypes.astype(str)))],
+                }
+            )
+
+        set_shard_count(n)
+        out = cogroup(
+            rd.from_pandas(self.LEFT, override_num_blocks=3),
+            rd.from_pandas(self.RIGHT, override_num_blocks=2),
+            "k",
+            summary,
+        ).to_pandas()
+        want_l = str({"k": "int64", "i": "int64", "b": "bool", "t": "datetime64[us]",
+                      "s": "object", "f": "float64"})
+        want_r = str({"k": "int64", "i": "int64", "x": "bool"})
+        assert set(out["ldt"]) == {want_l} and set(out["rdt"]) == {want_r}
+        # the shards are exactly the key hash's groups, each side apart
+        shard_l = _hash_labels(self.LEFT, ["k"], n)
+        shard_r = _hash_labels(self.RIGHT, ["k"], n)
+        want = {
+            (tuple(sorted(self.LEFT["k"][shard_l == s])), tuple(sorted(self.RIGHT["k"][shard_r == s])))
+            for s in set(shard_l) | set(shard_r)
+        }
+        assert set(zip(out["lk"], out["rk"])) == want
+        if n == 7:  # both kinds of shard occur: two-sided and one-sided
+            assert any(l and r for l, r in want) and any(not l or not r for l, r in want)
+
+    def test_cogroup_blockless_side(self, ray_session):
+        blockless = rd.from_pandas(self.RIGHT.iloc[:0]).map_batches(
+            lambda b: b, batch_format="pandas"
+        )
+        assert blockless.schema() is None
+        seen = cogroup(
+            rd.from_pandas(self.LEFT, override_num_blocks=3),
+            blockless,
+            "k",
+            lambda l, r: pd.DataFrame({"nl": [len(l)], "rshape": [str(r.shape)]}),
+        ).to_pandas()
+        assert seen["nl"].sum() == len(self.LEFT)
+        assert set(seen["rshape"]) == {"(0, 0)"}
+
+    def test_cogroup_prelabelled_replication(self, ray_session):
+        # key=None: each side carries SHARD; one left row sits in two shards
+        left = pd.DataFrame({"x": [1, 1, 2], SHARD: [0, 1, 1]})
+        right = pd.DataFrame({"y": [10, 11], SHARD: [0, 1]})
+        out = cogroup(
+            rd.from_pandas(left, override_num_blocks=2),
+            rd.from_pandas(right),
+            None,
+            lambda l, r: pd.DataFrame(
+                {
+                    "xs": [tuple(sorted(l["x"]))],
+                    "y": [int(r["y"].iloc[0])],
+                    "cols": [tuple(l.columns) + tuple(r.columns)],
+                }
+            ),
+        ).to_pandas()
+        got = {int(y): xs for y, xs in zip(out["y"], out["xs"])}
+        assert got == {10: (1,), 11: (1, 2)}
+        assert set(out["cols"]) == {("x", "y")}
 
     def test_pad_typed_dtypes(self):
         df = pd.DataFrame({"a": [1, 2]})
