@@ -103,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         slowest = max(parts.values(), key=lambda m: m.get("wall_s", 0)) if parts else None
         mix = [m.get("reassembly") for m in parts.values()]
         residual = next((m for m in parts.values() if m.get("reassembly") == "residual"), None)
+        peaks = [m["worker_peak_rss_mb"] for m in parts.values() if m.get("worker_peak_rss_mb")]
         print(
             json.dumps(
                 {
@@ -117,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                         else None
                     ),
                     "reassembly": {r: mix.count(r) for r in sorted(set(mix), key=str)},
+                    "worker_peak_rss_mb": max(peaks, default=None),
                     "residual_part": residual
                     and {k: residual[k] for k in ("part_id", "rows", "inputs")},
                 }

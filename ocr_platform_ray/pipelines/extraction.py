@@ -92,7 +92,9 @@ def extract_docs(pages: pa.Table, *, max_blob_bytes: int | None = None) -> pa.Ta
     docs of ``ExtractPages`` then ``_docs_from_block``, without their
     per-page Arrow table.
     ``max_blob_bytes`` runs the oversized-payload splitter first.  Its
-    globals reach neither ``ray.data`` nor the url exchange, so the task's
+    globals reach neither ``ray.data`` nor the url exchange, and unless a
+    page exceeds ``max_blob_bytes`` (the splitter rebuilds its batch with
+    ``pa.array``) it calls nothing that imports pandas, so the task's
     worker never imports them."""
     if max_blob_bytes is not None:
         pages = explode_oversized(pages, max_bytes=max_blob_bytes)

@@ -18,6 +18,9 @@ in-group sort (SURVEY.md §7 hard-parts #6)."""
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,7 +29,7 @@ from ..schemas import DOC_OUT_SCHEMA
 from .extract import PageRow
 
 PAGE_SEP = "\n\x0c\n"  # form feed between pages
-_SEP_BYTES = len(PAGE_SEP.encode("utf-8"))
+_SEP_UTF8 = PAGE_SEP.encode("utf-8")
 # the page columns ``_docs_from_block`` reads; ``reassemble_docs`` ships
 # only these through its exchange (``spans``/``flags`` would ride along
 # for nothing)
@@ -109,29 +112,90 @@ def _page_order(pages: pa.Table) -> pa.Array:
 def _assemble_docs(urls: list, rows: list) -> pa.Table:
     """The one doc assembly loop: ``urls`` in ``_page_order`` and, in the
     same order, each page's ``PageRow`` -> one doc per url run.  Builds ONE
-    output table from flat Python lists — per-url pa.table construction
-    costs ~1.6ms/url, which dominated the stage before this
-    vectorization."""
-    if not urls:
-        return DOC_OUT_SCHEMA.empty_table()
+    output table (``_doc_table``) — per-url pa.table construction costs
+    ~1.6ms/url, which dominated the stage before this vectorization."""
     docs, start = [], 0
     for i in range(1, len(urls) + 1):
         if i < len(urls) and urls[i] == urls[start]:
             continue
         run = rows[start:i]
-        texts = [page_text(r.header, r.body, r.footnotes) for r in run]
-        # per-url span offsets: utf-8 byte offset of each page's start
-        # inside extracted_text (north-rule span lineage)
+        # each page is encoded once: its bytes go into the text column
+        # as they are, and their lengths give the per-url span offsets,
+        # the utf-8 byte offset of each page's start inside
+        # extracted_text (north-rule span lineage)
+        texts = [page_text(r.header, r.body, r.footnotes).encode("utf-8") for r in run]
         offs, pos = [], 0
         for t in texts:
             offs.append(pos)
-            pos += (len(t) if t.isascii() else len(t.encode("utf-8"))) + _SEP_BYTES
+            pos += len(t) + len(_SEP_UTF8)
         words = sum(r.total_words for r in run)
         failed = sum(r.failed_stage is not None for r in run)
         pagenos = [r.page_number for r in run if r.page_number is not None]
-        docs.append((urls[start], PAGE_SEP.join(texts), i - start, words, pagenos, failed, offs))
+        docs.append((urls[start], _SEP_UTF8.join(texts), i - start, words, pagenos, failed, offs))
         start = i
-    return pa.Table.from_pydict(dict(zip(DOC_OUT_SCHEMA.names, zip(*docs))), schema=DOC_OUT_SCHEMA)
+    return _doc_table(docs)
+
+
+# a pa.string() column's offsets are int32
+_MAX_COLUMN_BYTES = 2**31 - 1
+
+
+def _doc_table(docs: list[tuple]) -> pa.Table:
+    """The ``DOC_OUT_SCHEMA`` table of ``docs``, one ``(url,
+    extracted_text as utf-8 bytes, n_pages, total_words, page_numbers,
+    n_failed_pages, page_offsets)`` each, made straight from Arrow
+    buffers.  In pyarrow 16, ``pa.array``, ``pa.scalar``,
+    ``Table.from_pydict``/``from_pylist`` and ``Schema.empty_table()``
+    import pandas, ~31 MB and ~0.17 s in every per-file task's worker,
+    which runs nothing of pandas.  A table whose text outgrows the int32
+    offsets comes out in chunks."""
+    if sum(len(d[1]) for d in docs) > _MAX_COLUMN_BYTES and len(docs) > 1:
+        half = len(docs) // 2
+        return pa.concat_tables([_doc_table(docs[:half]), _doc_table(docs[half:])])
+    urls, texts, n_pages, words, pagenos, failed, offs = list(zip(*docs)) or [()] * 7
+    arrays = [
+        _string_array([None if u is None else u.encode("utf-8") for u in urls]),
+        _string_array(texts),
+        _int_array("q", n_pages),
+        _int_array("q", words),
+        _list_array("i", pagenos),
+        _int_array("q", failed),
+        _list_array("q", offs),
+    ]
+    return pa.Table.from_arrays(arrays, schema=DOC_OUT_SCHEMA)
+
+
+def _string_array(values) -> pa.Array:
+    """A string array of utf-8 ``values`` (None is null)."""
+    n = len(values)
+    nulls = [i for i, v in enumerate(values) if v is None]
+    validity = None
+    if nulls:
+        bits = bytearray(b"\xff") * ((n + 7) // 8)
+        for i in nulls:
+            bits[i >> 3] ^= 1 << (i & 7)
+        validity = pa.py_buffer(bits)
+    offsets = pa.py_buffer(array("i", accumulate((len(v or b"") for v in values), initial=0)))
+    data = pa.py_buffer(b"".join(filter(None, values)))
+    return pa.Array.from_buffers(pa.string(), n, [validity, offsets, data], len(nulls))
+
+
+# ``array`` typecode -> the Arrow integer type of the same width
+_INT_TYPES = {"i": pa.int32(), "q": pa.int64()}
+
+
+def _int_array(code: str, values) -> pa.Array:
+    """A null-free integer array of ``array`` typecode ``code``."""
+    values = array(code, values)
+    return pa.Array.from_buffers(_INT_TYPES[code], len(values), [None, pa.py_buffer(values)])
+
+
+def _list_array(code: str, lists) -> pa.Array:
+    """A null-free list array of integer ``lists``."""
+    child = _int_array(code, chain.from_iterable(lists))
+    offsets = pa.py_buffer(array("i", accumulate(map(len, lists), initial=0)))
+    typ = pa.list_(child.type)
+    return pa.Array.from_buffers(typ, len(lists), [None, offsets], children=[child])
 
 
 def _docs_from_block(batch: pa.Table) -> pa.Table:
@@ -139,8 +203,6 @@ def _docs_from_block(batch: pa.Table) -> pa.Table:
     the block's columns, in ``_page_order`` (so output is deterministic),
     through ``_assemble_docs``, the loop the job's ``extract_docs`` feeds
     straight from its pages."""
-    if batch.num_rows == 0:
-        return DOC_OUT_SCHEMA.empty_table()
     b = batch.take(_page_order(batch))
     rows = list(map(PageRow, *(b.column(c).to_pylist() for c in PageRow._fields)))
     return _assemble_docs(b.column("url").to_pylist(), rows)

@@ -27,6 +27,7 @@ import functools
 import glob
 import json
 import os
+import resource
 import shutil
 import time
 import zlib
@@ -116,12 +117,16 @@ def _file_task(file_fn, columns: list[str] | None):
     """The per-file task: read one file whole, drop the pages of the
     residual urls it holds, run ``file_fn`` on the rest, write the docs to
     ``<tmp_dir>/<file stem>.parquet`` (a retry overwrites its failed
-    attempt) and return the file, the rows it read and the task's
-    seconds.  Nothing it reaches may import ``ray.data`` or, through
-    ``pq.read_table``, ``pyarrow.dataset``: the worker pays for either
-    import, more than a small file's task costs."""
+    attempt) and return the file, the rows it read, the task's seconds
+    and its worker's peak RSS in MB (``ru_maxrss``).  Nothing it reaches
+    may import ``ray.data``, ``pyarrow.dataset`` (``pq.read_table`` does)
+    or pandas: in pyarrow 16, ``pa.array``, ``pa.scalar``,
+    ``Table.from_pydict``/``from_pylist`` and ``Schema.empty_table()``
+    import pandas (~31 MB and ~0.17 s per worker), so ``file_fn`` builds
+    its table from Arrow buffers.  The worker pays for any of these
+    imports, more than a small file's task costs."""
 
-    def land_file(path: str, tmp_dir: str, residual: pa.Array) -> tuple[str, int, float]:
+    def land_file(path: str, tmp_dir: str, residual: pa.Array) -> tuple[str, int, float, float]:
         t0 = time.perf_counter()
         pages = pq.ParquetFile(path).read(columns=columns)
         rows = pages.num_rows
@@ -131,7 +136,8 @@ def _file_task(file_fn, columns: list[str] | None):
         if docs.num_rows:
             stem = os.path.splitext(os.path.basename(path))[0]
             pq.write_table(docs, os.path.join(tmp_dir, stem + ".parquet"))
-        return path, rows, time.perf_counter() - t0
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        return path, rows, time.perf_counter() - t0, peak_mb
 
     return land_file
 
@@ -187,7 +193,10 @@ def run_with_manifest(
     aligned part the sum of its file tasks' seconds as the tasks report
     them (aligned parts overlap in time, so elapsed time would not
     describe the part), for the residual part the elapsed time of its run.
-    ``rows_per_s`` is rows over ``wall_s``.  A task that fails stops no
+    ``rows_per_s`` is rows over ``wall_s``.  An aligned part also records
+    ``"worker_peak_rss_mb"``, the largest peak RSS its file tasks' workers
+    report (null when no file of the part runs a task); the census
+    comparison does not read it.  A task that fails stops no
     other: every part whose files all land is committed and the residual
     part runs, then the job raises the first task's error; the failed
     parts leave only their ``.tmp`` dirs, which a rerun deletes and
@@ -252,7 +261,7 @@ def run_with_manifest(
             if not any(f in unreadable for f in spec[0]):
                 pending.append(pid)
 
-    def commit(pid: int, wall: float) -> None:
+    def commit(pid: int, wall: float, **health) -> None:
         nonlocal total_rows
         tmp_dir = part_dir(pid) + ".tmp"
         rows, crc, repeats = _url_checksum(tmp_dir)
@@ -273,6 +282,7 @@ def run_with_manifest(
             "rows_per_s": round(rows / wall, 1) if wall > 0 else None,
             "reassembly": reassembly,
             "residual_urls": n_residual,
+            **health,
         }
         mpath = os.path.join(manifest_dir, f"part-{pid:05d}.json")
         with open(mpath + ".tmp", "w") as f:
@@ -285,10 +295,11 @@ def run_with_manifest(
     part_of = {f: pid for pid in aligned for f in groups[pid] if len(urls[f]) > len(held[f])}
     waiting = {pid: {f for f in groups[pid] if f in part_of} for pid in aligned}
     task_s = dict.fromkeys(aligned, 0.0)
+    peak_mb = dict.fromkeys(aligned, 0.0)
     for pid in aligned:
         os.makedirs(part_dir(pid) + ".tmp")
         if not waiting[pid]:
-            commit(pid, 0.0)
+            commit(pid, 0.0, worker_peak_rss_mb=None)
     land = _lander(file_fn, None if columns is None else tuple(columns))
     refs = [land.remote(f, part_dir(pid) + ".tmp", held[f]) for f, pid in part_of.items()]
     errors = []
@@ -296,18 +307,19 @@ def run_with_manifest(
         while refs:
             (ref,), refs = ray.wait(refs)
             try:
-                f, rows, secs = ray.get(ref)
+                f, rows, secs, rss_mb = ray.get(ref)
             except ray.exceptions.RayError as e:
                 errors.append(e)
                 continue
             pid = part_of[f]
             task_s[pid] += secs
+            peak_mb[pid] = max(peak_mb[pid], rss_mb)
             if rows != footers[f].num_rows:
                 errors.append(ValueError(f"{f}: read {rows} of {footers[f].num_rows} rows"))
                 continue
             waiting[pid].discard(f)
             if not waiting[pid]:
-                commit(pid, task_s[pid])
+                commit(pid, task_s[pid], worker_peak_rss_mb=round(peak_mb[pid], 1))
     finally:
         for ref in refs:  # the driver failed: stop the tasks it will not drain
             ray.cancel(ref)

@@ -13,6 +13,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ocr_platform_ray.corpus import url_for
+from ocr_platform_ray.state.manifest import completed_parts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = {"extract", "repartition", "redo", "probe", "gen-corpus", "status", "explain"}
@@ -60,6 +61,7 @@ class TestCli:
         assert r == {"shards": 2, "urls": 4}
         r = _json(_cli(tmp_path, "status", "--output", out, ray_init=False))
         assert r["committed_parts"] == 0 and r["rows"] == 0
+        assert r["worker_peak_rss_mb"] is None
 
     def test_extract_status_redo_status(self, tmp_path):
         """Url 3's first page moved to the last file: the url census sends
@@ -84,6 +86,8 @@ class TestCli:
         assert r["committed_parts"] == 3 and r["rows"] == 40
         assert r["reassembly"] == {"aligned": 2, "residual": 1}
         assert r["residual_part"] == residual
+        peaks = [m.get("worker_peak_rss_mb") for m in completed_parts(out).values()]
+        assert r["worker_peak_rss_mb"] == max(p for p in peaks if p) and peaks.count(None) == 1
         r = _json(_cli(tmp_path, "redo", "--input", pages, "--output", out,
                        "--url", url_for(25)))
         assert r["redone_parts"] == 1 and r["skipped"] == 2 and r["rows"] == 40

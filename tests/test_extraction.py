@@ -309,11 +309,19 @@ class TestResume:
         write_pages_parquet(src, 20, urls_per_shard=5)
         r1 = run_extraction(src, out)
         assert r1["skipped"] == 0 and r1["rows"] == 20
+        import glob as g
+
+        # the workers' peak RSS is a health counter: a manifest without it
+        # (written before it existed) still commits its part
+        for p in g.glob(os.path.join(out, "_manifest", "*.json")):
+            with open(p) as f:
+                m = json.load(f)
+            assert m.pop("worker_peak_rss_mb") > 0
+            with open(p, "w") as f:
+                json.dump(m, f)
         r2 = run_extraction(src, out)
         assert r2["skipped"] == r2["parts"] and r2["rows"] == 20
         # remove one manifest -> exactly that partition recomputes
-        import glob as g
-
         os.remove(sorted(g.glob(os.path.join(out, "_manifest", "*.json")))[0])
         r3 = run_extraction(src, out)
         assert r3["skipped"] == r3["parts"] - 1
@@ -600,11 +608,15 @@ class TestOneExecution:
 
     def test_file_task_runs_without_ray_data(self, tmp_path):
         """The per-file task, shipped by value, runs in a process where
-        ``import ray.data`` fails and the package is not importable: a
-        reference to either would cost every worker its import."""
+        ``import ray.data`` fails and the package is not importable, and
+        imports no pandas: a reference to any of them would cost every
+        worker its import.  Its residual urls arrive as a pickled
+        ``pa.Array``, as Ray ships them; one file holds a null url, the
+        other only a residual url, so it yields no doc."""
         import subprocess
         import sys
 
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
         from ray import cloudpickle
 
@@ -615,29 +627,45 @@ class TestOneExecution:
         from ocr_platform_ray.state.manifest import _file_task
 
         (path,) = write_pages_parquet(str(tmp_path / "pages"), 12, urls_per_shard=12)
-        task = tmp_path / "task.pkl"
-        task.write_bytes(cloudpickle.dumps(_file_task(extract_docs, PAGE_COLUMNS)))
+        pages = pq.read_table(path)
+        null = corpus.url_for(0)
+        urls = pa.array([None if u == null else u for u in pages.column("url").to_pylist()])
+        pages = pages.set_column(pages.schema.get_field_index("url"), "url", urls)
+        pq.write_table(pages, path)
+        residual = pa.array([corpus.url_for(4)])  # its pages belong to another task
+        residual_pages = _pages_of(pages, residual)
+        assert residual_pages.num_rows
+        only_residual = os.path.join(
+            _write_files(tmp_path / "residual", [residual_pages]), "pages-00000.parquet"
+        )
+        task = cloudpickle.dumps(_file_task(extract_docs, PAGE_COLUMNS))
+        (tmp_path / "task.pkl").write_bytes(task)
+        (tmp_path / "residual.pkl").write_bytes(cloudpickle.dumps(residual))
+        out = tmp_path / "out"
+        out.mkdir()
         script = (
             "import pickle, sys\n"
-            "import pyarrow as pa\n"
             "sys.modules['ray.data'] = None\n"
-            "land = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "print(land(sys.argv[2], sys.argv[3], pa.array([sys.argv[4]]))[1])\n"
+            "land, residual = (pickle.loads(open(p, 'rb').read()) for p in sys.argv[1:3])\n"
+            "for path in sys.argv[4:]:\n"
+            "    print(land(path, sys.argv[3], residual)[1])\n"
             "assert not any(m.startswith('ocr_platform_ray') for m in sys.modules)\n"
+            "assert 'pandas' not in sys.modules\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        residual = corpus.url_for(4)  # its pages belong to another task
+        args = ["task.pkl", "residual.pkl", str(out), path, only_residual]
         run = subprocess.run(
-            [sys.executable, "-c", script, str(task), path, str(tmp_path), residual],
+            [sys.executable, "-c", script, *args],
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert run.returncode == 0, run.stderr
-        pages = pq.read_table(path, columns=PAGE_COLUMNS)
-        assert int(run.stdout) == pages.num_rows
+        assert [int(n) for n in run.stdout.split()] == [pages.num_rows, residual_pages.num_rows]
         stem = os.path.splitext(os.path.basename(path))[0]
-        got = pq.read_table(str(tmp_path / f"{stem}.parquet"))
-        local = _pages_of(pages, [corpus.url_for(u) for u in range(12) if u != 4])
-        assert got.equals(_docs_from_block(ExtractPages()(local)))
+        assert os.listdir(out) == [f"{stem}.parquet"]
+        got = pq.read_table(str(out / f"{stem}.parquet"))
+        local = pages.filter(pc.invert(pc.is_in(pages.column("url"), value_set=residual)))
+        assert got.column("url").null_count == 1
+        assert got.equals(_docs_from_block(ExtractPages()(local.select(PAGE_COLUMNS))))
 
     @pytest.mark.parametrize("partitioned_input", [True, False])
     def test_null_url_commits(self, tmp_path, partitioned_input):

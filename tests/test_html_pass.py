@@ -3,22 +3,27 @@ corpus goldens never reach: pages drawn from a seeded HTML grammar
 (nested, unclosed and mismatched block tags, mixed case, class variants,
 ``<br>``/``<hr>``, ``<a>``/``<sup>``, comments, scripts, entities,
 charset metas), pinned by a digest, and ``extract_docs`` held equal to
-``ExtractPages`` then ``_docs_from_block``."""
+``ExtractPages`` then ``_docs_from_block``; the doc table built from
+Arrow buffers held equal to ``Table.from_pydict``'s."""
 
 import datetime
 import hashlib
 import json
 import os
 import random
+from operator import itemgetter
+from unittest import mock
 
 import pyarrow as pa
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ocr_platform_ray.pipelines.extraction import extract_docs
-from ocr_platform_ray.schemas import FAKEPDF_MAGIC
-from ocr_platform_ray.stages.extract import ExtractPages, extract_page
-from ocr_platform_ray.stages.reassemble import _docs_from_block
+from ocr_platform_ray.schemas import DOC_OUT_SCHEMA, FAKEPDF_MAGIC
+from ocr_platform_ray.stages import reassemble
+from ocr_platform_ray.stages.extract import ExtractPages, PageRow, extract_page
+from ocr_platform_ray.stages.reassemble import PAGE_SEP, _assemble_docs, _docs_from_block
+from ocr_platform_ray.stages.reassemble import page_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "html_grammar_sha.json")
 
@@ -206,3 +211,55 @@ class TestExtractDocsMatchesBlockPath:
     @given(_pages())
     def test_same_docs(self, pages):
         assert extract_docs(pages).equals(_docs_from_block(ExtractPages()(pages)))
+
+
+# ASCII, Arabic and astral-plane characters; "" is drawn too
+_TEXT = st.text(st.sampled_from(["a", "Z", " ", "\n", "\x0c", "ك", "ت", "𝔸", "😀"]), max_size=5)
+_PAGE_ROWS = st.builds(
+    PageRow,
+    header=st.none() | _TEXT,
+    body=_TEXT,
+    footnotes=st.none() | _TEXT,
+    page_number=st.none() | st.integers(1, 2**31 - 1),
+    total_words=st.integers(0, 2**40),
+    failed_stage=st.none() | st.just("ocr"),
+)
+# (url, its pages): distinct urls, a null one among them
+_DOCS = st.lists(
+    st.tuples(st.none() | _TEXT, st.lists(_PAGE_ROWS, min_size=1, max_size=4)),
+    max_size=6,
+    unique_by=itemgetter(0),
+)
+
+
+def _pydict_docs(docs) -> pa.Table:
+    """The reference: each doc's columns in Python, ``Table.from_pydict``."""
+    cols = {name: [] for name in DOC_OUT_SCHEMA.names}
+    for url, run in docs:
+        texts = [page_text(r.header, r.body, r.footnotes) for r in run]
+        starts = [len((t + PAGE_SEP).encode()) for t in texts[:-1]]
+        cols["url"].append(url)
+        cols["extracted_text"].append(PAGE_SEP.join(texts))
+        cols["n_pages"].append(len(run))
+        cols["total_words"].append(sum(r.total_words for r in run))
+        cols["page_numbers"].append([r.page_number for r in run if r.page_number is not None])
+        cols["n_failed_pages"].append(sum(r.failed_stage is not None for r in run))
+        cols["page_offsets"].append([sum(starts[:i]) for i in range(len(run))])
+    return pa.Table.from_pydict(cols, schema=DOC_OUT_SCHEMA)
+
+
+class TestDocTableFromBuffers:
+    """``_assemble_docs`` builds its table from Arrow buffers (no pandas
+    import in the per-file task's worker); it equals ``from_pydict``'s,
+    also when the text outgrows one chunk's offsets."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_DOCS, st.sampled_from([reassemble._MAX_COLUMN_BYTES, 8]))
+    @example([], reassemble._MAX_COLUMN_BYTES)
+    def test_equals_from_pydict(self, docs, max_column_bytes):
+        urls = [url for url, run in docs for _ in run]
+        rows = [row for _, run in docs for row in run]
+        with mock.patch.object(reassemble, "_MAX_COLUMN_BYTES", max_column_bytes):
+            got = _assemble_docs(urls, rows)
+        got.validate(full=True)
+        assert got.equals(_pydict_docs(docs))
